@@ -23,17 +23,14 @@ from functools import reduce
 import numpy as np
 
 from . import _linalg
-from .fourier import (DEFAULT_TOL, MatrixFamily, NORMALIZED_ATOL, _c0_verdict, check_c0,
-                      convolve, family_content_digest)
+from .fourier import (DEFAULT_TOL, MatrixFamily, _c0_condition, _identity_condition,
+                      _norm_bound_condition, _require_normalized, convolve,
+                      family_content_digest)
 from .genfun import GeneratingFunctional
 from .irreps import FreeProductTable
-from .reports import CertificationReport, ConditionVerdict, Witness
+from .reports import CertificationReport
 
 DAMP_INPUT_TOL = 1e-12
-
-
-def _factor_for(wp: FreeProductTable, fi: int):
-    return wp.factor1 if fi == 1 else wp.factor2
 
 
 def _check_factor_tables(wp: FreeProductTable, F1, F2) -> None:
@@ -41,13 +38,7 @@ def _check_factor_tables(wp: FreeProductTable, F1, F2) -> None:
         raise ValueError("factor data does not match the word table's factors")
 
 
-def _require_normalized(F: MatrixFamily, who: str) -> None:
-    triv = F.blocks.get(F.table.trivial)
-    if triv is None or abs(complex(triv[0, 0]) - 1.0) > NORMALIZED_ATOL:
-        raise ValueError(f"{who} must be normalized (trivial block [1])")
-
-
-def _letter_block(family: MatrixFamily, fi: int, label) -> np.ndarray:
+def _letter_block(family, fi: int, label) -> np.ndarray:
     try:
         return family.blocks[label]
     except KeyError:
@@ -82,19 +73,13 @@ def cfree_generator(L1: GeneratingFunctional, L2: GeneratingFunctional,
     The block at a word is the Kronecker sum of the letter blocks:
     sum_j I x ... x L^{a_j} x ... x I, in letter order.
     """
-    if L1.table != wp.factor1 or L2.table != wp.factor2:
-        raise ValueError("factor data does not match the word table's factors")
+    _check_factor_tables(wp, L1, L2)
     functionals = {1: L1, 2: L2}
     blocks = {}
     for word, dim in wp:
         if word.is_trivial:
             continue
-        letters = []
-        for fi, lab in word.letters:
-            L = functionals[fi]
-            if lab not in L.blocks:
-                raise KeyError(f"missing letter block: factor {fi}, label {lab.id!r}")
-            letters.append(L.blocks[lab])
+        letters = [_letter_block(functionals[fi], fi, lab) for fi, lab in word.letters]
         acc = np.zeros((dim, dim), dtype=np.complex128)
         for j, blk in enumerate(letters):
             factors = [np.eye(b.shape[0], dtype=np.complex128) for b in letters]
@@ -185,70 +170,15 @@ def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
     if not (len(seq1) == len(seq2) == len(k_values) == len(conv_tols)):
         raise ValueError("seq1, seq2, k_values and conv_tols must have equal length")
     products = [cfree_state(F1, F2, wp) for F1, F2 in zip(seq1, seq2)]
-
-    witnesses_a = []
-    passed_a = True
-    worst_a = None
-    for mu, k in zip(products, k_values):
-        for word in mu.labels:
-            l = len(word)
-            if l == 0:
-                continue
-            bound = math.exp(-l / k) + tol
-            nrm = _linalg.spectral_norm(mu.blocks[word])
-            if nrm > bound:
-                passed_a = False
-                witnesses_a.append(Witness(label=word.encode(), achieved=nrm,
-                                           threshold=bound, context=f"k={k}, length {l}"))
-            elif worst_a is None or nrm - bound > worst_a[0]:
-                worst_a = (nrm - bound, Witness(label=word.encode(), achieved=nrm,
-                                                threshold=bound, context=f"k={k}, length {l}"))
-    if passed_a and worst_a is not None:
-        witnesses_a = [worst_a[1]]
-    conditions = [ConditionVerdict(
-        name="word-norm-bound", passed=passed_a, witnesses=tuple(witnesses_a),
-        summary="length-l word blocks damped below exp(-l/k) + tol")]
-
-    witnesses_b = []
-    passed_b = True
-    if any(b > a for a, b in zip(conv_tols, conv_tols[1:])):
-        passed_b = False
-        witnesses_b.append(Witness(label="*", achieved=max(conv_tols), threshold=conv_tols[0],
-                                   context="conv_tols schedule is not nonincreasing"))
-    worst_b = None
-    for mu, k, thr in zip(products, k_values, conv_tols):
-        for word in mu.labels:
-            blk = mu.blocks[word]
-            dev = _linalg.spectral_norm(blk - np.eye(blk.shape[0]))
-            if dev > thr:
-                passed_b = False
-                witnesses_b.append(Witness(label=word.encode(), achieved=dev,
-                                           threshold=thr, context=f"k={k}"))
-            elif worst_b is None or dev - thr > worst_b[0]:
-                worst_b = (dev - thr, Witness(label=word.encode(), achieved=dev,
-                                              threshold=thr, context=f"k={k}"))
-    if passed_b and worst_b is not None:
-        witnesses_b = [worst_b[1]]
-    conditions.append(ConditionVerdict(
-        name="identity-convergence", passed=passed_b, witnesses=tuple(witnesses_b),
-        summary="per-word ||block - I|| within the stage tolerance schedule"))
-
-    witnesses_c = []
-    passed_c = True
-    worst_c = None
-    for mu, k in zip(products, k_values):
-        res = check_c0(mu, eps_decay)
-        ok, witness = _c0_verdict(res, wp, f"k={k}")
-        if not ok:
-            passed_c = False
-            witnesses_c.append(witness)
-        elif worst_c is None or witness.achieved > worst_c.achieved:
-            worst_c = witness
-    if passed_c and worst_c is not None:
-        witnesses_c = [worst_c]
-    conditions.append(ConditionVerdict(
-        name="c0-decay", passed=passed_c, witnesses=tuple(witnesses_c),
-        summary=f"word norms above eps_decay form a finite set, tail verified <= {eps_decay:g}"))
+    contexts = [f"k={k}" for k in k_values]
+    conditions = (
+        _norm_bound_condition(
+            "word-norm-bound", "length-l word blocks damped below exp(-l/k) + tol",
+            products, wp, k_values, tol, len, lambda i, l: f"{contexts[i]}, length {l}"),
+        _identity_condition(products, wp, conv_tols, contexts,
+                            "per-word ||block - I|| within the stage tolerance schedule"),
+        _c0_condition(products, wp, eps_decay, contexts, "word"),
+    )
 
     return CertificationReport(
         command="freeprod",
@@ -256,7 +186,7 @@ def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
         truncation=(f"word table: {len(wp)} words (max word length {wp.max_word_length}); "
                     f"factor1: {len(wp.factor1)} labels; factor2: {len(wp.factor2)} labels"),
         tolerances=(("tol", tol), ("eps_decay", eps_decay)),
-        conditions=tuple(conditions),
+        conditions=conditions,
         notes=(f"conv_tols: {', '.join(f'{x:g}' for x in conv_tols)}",
                f"k_values: {', '.join(str(k) for k in k_values)}"),
     )

@@ -18,13 +18,12 @@ from pathlib import Path
 
 from . import cfree, classical, genfun, serialize
 from .cocycle import check_proper_cocycle, factor_from_generator
-from .fourier import MatrixFamily, check_hap_sequence
+from .fourier import DEFAULT_TOL, MatrixFamily, check_hap_sequence
 from .irreps import free_product_table
 from .reports import (CertificationReport, ConditionVerdict, Witness, __version__,
                       content_digest, fmt)
 from .serialize import SchemaError
 
-DEFAULT_TOL = 1e-9
 DEFAULT_EPS_DECAY = 1e-3
 DEFAULT_MAX_WORD_LENGTH = 3
 
@@ -33,21 +32,12 @@ class InputError(Exception):
     """Anything wrong with the input: exit code 2."""
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
+def _parse_list(text: str, what: str, cast=float) -> list:
     try:
-        values = [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [cast(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise InputError(f"{what}: expected comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise InputError(f"{what}: empty list")
-    return values
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        values = [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise InputError(f"{what}: expected comma-separated integers, got {text!r}") from None
+        kind = "integers" if cast is int else "numbers"
+        raise InputError(f"{what}: expected comma-separated {kind}, got {text!r}") from None
     if not values:
         raise InputError(f"{what}: empty list")
     return values
@@ -81,6 +71,18 @@ def _family_sequence(table, objs, where: str) -> list[MatrixFamily]:
     return out
 
 
+def _load_states(path: str):
+    """Load a 'table' + 'families' input: (object, digest, table, families)."""
+    obj, digest = _load(path)
+    if not isinstance(obj, dict) or "table" not in obj or "families" not in obj:
+        raise InputError(f"{path}: expected an object with 'table' and 'families'")
+    try:
+        table = serialize.table_from_obj(obj["table"], "table")
+    except SchemaError as exc:
+        raise InputError(str(exc)) from None
+    return obj, digest, table, _family_sequence(table, obj["families"], "families")
+
+
 def _emit(report: CertificationReport, args) -> int:
     if not args.quiet:
         sys.stdout.write(report.to_text())
@@ -91,25 +93,18 @@ def _emit(report: CertificationReport, args) -> int:
 
 
 def cmd_certify_hap(args) -> int:
-    obj, digest = _load(args.input)
-    if not isinstance(obj, dict) or "table" not in obj or "families" not in obj:
-        raise InputError(f"{args.input}: expected an object with 'table' and 'families'")
-    try:
-        table = serialize.table_from_obj(obj["table"], "table")
-    except SchemaError as exc:
-        raise InputError(str(exc)) from None
-    families = _family_sequence(table, obj["families"], "families")
+    obj, digest, _, families = _load_states(args.input)
     eps_decay = args.eps_decay if args.eps_decay is not None else \
         float(obj.get("eps_decay", DEFAULT_EPS_DECAY))
     if args.conv_tols is not None:
-        conv_tols = _parse_float_list(args.conv_tols, "--conv-tols")
+        conv_tols = _parse_list(args.conv_tols, "--conv-tols")
     elif "conv_tols" in obj:
         conv_tols = [float(x) for x in obj["conv_tols"]]
     else:
         conv_tols = _default_conv_tols(len(families))
     k_values = None
     if args.k_values is not None:
-        k_values = _parse_int_list(args.k_values, "--k-values")
+        k_values = _parse_list(args.k_values, "--k-values", int)
     elif "k_values" in obj:
         k_values = [int(k) for k in obj["k_values"]]
     if len(conv_tols) != len(families) or (k_values and len(k_values) != len(families)):
@@ -125,7 +120,7 @@ def cmd_semigroup(args) -> int:
         L = serialize.generator_from_obj(obj)
     except SchemaError as exc:
         raise InputError(str(exc)) from None
-    ts = _parse_float_list(args.t, "--t")
+    ts = _parse_list(args.t, "--t")
     if any(t < 0 for t in ts):
         raise InputError("--t: times must be >= 0")
     outdir = Path(args.out)
@@ -292,14 +287,7 @@ def cmd_cocycle(args) -> int:
 
 
 def cmd_buildgen(args) -> int:
-    obj, digest = _load(args.input)
-    if not isinstance(obj, dict) or "table" not in obj or "families" not in obj:
-        raise InputError(f"{args.input}: expected an object with 'table' and 'families'")
-    try:
-        table = serialize.table_from_obj(obj["table"], "table")
-    except SchemaError as exc:
-        raise InputError(str(exc)) from None
-    families = _family_sequence(table, obj["families"], "families")
+    obj, digest, table, families = _load_states(args.input)
     betas = obj.get("betas")
     eps = obj.get("eps")
     try:

@@ -16,51 +16,22 @@ many blocks satisfy (c^a)*(c^a) >= M*I.
 from __future__ import annotations
 
 import logging
-from types import MappingProxyType
-from typing import Mapping
-
-import numpy as np
 
 from . import _linalg
-from .genfun import GeneratingFunctional, PropernessResult
+from .fourier import BlockMap
+from .genfun import GeneratingFunctional, PropernessResult, _proper_scan
 
 logger = logging.getLogger(__name__)
 
 CLAMP_TOL = 1e-10
 
 
-class CocycleMatrices:
+class CocycleMatrices(BlockMap):
     """Label -> cocycle block over a table, with no block at the unit."""
 
-    def __init__(self, table, blocks: Mapping):
-        store: dict = {}
-        for label in table.labels:
-            if label in blocks:
-                store[label] = _linalg.as_block(blocks[label], table.dim(label))
-        if len(store) != len(blocks):
-            extra = [k for k in blocks if k not in store]
-            raise KeyError(f"blocks supplied for labels outside the table: {extra!r}")
-        if table.trivial in store:
+    def _check_trivial(self) -> None:
+        if self.table.trivial in self.blocks:
             raise ValueError("cocycle matrices carry no block at the trivial label")
-        self.table = table
-        self.blocks = MappingProxyType(store)
-
-    @property
-    def support(self) -> frozenset:
-        return frozenset(self.blocks)
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(self.blocks)
-
-    def block(self, label) -> np.ndarray:
-        try:
-            return self.blocks[label]
-        except KeyError:
-            raise KeyError(f"no block at label {self.table.encode(label)!r}") from None
-
-    def __repr__(self) -> str:
-        return f"CocycleMatrices({len(self.blocks)} blocks)"
 
 
 def factor_from_generator(L: GeneratingFunctional, tol: float = CLAMP_TOL) -> CocycleMatrices:
@@ -105,20 +76,11 @@ def check_proper_cocycle(c: CocycleMatrices, M: float) -> PropernessResult:
     """Labels where the smallest eigenvalue of (c^a)*(c^a) is below M."""
     if M <= 0:
         raise ValueError("threshold M must be positive")
-    exceptional = []
-    for lab in c.labels:
-        gram = c.blocks[lab].conj().T @ c.blocks[lab]
-        low = _linalg.min_eigenvalue(gram)
-        if low < M:
-            exceptional.append((lab, low))
-    unspecified = tuple(lab for lab in c.table.labels
-                        if lab not in c.blocks and lab != c.table.trivial)
-    return PropernessResult(
-        level=M,
-        exceptional=tuple(exceptional),
-        unspecified=unspecified,
-        table_size=len(c.table) - 1,  # cocycles never carry the trivial label
-    )
+    lows = ((lab, _linalg.min_eigenvalue(c.blocks[lab].conj().T @ c.blocks[lab]))
+            for lab in c.labels)
+    unspecified = [lab for lab in c.table.labels
+                   if lab not in c.blocks and lab != c.table.trivial]
+    return _proper_scan(M, lows, unspecified, len(c.table) - 1)  # no trivial label
 
 
 def check_bounded(c: CocycleMatrices) -> float:

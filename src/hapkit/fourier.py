@@ -16,6 +16,10 @@ truncation of the label set.
 Blocks that a family does not carry are *unspecified*, never implicitly
 zero: operations restrict to support intersections, so no decay is ever
 fabricated for labels nobody supplied.
+
+``BlockMap`` is the label -> block container behind families, generating
+functionals and cocycles; ``_threshold_condition`` is the one verdict
+kernel behind every per-label threshold check, here and in ``cfree``.
 """
 
 from __future__ import annotations
@@ -38,30 +42,28 @@ NORMALIZED_ATOL = 1e-9
 DEFAULT_TOL = 1e-9
 
 
-class MatrixFamily:
+class BlockMap:
     """Label -> complex block map over a fixed table.
 
     Immutable after construction: blocks are stored read-only in canonical
-    table order, so families can be shared freely between threads and
-    serialized reproducibly.  ``normalized`` asserts that the trivial block
-    is the 1x1 matrix [1].
+    table order, so maps can be shared freely between threads and
+    serialized reproducibly.  States, generating functionals and cocycles
+    differ only in what they allow at the trivial label, which each
+    subclass enforces in ``_check_trivial``.
     """
 
-    def __init__(self, table, blocks: Mapping, normalized: bool = False):
-        store: dict = {}
-        for label in table.labels:
-            if label in blocks:
-                store[label] = _linalg.as_block(blocks[label], table.dim(label))
+    def __init__(self, table, blocks: Mapping):
+        store = {label: _linalg.as_block(blocks[label], table.dim(label))
+                 for label in table.labels if label in blocks}
         if len(store) != len(blocks):
             extra = [k for k in blocks if k not in store]
             raise KeyError(f"blocks supplied for labels outside the table: {extra!r}")
-        if normalized:
-            triv = store.get(table.trivial)
-            if triv is None or abs(triv[0, 0] - 1.0) > NORMALIZED_ATOL:
-                raise ValueError("normalized family must carry trivial block [1]")
         self.table = table
         self.blocks = MappingProxyType(store)
-        self.normalized = normalized
+        self._check_trivial()
+
+    def _check_trivial(self) -> None:
+        """Validate (or complete) the block at the trivial label."""
 
     @property
     def support(self) -> frozenset:
@@ -79,13 +81,36 @@ class MatrixFamily:
             raise KeyError(f"no block at label {self.table.encode(label)!r}") from None
 
     def __repr__(self) -> str:
-        return (f"MatrixFamily({len(self.blocks)}/{len(self.table)} blocks"
-                f"{', normalized' if self.normalized else ''})")
+        return f"{type(self).__name__}({len(self.blocks)}/{len(self.table)} blocks)"
 
 
-def _require_same_table(F: MatrixFamily, G) -> None:
+def _require_normalized(F: BlockMap, who: str) -> None:
+    """Raise unless the trivial block of ``F`` is [1] (NaN fails closed)."""
+    triv = F.blocks.get(F.table.trivial)
+    if triv is None or not abs(complex(triv[0, 0]) - 1.0) <= NORMALIZED_ATOL:
+        raise ValueError(f"{who} must be normalized (trivial block [1])")
+
+
+class MatrixFamily(BlockMap):
+    """Block map of a functional; ``normalized`` asserts the trivial block is [1]."""
+
+    def __init__(self, table, blocks: Mapping, normalized: bool = False):
+        self.normalized = normalized
+        super().__init__(table, blocks)
+
+    def _check_trivial(self) -> None:
+        if self.normalized:
+            _require_normalized(self, "family")
+
+    def __repr__(self) -> str:
+        if not self.normalized:
+            return super().__repr__()
+        return f"MatrixFamily({len(self.blocks)}/{len(self.table)} blocks, normalized)"
+
+
+def _require_same_table(F: BlockMap, G, who: str = "operands") -> None:
     if F.table is not G.table and F.table != G.table:
-        raise ValueError("operands live over different tables")
+        raise ValueError(f"{who} live over different tables")
 
 
 def convolve(F: MatrixFamily, G: MatrixFamily) -> MatrixFamily:
@@ -247,25 +272,85 @@ def _c0_verdict(res: C0Result, table, ctx: str):
         context=f"{ctx}: exceptional labels within truncation")
 
 
-def _c0_condition(families, table, eps_decay, k_labels=None) -> ConditionVerdict:
-    """Shared c0 verdict: finite exceptional set, tail-clean, some decay seen."""
-    witnesses = []
-    passed = True
-    worst = None
-    for idx, F in enumerate(families):
-        ctx = f"family {k_labels[idx] if k_labels else idx}"
-        res = check_c0(F, eps_decay)
-        ok, witness = _c0_verdict(res, table, ctx)
-        if not ok:
-            passed = False
-            witnesses.append(witness)
-        elif worst is None or witness.achieved > worst.achieved:
-            worst = witness
-    if passed and worst is not None:
-        witnesses = [worst]
+def _c0_condition(families, table, eps_decay, contexts, noun: str) -> ConditionVerdict:
+    """c0-decay verdict over a family sequence, one context string per family.
+
+    Fails with every failing family's witness; otherwise reports the family
+    with the most exceptional labels.
+    """
+    results = [_c0_verdict(check_c0(F, eps_decay), table, ctx)
+               for F, ctx in zip(families, contexts)]
+    failed = tuple(w for ok, w in results if not ok)
+    worst = max((w for _, w in results), key=lambda w: w.achieved, default=None)
     return ConditionVerdict(
-        name="c0-decay", passed=passed, witnesses=tuple(witnesses),
-        summary=f"block norms above eps_decay form a finite set, tail verified <= {eps_decay:g}")
+        name="c0-decay", passed=not failed,
+        witnesses=failed or ((worst,) if worst else ()),
+        summary=f"{noun} norms above eps_decay form a finite set, "
+                f"tail verified <= {eps_decay:g}")
+
+
+def _threshold_condition(name: str, summary: str, rows, encode,
+                         failed=()) -> ConditionVerdict:
+    """Verdict over lazily produced (label, achieved, threshold, context) rows.
+
+    A row holds only when ``achieved <= threshold``, so NaN on either side
+    fails closed.  Every failing row becomes a witness, after the ``failed``
+    witnesses found up front; when nothing fails, the row with the largest
+    achieved - threshold is reported instead.  Labels are encoded and
+    witnesses built only for the rows that are reported.
+    """
+    witnesses = list(failed)
+    worst = None
+    for label, achieved, threshold, context in rows:
+        if not achieved <= threshold:
+            witnesses.append(Witness(encode(label), achieved, threshold, context))
+        elif worst is None or achieved - threshold > worst[0]:
+            worst = (achieved - threshold, label, achieved, threshold, context)
+    passed = not witnesses
+    if passed and worst is not None:
+        _, label, achieved, threshold, context = worst
+        witnesses = [Witness(encode(label), achieved, threshold, context)]
+    return ConditionVerdict(name=name, passed=passed, witnesses=tuple(witnesses),
+                            summary=summary)
+
+
+def _identity_condition(families, table, conv_tols, contexts,
+                        summary: str) -> ConditionVerdict:
+    """identity-convergence: ||block_k - I|| <= conv_tols[k] at every table label.
+
+    An unspecified block fails; so does a tolerance schedule that increases.
+    """
+    failed = ()
+    if any(b > a for a, b in zip(conv_tols, conv_tols[1:])):
+        failed = (Witness(label="*", achieved=max(conv_tols), threshold=conv_tols[0],
+                          context="conv_tols schedule is not nonincreasing"),)
+
+    def rows():
+        for F, thr, ctx in zip(families, conv_tols, contexts):
+            for lab in F.table.labels:
+                blk = F.blocks.get(lab)
+                if blk is None:
+                    yield lab, math.inf, thr, f"{ctx}: block unspecified"
+                else:
+                    yield lab, _linalg.spectral_norm(blk - np.eye(blk.shape[0])), thr, ctx
+    return _threshold_condition("identity-convergence", summary, rows(), table.encode, failed)
+
+
+def _norm_bound_condition(name: str, summary: str, families, table, k_values,
+                          tol: float, length, context) -> ConditionVerdict:
+    """Block norm <= exp(-l/k) + tol at every supported label of length l >= 1.
+
+    ``length`` maps a label to its length (0 skips it) and ``context(i, l)``
+    names family i at length l.
+    """
+    def rows():
+        for i, (F, k) in enumerate(zip(families, k_values)):
+            for lab in F.labels:
+                l = length(lab)
+                if l:
+                    yield (lab, _linalg.spectral_norm(F.blocks[lab]),
+                           math.exp(-l / k) + tol, context(i, l))
+    return _threshold_condition(name, summary, rows(), table.encode)
 
 
 def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,
@@ -280,7 +365,8 @@ def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,
         ||block_k - I|| <= conv_tols[k], with the tolerance schedule
         nonincreasing toward zero;
     (c) optionally, when ``k_values`` is supplied, the uniform damping bound
-        ||block|| <= exp(-1/k) + tol at every nontrivial label.
+        ||block|| <= exp(-1/k) + tol at every nontrivial label (the
+        free-product word bound at length 1).
 
     Failures are reported with witnesses, never raised.
     """
@@ -295,71 +381,25 @@ def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,
         raise ValueError("conv_tols must align with the family sequence")
     if k_values is not None and len(k_values) != len(seq):
         raise ValueError("k_values must align with the family sequence")
-    k_labels = [f"k={k}" for k in k_values] if k_values else [f"#{i}" for i in range(len(seq))]
+    contexts = ([f"family k={k}" for k in k_values] if k_values
+                else [f"family #{i}" for i in range(len(seq))])
 
-    conditions = [_c0_condition(seq, table, eps_decay, k_labels)]
-
-    witnesses_b = []
-    passed_b = True
-    if any(b > a for a, b in zip(conv_tols, conv_tols[1:])):
-        passed_b = False
-        witnesses_b.append(Witness(label="*", achieved=max(conv_tols), threshold=conv_tols[0],
-                                   context="conv_tols schedule is not nonincreasing"))
-    worst_b = None
-    for idx, F in enumerate(seq):
-        thr = conv_tols[idx]
-        for lab in table.labels:
-            blk = F.blocks.get(lab)
-            if blk is None:
-                passed_b = False
-                witnesses_b.append(Witness(label=table.encode(lab), achieved=math.inf,
-                                           threshold=thr,
-                                           context=f"family {k_labels[idx]}: block unspecified"))
-                continue
-            dev = _linalg.spectral_norm(blk - np.eye(blk.shape[0]))
-            if dev > thr:
-                passed_b = False
-                witnesses_b.append(Witness(label=table.encode(lab), achieved=dev,
-                                           threshold=thr, context=f"family {k_labels[idx]}"))
-            elif worst_b is None or dev - thr > worst_b[0]:
-                worst_b = (dev - thr, Witness(label=table.encode(lab), achieved=dev,
-                                              threshold=thr, context=f"family {k_labels[idx]}"))
-    if passed_b and worst_b is not None:
-        witnesses_b = [worst_b[1]]
-    conditions.append(ConditionVerdict(
-        name="identity-convergence", passed=passed_b, witnesses=tuple(witnesses_b),
-        summary="||block - I|| within the per-family tolerance schedule"))
-
+    conditions = [
+        _c0_condition(seq, table, eps_decay, contexts, "block"),
+        _identity_condition(seq, table, conv_tols, contexts,
+                            "||block - I|| within the per-family tolerance schedule"),
+    ]
     if k_values is not None:
-        witnesses_c = []
-        passed_c = True
-        worst_c = None
-        for idx, (F, k) in enumerate(zip(seq, k_values)):
-            bound = math.exp(-1.0 / k) + tol
-            for lab in F.labels:
-                if lab == table.trivial:
-                    continue
-                nrm = block_norm(F, lab)
-                if nrm > bound:
-                    passed_c = False
-                    witnesses_c.append(Witness(label=table.encode(lab), achieved=nrm,
-                                               threshold=bound, context=f"family {k_labels[idx]}"))
-                elif worst_c is None or nrm - bound > worst_c[0]:
-                    worst_c = (nrm - bound, Witness(label=table.encode(lab), achieved=nrm,
-                                                    threshold=bound,
-                                                    context=f"family {k_labels[idx]}"))
-        if passed_c and worst_c is not None:
-            witnesses_c = [worst_c[1]]
-        conditions.append(ConditionVerdict(
-            name="damped-norm-bound", passed=passed_c, witnesses=tuple(witnesses_c),
-            summary="nontrivial block norms <= exp(-1/k) + tol"))
+        conditions.append(_norm_bound_condition(
+            "damped-norm-bound", "nontrivial block norms <= exp(-1/k) + tol",
+            seq, table, k_values, tol, lambda lab: int(lab != table.trivial),
+            lambda i, _: contexts[i]))
 
-    tolerances = [("tol", tol), ("eps_decay", eps_decay)]
     return CertificationReport(
         command="certify-hap",
         input_digest=input_digest or family_content_digest(seq, table),
         truncation=f"{len(table)} labels",
-        tolerances=tuple(tolerances),
+        tolerances=(("tol", tol), ("eps_decay", eps_decay)),
         conditions=tuple(conditions),
         notes=(f"conv_tols: {', '.join(f'{x:g}' for x in conv_tols)}",)
         + ((f"k_values: {', '.join(str(k) for k in k_values)}",) if k_values else ()),

@@ -28,12 +28,13 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from . import _linalg
-from .fourier import DEFAULT_TOL, MatrixFamily, NORMALIZED_ATOL
+from .fourier import (DEFAULT_TOL, BlockMap, MatrixFamily, _require_normalized,
+                      _require_same_table)
 
 logger = logging.getLogger(__name__)
 
 
-class GeneratingFunctional:
+class GeneratingFunctional(BlockMap):
     """Blockwise generating functional: label -> matrix, zero at the unit.
 
     The trivial block is always present and identically zero; supplying a
@@ -41,41 +42,15 @@ class GeneratingFunctional:
     unspecified, in which case nothing is claimed about them.
     """
 
-    def __init__(self, table, blocks: Mapping):
-        store: dict = {}
-        for label in table.labels:
-            if label in blocks:
-                store[label] = _linalg.as_block(blocks[label], table.dim(label))
-        if len(store) != len(blocks):
-            extra = [k for k in blocks if k not in store]
-            raise KeyError(f"blocks supplied for labels outside the table: {extra!r}")
-        triv = store.get(table.trivial)
-        if triv is not None and np.any(triv != 0):
-            raise ValueError("generating functional must vanish at the unit")
+    def _check_trivial(self) -> None:
+        triv = self.blocks.get(self.table.trivial)
         if triv is None:
-            # store was built in table order (trivial first), so prepending keeps it canonical
+            # blocks are in table order (trivial first), so prepending keeps it canonical
             zero = np.zeros((1, 1), dtype=np.complex128)
             zero.setflags(write=False)
-            store = {table.trivial: zero, **store}
-        self.table = table
-        self.blocks = MappingProxyType(store)
-
-    @property
-    def support(self) -> frozenset:
-        return frozenset(self.blocks)
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(self.blocks)
-
-    def block(self, label) -> np.ndarray:
-        try:
-            return self.blocks[label]
-        except KeyError:
-            raise KeyError(f"no block at label {self.table.encode(label)!r}") from None
-
-    def __repr__(self) -> str:
-        return f"GeneratingFunctional({len(self.blocks)}/{len(self.table)} blocks)"
+            self.blocks = MappingProxyType({self.table.trivial: zero, **self.blocks})
+        elif np.any(triv != 0):
+            raise ValueError("generating functional must vanish at the unit")
 
 
 class SymmetryCheck(NamedTuple):
@@ -135,6 +110,16 @@ class PropernessResult:
         return self.certified_count > 0
 
 
+def _proper_scan(M: float, lows, unspecified, table_size: int) -> PropernessResult:
+    """Exceptional set over lazy (label, smallest eigenvalue) pairs; NaN fails closed."""
+    return PropernessResult(
+        level=M,
+        exceptional=tuple((lab, low) for lab, low in lows if not low >= M),
+        unspecified=tuple(unspecified),
+        table_size=table_size,
+    )
+
+
 def check_proper(L: GeneratingFunctional, M: float) -> PropernessResult:
     """Exceptional set of a symmetric functional at threshold M."""
     if M <= 0:
@@ -143,18 +128,9 @@ def check_proper(L: GeneratingFunctional, M: float) -> PropernessResult:
     if not sym.ok:
         raise ValueError(f"properness is defined for symmetric functionals "
                          f"(Hermitian residual {sym.residual:g})")
-    exceptional = []
-    for lab in L.labels:
-        low = _linalg.min_eigenvalue(L.blocks[lab])
-        if low < M:
-            exceptional.append((lab, low))
-    unspecified = tuple(lab for lab in L.table.labels if lab not in L.blocks)
-    return PropernessResult(
-        level=M,
-        exceptional=tuple(exceptional),
-        unspecified=unspecified,
-        table_size=len(L.table),
-    )
+    lows = ((lab, _linalg.min_eigenvalue(L.blocks[lab])) for lab in L.labels)
+    unspecified = [lab for lab in L.table.labels if lab not in L.blocks]
+    return _proper_scan(M, lows, unspecified, len(L.table))
 
 
 def semigroup_at(L: GeneratingFunctional, t: float) -> MatrixFamily:
@@ -243,11 +219,8 @@ def build_from_states(seq, betas=None, eps=None,
         raise ValueError("eps must be positive and decreasing")
     table = seq[0].table
     for F in seq:
-        if F.table is not table and F.table != table:
-            raise ValueError("state families live over different tables")
-        triv = F.blocks.get(table.trivial)
-        if triv is None or abs(complex(triv[0, 0]) - 1.0) > NORMALIZED_ATOL:
-            raise ValueError("state families must be normalized (trivial block [1])")
+        _require_same_table(seq[0], F, "state families")
+        _require_normalized(F, "state families")
 
     support = [lab for lab in table.labels
                if all(lab in F.blocks for F in seq) and lab != table.trivial]
@@ -315,8 +288,7 @@ def generator_from_semigroup(sampler: Callable[[float], MatrixFamily],
     samples = [sampler(t) for t in t_small]
     table = samples[0].table
     for F in samples[1:]:
-        if F.table is not table and F.table != table:
-            raise ValueError("sampler returned families over different tables")
+        _require_same_table(samples[0], F, "sampled families")
     weights = []
     for i, ti in enumerate(t_small):
         w = 1.0

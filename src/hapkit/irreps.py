@@ -28,11 +28,59 @@ class IrrepLabel:
     is_trivial: bool = False
 
 
-class IrrepTable:
+class LabelTable:
+    """Protocol shared by label tables: ordered (label, dim) entries, trivial first.
+
+    The canonical entry order governs every serialization and report
+    produced from the table.  Subclasses fix ``_key``, the string a label is
+    encoded to, and ``_noun``, what their labels are called in errors.
+    """
+
+    _noun = "label"
+
+    def __init__(self, entries: tuple):
+        self.entries = entries
+        self.trivial = entries[0][0]
+        self._dims = dict(entries)
+        self._by_key = {self._key(lab): lab for lab, _ in entries}
+
+    @property
+    def labels(self) -> tuple:
+        return tuple(lab for lab, _ in self.entries)
+
+    @property
+    def nontrivial_labels(self) -> tuple:
+        return tuple(lab for lab, _ in self.entries if not lab.is_trivial)
+
+    def dim(self, label) -> int:
+        try:
+            return self._dims[label]
+        except KeyError:
+            raise KeyError(f"{self._noun} {label!r} not in table") from None
+
+    def encode(self, label) -> str:
+        if label not in self._dims:
+            raise KeyError(f"{self._noun} {label!r} not in table")
+        return self._key(label)
+
+    def decode(self, key: str):
+        try:
+            return self._by_key[key]
+        except KeyError:
+            raise KeyError(f"no {self._noun} encoded as {key!r}") from None
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.entries)
+
+
+class IrrepTable(LabelTable):
     """Ordered finite list of (label, dimension) pairs, trivial label first.
 
-    The canonical order (trivial first, then lexicographic by id) governs
-    every serialization and report produced from the table.
+    The canonical order is trivial first, then lexicographic by id; labels
+    are encoded as their ids.
     """
 
     def __init__(self, entries: Iterable[tuple[IrrepLabel, int]]):
@@ -52,45 +100,11 @@ class IrrepTable:
         for (lab, dim) in entries:
             if dim < 1:
                 raise ValueError(f"label {lab.id!r} has nonpositive dimension {dim}")
-        self.entries: tuple[tuple[IrrepLabel, int], ...] = entries
-        self.trivial: IrrepLabel = entries[0][0]
-        self._dims = {lab: dim for lab, dim in entries}
-        self._by_id = {lab.id: lab for lab, _ in entries}
-        self._index = {lab: i for i, (lab, _) in enumerate(entries)}
+        super().__init__(entries)
 
-    @property
-    def labels(self) -> tuple[IrrepLabel, ...]:
-        return tuple(lab for lab, _ in self.entries)
-
-    @property
-    def nontrivial_labels(self) -> tuple[IrrepLabel, ...]:
-        return tuple(lab for lab, _ in self.entries if not lab.is_trivial)
-
-    def dim(self, label: IrrepLabel) -> int:
-        try:
-            return self._dims[label]
-        except KeyError:
-            raise KeyError(f"label {label!r} not in table") from None
-
-    def index(self, label) -> int:
-        return self._index[label]
-
-    def encode(self, label: IrrepLabel) -> str:
-        if label not in self._dims:
-            raise KeyError(f"label {label!r} not in table")
+    @staticmethod
+    def _key(label: IrrepLabel) -> str:
         return label.id
-
-    def decode(self, key: str) -> IrrepLabel:
-        try:
-            return self._by_id[key]
-        except KeyError:
-            raise KeyError(f"no label with id {key!r}") from None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[tuple[IrrepLabel, int]]:
-        return iter(self.entries)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IrrepTable) and self.entries == other.entries
@@ -159,67 +173,28 @@ class Word:
     def encode(self) -> str:
         return "|".join(f"{fi}:{lab.id}" for fi, lab in self.letters)
 
-    def sort_key(self):
-        pattern = tuple(fi for fi, _ in self.letters)
-        ids = tuple(lab.id for _, lab in self.letters)
-        return (len(self.letters), pattern, ids)
-
     def __repr__(self) -> str:
         return f"Word({self.encode()!r})" if self.letters else "Word(trivial)"
 
 
-class FreeProductTable:
+class FreeProductTable(LabelTable):
     """All alternating words of length <= max_word_length over two factors.
 
-    The word list is ordered by (length, factor pattern, letter ids) and the
-    dimension of a word is the product of its letters' dimensions.  Factor
-    tables are referenced, not copied.
+    The word list is ordered by (length, factor pattern, letter ids), the
+    dimension of a word is the product of its letters' dimensions, and words
+    are encoded by :meth:`Word.encode`.  Factor tables are referenced, not
+    copied.
     """
+
+    _noun = "word"
+    _key = staticmethod(Word.encode)
 
     def __init__(self, factor1: IrrepTable, factor2: IrrepTable, max_word_length: int,
                  words: tuple[tuple[Word, int], ...]):
         self.factor1 = factor1
         self.factor2 = factor2
         self.max_word_length = max_word_length
-        self.words = words
-        self.trivial = words[0][0]
-        self._dims = {w: d for w, d in words}
-        self._index = {w: i for i, (w, _) in enumerate(words)}
-        self._by_key = {w.encode(): w for w, _ in words}
-
-    @property
-    def labels(self) -> tuple[Word, ...]:
-        return tuple(w for w, _ in self.words)
-
-    @property
-    def nontrivial_labels(self) -> tuple[Word, ...]:
-        return tuple(w for w, _ in self.words if not w.is_trivial)
-
-    def dim(self, word: Word) -> int:
-        try:
-            return self._dims[word]
-        except KeyError:
-            raise KeyError(f"word {word!r} not in table") from None
-
-    def index(self, word) -> int:
-        return self._index[word]
-
-    def encode(self, word: Word) -> str:
-        if word not in self._dims:
-            raise KeyError(f"word {word!r} not in table")
-        return word.encode()
-
-    def decode(self, key: str) -> Word:
-        try:
-            return self._by_key[key]
-        except KeyError:
-            raise KeyError(f"no word with encoding {key!r}") from None
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self) -> Iterator[tuple[Word, int]]:
-        return iter(self.words)
+        super().__init__(words)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FreeProductTable)
@@ -228,7 +203,7 @@ class FreeProductTable:
                 and self.max_word_length == other.max_word_length)
 
     def __repr__(self) -> str:
-        return (f"FreeProductTable({len(self.words)} words, "
+        return (f"FreeProductTable({len(self.entries)} words, "
                 f"max_word_length={self.max_word_length})")
 
 

@@ -28,10 +28,6 @@ def content_digest(obj) -> str:
     return "sha256:" + hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def digest_bytes(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
 def fmt(x) -> str:
     """Fixed rendering for numbers in reports."""
     if isinstance(x, bool):

@@ -7,10 +7,10 @@ FreeProductTable:  {"factor1": <table>, "factor2": <table>, "max_word_length": i
                    (words are recomputed on load, never stored)
 MatrixFamily:      {"table": <table or free product>, "blocks": {key: <matrix>},
                     "normalized": bool}
-GeneratingFunctional: family shape plus "kind": "generator"; the trivial
-                   block must be zero and is enforced on load.
-CocycleMatrices:   family shape plus "kind": "cocycle"; the trivial label
-                   must be absent.
+GeneratingFunctional: {"kind": "generator", "table": ..., "blocks": ...};
+                   the trivial block must be zero and is enforced on load.
+CocycleMatrices:   {"kind": "cocycle", "table": ..., "blocks": ...}; the
+                   trivial label must be absent.
 
 Matrices are lists of rows of [re, im] pairs.  Block keys are label ids for
 plain tables and "i1:id1|i2:id2|..." word encodings (empty string for the
@@ -28,7 +28,7 @@ import numpy as np
 from .cocycle import CocycleMatrices
 from .fourier import MatrixFamily
 from .genfun import GeneratingFunctional
-from .irreps import FreeProductTable, IrrepTable, free_product_table, make_table, parse_word
+from .irreps import FreeProductTable, IrrepTable, free_product_table, make_table
 
 
 class SchemaError(ValueError):
@@ -116,76 +116,59 @@ def blocks_from_obj(table, obj, where: str) -> dict:
     out = {}
     for key, mat in obj.items():
         try:
-            if isinstance(table, FreeProductTable):
-                label = parse_word(key, table.factor1, table.factor2)
-                label = table.decode(table.encode(label))
-            else:
-                label = table.decode(key)
-        except (KeyError, ValueError) as exc:
+            label = table.decode(key)
+        except KeyError as exc:
             raise SchemaError(f"{where}: unknown block key {key!r} ({exc})") from None
         out[label] = matrix_from_obj(mat, f"{where}.blocks[{key!r}]")
     return out
 
 
+def _map_to_obj(M, kind: str | None) -> dict:
+    """Shared writer: table and blocks, plus the kind tag or the normalized flag."""
+    tag = {"kind": kind} if kind is not None else {"normalized": M.normalized}
+    return {"table": table_to_obj(M.table), "blocks": blocks_to_obj(M.table, M.blocks), **tag}
+
+
+def _map_from_obj(obj, where: str, cls, kind: str | None):
+    """Shared reader: checks the shape and kind tag, then builds ``cls``."""
+    _expect(isinstance(obj, dict), where, "must be an object")
+    if kind is not None:
+        _expect(obj.get("kind") == kind, where, f"needs \"kind\": \"{kind}\"")
+    _expect("table" in obj and "blocks" in obj, where, "needs 'table' and 'blocks'")
+    table = table_from_obj(obj["table"], where + ".table")
+    blocks = blocks_from_obj(table, obj["blocks"], where)
+    extra = {}
+    if kind is None:
+        extra["normalized"] = obj.get("normalized", False)
+        _expect(isinstance(extra["normalized"], bool), where, "'normalized' must be a boolean")
+    try:
+        return cls(table, blocks, **extra)
+    except (ValueError, KeyError) as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def family_to_obj(F: MatrixFamily) -> dict:
-    return {
-        "table": table_to_obj(F.table),
-        "blocks": blocks_to_obj(F.table, F.blocks),
-        "normalized": F.normalized,
-    }
+    return _map_to_obj(F, None)
 
 
 def family_from_obj(obj, where: str = "family") -> MatrixFamily:
-    _expect(isinstance(obj, dict), where, "must be an object")
-    _expect("table" in obj and "blocks" in obj, where, "needs 'table' and 'blocks'")
-    table = table_from_obj(obj["table"], where + ".table")
-    blocks = blocks_from_obj(table, obj["blocks"], where)
-    normalized = obj.get("normalized", False)
-    _expect(isinstance(normalized, bool), where, "'normalized' must be a boolean")
-    try:
-        return MatrixFamily(table, blocks, normalized=normalized)
-    except (ValueError, KeyError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _map_from_obj(obj, where, MatrixFamily, None)
 
 
 def generator_to_obj(L: GeneratingFunctional) -> dict:
-    return {
-        "kind": "generator",
-        "table": table_to_obj(L.table),
-        "blocks": blocks_to_obj(L.table, L.blocks),
-    }
+    return _map_to_obj(L, "generator")
 
 
 def generator_from_obj(obj, where: str = "generator") -> GeneratingFunctional:
-    _expect(isinstance(obj, dict), where, "must be an object")
-    _expect(obj.get("kind") == "generator", where, "needs \"kind\": \"generator\"")
-    _expect("table" in obj and "blocks" in obj, where, "needs 'table' and 'blocks'")
-    table = table_from_obj(obj["table"], where + ".table")
-    blocks = blocks_from_obj(table, obj["blocks"], where)
-    try:
-        return GeneratingFunctional(table, blocks)
-    except (ValueError, KeyError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _map_from_obj(obj, where, GeneratingFunctional, "generator")
 
 
 def cocycle_to_obj(c: CocycleMatrices) -> dict:
-    return {
-        "kind": "cocycle",
-        "table": table_to_obj(c.table),
-        "blocks": blocks_to_obj(c.table, c.blocks),
-    }
+    return _map_to_obj(c, "cocycle")
 
 
 def cocycle_from_obj(obj, where: str = "cocycle") -> CocycleMatrices:
-    _expect(isinstance(obj, dict), where, "must be an object")
-    _expect(obj.get("kind") == "cocycle", where, "needs \"kind\": \"cocycle\"")
-    _expect("table" in obj and "blocks" in obj, where, "needs 'table' and 'blocks'")
-    table = table_from_obj(obj["table"], where + ".table")
-    blocks = blocks_from_obj(table, obj["blocks"], where)
-    try:
-        return CocycleMatrices(table, blocks)
-    except (ValueError, KeyError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _map_from_obj(obj, where, CocycleMatrices, "cocycle")
 
 
 def load_json(path) -> object:

@@ -40,6 +40,20 @@ class TestExitCodes:
         assert res.returncode == 2
 
 
+class TestFailClosedOnNaN:
+    def test_nan_conv_tols_fail_identity_convergence(self):
+        res = run_cli("certify-hap", FIXTURES / "zdual_hap_pass.json",
+                      "--conv-tols", "nan,nan,nan,nan")
+        assert res.returncode == 1
+        assert b"identity-convergence: FAIL" in res.stdout
+        assert b"overall: FAIL" in res.stdout
+
+    def test_nan_tol_fails_damped_norm_bound(self):
+        res = run_cli("certify-hap", FIXTURES / "undamped_fail.json", "--tol", "nan")
+        assert res.returncode == 1
+        assert b"damped-norm-bound: FAIL" in res.stdout
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("certify-hap", FIXTURES / "zdual_hap_pass.json"),

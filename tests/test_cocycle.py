@@ -110,6 +110,12 @@ class TestProperAndBounded:
         assert set(res.exceptional_labels) == set(t.nontrivial_labels)
         assert not res.proper_at_level
 
+    def test_nan_level_certifies_nothing(self):
+        c = hk.factor_from_generator(zdual_length_gf(3))
+        res = hk.check_proper_cocycle(c, math.nan)
+        assert set(res.exceptional_labels) == set(c.labels)
+        assert not res.proper_at_level
+
     def test_boundary_unitary_scaling(self):
         # all blocks sqrt(M) * unitary: (c*)c = M*I exactly, empty exceptional set
         t = hk.make_table([("a", 2)])

@@ -35,6 +35,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="normalized"):
             hk.MatrixFamily(table, {table.trivial: [[0.5]]}, normalized=True)
 
+    def test_nan_trivial_block_is_not_normalized(self, table):
+        with pytest.raises(ValueError, match="normalized"):
+            hk.MatrixFamily(table, {table.trivial: [[math.nan]]}, normalized=True)
+
+    def test_subclass_reprs(self, table):
+        assert repr(hk.counit_family(table)) == "MatrixFamily(4/4 blocks, normalized)"
+        assert repr(hk.unit_shift_functional(table)) == "GeneratingFunctional(4/4 blocks)"
+        assert repr(hk.CocycleMatrices(table, {})) == "CocycleMatrices(0/4 blocks)"
+
     def test_blocks_read_only(self, table):
         F = hk.counit_family(table)
         with pytest.raises((ValueError, TypeError)):
@@ -222,6 +231,31 @@ class TestHapSequence:
         cond = {c.name: c for c in rep.conditions}["identity-convergence"]
         assert not cond.passed
         assert any("nonincreasing" in w.context for w in cond.witnesses)
+
+
+class TestThresholdKernel:
+    def rows(self):
+        yield from [("a", 0.5, 1.0, "x"), ("b", 0.9, 1.0, "y"), ("c", 0.2, 1.0, "z")]
+
+    def test_worst_row_reported_when_nothing_fails(self):
+        encoded = []
+        cond = hk.fourier._threshold_condition(
+            "demo", "s", self.rows(), lambda lab: encoded.append(lab) or lab.upper())
+        assert cond.passed
+        assert [(w.label, w.achieved, w.context) for w in cond.witnesses] == [("B", 0.9, "y")]
+        assert encoded == ["b"]  # only the reported row is encoded
+
+    def test_failing_rows_become_witnesses(self):
+        rows = [("a", 2.0, 1.0, ""), ("b", 0.0, 1.0, ""), ("c", math.nan, 1.0, ""),
+                ("d", 0.0, math.nan, "")]
+        cond = hk.fourier._threshold_condition("demo", "s", iter(rows), str)
+        assert not cond.passed
+        assert [w.label for w in cond.witnesses] == ["a", "c", "d"]
+
+    def test_up_front_witnesses_fail_the_condition(self):
+        early = hk.Witness("*", 2.0, 1.0, "schedule")
+        cond = hk.fourier._threshold_condition("demo", "s", self.rows(), str, (early,))
+        assert not cond.passed and cond.witnesses == (early,)
 
 
 class TestDigest:

@@ -77,6 +77,14 @@ class TestFamilyRoundtrip:
         with pytest.raises(sz.SchemaError, match="unknown block key"):
             sz.family_from_obj(obj)
 
+    @pytest.mark.parametrize("key", ["1:zz", "1:a|1:a", "3:a", "1:a|2:X|1:a"])
+    def test_unknown_word_key_rejected(self, key):
+        # malformed, non-alternating, bad factor index, longer than the table
+        wp = hk.free_product_table(hk.make_table([("a", 2)]), hk.make_table([("X", 1)]), 2)
+        obj = {"table": sz.table_to_obj(wp), "blocks": {key: [[[1.0, 0.0]]]}}
+        with pytest.raises(sz.SchemaError, match="unknown block key"):
+            sz.family_from_obj(obj)
+
     def test_ragged_matrix_rejected(self):
         t = hk.make_table([("a", 2)])
         obj = {"table": sz.table_to_obj(t),
