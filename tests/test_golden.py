@@ -13,7 +13,7 @@ Regenerate the golden files (only when a report change is intended) with::
 
 import json
 import os
-import sys
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -92,8 +92,7 @@ def test_golden(name, tmp_path, monkeypatch):
 def regenerate() -> None:
     for name in sorted(CASES):
         case_dir = GOLDEN / name
-        for old in sorted(case_dir.rglob("*"), reverse=True) if case_dir.exists() else ():
-            old.rmdir() if old.is_dir() else old.unlink()
+        shutil.rmtree(case_dir, ignore_errors=True)
         with tempfile.TemporaryDirectory() as tmp:
             cwd = os.getcwd()
             os.chdir(tmp)
@@ -109,4 +108,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    regenerate()
