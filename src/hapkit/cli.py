@@ -22,32 +22,57 @@ from .fourier import DEFAULT_TOL, MatrixFamily, check_hap_sequence
 from .irreps import free_product_table
 from .reports import (CertificationReport, ConditionVerdict, Witness, __version__,
                       content_digest, fmt)
-from .serialize import SchemaError
 
 DEFAULT_EPS_DECAY = 1e-3
 DEFAULT_MAX_WORD_LENGTH = 3
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Anything wrong with the input: exit code 2."""
 
 
-def _parse_list(text: str, what: str, cast=float) -> list:
-    try:
-        values = [cast(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        kind = "integers" if cast is int else "numbers"
-        raise InputError(f"{what}: expected comma-separated {kind}, got {text!r}") from None
-    if not values:
-        raise InputError(f"{what}: empty list")
-    return values
+_REQUIRED = object()
+_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number"}
+
+
+def _knob(key: str, kind=float, *, obj=None, cli=None, default=_REQUIRED, many=False,
+          least=None, nan_ok=False, where: str = ""):
+    """The one reader of knobs: a command-line value ``cli`` overrides ``obj[key]``.
+
+    A knob's kind is bool, int or float; a bool is never a number, and a number
+    or a string is never a bool.  Numbers must be ``>= least``.  Floats must be
+    finite, except that ``nan_ok`` lets NaN through to a check that fails
+    closed on it.  A ``many`` knob is a nonempty JSON list or a comma-separated
+    command-line string.  An absent knob is ``default``, or an error if none.
+    """
+    if cli is not None:
+        what, value = "--" + key.replace("_", "-"), cli
+        if many:
+            try:
+                value = [kind(x) for x in cli.split(",") if x.strip()]
+            except ValueError as exc:
+                raise InputError(f"{what}: {exc}") from None
+    elif obj is not None and key in obj:
+        what, value = where + key, obj[key]
+    elif default is _REQUIRED:
+        raise InputError(f"missing {where + key!r}")
+    else:
+        return default
+    if many and (not isinstance(value, list) or not value):
+        raise InputError(f"{what}: expected a nonempty list")
+    for v in value if many else [value]:
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        ok = {bool: isinstance(v, bool), int: number and isinstance(v, int),
+              float: number and (abs(v) <= sys.float_info.max or nan_ok and v != v)}[kind]
+        if not ok or (least is not None and v < least):
+            rule = _KINDS[kind] + (" or NaN" if nan_ok else "") \
+                + ("" if least is None else f" >= {least}")
+            raise InputError(f"{what}: expected {rule}, got {v!r}")
+    return [kind(v) for v in value] if many else kind(value)
 
 
 def _load(path: str):
-    try:
-        obj = serialize.load_json(path)
-    except (OSError, SchemaError) as exc:
-        raise InputError(str(exc)) from None
+    obj = serialize.load_json(path)
     return obj, content_digest(obj)
 
 
@@ -60,14 +85,15 @@ def _family_sequence(table, objs, where: str) -> list[MatrixFamily]:
         raise InputError(f"{where}: 'families' must be a nonempty list")
     out = []
     for i, fam in enumerate(objs):
+        here = f"{where}[{i}]"
         if not isinstance(fam, dict) or "blocks" not in fam:
             raise InputError(f"{where}: family {i} must be an object with 'blocks'")
+        blocks = serialize.blocks_from_obj(table, fam["blocks"], here)
+        normalized = _knob("normalized", bool, obj=fam, default=True, where=here + ".")
         try:
-            blocks = serialize.blocks_from_obj(table, fam["blocks"], f"{where}[{i}]")
-            out.append(MatrixFamily(table, blocks,
-                                    normalized=bool(fam.get("normalized", True))))
-        except (SchemaError, ValueError, KeyError) as exc:
-            raise InputError(f"{where}[{i}]: {exc}") from None
+            out.append(MatrixFamily(table, blocks, normalized=normalized))
+        except (ValueError, KeyError) as exc:
+            raise InputError(f"{here}: {exc}") from None
     return out
 
 
@@ -76,10 +102,7 @@ def _load_states(path: str):
     obj, digest = _load(path)
     if not isinstance(obj, dict) or "table" not in obj or "families" not in obj:
         raise InputError(f"{path}: expected an object with 'table' and 'families'")
-    try:
-        table = serialize.table_from_obj(obj["table"], "table")
-    except SchemaError as exc:
-        raise InputError(str(exc)) from None
+    table = serialize.table_from_obj(obj["table"], "table")
     return obj, digest, table, _family_sequence(table, obj["families"], "families")
 
 
@@ -94,21 +117,11 @@ def _emit(report: CertificationReport, args) -> int:
 
 def cmd_certify_hap(args) -> int:
     obj, digest, _, families = _load_states(args.input)
-    eps_decay = args.eps_decay if args.eps_decay is not None else \
-        float(obj.get("eps_decay", DEFAULT_EPS_DECAY))
-    if args.conv_tols is not None:
-        conv_tols = _parse_list(args.conv_tols, "--conv-tols")
-    elif "conv_tols" in obj:
-        conv_tols = [float(x) for x in obj["conv_tols"]]
-    else:
-        conv_tols = _default_conv_tols(len(families))
-    k_values = None
-    if args.k_values is not None:
-        k_values = _parse_list(args.k_values, "--k-values", int)
-    elif "k_values" in obj:
-        k_values = [int(k) for k in obj["k_values"]]
-    if len(conv_tols) != len(families) or (k_values and len(k_values) != len(families)):
-        raise InputError("conv_tols / k_values must align with the family list")
+    eps_decay = _knob("eps_decay", obj=obj, cli=args.eps_decay, default=DEFAULT_EPS_DECAY)
+    conv_tols = _knob("conv_tols", obj=obj, cli=args.conv_tols, many=True, nan_ok=True,
+                      default=_default_conv_tols(len(families)))
+    k_values = _knob("k_values", int, obj=obj, cli=args.k_values, many=True, least=1,
+                     default=None)
     report = check_hap_sequence(families, eps_decay, conv_tols, k_values=k_values,
                                 tol=args.tol, input_digest=digest)
     return _emit(report, args)
@@ -116,13 +129,8 @@ def cmd_certify_hap(args) -> int:
 
 def cmd_semigroup(args) -> int:
     obj, digest = _load(args.gen)
-    try:
-        L = serialize.generator_from_obj(obj)
-    except SchemaError as exc:
-        raise InputError(str(exc)) from None
-    ts = _parse_list(args.t, "--t")
-    if any(t < 0 for t in ts):
-        raise InputError("--t: times must be >= 0")
+    L = serialize.generator_from_obj(obj)
+    ts = _knob("t", cli=args.t, many=True, least=0)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -145,88 +153,57 @@ def cmd_semigroup(args) -> int:
     return _emit(report, args)
 
 
-def _factor_from_config(entry, where: str):
-    """Returns (table, stage -> family sequence builder input)."""
-    if not isinstance(entry, dict):
-        raise InputError(f"{where}: must be an object")
-    if "group" in entry:
+def _factor_sequence(entry, where: str, k_values) -> tuple:
+    """One free-product factor: (its table, its family at each stage k)."""
+    if isinstance(entry, dict) and "group" in entry:
+        if not isinstance(entry["group"], str):
+            raise InputError(f"{where}.group: expected a group spec, got {entry['group']!r}")
         try:
             spec = classical.parse_group(entry["group"])
         except ValueError as exc:
             raise InputError(f"{where}: {exc}") from None
-        radius = entry.get("radius", 3)
-        if not isinstance(radius, int) or radius < 0:
-            raise InputError(f"{where}: 'radius' must be a nonnegative integer")
+        radius = _knob("radius", int, obj=entry, default=3, least=0, where=where + ".")
         L = classical.length_functional(spec, radius)
-        return L.table, ("group", L)
-    if "table" in entry and "families" in entry:
-        try:
-            table = serialize.table_from_obj(entry["table"], where + ".table")
-        except SchemaError as exc:
-            raise InputError(str(exc)) from None
-        return table, ("families", entry["families"])
-    raise InputError(f"{where}: needs either 'group' or 'table'+'families'")
+        return L.table, [genfun.semigroup_at(L, 1.0 / k) for k in k_values]
+    if isinstance(entry, dict) and "table" in entry and "families" in entry:
+        table = serialize.table_from_obj(entry["table"], where + ".table")
+        return table, _family_sequence(table, entry["families"], where + ".families")
+    raise InputError(f"{where}: needs an object with 'group' or 'table'+'families'")
 
 
 def cmd_freeprod(args) -> int:
     obj, digest = _load(args.config)
     if not isinstance(obj, dict):
         raise InputError(f"{args.config}: expected a configuration object")
-    if "k_values" not in obj:
-        raise InputError(f"{args.config}: missing 'k_values'")
-    k_values = [int(k) for k in obj["k_values"]]
-    if not k_values or any(k < 1 for k in k_values):
-        raise InputError("k_values must be positive integers")
-    max_word_length = obj.get("max_word_length", DEFAULT_MAX_WORD_LENGTH)
-    if not isinstance(max_word_length, int) or max_word_length < 0:
-        raise InputError("max_word_length must be a nonnegative integer")
-    eps_decay = float(obj.get("eps_decay", DEFAULT_EPS_DECAY))
-    conv_tols = [float(x) for x in obj.get("conv_tols", _default_conv_tols(len(k_values)))]
-    if len(conv_tols) != len(k_values):
-        raise InputError("conv_tols must align with k_values")
-    if "factor1" not in obj or "factor2" not in obj:
-        raise InputError(f"{args.config}: missing factor data")
-
-    tables_seqs = []
-    for key in ("factor1", "factor2"):
-        table, source = _factor_from_config(obj[key], key)
-        if source[0] == "group":
-            seq = [genfun.semigroup_at(source[1], 1.0 / k) for k in k_values]
-        else:
-            seq = _family_sequence(table, source[1], key + ".families")
-            if len(seq) != len(k_values):
-                raise InputError(f"{key}: families must align with k_values")
-        tables_seqs.append((table, seq))
-    (t1, seq1), (t2, seq2) = tables_seqs
+    k_values = _knob("k_values", int, obj=obj, many=True, least=1)
+    max_word_length = _knob("max_word_length", int, obj=obj, least=0,
+                            default=DEFAULT_MAX_WORD_LENGTH)
+    eps_decay = _knob("eps_decay", obj=obj, default=DEFAULT_EPS_DECAY)
+    conv_tols = _knob("conv_tols", obj=obj, many=True, nan_ok=True,
+                      default=_default_conv_tols(len(k_values)))
+    damp = _knob("damp", bool, obj=obj, default=False)
+    t1, seq1 = _factor_sequence(obj.get("factor1"), "factor1", k_values)
+    t2, seq2 = _factor_sequence(obj.get("factor2"), "factor2", k_values)
     wp = free_product_table(t1, t2, max_word_length)
-    try:
-        if bool(obj.get("damp", False)):
-            seq1 = cfree.damp_sequence(seq1, k_values)
-            seq2 = cfree.damp_sequence(seq2, k_values)
-        report = cfree.freeprod_hap_pipeline(seq1, seq2, wp, eps_decay, conv_tols,
-                                             k_values, tol=args.tol, input_digest=digest)
-    except (ValueError, KeyError) as exc:
-        raise InputError(str(exc)) from None
+    if damp:
+        seq1 = cfree.damp_sequence(seq1, k_values)
+        seq2 = cfree.damp_sequence(seq2, k_values)
+    report = cfree.freeprod_hap_pipeline(seq1, seq2, wp, eps_decay, conv_tols,
+                                         k_values, tol=args.tol, input_digest=digest)
     return _emit(report, args)
 
 
 def cmd_schoenberg(args) -> int:
-    try:
-        spec = classical.parse_group(args.group)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    if args.t <= 0:
-        raise InputError("--t must be positive")
-    if args.radius < 0:
-        raise InputError("--radius must be >= 0")
-    passed, min_eig = classical.schoenberg_check(spec, args.t, args.radius, tol=args.tol)
+    spec = classical.parse_group(args.group)
+    t = _knob("t", cli=args.t)
+    passed, min_eig = classical.schoenberg_check(spec, t, args.radius, tol=args.tol)
     n = len(classical.ball(spec, args.radius))
-    digest = content_digest({"group": args.group, "t": args.t, "radius": args.radius})
+    digest = content_digest({"group": args.group, "t": t, "radius": args.radius})
     report = CertificationReport(
         command="schoenberg",
         input_digest=digest,
         truncation=f"ball of radius {args.radius}: {n} elements ({n}x{n} Gram matrix)",
-        tolerances=(("tol", args.tol), ("t", args.t)),
+        tolerances=(("tol", args.tol), ("t", t)),
         conditions=(ConditionVerdict(
             name="gram-positive-semidefinite", passed=passed,
             witnesses=(Witness(label="*", achieved=min_eig, threshold=-args.tol,
@@ -238,11 +215,9 @@ def cmd_schoenberg(args) -> int:
 
 def cmd_cocycle(args) -> int:
     obj, digest = _load(args.gen)
-    try:
-        L = serialize.generator_from_obj(obj)
-    except SchemaError as exc:
-        raise InputError(str(exc)) from None
-    if args.M <= 0:
+    L = serialize.generator_from_obj(obj)
+    M = _knob("M", cli=args.M)
+    if M <= 0:
         raise InputError("--M must be positive")
     truncation = f"{len(L.table)} labels"
     sym = genfun.check_symmetric(L, args.tol)
@@ -264,22 +239,22 @@ def cmd_cocycle(args) -> int:
         out = Path(args.out) if args.out else Path(args.gen).with_suffix(".cocycle.json")
         serialize.dump_json(serialize.cocycle_to_obj(c), out)
         notes.append(f"wrote {out.name}")
-        proper = check_proper_cocycle(c, args.M)
+        proper = check_proper_cocycle(c, M)
         exceptional = ", ".join(L.table.encode(lab) for lab, _ in proper.exceptional)
         conditions.append(ConditionVerdict(
             name="proper-at-level", passed=proper.proper_at_level,
             witnesses=tuple(Witness(label=L.table.encode(lab), achieved=low,
-                                    threshold=args.M, context="min eigenvalue of (c*)c")
+                                    threshold=M, context="min eigenvalue of (c*)c")
                             for lab, low in proper.exceptional),
-            summary=(f"proper at level M={fmt(args.M)} (up to a truncation of {truncation}): "
+            summary=(f"proper at level M={fmt(M)} (up to a truncation of {truncation}): "
                      f"{proper.certified_count} blocks certified >= M")))
-        notes.append(f"exceptional set at M={fmt(args.M)}: "
+        notes.append(f"exceptional set at M={fmt(M)}: "
                      + (f"{{{exceptional}}}" if exceptional else "{}"))
     report = CertificationReport(
         command="cocycle",
         input_digest=digest,
         truncation=truncation,
-        tolerances=(("tol", args.tol), ("M", args.M)),
+        tolerances=(("tol", args.tol), ("M", M)),
         conditions=tuple(conditions),
         notes=tuple(notes),
     )
@@ -288,16 +263,11 @@ def cmd_cocycle(args) -> int:
 
 def cmd_buildgen(args) -> int:
     obj, digest, table, families = _load_states(args.input)
-    betas = obj.get("betas")
-    eps = obj.get("eps")
-    try:
-        L, build = genfun.build_from_states(
-            families,
-            betas=[float(b) for b in betas] if betas is not None else None,
-            eps=[float(e) for e in eps] if eps is not None else None,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    L, build = genfun.build_from_states(
+        families,
+        betas=_knob("betas", obj=obj, many=True, default=None),
+        eps=_knob("eps", obj=obj, many=True, default=None),
+    )
     out = Path(args.out) if args.out else Path(args.input).with_suffix(".generator.json")
     serialize.dump_json(serialize.generator_to_obj(L), out)
     schedule = ", ".join(f"(beta={fmt(b)}, eps={fmt(e)})" for b, e in build.schedule)
@@ -385,14 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        args.tol = _knob("tol", cli=args.tol, nan_ok=True)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OSError, ValueError, KeyError) as exc:
+        # InputError, serialize.SchemaError and library argument errors alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -53,9 +53,14 @@ def matrix_from_obj(obj, where: str) -> np.ndarray:
                 f"row {i} must have {n} entries")
         for j, entry in enumerate(row):
             _expect(isinstance(entry, list) and len(entry) == 2
-                    and all(isinstance(x, (int, float)) for x in entry),
-                    where, f"entry ({i},{j}) must be an [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
+                    and isinstance(entry[0], (int, float)) and not isinstance(entry[0], bool)
+                    and isinstance(entry[1], (int, float)) and not isinstance(entry[1], bool),
+                    where, f"entry ({i},{j}) must be an [re, im] pair of numbers")
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:  # a JSON integer beyond the float range
+                raise SchemaError(f"{where}: entry ({i},{j}) must be finite") from None
+    _expect(np.isfinite(out).all(), where, "entries must be finite")
     return out
 
 
@@ -80,7 +85,7 @@ def table_from_obj(obj, where: str = "table"):
         for key in ("factor1", "factor2", "max_word_length"):
             _expect(key in obj, where, f"free-product table needs {key!r}")
         mwl = obj["max_word_length"]
-        _expect(isinstance(mwl, int) and mwl >= 0, where,
+        _expect(type(mwl) is int and mwl >= 0, where,
                 "max_word_length must be a nonnegative integer")
         f1 = table_from_obj(obj["factor1"], where + ".factor1")
         f2 = table_from_obj(obj["factor2"], where + ".factor2")
@@ -94,8 +99,10 @@ def table_from_obj(obj, where: str = "table"):
     for i, ent in enumerate(obj["entries"]):
         _expect(isinstance(ent, dict), where, f"entry {i} must be an object")
         _expect(isinstance(ent.get("id"), str), where, f"entry {i} needs a string id")
-        _expect(isinstance(ent.get("dim"), int) and ent["dim"] >= 1, where,
+        _expect(type(ent.get("dim")) is int and ent["dim"] >= 1, where,
                 f"entry {i} needs a positive integer dim")
+        _expect(isinstance(ent.get("trivial", False), bool), where,
+                f"entry {i}: 'trivial' must be a boolean")
         if ent.get("trivial", False):
             _expect(trivial_id is None, where, "more than one trivial entry")
             trivial_id = ent["id"]

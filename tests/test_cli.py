@@ -1,11 +1,15 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hapkit as hk
 from hapkit import serialize as sz
-from conftest import FIXTURES, run_cli
+from conftest import FIXTURES, run_cli, run_cli_subprocess
 
 
 class TestExitCodes:
@@ -256,3 +260,100 @@ class TestReportHygiene:
         assert "tolerances: tol=1e-09" in text
         assert "truncation:" in text
         assert "conv_tols:" in text
+
+
+def _fixture_copy(directory, name: str, mutation=None):
+    """Write ``fixtures/<name>.json`` to ``directory``.  A ``mutation``
+    ``(path, value)`` first replaces the value at ``path``, a sequence of keys
+    and list indices (``()`` is the whole document), by ``value``."""
+    obj = json.loads((FIXTURES / f"{name}.json").read_text())
+    if mutation is not None:
+        path, value = mutation
+        if not path:
+            obj = value
+        else:
+            target = obj
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+    out = directory / f"{name}.json"
+    out.write_text(json.dumps(obj))
+    return out
+
+
+class TestRejectedInputs:
+    """Each of these once exited 0 or 1, or escaped as a traceback."""
+
+    @pytest.mark.parametrize("argv, mutation", [
+        (["certify-hap", "zdual_hap_pass", "--eps-decay", "nan"], None),
+        (["certify-hap", "zdual_hap_pass", "--eps-decay", "inf"], None),
+        (["cocycle", "zdual_length_generator", "--M", "nan"], None),
+        (["semigroup", "zdual_length_generator", "--t", "nan"], None),
+        (["freeprod", "freeprod_zz"], (("damp",), "false")),
+        (["certify-hap", "zdual_hap_pass"], (("families", 0, "normalized"), "false")),
+        (["certify-hap", "zdual_hap_pass"], (("k_values", 0), 0)),
+        (["freeprod", "freeprod_zz"], (("k_values", 0), True)),
+        (["certify-hap", "zdual_hap_pass"], (("conv_tols",), 5)),
+        (["freeprod", "freeprod_zz"], (("factor1", "group"), 3)),
+    ], ids=["eps-decay-nan", "eps-decay-inf", "M-nan", "semigroup-t-nan", "damp-string",
+            "normalized-string", "k-zero", "k-bool", "conv-tols-scalar", "group-not-string"])
+    def test_exits_2_and_writes_nothing(self, argv, mutation, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        command, name, *flags = argv
+        source = _fixture_copy(tmp_path, name, mutation)
+        res = run_cli(command, source, *flags)
+        assert res.returncode == 2
+        assert res.stderr.startswith(b"error: ")
+        assert [p.name for p in tmp_path.iterdir()] == [source.name]
+
+    def test_location_prefix_appears_once(self, tmp_path):
+        source = _fixture_copy(tmp_path, "zdual_hap_pass",
+                               (("families", 0, "blocks", "zz"), [[[1.0, 0.0]]]))
+        res = run_cli("certify-hap", source)
+        assert res.returncode == 2
+        assert res.stderr.count(b"families[0]") == 1
+
+    def test_process_exit_code_without_traceback(self, tmp_path):
+        # in-process runs cannot see Python's own exit 1 on an uncaught exception
+        source = _fixture_copy(tmp_path, "zdual_hap_pass", (("k_values", 0), 0))
+        res = run_cli_subprocess("certify-hap", source)
+        assert res.returncode == 2
+        assert b"Traceback" not in res.stderr
+
+
+def _json_paths(obj, prefix=(), depth=4):
+    """Every path of length <= depth, descending into the first two list items."""
+    yield prefix
+    if len(prefix) < depth:
+        items = obj.items() if isinstance(obj, dict) else \
+            enumerate(obj[:2]) if isinstance(obj, list) else ()
+        for key, child in items:
+            yield from _json_paths(child, prefix + (key,), depth)
+
+
+_FUZZED = {
+    "zdual_hap_pass": lambda src, d: ["certify-hap", src],
+    "freeprod_zz": lambda src, d: ["freeprod", src],
+    "buildgen_zdual": lambda src, d: ["buildgen", src, "--out", f"{d}/gen.json"],
+    "zdual_length_generator": lambda src, d: ["cocycle", src, "--M", "8",
+                                              "--out", f"{d}/cocycle.json"],
+}
+_MUTATION_SITES = [(name, path) for name in _FUZZED
+                   for path in _json_paths(json.loads((FIXTURES / f"{name}.json").read_text()))]
+_MUTANTS = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=4),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, 0.5, 3]),
+    st.sampled_from([[], {}, [1], [[1]], [[[0.5, 0.0]]], [True, 1], {"a": 1}]))
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(site=st.sampled_from(_MUTATION_SITES), value=_MUTANTS)
+    def test_single_field_mutation_keeps_the_exit_contract(self, site, value):
+        name, path = site
+        with tempfile.TemporaryDirectory() as d:
+            source = _fixture_copy(Path(d), name, (path, value))
+            res = run_cli(*_FUZZED[name](source, d))
+        assert res.returncode in (0, 1, 2)
+        if res.returncode == 1:
+            assert b"overall: FAIL" in res.stdout

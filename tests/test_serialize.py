@@ -156,3 +156,39 @@ class TestJsonHygiene:
         sz.dump_json(sz.family_to_obj(F), path)
         back = sz.family_from_obj(json.loads(path.read_text()))
         assert back.blocks[t.decode("a")][0, 0] == complex(value)
+
+
+class TestScalarKinds:
+    """JSON booleans are not numbers, numbers and strings are not booleans,
+    and matrix entries are finite."""
+
+    @pytest.mark.parametrize("entry", [{"id": "a", "dim": True},
+                                       {"id": "a", "dim": 2, "trivial": "false"},
+                                       {"id": "a", "dim": 2, "trivial": 0}])
+    def test_plain_table_entry_rejected(self, entry):
+        obj = {"entries": [{"id": "1", "dim": 1, "trivial": True}, entry]}
+        with pytest.raises(sz.SchemaError, match="entry 1"):
+            sz.table_from_obj(obj)
+
+    def test_boolean_max_word_length_rejected(self):
+        wp = hk.free_product_table(hk.make_table([("a", 1)]), hk.make_table([("X", 1)]), 1)
+        obj = sz.table_to_obj(wp)
+        obj["max_word_length"] = True
+        with pytest.raises(sz.SchemaError, match="max_word_length"):
+            sz.table_from_obj(obj)
+
+    @pytest.mark.parametrize("entry", [[True, 0.0], [1.0, False]])
+    def test_boolean_matrix_entry_rejected(self, entry):
+        with pytest.raises(sz.SchemaError, match="pair of numbers"):
+            sz.matrix_from_obj([[entry]], "m")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10 ** 400])
+    def test_nonfinite_matrix_entry_rejected(self, value, tmp_path):
+        # Python's json reads NaN and Infinity, so a file can carry them
+        t = hk.make_table([("a", 2)])
+        obj = {"table": sz.table_to_obj(t),
+               "blocks": {"a": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, value], [1.0, 0.0]]]}}
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(sz.SchemaError, match="finite"):
+            sz.family_from_obj(sz.load_json(path))
