@@ -17,7 +17,7 @@ from .irreps import (IrrepLabel, IrrepTable, Word, FreeProductTable, make_table,
                      free_product_table, parse_word)
 from .classical import (GroupSpec, GroupElement, multiply, length, ball,
                         dual_irrep_table, schoenberg_check, length_gram,
-                        length_functional, parse_group, decode_element)
+                        length_functional, parse_group)
 from .fourier import (MatrixFamily, convolve, counit_family, haar_family, block_norm,
                       check_c0, check_hap_sequence, is_state_candidate,
                       max_block_deviation, C0Result, StateCandidate)
@@ -37,7 +37,6 @@ __all__ = [
     "free_product_table", "parse_word",
     "GroupSpec", "GroupElement", "multiply", "length", "ball", "dual_irrep_table",
     "schoenberg_check", "length_gram", "length_functional", "parse_group",
-    "decode_element",
     "MatrixFamily", "convolve", "counit_family", "haar_family", "block_norm",
     "check_c0", "check_hap_sequence", "is_state_candidate", "max_block_deviation",
     "C0Result", "StateCandidate",

@@ -45,16 +45,33 @@ def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(a))[0])
 
 
-def expm_neg(a: np.ndarray, t: float, herm_tol: float = 1e-12) -> np.ndarray:
+def worst(values, default=0.0, *, key=float, lower: bool = False):
+    """The item of ``values`` with the largest ``key`` (smallest if ``lower``).
+
+    ``default`` seeds the scan and wins ties.  A NaN key is returned at once:
+    Python's ``max`` and ``min`` drop a NaN that is not first, which would let
+    a scan report a finite worst case for a non-finite block.
+    """
+    best, best_key = default, key(default)
+    for item in values:
+        k = key(item)
+        if k != k:
+            return item
+        if k < best_key if lower else k > best_key:
+            best, best_key = item, k
+    return best
+
+
+def expm_neg(a: np.ndarray, t: float) -> np.ndarray:
     """Evaluate exp(-t*a).
 
-    Hermitian input goes through an eigendecomposition (exact up to the
-    backward error of the eigensolver); anything else falls back to
-    scaling-and-squaring.
+    Hermitian input (adjoint residual at most 1e-12 * max(1, ||a||)) goes
+    through an eigendecomposition (exact up to the backward error of the
+    eigensolver); anything else falls back to scaling-and-squaring.
     """
     a = np.asarray(a, dtype=np.complex128)
     scale = max(1.0, spectral_norm(a))
-    if hermitian_residual(a) <= herm_tol * scale:
+    if hermitian_residual(a) <= 1e-12 * scale:
         w, v = np.linalg.eigh(hermitize(a))
         return (v * np.exp(-t * w)) @ v.conj().T
     return scipy.linalg.expm(-t * a)
@@ -64,11 +81,11 @@ def psd_sqrt(a: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     """Principal square root of a Hermitian PSD matrix.
 
     Eigenvalues in [-tol, 0) are clamped to 0; an eigenvalue below -tol
-    raises.  Returns the root and the largest clamp magnitude applied.
+    (or NaN) raises.  Returns the root and the largest clamp magnitude applied.
     """
     w, v = np.linalg.eigh(hermitize(a))
     lo = float(w[0])
-    if lo < -tol:
+    if not lo >= -tol:
         raise ValueError(f"matrix is not positive semidefinite: eigenvalue {lo}")
     clamp = max(0.0, -lo)
     w = np.clip(w, 0.0, None)

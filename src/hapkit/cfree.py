@@ -23,9 +23,9 @@ from functools import reduce
 import numpy as np
 
 from . import _linalg
-from .fourier import (DEFAULT_TOL, MatrixFamily, _c0_condition, _identity_condition,
-                      _norm_bound_condition, _require_normalized, convolve,
-                      family_content_digest)
+from .fourier import (DEFAULT_TOL, MatrixFamily, _c0_condition, _constant_blocks,
+                      _identity_condition, _norm_bound_condition, _require_normalized,
+                      convolve, family_content_digest, max_block_deviation)
 from .genfun import GeneratingFunctional
 from .irreps import FreeProductTable
 from .reports import CertificationReport
@@ -56,13 +56,10 @@ def cfree_state(phi1: MatrixFamily, phi2: MatrixFamily,
     _require_normalized(phi1, "factor 1 family")
     _require_normalized(phi2, "factor 2 family")
     families = {1: phi1, 2: phi2}
-    blocks = {}
-    for word, _ in wp:
-        if word.is_trivial:
-            blocks[word] = np.ones((1, 1), dtype=np.complex128)
-            continue
-        letters = [_letter_block(families[fi], fi, lab) for fi, lab in word.letters]
-        blocks[word] = reduce(np.kron, letters)
+    blocks = {word: reduce(np.kron, [_letter_block(families[fi], fi, lab)
+                                     for fi, lab in word.letters])
+              for word, _ in wp if not word.is_trivial}
+    blocks[wp.trivial] = np.ones((1, 1), dtype=np.complex128)
     return MatrixFamily(wp, blocks, normalized=True)
 
 
@@ -91,7 +88,7 @@ def cfree_generator(L1: GeneratingFunctional, L2: GeneratingFunctional,
 
 def check_diam3(phi1: MatrixFamily, phi2: MatrixFamily,
                 omega1: MatrixFamily, omega2: MatrixFamily,
-                wp: FreeProductTable, tol: float = 1e-12) -> tuple[bool, float]:
+                wp: FreeProductTable) -> tuple[bool, float]:
     """Exactness of product-vs-convolution compatibility.
 
     Verifies blockwise that convolving two conditionally free products
@@ -101,10 +98,8 @@ def check_diam3(phi1: MatrixFamily, phi2: MatrixFamily,
     """
     lhs = convolve(cfree_state(phi1, phi2, wp), cfree_state(omega1, omega2, wp))
     rhs = cfree_state(convolve(phi1, omega1), convolve(phi2, omega2), wp)
-    worst = 0.0
-    for word in rhs.labels:
-        worst = max(worst, _linalg.spectral_norm(lhs.blocks[word] - rhs.blocks[word]))
-    return worst <= tol, worst
+    worst = max_block_deviation(lhs, rhs)
+    return worst <= 1e-12, worst
 
 
 def damping_family(table, k: int) -> MatrixFamily:
@@ -115,22 +110,17 @@ def damping_family(table, k: int) -> MatrixFamily:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    damp = math.exp(-1.0 / k)
-    blocks = {
-        lab: (np.ones((1, 1), dtype=np.complex128) if lab == table.trivial
-              else damp * np.eye(table.dim(lab), dtype=np.complex128))
-        for lab in table.labels
-    }
-    return MatrixFamily(table, blocks, normalized=True)
+    return MatrixFamily(table, _constant_blocks(table, math.exp(-1.0 / k), 1.0),
+                        normalized=True)
 
 
-def damp_sequence(omegas, k_values, tol: float = DAMP_INPUT_TOL) -> list[MatrixFamily]:
+def damp_sequence(omegas, k_values) -> list[MatrixFamily]:
     """Damp a state sequence so nontrivial norms drop below exp(-1/k).
 
-    Each input family must have block norms <= 1 + tol (states do); the
-    k-th output is the input convolved with the damping family, so its
-    nontrivial blocks obey norm <= exp(-1/k) + tol, with equality reached
-    exactly when the input block has norm 1.
+    Each input family must have block norms <= 1 + DAMP_INPUT_TOL (states
+    do, a NaN norm does not); the k-th output is the input convolved with
+    the damping family, so its nontrivial blocks obey norm <= exp(-1/k) +
+    DAMP_INPUT_TOL, with equality exactly where the input norm is 1.
     """
     omegas = list(omegas)
     if len(omegas) != len(k_values):
@@ -140,9 +130,9 @@ def damp_sequence(omegas, k_values, tol: float = DAMP_INPUT_TOL) -> list[MatrixF
         _require_normalized(F, "input family")
         for lab in F.labels:
             nrm = _linalg.spectral_norm(F.blocks[lab])
-            if nrm > 1.0 + tol:
+            if not nrm <= 1.0 + DAMP_INPUT_TOL:
                 raise ValueError(f"input block at {F.table.encode(lab)!r} has norm "
-                                 f"{nrm:.12g} > 1 + {tol:g}")
+                                 f"{nrm:.12g} > 1 + {DAMP_INPUT_TOL:g}")
         out.append(convolve(F, damping_family(F.table, k)))
     return out
 

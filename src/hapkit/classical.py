@@ -153,20 +153,6 @@ def dual_irrep_table(spec: GroupSpec, radius: int) -> IrrepTable:
     return make_table([(g.encode(), 1) for g in ball(spec, radius)], trivial_id="e")
 
 
-def decode_element(spec: GroupSpec, encoding: str) -> GroupElement:
-    """Inverse of :meth:`GroupElement.encode`."""
-    if encoding == "e":
-        return spec.identity()
-    names = {spec.gen_name(i): i for i in range(len(spec.orders))}
-    word = []
-    for part in encoding.split("."):
-        name, _, exp = part.partition("^")
-        if name not in names or not exp:
-            raise ValueError(f"malformed element encoding {encoding!r}")
-        word.append((names[name], int(exp)))
-    return spec.element(word)
-
-
 def length_gram(spec: GroupSpec, t: float, radius: int) -> np.ndarray:
     """Gram matrix G[i, j] = exp(-t * length(g_i^{-1} g_j)) over a ball."""
     elements = ball(spec, radius)

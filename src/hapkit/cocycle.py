@@ -45,10 +45,8 @@ def factor_from_generator(L: GeneratingFunctional, tol: float = CLAMP_TOL) -> Co
     blocks = {}
     clamped = 0
     worst_clamp = 0.0
-    for lab in L.labels:
-        if lab == L.table.trivial:
-            continue
-        gram = L.blocks[lab] + L.blocks[lab].conj().T
+    for lab, blk in L.nontrivial_blocks():
+        gram = blk + blk.conj().T
         try:
             root, clamp = _linalg.psd_sqrt(gram, tol)
         except ValueError as exc:
@@ -84,8 +82,5 @@ def check_proper_cocycle(c: CocycleMatrices, M: float) -> PropernessResult:
 
 
 def check_bounded(c: CocycleMatrices) -> float:
-    """Supremum of block norms over the truncation (0 for empty support)."""
-    worst = 0.0
-    for lab in c.labels:
-        worst = max(worst, _linalg.spectral_norm(c.blocks[lab]))
-    return worst
+    """Supremum of block norms over the truncation (0 for empty support, NaN if any is)."""
+    return _linalg.worst(_linalg.spectral_norm(blk) for blk in c.blocks.values())

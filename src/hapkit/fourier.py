@@ -74,6 +74,10 @@ class BlockMap:
         """Supported labels in canonical table order."""
         return tuple(self.blocks)
 
+    def nontrivial_blocks(self):
+        """(label, block) pairs in table order, skipping the trivial label."""
+        return ((lab, b) for lab, b in self.blocks.items() if lab != self.table.trivial)
+
     def block(self, label) -> np.ndarray:
         try:
             return self.blocks[label]
@@ -128,20 +132,23 @@ def convolve(F: MatrixFamily, G: MatrixFamily) -> MatrixFamily:
     return MatrixFamily(F.table, blocks, normalized=F.normalized and G.normalized)
 
 
+def _constant_blocks(table, c: float, unit: float | None = None) -> dict:
+    """c * I at every nontrivial label, plus [unit] at the trivial one unless None."""
+    blocks = {lab: c * np.eye(table.dim(lab), dtype=np.complex128)
+              for lab in table.labels if lab != table.trivial}
+    if unit is not None:
+        blocks[table.trivial] = np.full((1, 1), unit, dtype=np.complex128)
+    return blocks
+
+
 def counit_family(table) -> MatrixFamily:
     """Identity block at every label: the two-sided convolution identity."""
-    blocks = {lab: np.eye(table.dim(lab), dtype=np.complex128) for lab in table.labels}
-    return MatrixFamily(table, blocks, normalized=True)
+    return MatrixFamily(table, _constant_blocks(table, 1.0, 1.0), normalized=True)
 
 
 def haar_family(table) -> MatrixFamily:
     """[1] at the trivial label, zero elsewhere: absorbing for convolution."""
-    blocks = {
-        lab: (np.ones((1, 1), dtype=np.complex128) if lab == table.trivial
-              else np.zeros((table.dim(lab),) * 2, dtype=np.complex128))
-        for lab in table.labels
-    }
-    return MatrixFamily(table, blocks, normalized=True)
+    return MatrixFamily(table, _constant_blocks(table, 0.0, 1.0), normalized=True)
 
 
 def block_norm(F: MatrixFamily, label) -> float:
@@ -152,11 +159,8 @@ def block_norm(F: MatrixFamily, label) -> float:
 def max_block_deviation(F: MatrixFamily, G: MatrixFamily) -> float:
     """Largest spectral-norm difference over the common support."""
     _require_same_table(F, G)
-    worst = 0.0
-    for lab in F.labels:
-        if lab in G.blocks:
-            worst = max(worst, _linalg.spectral_norm(F.blocks[lab] - G.blocks[lab]))
-    return worst
+    return _linalg.worst(_linalg.spectral_norm(blk - G.blocks[lab])
+                         for lab, blk in F.blocks.items() if lab in G.blocks)
 
 
 @dataclass(frozen=True)
@@ -182,8 +186,8 @@ def check_c0(F: MatrixFamily, eps: float) -> C0Result:
     carries a block that was verified <= eps; unspecified labels make the
     scan inconclusive outside the support and are listed separately.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps_decay (the c0 threshold) must be positive, got {eps:g}")
     exceptional = []
     for lab in F.labels:
         blk = F.blocks[lab]
@@ -217,17 +221,17 @@ class StateCandidate:
         return self.ok
 
 
-def is_state_candidate(F: MatrixFamily, tol: float = DEFAULT_TOL) -> StateCandidate:
-    """True iff the trivial block is [1] within tol and all norms are <= 1+tol."""
+def is_state_candidate(F: MatrixFamily) -> StateCandidate:
+    """True iff the trivial block is [1] and all norms are <= 1, within DEFAULT_TOL.
+
+    ``worst_label`` names the block of largest norm, or the first NaN one.
+    """
     triv = F.blocks.get(F.table.trivial)
     trivial_dev = math.inf if triv is None else abs(complex(triv[0, 0]) - 1.0)
-    worst_norm = 0.0
-    worst_label = ""
-    for lab in F.labels:
-        nrm = block_norm(F, lab)
-        if nrm > worst_norm:
-            worst_norm, worst_label = nrm, F.table.encode(lab)
-    ok = trivial_dev <= tol and worst_norm <= 1.0 + tol
+    worst_norm, worst_label = _linalg.worst(
+        ((_linalg.spectral_norm(blk), F.table.encode(lab)) for lab, blk in F.blocks.items()),
+        (0.0, ""), key=lambda pair: pair[0])
+    ok = trivial_dev <= DEFAULT_TOL and worst_norm <= 1.0 + DEFAULT_TOL
     return StateCandidate(ok, trivial_dev, worst_norm, worst_label)
 
 

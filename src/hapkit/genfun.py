@@ -28,8 +28,8 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from . import _linalg
-from .fourier import (DEFAULT_TOL, BlockMap, MatrixFamily, _require_normalized,
-                      _require_same_table)
+from .fourier import (DEFAULT_TOL, BlockMap, MatrixFamily, _constant_blocks,
+                      _require_normalized, _require_same_table)
 
 logger = logging.getLogger(__name__)
 
@@ -46,8 +46,7 @@ class GeneratingFunctional(BlockMap):
         triv = self.blocks.get(self.table.trivial)
         if triv is None:
             # blocks are in table order (trivial first), so prepending keeps it canonical
-            zero = np.zeros((1, 1), dtype=np.complex128)
-            zero.setflags(write=False)
+            zero = _linalg.as_block([[0.0]])
             self.blocks = MappingProxyType({self.table.trivial: zero, **self.blocks})
         elif np.any(triv != 0):
             raise ValueError("generating functional must vanish at the unit")
@@ -65,21 +64,18 @@ class PositivityCheck(NamedTuple):
 
 def check_symmetric(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> SymmetryCheck:
     """Largest operator-norm distance of any block from its adjoint."""
-    worst = 0.0
-    for lab in L.labels:
-        worst = max(worst, _linalg.hermitian_residual(L.blocks[lab]))
+    worst = _linalg.worst(_linalg.hermitian_residual(blk) for blk in L.blocks.values())
     return SymmetryCheck(worst <= tol, worst)
 
 
 def check_positive_blocks(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> PositivityCheck:
     """Smallest eigenvalue over all blocks; requires a symmetric functional."""
-    sym = check_symmetric(L, tol if tol > 0 else DEFAULT_TOL)
+    sym = check_symmetric(L, tol)
     if not sym.ok:
         raise ValueError(f"positivity check needs symmetric blocks "
                          f"(Hermitian residual {sym.residual:g})")
-    worst = math.inf
-    for lab in L.labels:
-        worst = min(worst, _linalg.min_eigenvalue(L.blocks[lab]))
+    worst = _linalg.worst((_linalg.min_eigenvalue(blk) for blk in L.blocks.values()),
+                          math.inf, lower=True)
     return PositivityCheck(worst >= -tol, worst)
 
 
@@ -142,29 +138,20 @@ def semigroup_at(L: GeneratingFunctional, t: float) -> MatrixFamily:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    blocks = {L.table.trivial: np.ones((1, 1), dtype=np.complex128)}
-    for lab in L.labels:
-        if lab == L.table.trivial:
-            continue
-        blocks[lab] = _linalg.expm_neg(L.blocks[lab], t)
+    blocks = {lab: _linalg.expm_neg(blk, t) for lab, blk in L.nontrivial_blocks()}
+    blocks[L.table.trivial] = np.ones((1, 1), dtype=np.complex128)
     return MatrixFamily(L.table, blocks, normalized=True)
 
 
 def shift_unit(L: GeneratingFunctional) -> GeneratingFunctional:
     """Add the identity to every nontrivial block (convolving in counit - haar)."""
-    blocks = {}
-    for lab in L.labels:
-        if lab == L.table.trivial:
-            continue
-        blocks[lab] = L.blocks[lab] + np.eye(L.table.dim(lab))
-    return GeneratingFunctional(L.table, blocks)
+    return GeneratingFunctional(L.table, {lab: blk + np.eye(blk.shape[0])
+                                          for lab, blk in L.nontrivial_blocks()})
 
 
 def unit_shift_functional(table) -> GeneratingFunctional:
     """The functional counit - haar: identity at every nontrivial label."""
-    blocks = {lab: np.eye(table.dim(lab), dtype=np.complex128)
-              for lab in table.labels if lab != table.trivial}
-    return GeneratingFunctional(table, blocks)
+    return GeneratingFunctional(table, _constant_blocks(table, 1.0))
 
 
 def default_schedule(n_terms: int) -> tuple[list[float], list[float]]:
@@ -190,8 +177,7 @@ class BuildReport:
     f_sets: tuple  # per n, frozenset of labels with ||I - block_n|| <= eps_n
 
 
-def build_from_states(seq, betas=None, eps=None,
-                      tail_bound: float | None = None) -> tuple[GeneratingFunctional, BuildReport]:
+def build_from_states(seq, betas=None, eps=None) -> tuple[GeneratingFunctional, BuildReport]:
     """Assemble L = sum_n beta_n (counit - mu_n) over a finite range.
 
     ``betas`` must be positive and increasing, ``eps`` positive and
@@ -256,12 +242,9 @@ def build_from_states(seq, betas=None, eps=None,
         frozenset(lab for lab in support if deviations[lab][n] <= eps[n])
         for n in range(len(seq))
     )
-    if tail_bound is None and _is_default_schedule(betas, eps):
-        tail_bound = 4.0 ** -len(seq) / 3.0
-
     report = BuildReport(
         schedule=tuple(zip(betas, eps)),
-        tail_bound=tail_bound,
+        tail_bound=4.0 ** -len(seq) / 3.0 if _is_default_schedule(betas, eps) else None,
         first_certified=MappingProxyType(first_certified),
         flagged=tuple(flagged),
         f_sets=f_sets,

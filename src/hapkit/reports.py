@@ -106,7 +106,7 @@ class CertificationReport:
             "command": self.command,
             "input_digest": self.input_digest,
             "truncation": self.truncation,
-            "tolerances": {k: v for k, v in self.tolerances},
+            "tolerances": {k: _json_num(v) for k, v in self.tolerances},
             "conditions": [c.to_obj() for c in self.conditions],
             "notes": list(self.notes),
             "overall": "PASS" if self.overall else "FAIL",

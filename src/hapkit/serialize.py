@@ -187,4 +187,9 @@ def load_json(path) -> object:
 
 
 def dump_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Write strict JSON: a NaN or infinite value raises and writes nothing."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    Path(path).write_text(text + "\n")

@@ -57,6 +57,44 @@ class TestFailClosedOnNaN:
         assert res.returncode == 1
         assert b"damped-norm-bound: FAIL" in res.stdout
 
+    def test_nan_tol_json_report_is_strict(self, tmp_path):
+        out = tmp_path / "r.json"
+        res = run_cli("certify-hap", FIXTURES / "zdual_hap_pass.json", "--tol", "nan",
+                      "--json", out)
+        assert res.returncode == 1
+        obj = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert obj["tolerances"]["tol"] == "nan"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_generator_fails_positivity(self, tmp_path):
+        # finite blocks whose Hermitian part overflows: eigenvalues come out NaN
+        res = run_cli("cocycle", _huge_generator(tmp_path), "--M", "1",
+                      "--out", tmp_path / "c.json")
+        assert res.returncode == 1
+        assert b"positive-blocks: FAIL" in res.stdout
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_semigroup_writes_no_non_finite_file(self, tmp_path):
+        res = run_cli("semigroup", _huge_generator(tmp_path), "--t", "0,1",
+                      "--out", tmp_path / "sg")
+        assert res.returncode == 2
+        assert b"semigroup_t" in res.stderr
+        for path in (tmp_path / "sg").iterdir():
+            assert b"NaN" not in path.read_bytes() and b"Infinity" not in path.read_bytes()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def _huge_generator(directory) -> Path:
+    table = {"entries": [{"id": "e", "dim": 1, "trivial": True}, {"id": "x", "dim": 2}]}
+    block = [[[1e308, 0.0]] * 2] * 2
+    path = directory / "huge.json"
+    sz.dump_json({"kind": "generator", "table": table, "blocks": {"x": block}}, path)
+    return path
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -305,6 +343,17 @@ class TestRejectedInputs:
         assert res.returncode == 2
         assert res.stderr.startswith(b"error: ")
         assert [p.name for p in tmp_path.iterdir()] == [source.name]
+
+    @pytest.mark.parametrize("argv, mutation", [
+        (["certify-hap", "zdual_hap_pass", "--eps-decay", "0"], None),
+        (["certify-hap", "zdual_hap_pass", "--eps-decay=-1"], None),
+        (["freeprod", "freeprod_zz"], (("eps_decay",), 0)),
+    ], ids=["eps-decay-zero", "eps-decay-negative", "freeprod-eps-decay-zero"])
+    def test_nonpositive_eps_decay_names_the_knob(self, argv, mutation, tmp_path):
+        command, name, *flags = argv
+        res = run_cli(command, _fixture_copy(tmp_path, name, mutation), *flags)
+        assert res.returncode == 2
+        assert b"eps_decay" in res.stderr
 
     def test_location_prefix_appears_once(self, tmp_path):
         source = _fixture_copy(tmp_path, "zdual_hap_pass",

@@ -63,6 +63,13 @@ class TestSymmetryAndPositivity:
         assert not ok
         assert worst == pytest.approx(-0.5, abs=1e-12)
 
+    def test_zero_tol_demands_exact_symmetry(self):
+        t = hk.make_table([("a", 2)])
+        L = hk.GeneratingFunctional(t, {t.decode("a"): [[1.0, 1e-12], [0.0, 1.0]]})
+        assert hk.check_positive_blocks(L).ok
+        with pytest.raises(ValueError, match="symmetric"):
+            hk.check_positive_blocks(L, 0.0)
+
     def test_positivity_requires_symmetry(self):
         t = hk.make_table([("a", 2)])
         L = hk.GeneratingFunctional(t, {t.decode("a"): [[0, 1], [0, 0]]})
