@@ -1,8 +1,8 @@
 """Dense complex-matrix helpers shared across the package.
 
 Every block handled by hapkit is a square complex128 matrix.  The operator
-(spectral) norm is the norm used throughout; the Frobenius norm only ever
-appears as a cheap upper bound to skip SVDs.
+(spectral) norm is the norm used throughout.  A block with a non-finite
+entry has norm NaN, so every scan over it fails closed.
 """
 
 from __future__ import annotations
@@ -10,10 +10,26 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+# Most bytes of blocks one SVD call of ``spectral_norms`` stacks: a scan holds
+# at most this much copied block data at once (twice with ``- I``), so a
+# family's scan adds little to peak memory whatever its size.
+STACK_BYTES = 1 << 21
+
+
+def _frozen(a) -> bool:
+    """A read-only complex128 view of a read-only array: no one can write it."""
+    return (isinstance(a, np.ndarray) and a.dtype == np.complex128
+            and not a.flags.writeable
+            and isinstance(a.base, np.ndarray) and not a.base.flags.writeable)
+
 
 def as_block(mat, dim: int | None = None) -> np.ndarray:
-    """Coerce ``mat`` to a read-only square complex128 array."""
-    a = np.array(mat, dtype=np.complex128)
+    """Coerce ``mat`` to a read-only square complex128 array.
+
+    A frozen view (see ``_frozen``) is adopted as it is; anything else is
+    copied, so later writes by the caller cannot reach the block.
+    """
+    a = mat if _frozen(mat) else np.array(mat, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"block must be a square matrix, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
@@ -22,12 +38,49 @@ def as_block(mat, dim: int | None = None) -> np.ndarray:
     return a
 
 
+def _max_singular_values(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in an (n, d, d) stack.
+
+    A matrix with a non-finite entry gets NaN without reaching the SVD,
+    which would raise for the whole stack.
+    """
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.svd(stack, compute_uv=False).max(-1)
+    out = np.full(len(stack), np.nan)
+    if finite.any():
+        out[finite] = np.linalg.svd(stack[finite], compute_uv=False).max(-1)
+    return out
+
+
 def spectral_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
+    return float(_max_singular_values(np.asarray(a)[np.newaxis])[0])
+
+
+def spectral_norms(blocks, minus_identity: bool = False) -> np.ndarray:
+    """Spectral norms of square ``blocks`` (of ``block - I`` if ``minus_identity``).
+
+    Blocks of one side are stacked, at most ``STACK_BYTES`` at a time, and
+    scanned by one SVD call per stack; the values equal ``spectral_norm``
+    of each block bitwise.
+    """
+    out = np.empty(len(blocks))
+    by_side = {}
+    for i, blk in enumerate(blocks):
+        by_side.setdefault(blk.shape[0], []).append(i)
+    for d, idx in by_side.items():
+        step = max(1, STACK_BYTES // (16 * d * d))
+        for start in range(0, len(idx), step):
+            chunk = idx[start:start + step]
+            stack = np.stack([blocks[i] for i in chunk])
+            if minus_identity:
+                stack = stack - np.eye(d)
+            out[chunk] = _max_singular_values(stack)
+    return out
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    # Upper bound for the spectral norm; used only as a pre-filter.
+    # Unused by hapkit; kept because the benchmark tracer wraps it by name.
     return float(np.linalg.norm(a))
 
 

@@ -5,8 +5,7 @@ factor labels.  The conditionally free product (relative to the Haar
 states) of two normalized families acts on a word as the Kronecker product
 of the factor blocks in letter order; its generator obeys the Leibniz rule,
 a Kronecker sum over the letters.  Both use row-major index flattening over
-the letters (numpy's ``kron`` convention), fixed once and exercised by the
-mixed-product exactness check.
+the letters (numpy's ``kron`` convention, ``kron(A, B)`` at the word (a, b)).
 
 The free-product certification pipeline consumes two pre-damped sequences
 (nontrivial block norms at stage k at most exp(-1/k)) and verifies, word by
@@ -18,11 +17,9 @@ word table.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
-from . import _linalg
 from .fourier import (DEFAULT_TOL, MatrixFamily, _c0_condition, _constant_blocks,
                       _identity_condition, _norm_bound_condition, _require_normalized,
                       convolve, family_content_digest, max_block_deviation)
@@ -38,11 +35,59 @@ def _check_factor_tables(wp: FreeProductTable, F1, F2) -> None:
         raise ValueError("factor data does not match the word table's factors")
 
 
-def _letter_block(family, fi: int, label) -> np.ndarray:
+def _word_stacks(F1, F2, wp: FreeProductTable):
+    """The nontrivial words of ``wp``, grouped by their (factor, letter dim) sequence.
+
+    Yields (words, stacks) per group, words in table order, where
+    ``stacks[j][i]`` is the block of F1 or F2 at the j-th letter of
+    ``words[i]``.
+    """
+    slots, letter_stacks = {}, {}
+    for fi, F in ((1, F1), (2, F2)):
+        by_dim = {}
+        for lab, blk in F.nontrivial_blocks():
+            same_dim = by_dim.setdefault(blk.shape[0], [])
+            slots[fi, lab.id] = (fi, blk.shape[0]), len(same_dim)
+            same_dim.append(blk)
+        letter_stacks.update(((fi, d), np.stack(blks)) for d, blks in by_dim.items())
+    groups = {}
     try:
-        return family.blocks[label]
-    except KeyError:
-        raise KeyError(f"missing letter block: factor {fi}, label {label.id!r}") from None
+        for word, _ in wp:
+            if word.letters:
+                key, rows = zip(*[slots[fi, lab.id] for fi, lab in word.letters])
+                words, index = groups.setdefault(key, ([], []))
+                words.append(word)
+                index.append(rows)
+    except KeyError as exc:
+        fi, lab_id = exc.args[0]
+        raise KeyError(f"missing letter block: factor {fi}, label {lab_id!r}") from None
+    for key, (words, index) in groups.items():
+        index = np.array(index)
+        yield words, [letter_stacks[k][index[:, j]] for j, k in enumerate(key)]
+
+
+def _kron_fold(stacks) -> np.ndarray:
+    """Matrix-wise Kronecker products of (n, d_j, d_j) stacks, left to right.
+
+    Each step forms the elementwise products ``np.kron`` forms, in the same
+    order, so matrix i of the result is ``reduce(np.kron, [s[i] for s in
+    stacks])`` bitwise.  A single stack is returned as it is; otherwise
+    the result owns its memory.
+    """
+    acc = stacks[0]
+    for nxt in stacks[1:]:
+        n, p, q = len(acc), acc.shape[1], nxt.shape[1]
+        out = np.empty((n, p * q, p * q), dtype=np.complex128)
+        np.multiply(acc[:, :, None, :, None], nxt[:, None, :, None, :],
+                    out=out.reshape(n, p, q, p, q))
+        acc = out
+    return acc
+
+
+def _word_blocks(words, stack: np.ndarray) -> dict:
+    """word -> read-only view of its matrix in ``stack``, which is frozen too."""
+    stack.setflags(write=False)
+    return dict(zip(words, stack))
 
 
 def cfree_state(phi1: MatrixFamily, phi2: MatrixFamily,
@@ -50,16 +95,15 @@ def cfree_state(phi1: MatrixFamily, phi2: MatrixFamily,
     """Conditionally free product family on the word table.
 
     The block at the word (a_1, ..., a_l) is the Kronecker product of the
-    factor blocks in letter order; the trivial word gets [1].
+    factor blocks in letter order; the trivial word gets [1].  Words with
+    the same letter dimensions are built together, as one stack.
     """
     _check_factor_tables(wp, phi1, phi2)
     _require_normalized(phi1, "factor 1 family")
     _require_normalized(phi2, "factor 2 family")
-    families = {1: phi1, 2: phi2}
-    blocks = {word: reduce(np.kron, [_letter_block(families[fi], fi, lab)
-                                     for fi, lab in word.letters])
-              for word, _ in wp if not word.is_trivial}
-    blocks[wp.trivial] = np.ones((1, 1), dtype=np.complex128)
+    blocks = _word_blocks([wp.trivial], np.ones((1, 1, 1), dtype=np.complex128))
+    for words, stacks in _word_stacks(phi1, phi2, wp):
+        blocks.update(_word_blocks(words, _kron_fold(stacks)))
     return MatrixFamily(wp, blocks, normalized=True)
 
 
@@ -71,18 +115,15 @@ def cfree_generator(L1: GeneratingFunctional, L2: GeneratingFunctional,
     sum_j I x ... x L^{a_j} x ... x I, in letter order.
     """
     _check_factor_tables(wp, L1, L2)
-    functionals = {1: L1, 2: L2}
     blocks = {}
-    for word, dim in wp:
-        if word.is_trivial:
-            continue
-        letters = [_letter_block(functionals[fi], fi, lab) for fi, lab in word.letters]
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        for j, blk in enumerate(letters):
-            factors = [np.eye(b.shape[0], dtype=np.complex128) for b in letters]
-            factors[j] = blk
-            acc = acc + reduce(np.kron, factors)
-        blocks[word] = acc
+    for words, stacks in _word_stacks(L1, L2, wp):
+        eyes = [np.broadcast_to(np.eye(s.shape[1], dtype=np.complex128), s.shape)
+                for s in stacks]
+        side = math.prod(s.shape[1] for s in stacks)
+        acc = np.zeros((len(words), side, side), dtype=np.complex128)
+        for j, stack in enumerate(stacks):
+            acc = acc + _kron_fold(eyes[:j] + [stack] + eyes[j + 1:])
+        blocks.update(_word_blocks(words, acc))
     return GeneratingFunctional(wp, blocks)
 
 
@@ -128,8 +169,7 @@ def damp_sequence(omegas, k_values) -> list[MatrixFamily]:
     out = []
     for F, k in zip(omegas, k_values):
         _require_normalized(F, "input family")
-        for lab in F.labels:
-            nrm = _linalg.spectral_norm(F.blocks[lab])
+        for lab, nrm in zip(F.labels, F.norms.tolist()):
             if not nrm <= 1.0 + DAMP_INPUT_TOL:
                 raise ValueError(f"input block at {F.table.encode(lab)!r} has norm "
                                  f"{nrm:.12g} > 1 + {DAMP_INPUT_TOL:g}")

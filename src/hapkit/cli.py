@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import cfree, classical, genfun, serialize
 from .cocycle import check_proper_cocycle, factor_from_generator
 from .fourier import DEFAULT_TOL, MatrixFamily, check_hap_sequence
@@ -133,10 +135,14 @@ def cmd_semigroup(args) -> int:
     ts = _knob("t", cli=args.t, many=True, least=0)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    # every family is evaluated and checked before the first write: all files or none
+    families = [(outdir / f"semigroup_t{t!r}.json", genfun.semigroup_at(L, t)) for t in ts]
+    for path, family in families:
+        for lab, blk in family.blocks.items():
+            if not np.isfinite(blk).all():
+                raise ValueError(f"{path}: block {family.table.encode(lab)!r} is not finite")
     written = []
-    for t in ts:
-        family = genfun.semigroup_at(L, t)
-        path = outdir / f"semigroup_t{t!r}.json"
+    for path, family in families:
         serialize.dump_json(serialize.family_to_obj(family), path)
         written.append(path.name)
     report = CertificationReport(

@@ -24,6 +24,7 @@ kernel behind every per-label threshold check, here and in ``cfree``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
@@ -77,6 +78,21 @@ class BlockMap:
     def nontrivial_blocks(self):
         """(label, block) pairs in table order, skipping the trivial label."""
         return ((lab, b) for lab, b in self.blocks.items() if lab != self.table.trivial)
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        """Read-only ||B|| of every block, aligned with ``labels``; NaN if non-finite."""
+        return self._scan(minus_identity=False)
+
+    @functools.cached_property
+    def deviations(self) -> np.ndarray:
+        """Read-only ||B - I|| of every block, aligned with ``labels``."""
+        return self._scan(minus_identity=True)
+
+    def _scan(self, minus_identity: bool) -> np.ndarray:
+        values = _linalg.spectral_norms(tuple(self.blocks.values()), minus_identity)
+        values.setflags(write=False)
+        return values
 
     def block(self, label) -> np.ndarray:
         try:
@@ -153,7 +169,8 @@ def haar_family(table) -> MatrixFamily:
 
 def block_norm(F: MatrixFamily, label) -> float:
     """Spectral norm of the block at ``label``."""
-    return _linalg.spectral_norm(F.block(label))
+    F.block(label)  # raises for a label without a block
+    return float(F.norms[F.labels.index(label)])
 
 
 def max_block_deviation(F: MatrixFamily, G: MatrixFamily) -> float:
@@ -180,7 +197,7 @@ class C0Result:
 
 
 def check_c0(F: MatrixFamily, eps: float) -> C0Result:
-    """Labels whose block norm exceeds ``eps``.
+    """Labels whose block norm is not verified <= ``eps`` (NaN counts as above).
 
     ``tail_clean`` records whether every remaining table label actually
     carries a block that was verified <= eps; unspecified labels make the
@@ -188,14 +205,8 @@ def check_c0(F: MatrixFamily, eps: float) -> C0Result:
     """
     if not eps > 0:
         raise ValueError(f"eps_decay (the c0 threshold) must be positive, got {eps:g}")
-    exceptional = []
-    for lab in F.labels:
-        blk = F.blocks[lab]
-        # Frobenius dominates the spectral norm: cheap accept before an SVD.
-        if _linalg.frobenius_norm(blk) <= eps:
-            continue
-        if _linalg.spectral_norm(blk) > eps:
-            exceptional.append(lab)
+    labels = F.labels
+    exceptional = [labels[i] for i in np.flatnonzero(~(F.norms <= eps))]
     unspecified = tuple(lab for lab in F.table.labels if lab not in F.blocks)
     return C0Result(
         eps=eps,
@@ -229,7 +240,7 @@ def is_state_candidate(F: MatrixFamily) -> StateCandidate:
     triv = F.blocks.get(F.table.trivial)
     trivial_dev = math.inf if triv is None else abs(complex(triv[0, 0]) - 1.0)
     worst_norm, worst_label = _linalg.worst(
-        ((_linalg.spectral_norm(blk), F.table.encode(lab)) for lab, blk in F.blocks.items()),
+        zip(F.norms.tolist(), map(F.table.encode, F.labels)),
         (0.0, ""), key=lambda pair: pair[0])
     ok = trivial_dev <= DEFAULT_TOL and worst_norm <= 1.0 + DEFAULT_TOL
     return StateCandidate(ok, trivial_dev, worst_norm, worst_label)
@@ -331,12 +342,13 @@ def _identity_condition(families, table, conv_tols, contexts,
 
     def rows():
         for F, thr, ctx in zip(families, conv_tols, contexts):
+            deviation = dict(zip(F.labels, F.deviations.tolist()))
             for lab in F.table.labels:
-                blk = F.blocks.get(lab)
-                if blk is None:
+                dev = deviation.get(lab)
+                if dev is None:
                     yield lab, math.inf, thr, f"{ctx}: block unspecified"
                 else:
-                    yield lab, _linalg.spectral_norm(blk - np.eye(blk.shape[0])), thr, ctx
+                    yield lab, dev, thr, ctx
     return _threshold_condition("identity-convergence", summary, rows(), table.encode, failed)
 
 
@@ -349,11 +361,10 @@ def _norm_bound_condition(name: str, summary: str, families, table, k_values,
     """
     def rows():
         for i, (F, k) in enumerate(zip(families, k_values)):
-            for lab in F.labels:
+            for lab, norm in zip(F.labels, F.norms.tolist()):
                 l = length(lab)
                 if l:
-                    yield (lab, _linalg.spectral_norm(F.blocks[lab]),
-                           math.exp(-l / k) + tol, context(i, l))
+                    yield lab, norm, math.exp(-l / k) + tol, context(i, l)
     return _threshold_condition(name, summary, rows(), table.encode)
 
 

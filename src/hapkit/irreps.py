@@ -162,6 +162,15 @@ class Word:
             if prev == fi:
                 raise ValueError("adjacent letters must come from distinct factors")
             prev = fi
+        # words key every block map over a word table: hash the letters once
+        object.__setattr__(self, "_hash", hash(self.letters))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes differ between processes: rebuild rather than copy _hash
+        return Word, (self.letters,)
 
     @property
     def is_trivial(self) -> bool:

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
+
+import numpy as np
 
 
 def alternating_words(ids1, ids2, max_len):
@@ -74,3 +77,34 @@ def zdual_word_norm(letters, k: float) -> float:
     for n in letters:
         out *= math.exp(-abs(n) / k)
     return out
+
+
+def kron_word_blocks(phi1, phi2, wp):
+    """Per-word conditionally free product: reduce(np.kron) over the letter
+    blocks of every nontrivial word, in letter order."""
+    families = {1: phi1, 2: phi2}
+    return {word: reduce(np.kron, [families[fi].blocks[lab] for fi, lab in word.letters])
+            for word, _ in wp if not word.is_trivial}
+
+
+def kron_sum_word_blocks(L1, L2, wp):
+    """Per-word Leibniz generator: sum_j I x ... x L^{a_j} x ... x I."""
+    functionals = {1: L1, 2: L2}
+    out = {}
+    for word, dim in wp:
+        if word.is_trivial:
+            continue
+        letters = [functionals[fi].blocks[lab] for fi, lab in word.letters]
+        acc = np.zeros((dim, dim), dtype=np.complex128)
+        for j, blk in enumerate(letters):
+            factors = [np.eye(b.shape[0], dtype=np.complex128) for b in letters]
+            factors[j] = blk
+            acc = acc + reduce(np.kron, factors)
+        out[word] = acc
+    return out
+
+
+def block_norms(F, minus_identity=False):
+    """One numpy operator-norm call per block, in label order."""
+    return [float(np.linalg.norm(blk - np.eye(blk.shape[0]) if minus_identity else blk, 2))
+            for blk in F.blocks.values()]

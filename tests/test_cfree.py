@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hapkit as hk
+import oracles
 from conftest import label_value, random_hermitian, zdual_family, zdual_table
 from oracles import zdual_word_norm
 
@@ -285,3 +288,103 @@ class TestPipeline:
         by_name = {c.name: c for c in rep.conditions}
         assert not by_name["c0-decay"].passed
         assert by_name["identity-convergence"].passed
+
+
+class TestKroneckerOrder:
+    """Row-major flattening over the letters: kron(A, B) at the word (a, b)."""
+
+    A = np.array([[1.0, 2.0], [3.0, 4.0]])
+    B = np.array([[0.0, 1.0j], [1.0, 0.0]])
+
+    def tables(self):
+        t1, t2 = hk.make_table([("a", 2)]), hk.make_table([("b", 2)])
+        return t1, t2, hk.free_product_table(t1, t2, 2)
+
+    def test_letters_do_not_commute(self):
+        assert not np.array_equal(np.kron(self.A, self.B), np.kron(self.B, self.A))
+
+    def test_state_block_is_kron_in_letter_order(self):
+        t1, t2, wp = self.tables()
+        st = hk.cfree_state(
+            hk.MatrixFamily(t1, {t1.trivial: [[1.0]], t1.decode("a"): self.A}, normalized=True),
+            hk.MatrixFamily(t2, {t2.trivial: [[1.0]], t2.decode("b"): self.B}, normalized=True),
+            wp)
+        assert np.array_equal(st.blocks[wp.decode("1:a|2:b")], np.kron(self.A, self.B))
+        assert np.array_equal(st.blocks[wp.decode("2:b|1:a")], np.kron(self.B, self.A))
+
+    def test_generator_block_is_kron_sum_in_letter_order(self):
+        t1, t2, wp = self.tables()
+        G = hk.cfree_generator(hk.GeneratingFunctional(t1, {t1.decode("a"): self.A}),
+                               hk.GeneratingFunctional(t2, {t2.decode("b"): self.B}), wp)
+        eye = np.eye(2)
+        assert np.array_equal(G.blocks[wp.decode("1:a|2:b")],
+                              np.kron(self.A, eye) + np.kron(eye, self.B))
+        assert np.array_equal(G.blocks[wp.decode("2:b|1:a")],
+                              np.kron(self.B, eye) + np.kron(eye, self.A))
+
+
+@st.composite
+def factor_pair(draw):
+    """Two drawn factor tables (letter dims 1-4), a word length <= 3 and a seed."""
+    def table(prefix):
+        dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        return hk.make_table([(f"{prefix}{i}", d) for i, d in enumerate(dims)])
+    return table("a"), table("b"), draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+def random_generator(rng, table):
+    return hk.GeneratingFunctional(table, {
+        lab: rng.standard_normal((table.dim(lab),) * 2)
+        + 1j * rng.standard_normal((table.dim(lab),) * 2) for lab in table.nontrivial_labels})
+
+
+class TestStackedEvaluation:
+    """The stacked word-table path against the per-word oracles, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(factor_pair())
+    def test_state_blocks_and_norms_match_oracle(self, drawn):
+        t1, t2, length, seed = drawn
+        rng = np.random.default_rng(seed)
+        wp = hk.free_product_table(t1, t2, length)
+        f1, f2 = random_normalized(rng, t1), random_normalized(rng, t2)
+        fam = hk.cfree_state(f1, f2, wp)
+        expected = oracles.kron_word_blocks(f1, f2, wp)
+        assert fam.labels == wp.labels
+        for word, blk in expected.items():
+            assert np.array_equal(fam.blocks[word], blk)
+        assert fam.norms.tolist() == oracles.block_norms(fam)
+        assert fam.deviations.tolist() == oracles.block_norms(fam, minus_identity=True)
+        for blk in fam.blocks.values():
+            assert not blk.flags.writeable
+            with pytest.raises(ValueError):
+                blk.setflags(write=True)
+
+    @settings(max_examples=20, deadline=None)
+    @given(factor_pair())
+    def test_generator_blocks_match_oracle(self, drawn):
+        t1, t2, length, seed = drawn
+        rng = np.random.default_rng(seed)
+        wp = hk.free_product_table(t1, t2, length)
+        L1, L2 = random_generator(rng, t1), random_generator(rng, t2)
+        G = hk.cfree_generator(L1, L2, wp)
+        for word, blk in oracles.kron_sum_word_blocks(L1, L2, wp).items():
+            assert np.array_equal(G.blocks[word], blk)
+
+    def test_family_does_not_alias_a_writable_array(self):
+        t = scalar_table(["x"])
+        mat = np.array([[0.5]], dtype=np.complex128)
+        view = mat.view()
+        view.setflags(write=False)  # read-only, but its base is not
+        F = hk.MatrixFamily(t, {t.trivial: [[1.0]], t.decode("x"): view}, normalized=True)
+        norms = F.norms.copy()
+        mat[0, 0] = 9.0
+        assert F.blocks[t.decode("x")][0, 0] == 0.5
+        assert np.array_equal(F.norms, norms) and not F.norms.flags.writeable
+
+    def test_frozen_word_blocks_are_adopted(self, rng):
+        t1, t2 = mixed_table("a"), mixed_table("b")
+        wp = hk.free_product_table(t1, t2, 2)
+        fam = hk.cfree_state(random_normalized(rng, t1), random_normalized(rng, t2), wp)
+        again = hk.MatrixFamily(wp, dict(fam.blocks), normalized=True)
+        assert all(again.blocks[w] is blk for w, blk in fam.blocks.items())

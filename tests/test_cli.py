@@ -355,6 +355,17 @@ class TestRejectedInputs:
         assert res.returncode == 2
         assert b"eps_decay" in res.stderr
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_semigroup_overflow_writes_no_file(self, tmp_path, monkeypatch):
+        # exp(-0.1 * -1000) is finite, exp(-1 * -1000) is not: no t may be written
+        monkeypatch.chdir(tmp_path)
+        source = _fixture_copy(tmp_path, "zdual_length_generator",
+                               (("blocks",), {"a^-1": [[[-1000.0, 0.0]]]}))
+        res = run_cli("semigroup", source, "--t", "0.1,1")
+        assert res.returncode == 2
+        assert b"semigroup_t" in res.stderr
+        assert [p.name for p in tmp_path.iterdir()] == [source.name]
+
     def test_location_prefix_appears_once(self, tmp_path):
         source = _fixture_copy(tmp_path, "zdual_hap_pass",
                                (("families", 0, "blocks", "zz"), [[[1.0, 0.0]]]))

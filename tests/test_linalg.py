@@ -69,6 +69,11 @@ class TestNonFiniteFailsClosed:
             ok, value = scan()
         assert math.isnan(value) and not ok
 
+    def test_c0_counts_a_nan_block_as_exceptional(self):
+        with np.errstate(all="ignore"):
+            res = hk.check_c0(_inf_family(), 0.5)
+        assert [_table().encode(lab) for lab in res.exceptional] == ["1", "y"]
+
     def test_state_candidate_names_the_nan_block(self):
         with np.errstate(all="ignore"):
             assert hk.is_state_candidate(_inf_family()).worst_label == "y"
@@ -81,3 +86,25 @@ class TestNonFiniteFailsClosed:
     def test_raises(self, call, match):
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=match):
             call()
+
+
+class TestNonFiniteNorms:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_single_block_gives_nan(self, value):
+        assert math.isnan(_linalg.spectral_norm(np.array([[value]], dtype=np.complex128)))
+
+    def test_stack_keeps_the_finite_norms(self, rng):
+        blocks = [rng.standard_normal((3, 3)) + 0j for _ in range(4)]
+        blocks[2] = blocks[2].copy()
+        blocks[2][1, 0] = math.nan
+        norms = _linalg.spectral_norms(blocks)
+        assert math.isnan(norms[2])
+        assert [norms[i] for i in (0, 1, 3)] == [
+            float(np.linalg.norm(blocks[i], 2)) for i in (0, 1, 3)]
+
+    def test_check_symmetric_gives_nan_residual(self):
+        t = _table()
+        L = hk.GeneratingFunctional(t, {t.decode("y"): [[math.inf]]})
+        with np.errstate(all="ignore"):
+            sym = hk.check_symmetric(L)
+        assert math.isnan(sym.residual) and not sym.ok
