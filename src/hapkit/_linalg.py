@@ -1,17 +1,17 @@
 """Dense complex-matrix helpers shared across the package.
 
 Every block handled by hapkit is a square complex128 matrix.  The operator
-(spectral) norm is the norm used throughout.  A block with a non-finite
-entry has norm NaN, so every scan over it fails closed.
+(spectral) norm is the norm used throughout.  Every per-block norm and
+eigenvalue scan runs through ``_stacked``; a block with a non-finite entry
+gets NaN there, so every scan over it fails closed.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-# Most bytes of blocks one SVD call of ``spectral_norms`` stacks: a scan holds
-# at most this much copied block data at once (twice with ``- I``), so a
+# Most bytes of blocks one LAPACK call of ``_stacked`` gets: a scan holds at
+# most a small multiple of this much copied block data at once, so a
 # family's scan adds little to peak memory whatever its size.
 STACK_BYTES = 1 << 21
 
@@ -38,45 +38,55 @@ def as_block(mat, dim: int | None = None) -> np.ndarray:
     return a
 
 
-def _max_singular_values(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in an (n, d, d) stack.
-
-    A matrix with a non-finite entry gets NaN without reaching the SVD,
-    which would raise for the whole stack.
-    """
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    if finite.all():
-        return np.linalg.svd(stack, compute_uv=False).max(-1)
-    out = np.full(len(stack), np.nan)
-    if finite.any():
-        out[finite] = np.linalg.svd(stack[finite], compute_uv=False).max(-1)
-    return out
-
-
-def spectral_norm(a: np.ndarray) -> float:
-    return float(_max_singular_values(np.asarray(a)[np.newaxis])[0])
-
-
-def spectral_norms(blocks, minus_identity: bool = False) -> np.ndarray:
-    """Spectral norms of square ``blocks`` (of ``block - I`` if ``minus_identity``).
+def _stacked(blocks, reduce) -> np.ndarray:
+    """One value per square block: ``reduce`` maps an (n, d, d) stack to n values.
 
     Blocks of one side are stacked, at most ``STACK_BYTES`` at a time, and
-    scanned by one SVD call per stack; the values equal ``spectral_norm``
-    of each block bitwise.
+    each stack goes to ``reduce`` once.  A block with a non-finite entry gets
+    NaN without reaching ``reduce``, whose LAPACK call would raise for the
+    whole stack.
     """
-    out = np.empty(len(blocks))
+    out = np.full(len(blocks), np.nan)
     by_side = {}
     for i, blk in enumerate(blocks):
         by_side.setdefault(blk.shape[0], []).append(i)
     for d, idx in by_side.items():
         step = max(1, STACK_BYTES // (16 * d * d))
         for start in range(0, len(idx), step):
-            chunk = idx[start:start + step]
+            chunk = np.array(idx[start:start + step])
             stack = np.stack([blocks[i] for i in chunk])
-            if minus_identity:
-                stack = stack - np.eye(d)
-            out[chunk] = _max_singular_values(stack)
+            finite = np.isfinite(stack).all(axis=(-2, -1))
+            if finite.all():
+                out[chunk] = reduce(stack)
+            elif finite.any():
+                out[chunk[finite]] = reduce(stack[finite])
     return out
+
+
+def spectral_norms(blocks, minus_identity: bool = False) -> np.ndarray:
+    """Spectral norms of square ``blocks`` (of ``block - I`` if ``minus_identity``).
+
+    Each value equals ``np.linalg.norm(block, 2)`` bitwise; NaN if non-finite.
+    """
+    def largest_singular_values(stack):
+        if minus_identity:
+            stack = stack - np.eye(stack.shape[-1])
+        return np.linalg.svd(stack, compute_uv=False).max(-1)
+    return _stacked(blocks, largest_singular_values)
+
+
+def min_eigenvalues(blocks) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each square block; NaN if non-finite."""
+    return _stacked(blocks, lambda stack: np.linalg.eigvalsh(hermitize(stack))[:, 0])
+
+
+def spectral_norm(a: np.ndarray) -> float:
+    return float(spectral_norms([np.asarray(a)])[0])
+
+
+def min_eigenvalue(a: np.ndarray) -> float:
+    # Unused by hapkit; kept because the benchmark tracer wraps it by name.
+    return float(min_eigenvalues([np.asarray(a)])[0])
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -84,35 +94,9 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def hermitian_residual(a: np.ndarray) -> float:
-    """Operator-norm distance of ``a`` from its adjoint."""
-    return spectral_norm(a - a.conj().T)
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
-
-
-def min_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``a``."""
-    return float(np.linalg.eigvalsh(hermitize(a))[0])
-
-
-def worst(values, default=0.0, *, key=float, lower: bool = False):
-    """The item of ``values`` with the largest ``key`` (smallest if ``lower``).
-
-    ``default`` seeds the scan and wins ties.  A NaN key is returned at once:
-    Python's ``max`` and ``min`` drop a NaN that is not first, which would let
-    a scan report a finite worst case for a non-finite block.
-    """
-    best, best_key = default, key(default)
-    for item in values:
-        k = key(item)
-        if k != k:
-            return item
-        if k < best_key if lower else k > best_key:
-            best, best_key = item, k
-    return best
+    """Hermitian part of a matrix or of every matrix in a stack."""
+    return (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
 
 
 def expm_neg(a: np.ndarray, t: float) -> np.ndarray:
@@ -124,9 +108,12 @@ def expm_neg(a: np.ndarray, t: float) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.complex128)
     scale = max(1.0, spectral_norm(a))
-    if hermitian_residual(a) <= 1e-12 * scale:
+    if spectral_norm(a - a.conj().T) <= 1e-12 * scale:
         w, v = np.linalg.eigh(hermitize(a))
         return (v * np.exp(-t * w)) @ v.conj().T
+    # imported here: scipy.linalg is about half of the package's import time,
+    # and only this fallback needs it
+    import scipy.linalg
     return scipy.linalg.expm(-t * a)
 
 

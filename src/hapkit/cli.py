@@ -136,7 +136,10 @@ def cmd_semigroup(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     # every family is evaluated and checked before the first write: all files or none
-    families = [(outdir / f"semigroup_t{t!r}.json", genfun.semigroup_at(L, t)) for t in ts]
+    # an overflow is caught by the finite check below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        families = [(outdir / f"semigroup_t{t!r}.json", genfun.semigroup_at(L, t))
+                    for t in ts]
     for path, family in families:
         for lab, blk in family.blocks.items():
             if not np.isfinite(blk).all():

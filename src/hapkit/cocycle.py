@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import logging
 
+import numpy as np
+
 from . import _linalg
 from .fourier import BlockMap
 from .genfun import GeneratingFunctional, PropernessResult, _proper_scan
@@ -74,8 +76,8 @@ def check_proper_cocycle(c: CocycleMatrices, M: float) -> PropernessResult:
     """Labels where the smallest eigenvalue of (c^a)*(c^a) is below M."""
     if M <= 0:
         raise ValueError("threshold M must be positive")
-    lows = ((lab, _linalg.min_eigenvalue(c.blocks[lab].conj().T @ c.blocks[lab]))
-            for lab in c.labels)
+    grams = [blk.conj().T @ blk for blk in c.blocks.values()]
+    lows = zip(c.labels, _linalg.min_eigenvalues(grams).tolist())
     unspecified = [lab for lab in c.table.labels
                    if lab not in c.blocks and lab != c.table.trivial]
     return _proper_scan(M, lows, unspecified, len(c.table) - 1)  # no trivial label
@@ -83,4 +85,4 @@ def check_proper_cocycle(c: CocycleMatrices, M: float) -> PropernessResult:
 
 def check_bounded(c: CocycleMatrices) -> float:
     """Supremum of block norms over the truncation (0 for empty support, NaN if any is)."""
-    return _linalg.worst(_linalg.spectral_norm(blk) for blk in c.blocks.values())
+    return float(np.max(c.norms, initial=0.0))

@@ -176,8 +176,8 @@ def block_norm(F: MatrixFamily, label) -> float:
 def max_block_deviation(F: MatrixFamily, G: MatrixFamily) -> float:
     """Largest spectral-norm difference over the common support."""
     _require_same_table(F, G)
-    return _linalg.worst(_linalg.spectral_norm(blk - G.blocks[lab])
-                         for lab, blk in F.blocks.items() if lab in G.blocks)
+    gaps = [blk - G.blocks[lab] for lab, blk in F.blocks.items() if lab in G.blocks]
+    return float(np.max(_linalg.spectral_norms(gaps), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -201,10 +201,12 @@ def check_c0(F: MatrixFamily, eps: float) -> C0Result:
 
     ``tail_clean`` records whether every remaining table label actually
     carries a block that was verified <= eps; unspecified labels make the
-    scan inconclusive outside the support and are listed separately.
+    scan inconclusive outside the support and are listed separately.  A
+    state's blocks have norm at most 1, so ``eps`` must lie in (0, 1) to
+    certify any decay.
     """
-    if not eps > 0:
-        raise ValueError(f"eps_decay (the c0 threshold) must be positive, got {eps:g}")
+    if not 0 < eps < 1:
+        raise ValueError(f"eps_decay (the c0 threshold) must lie in (0, 1), got {eps:g}")
     labels = F.labels
     exceptional = [labels[i] for i in np.flatnonzero(~(F.norms <= eps))]
     unspecified = tuple(lab for lab in F.table.labels if lab not in F.blocks)
@@ -239,9 +241,8 @@ def is_state_candidate(F: MatrixFamily) -> StateCandidate:
     """
     triv = F.blocks.get(F.table.trivial)
     trivial_dev = math.inf if triv is None else abs(complex(triv[0, 0]) - 1.0)
-    worst_norm, worst_label = _linalg.worst(
-        zip(F.norms.tolist(), map(F.table.encode, F.labels)),
-        (0.0, ""), key=lambda pair: pair[0])
+    worst_norm = float(np.max(F.norms, initial=0.0))
+    worst_label = F.table.encode(F.labels[np.argmax(F.norms)]) if worst_norm else ""
     ok = trivial_dev <= DEFAULT_TOL and worst_norm <= 1.0 + DEFAULT_TOL
     return StateCandidate(ok, trivial_dev, worst_norm, worst_label)
 

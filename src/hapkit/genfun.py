@@ -63,8 +63,9 @@ class PositivityCheck(NamedTuple):
 
 
 def check_symmetric(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> SymmetryCheck:
-    """Largest operator-norm distance of any block from its adjoint."""
-    worst = _linalg.worst(_linalg.hermitian_residual(blk) for blk in L.blocks.values())
+    """Largest operator-norm distance of any block from its adjoint (NaN if any is)."""
+    residuals = _linalg.spectral_norms([blk - blk.conj().T for blk in L.blocks.values()])
+    worst = float(np.max(residuals, initial=0.0))
     return SymmetryCheck(worst <= tol, worst)
 
 
@@ -74,8 +75,7 @@ def check_positive_blocks(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> 
     if not sym.ok:
         raise ValueError(f"positivity check needs symmetric blocks "
                          f"(Hermitian residual {sym.residual:g})")
-    worst = _linalg.worst((_linalg.min_eigenvalue(blk) for blk in L.blocks.values()),
-                          math.inf, lower=True)
+    worst = float(np.min(_linalg.min_eigenvalues(tuple(L.blocks.values())), initial=math.inf))
     return PositivityCheck(worst >= -tol, worst)
 
 
@@ -107,7 +107,7 @@ class PropernessResult:
 
 
 def _proper_scan(M: float, lows, unspecified, table_size: int) -> PropernessResult:
-    """Exceptional set over lazy (label, smallest eigenvalue) pairs; NaN fails closed."""
+    """Exceptional set over (label, smallest eigenvalue) pairs; NaN fails closed."""
     return PropernessResult(
         level=M,
         exceptional=tuple((lab, low) for lab, low in lows if not low >= M),
@@ -124,7 +124,7 @@ def check_proper(L: GeneratingFunctional, M: float) -> PropernessResult:
     if not sym.ok:
         raise ValueError(f"properness is defined for symmetric functionals "
                          f"(Hermitian residual {sym.residual:g})")
-    lows = ((lab, _linalg.min_eigenvalue(L.blocks[lab])) for lab in L.labels)
+    lows = zip(L.labels, _linalg.min_eigenvalues(tuple(L.blocks.values())).tolist())
     unspecified = [lab for lab in L.table.labels if lab not in L.blocks]
     return _proper_scan(M, lows, unspecified, len(L.table))
 
@@ -210,10 +210,8 @@ def build_from_states(seq, betas=None, eps=None) -> tuple[GeneratingFunctional, 
 
     support = [lab for lab in table.labels
                if all(lab in F.blocks for F in seq) and lab != table.trivial]
-    deviations = {
-        lab: [_linalg.spectral_norm(np.eye(table.dim(lab)) - F.blocks[lab]) for F in seq]
-        for lab in support
-    }
+    per_family = [dict(zip(F.labels, F.deviations.tolist())) for F in seq]
+    deviations = {lab: [devs[lab] for devs in per_family] for lab in support}
     blocks = {}
     for lab in support:
         dim = table.dim(lab)
@@ -282,7 +280,7 @@ def generator_from_semigroup(sampler: Callable[[float], MatrixFamily],
     i_min = min(range(len(t_small)), key=lambda i: t_small[i])
 
     blocks = {}
-    errors = {}
+    gaps = []
     common = [lab for lab in table.labels
               if lab != table.trivial and all(lab in F.blocks for F in samples)]
     for lab in common:
@@ -291,5 +289,6 @@ def generator_from_semigroup(sampler: Callable[[float], MatrixFamily],
         quotients = [(eye - F.blocks[lab]) / t for F, t in zip(samples, t_small)]
         est = sum(w * q for w, q in zip(weights, quotients))
         blocks[lab] = est
-        errors[lab] = _linalg.spectral_norm(est - quotients[i_min])
+        gaps.append(est - quotients[i_min])
+    errors = dict(zip(common, _linalg.spectral_norms(gaps).tolist()))
     return GeneratingFunctional(table, blocks), errors

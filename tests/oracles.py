@@ -104,7 +104,13 @@ def kron_sum_word_blocks(L1, L2, wp):
     return out
 
 
-def block_norms(F, minus_identity=False):
-    """One numpy operator-norm call per block, in label order."""
+def block_norms(blocks, minus_identity=False):
+    """One numpy operator-norm call per block, in order; NaN for a non-finite block."""
     return [float(np.linalg.norm(blk - np.eye(blk.shape[0]) if minus_identity else blk, 2))
-            for blk in F.blocks.values()]
+            if np.isfinite(blk).all() else math.nan for blk in blocks]
+
+
+def block_min_eigenvalues(blocks):
+    """One numpy eigvalsh call per block on (B + B*)/2; NaN for a non-finite block."""
+    return [float(np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0])
+            if np.isfinite(blk).all() else math.nan for blk in blocks]

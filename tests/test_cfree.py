@@ -353,8 +353,9 @@ class TestStackedEvaluation:
         assert fam.labels == wp.labels
         for word, blk in expected.items():
             assert np.array_equal(fam.blocks[word], blk)
-        assert fam.norms.tolist() == oracles.block_norms(fam)
-        assert fam.deviations.tolist() == oracles.block_norms(fam, minus_identity=True)
+        blocks = list(fam.blocks.values())
+        assert fam.norms.tolist() == oracles.block_norms(blocks)
+        assert fam.deviations.tolist() == oracles.block_norms(blocks, minus_identity=True)
         for blk in fam.blocks.values():
             assert not blk.flags.writeable
             with pytest.raises(ValueError):

@@ -348,22 +348,27 @@ class TestRejectedInputs:
         (["certify-hap", "zdual_hap_pass", "--eps-decay", "0"], None),
         (["certify-hap", "zdual_hap_pass", "--eps-decay=-1"], None),
         (["freeprod", "freeprod_zz"], (("eps_decay",), 0)),
-    ], ids=["eps-decay-zero", "eps-decay-negative", "freeprod-eps-decay-zero"])
+        (["certify-hap", "zdual_hap_pass", "--eps-decay", "1"], None),
+        (["certify-hap", "zdual_hap_pass", "--eps-decay", "3"], None),
+        (["freeprod", "freeprod_zz"], (("eps_decay",), 1)),
+    ], ids=["eps-decay-zero", "eps-decay-negative", "freeprod-eps-decay-zero",
+            "eps-decay-one", "eps-decay-three", "freeprod-eps-decay-one"])
     def test_nonpositive_eps_decay_names_the_knob(self, argv, mutation, tmp_path):
+        """Also 1 or more: a state's blocks have norm <= 1, so that certifies no decay."""
         command, name, *flags = argv
         res = run_cli(command, _fixture_copy(tmp_path, name, mutation), *flags)
         assert res.returncode == 2
         assert b"eps_decay" in res.stderr
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_semigroup_overflow_writes_no_file(self, tmp_path, monkeypatch):
-        # exp(-0.1 * -1000) is finite, exp(-1 * -1000) is not: no t may be written
-        monkeypatch.chdir(tmp_path)
+    def test_semigroup_overflow_writes_no_file(self, tmp_path):
+        # exp(-0.1 * -1000) is finite, exp(-1 * -1000) is not: no t may be written,
+        # and the error line is all of stderr (no numpy warnings before it)
         source = _fixture_copy(tmp_path, "zdual_length_generator",
                                (("blocks",), {"a^-1": [[[-1000.0, 0.0]]]}))
-        res = run_cli("semigroup", source, "--t", "0.1,1")
+        res = run_cli_subprocess("semigroup", source, "--t", "0.1,1", "--out", tmp_path)
         assert res.returncode == 2
-        assert b"semigroup_t" in res.stderr
+        lines = res.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "semigroup_t" in lines[0]
         assert [p.name for p in tmp_path.iterdir()] == [source.name]
 
     def test_location_prefix_appears_once(self, tmp_path):

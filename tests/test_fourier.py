@@ -173,6 +173,14 @@ class TestStateCandidate:
     def test_counit(self, table):
         assert hk.is_state_candidate(hk.counit_family(table)).ok
 
+    def test_ties_name_the_first_block_and_zero_names_none(self, table):
+        res = hk.is_state_candidate(hk.counit_family(table))
+        assert (res.worst_norm, res.worst_label) == (1.0, table.encode(table.labels[0]))
+        zero = hk.MatrixFamily(table, {lab: np.zeros((table.dim(lab),) * 2)
+                                       for lab in table.labels[1:]})
+        res = hk.is_state_candidate(zero)
+        assert (res.worst_norm, res.worst_label) == (0.0, "")
+
     def test_overnormed_block(self, table):
         F = hk.MatrixFamily(table, {table.trivial: [[1.0]],
                                     table.decode("a"): 2.0 * np.eye(2)})
@@ -220,7 +228,7 @@ class TestHapSequence:
         blocks = {lab: np.eye(table.dim(lab)) for lab in table.labels}
         blocks[table.decode("a")] = 1.5 * np.eye(2)
         F = hk.MatrixFamily(table, blocks, normalized=True)
-        rep = hk.check_hap_sequence([F], eps_decay=2.0, conv_tols=[1.0], k_values=[1])
+        rep = hk.check_hap_sequence([F], eps_decay=0.5, conv_tols=[1.0], k_values=[1])
         cond = {c.name: c for c in rep.conditions}["damped-norm-bound"]
         assert not cond.passed
         assert any(w.label == "a" for w in cond.witnesses)

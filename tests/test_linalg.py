@@ -1,36 +1,130 @@
-"""The fail-closed reduction behind every per-label scan, and the scans themselves."""
+"""The stacked scans behind every per-label check, and the checks themselves."""
 
 import math
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hapkit as hk
+import oracles
+from conftest import REPO_ROOT
 from hapkit import _linalg
 
 
-class TestWorst:
-    @pytest.mark.parametrize("values", [
-        [math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]])
-    @pytest.mark.parametrize("lower", [False, True])
-    def test_nan_anywhere_gives_nan(self, values, lower):
-        default = math.inf if lower else 0.0
-        assert math.isnan(_linalg.worst(values, default, lower=lower))
-        # the builtins this replaces drop a NaN that does not come first
-        assert not math.isnan((min if lower else max)([default] + values))
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, hapkit; print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                         cwd=REPO_ROOT)
+    assert res.stdout.strip() == b"False"
 
-    def test_empty_gives_default(self):
-        assert _linalg.worst([]) == 0.0
-        assert _linalg.worst([], math.inf, lower=True) == math.inf
 
-    def test_extremes_and_ties(self):
-        assert _linalg.worst([1.0, 3.0, 2.0]) == 3.0
-        assert _linalg.worst([1.0, -3.0, 2.0], math.inf, lower=True) == -3.0
-        pairs = [(1.0, "a"), (3.0, "b"), (3.0, "c"), (math.nan, "d"), (math.nan, "e")]
-        key = lambda pair: pair[0]
-        assert _linalg.worst(pairs[:3], (0.0, ""), key=key) == (3.0, "b")
-        assert _linalg.worst(pairs, (0.0, ""), key=key)[1] == "d"
-        assert _linalg.worst([(0.0, "a")], (0.0, ""), key=key) == (0.0, "")
+@st.composite
+def poisoned_blocks(draw, general=False):
+    """Complex blocks of sides 1-5, and one of them with a NaN or infinite
+    entry at a drawn position: (clean, poisoned, its index).  The blocks are
+    Hermitian PSD of norm 1/2 unless ``general``."""
+    sides = draw(st.lists(st.integers(1, 5), min_size=1, max_size=20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    clean = []
+    for d in sides:
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        g = a @ a.conj().T
+        clean.append(a if general else 0.5 * _linalg.hermitize(g) / np.linalg.norm(g, 2))
+    bad = draw(st.integers(0, len(sides) - 1))
+    row, col = (draw(st.integers(0, sides[bad] - 1)) for _ in range(2))
+    poisoned = list(clean)
+    poisoned[bad] = clean[bad].copy()
+    poisoned[bad][row, col] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return clean, poisoned, bad
+
+
+class TestStackedScans:
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans().flatmap(poisoned_blocks), st.booleans())
+    def test_equal_to_one_numpy_call_per_block(self, drawn, real):
+        """Chunks split at 128 bytes; every value is the per-block one, bitwise."""
+        _, blocks, bad = drawn
+        if real:
+            blocks = [blk.real + 0j for blk in blocks]
+        with mock.patch.object(_linalg, "STACK_BYTES", 128):
+            got = {"norms": _linalg.spectral_norms(blocks),
+                   "deviations": _linalg.spectral_norms(blocks, minus_identity=True),
+                   "min-eigenvalues": _linalg.min_eigenvalues(blocks)}
+        expected = {"norms": oracles.block_norms(blocks),
+                    "deviations": oracles.block_norms(blocks, minus_identity=True),
+                    "min-eigenvalues": oracles.block_min_eigenvalues(blocks)}
+        for name, values in got.items():
+            assert np.flatnonzero(np.isnan(values)).tolist() == [bad], name
+            assert [v for i, v in enumerate(values.tolist()) if i != bad] == [
+                v for i, v in enumerate(expected[name]) if i != bad], name
+
+
+def _scan_inputs(blocks):
+    """A table with one label per block, and the blocks keyed by its labels."""
+    table = hk.make_table([(f"b{i:02d}", blk.shape[0]) for i, blk in enumerate(blocks)])
+    return table, dict(zip(table.labels[1:], blocks))
+
+
+def _at_most_one(value):
+    return value <= 1.0, value
+
+
+# each scan gives (ok, worst value); a bare number is ok when it is at most 1
+_SCANS = {
+    "check_symmetric": lambda t, b: tuple(hk.check_symmetric(hk.GeneratingFunctional(t, b))),
+    "check_bounded": lambda t, b: _at_most_one(hk.check_bounded(hk.CocycleMatrices(t, b))),
+    "max_block_deviation": lambda t, b: _at_most_one(hk.max_block_deviation(
+        hk.MatrixFamily(t, b), hk.counit_family(t))),
+    "is_state_candidate": lambda t, b: (lambda res: (res.ok, res.worst_norm))(
+        hk.is_state_candidate(hk.MatrixFamily(t, {t.trivial: [[1.0]], **b}))),
+}
+
+
+class TestNonFiniteEntryNeverPasses:
+    """One NaN or infinite entry among finite blocks of mixed sides, anywhere."""
+
+    @pytest.mark.parametrize("scan", sorted(_SCANS))
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=poisoned_blocks())
+    def test_worst_is_nan_and_not_ok(self, scan, drawn):
+        clean, poisoned, _ = drawn
+        ok, value = _SCANS[scan](*_scan_inputs(clean))
+        assert ok and not math.isnan(value)
+        with np.errstate(all="ignore"):
+            ok, value = _SCANS[scan](*_scan_inputs(poisoned))
+        assert math.isnan(value) and not ok
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=poisoned_blocks())
+    def test_state_candidate_names_the_block(self, drawn):
+        _, poisoned, bad = drawn
+        t, blocks = _scan_inputs(poisoned)
+        with np.errstate(all="ignore"):
+            res = hk.is_state_candidate(hk.MatrixFamily(t, {t.trivial: [[1.0]], **blocks}))
+        assert res.worst_label == f"b{bad:02d}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=poisoned_blocks())
+    def test_properness_scans_fail_closed(self, drawn):
+        """The cocycle scan lists the block as exceptional at NaN; the
+        generator scans refuse it, since its Hermitian residual is NaN."""
+        _, poisoned, bad = drawn
+        t, blocks = _scan_inputs(poisoned)
+        label = t.labels[bad + 1]
+        with np.errstate(all="ignore"):
+            res = hk.check_proper_cocycle(hk.CocycleMatrices(t, blocks), 1e-3)
+            assert math.isnan(dict(res.exceptional)[label])
+            L = hk.GeneratingFunctional(t, blocks)
+            for scan in (lambda: hk.check_positive_blocks(L), lambda: hk.check_proper(L, 1.0)):
+                with pytest.raises(ValueError, match="residual nan"):
+                    scan()
+
+
 
 
 def _table():
