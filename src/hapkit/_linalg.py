@@ -1,16 +1,16 @@
 """Dense complex-matrix helpers shared across the package.
 
 Every block handled by hapkit is a square complex128 matrix.  The operator
-(spectral) norm is the norm used throughout.  Every per-block norm and
-eigenvalue scan runs through ``_stacked``; a block with a non-finite entry
-gets NaN there, so every scan over it fails closed.
+(spectral) norm is the norm used throughout.  Every per-block norm,
+eigenvalue, exponential and PSD root is computed on stacks from ``_stacks``;
+a block with a non-finite entry gets NaN, so every scan over it fails closed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Most bytes of blocks one LAPACK call of ``_stacked`` gets: a scan holds at
+# Most bytes of blocks in one stack of ``_stacks``: a scan holds at
 # most a small multiple of this much copied block data at once, so a
 # family's scan adds little to peak memory whatever its size.
 STACK_BYTES = 1 << 21
@@ -38,15 +38,13 @@ def as_block(mat, dim: int | None = None) -> np.ndarray:
     return a
 
 
-def _stacked(blocks, reduce) -> np.ndarray:
-    """One value per square block: ``reduce`` maps an (n, d, d) stack to n values.
+def _stacks(blocks):
+    """(indices, stack) pairs covering the finite square ``blocks``.
 
-    Blocks of one side are stacked, at most ``STACK_BYTES`` at a time, and
-    each stack goes to ``reduce`` once.  A block with a non-finite entry gets
-    NaN without reaching ``reduce``, whose LAPACK call would raise for the
-    whole stack.
+    Blocks of one side are stacked, at most ``STACK_BYTES`` at a time.  A
+    block with a non-finite entry is left out, since a LAPACK call on it
+    would raise for the whole stack.
     """
-    out = np.full(len(blocks), np.nan)
     by_side = {}
     for i, blk in enumerate(blocks):
         by_side.setdefault(blk.shape[0], []).append(i)
@@ -57,9 +55,16 @@ def _stacked(blocks, reduce) -> np.ndarray:
             stack = np.stack([blocks[i] for i in chunk])
             finite = np.isfinite(stack).all(axis=(-2, -1))
             if finite.all():
-                out[chunk] = reduce(stack)
+                yield chunk, stack
             elif finite.any():
-                out[chunk[finite]] = reduce(stack[finite])
+                yield chunk[finite], stack[finite]
+
+
+def _stacked(blocks, reduce) -> np.ndarray:
+    """One value per block: ``reduce`` maps a finite (n, d, d) stack to n values; NaN elsewhere."""
+    out = np.full(len(blocks), np.nan)
+    for idx, stack in _stacks(blocks):
+        out[idx] = reduce(stack)
     return out
 
 
@@ -80,17 +85,16 @@ def min_eigenvalues(blocks) -> np.ndarray:
     return _stacked(blocks, lambda stack: np.linalg.eigvalsh(hermitize(stack))[:, 0])
 
 
+# The next three are unused by hapkit; kept because the benchmark tracer wraps them by name.
 def spectral_norm(a: np.ndarray) -> float:
     return float(spectral_norms([np.asarray(a)])[0])
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
-    # Unused by hapkit; kept because the benchmark tracer wraps it by name.
     return float(min_eigenvalues([np.asarray(a)])[0])
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    # Unused by hapkit; kept because the benchmark tracer wraps it by name.
     return float(np.linalg.norm(a))
 
 
@@ -99,34 +103,45 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
 
 
-def expm_neg(a: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate exp(-t*a).
+def hermitian_calculus(blocks, f) -> tuple[list, np.ndarray]:
+    """V diag(f(w)) V* and min(w) for the Hermitian part V diag(w) V* of every block.
 
-    Hermitian input (adjoint residual at most 1e-12 * max(1, ||a||)) goes
-    through an eigendecomposition (exact up to the backward error of the
-    eigensolver); anything else falls back to scaling-and-squaring.
+    ``f`` maps an (n, d) stack of ascending eigenvalues elementwise.  One
+    ``eigh`` and one batched matmul per stack give each block bitwise what
+    they give on it alone.  A non-finite block gets a NaN block and NaN.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    scale = max(1.0, spectral_norm(a))
-    if spectral_norm(a - a.conj().T) <= 1e-12 * scale:
-        w, v = np.linalg.eigh(hermitize(a))
-        return (v * np.exp(-t * w)) @ v.conj().T
-    # imported here: scipy.linalg is about half of the package's import time,
-    # and only this fallback needs it
-    import scipy.linalg
-    return scipy.linalg.expm(-t * a)
+    out = [np.full(blk.shape, np.nan, dtype=np.complex128) for blk in blocks]
+    lows = np.full(len(blocks), np.nan)
+    for idx, stack in _stacks(blocks):
+        w, v = np.linalg.eigh(hermitize(stack))
+        lows[idx] = w[:, 0]
+        values = (v * f(w)[:, np.newaxis, :]) @ np.swapaxes(v.conj(), -1, -2)
+        for i, value in zip(idx, values):
+            out[i] = value
+    return out, lows
 
 
-def psd_sqrt(a: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """Principal square root of a Hermitian PSD matrix.
+def expm_neg(blocks, t: float) -> list[np.ndarray]:
+    """exp(-t*a) for every square block a.
 
-    Eigenvalues in [-tol, 0) are clamped to 0; an eigenvalue below -tol
-    (or NaN) raises.  Returns the root and the largest clamp magnitude applied.
+    Hermitian blocks (adjoint residual at most 1e-12 * max(1, ||a||)) go
+    through ``hermitian_calculus``, exact up to the backward error of the
+    eigensolver; any other block, a non-finite one too, through scaling-and-squaring.
     """
-    w, v = np.linalg.eigh(hermitize(a))
-    lo = float(w[0])
-    if not lo >= -tol:
-        raise ValueError(f"matrix is not positive semidefinite: eigenvalue {lo}")
-    clamp = max(0.0, -lo)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T, clamp
+    residuals = spectral_norms([a - a.conj().T for a in blocks])
+    hermitian = residuals <= 1e-12 * np.maximum(1.0, spectral_norms(blocks))
+    out, _ = hermitian_calculus(blocks, lambda w: np.exp(-t * w))
+    for i in np.flatnonzero(~hermitian):
+        # imported here: scipy.linalg is about half of the package's import time,
+        # and only this fallback needs it
+        import scipy.linalg
+        out[i] = scipy.linalg.expm(-t * blocks[i])
+    return out
+
+
+def psd_sqrt(blocks) -> tuple[list, np.ndarray]:
+    """Principal roots of the Hermitian parts of ``blocks``, and their smallest eigenvalues.
+
+    Negative eigenvalues are clamped to 0; the caller decides which are rounding.
+    """
+    return hermitian_calculus(blocks, lambda w: np.sqrt(np.clip(w, 0.0, None)))

@@ -169,10 +169,10 @@ def damp_sequence(omegas, k_values) -> list[MatrixFamily]:
     out = []
     for F, k in zip(omegas, k_values):
         _require_normalized(F, "input family")
-        for lab, nrm in zip(F.labels, F.norms.tolist()):
-            if not nrm <= 1.0 + DAMP_INPUT_TOL:
-                raise ValueError(f"input block at {F.table.encode(lab)!r} has norm "
-                                 f"{nrm:.12g} > 1 + {DAMP_INPUT_TOL:g}")
+        over = np.flatnonzero(~(F.norms <= 1.0 + DAMP_INPUT_TOL))
+        if over.size:
+            raise ValueError(f"input block at {F.table.encode(F.labels[over[0]])!r} has norm "
+                             f"{F.norms[over[0]]:.12g} > 1 + {DAMP_INPUT_TOL:g}")
         out.append(convolve(F, damping_family(F.table, k)))
     return out
 

@@ -133,6 +133,8 @@ def cmd_semigroup(args) -> int:
     obj, digest = _load(args.gen)
     L = serialize.generator_from_obj(obj)
     ts = _knob("t", cli=args.t, many=True, least=0)
+    if len(set(ts)) < len(ts):  # each t names one output file, written once
+        raise InputError(f"--t: repeated value in {args.t!r}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     # every family is evaluated and checked before the first write: all files or none

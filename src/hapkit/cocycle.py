@@ -44,32 +44,22 @@ def factor_from_generator(L: GeneratingFunctional, tol: float = CLAMP_TOL) -> Co
     negative and raises.  The principal root is unique, so repeated runs
     are bitwise identical.
     """
-    blocks = {}
-    clamped = 0
-    worst_clamp = 0.0
-    for lab, blk in L.nontrivial_blocks():
-        gram = blk + blk.conj().T
-        try:
-            root, clamp = _linalg.psd_sqrt(gram, tol)
-        except ValueError as exc:
-            raise ValueError(f"block {L.table.encode(lab)!r}: {exc}") from None
-        if clamp > 0:
-            clamped += 1
-            worst_clamp = max(worst_clamp, clamp)
-        blocks[lab] = root
-    if clamped:
+    grams = {lab: blk + blk.conj().T for lab, blk in L.nontrivial_blocks()}
+    roots, lows = _linalg.psd_sqrt(list(grams.values()))
+    bad = np.flatnonzero(~(lows >= -tol))
+    if bad.size:
+        raise ValueError(f"block {L.table.encode(list(grams)[bad[0]])!r}: matrix is not "
+                         f"positive semidefinite: eigenvalue {float(lows[bad[0]])}")
+    if (lows < 0).any():
         logger.info("factor_from_generator: clamped %d blocks (worst magnitude %g)",
-                    clamped, worst_clamp)
-    return CocycleMatrices(L.table, blocks)
+                    np.count_nonzero(lows < 0), -lows.min())
+    return CocycleMatrices(L.table, dict(zip(grams, roots)))
 
 
 def gram_from_cocycle(c: CocycleMatrices) -> GeneratingFunctional:
     """Recover the symmetric functional with blocks (c^a)*(c^a) / 2."""
-    blocks = {}
-    for lab in c.labels:
-        gram = c.blocks[lab].conj().T @ c.blocks[lab]
-        blocks[lab] = _linalg.hermitize(gram) / 2.0
-    return GeneratingFunctional(c.table, blocks)
+    return GeneratingFunctional(c.table, {lab: _linalg.hermitize(blk.conj().T @ blk) / 2.0
+                                          for lab, blk in c.blocks.items()})
 
 
 def check_proper_cocycle(c: CocycleMatrices, M: float) -> PropernessResult:

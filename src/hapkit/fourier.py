@@ -82,15 +82,21 @@ class BlockMap:
     @functools.cached_property
     def norms(self) -> np.ndarray:
         """Read-only ||B|| of every block, aligned with ``labels``; NaN if non-finite."""
-        return self._scan(minus_identity=False)
+        return self._scan(tuple(self.blocks.values()))
 
     @functools.cached_property
     def deviations(self) -> np.ndarray:
         """Read-only ||B - I|| of every block, aligned with ``labels``."""
-        return self._scan(minus_identity=True)
+        return self._scan(tuple(self.blocks.values()), minus_identity=True)
 
-    def _scan(self, minus_identity: bool) -> np.ndarray:
-        values = _linalg.spectral_norms(tuple(self.blocks.values()), minus_identity)
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
+        """Read-only Hermitian residual ||B - B*|| of every block, aligned with ``labels``."""
+        return self._scan([b - b.conj().T for b in self.blocks.values()])
+
+    @staticmethod
+    def _scan(blocks, minus_identity: bool = False) -> np.ndarray:
+        values = _linalg.spectral_norms(blocks, minus_identity)
         values.setflags(write=False)
         return values
 

@@ -64,8 +64,7 @@ class PositivityCheck(NamedTuple):
 
 def check_symmetric(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> SymmetryCheck:
     """Largest operator-norm distance of any block from its adjoint (NaN if any is)."""
-    residuals = _linalg.spectral_norms([blk - blk.conj().T for blk in L.blocks.values()])
-    worst = float(np.max(residuals, initial=0.0))
+    worst = float(np.max(L.residuals, initial=0.0))
     return SymmetryCheck(worst <= tol, worst)
 
 
@@ -132,13 +131,13 @@ def check_proper(L: GeneratingFunctional, M: float) -> PropernessResult:
 def semigroup_at(L: GeneratingFunctional, t: float) -> MatrixFamily:
     """Family of the convolution semigroup at time t: blocks exp(-t * L^a).
 
-    Hermitian blocks are exponentiated by eigendecomposition, anything else
-    by scaling-and-squaring.  The result is a normalized family supported
-    where L is.
+    The result is a normalized family supported where L is; see
+    ``_linalg.expm_neg`` for how the blocks are exponentiated.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    blocks = {lab: _linalg.expm_neg(blk, t) for lab, blk in L.nontrivial_blocks()}
+    generator = dict(L.nontrivial_blocks())
+    blocks = dict(zip(generator, _linalg.expm_neg(list(generator.values()), t)))
     blocks[L.table.trivial] = np.ones((1, 1), dtype=np.complex128)
     return MatrixFamily(L.table, blocks, normalized=True)
 
@@ -210,36 +209,23 @@ def build_from_states(seq, betas=None, eps=None) -> tuple[GeneratingFunctional, 
 
     support = [lab for lab in table.labels
                if all(lab in F.blocks for F in seq) and lab != table.trivial]
-    per_family = [dict(zip(F.labels, F.deviations.tolist())) for F in seq]
-    deviations = {lab: [devs[lab] for devs in per_family] for lab in support}
-    blocks = {}
-    for lab in support:
-        dim = table.dim(lab)
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        eye = np.eye(dim)
-        for b, F in zip(betas, seq):
-            acc = acc + b * (eye - F.blocks[lab])
-        blocks[lab] = acc
+    blocks = {lab: sum(b * (np.eye(table.dim(lab)) - F.blocks[lab]) for b, F in zip(betas, seq))
+              for lab in support}
 
-    first_certified = {}
-    flagged = []
-    for lab in support:
-        devs = deviations[lab]
-        idx = None
-        for n0 in range(len(seq)):
-            if all(devs[n] <= eps[n] for n in range(n0, len(seq))):
-                idx = n0 + 1  # 1-based index into the schedule
-                break
-        first_certified[lab] = idx
-        if idx is None:
-            flagged.append(lab)
+    # ok[n, j]: ||I - block_n|| <= eps_n at support[j] (never at a NaN deviation)
+    in_support = set(support)
+    ok = np.array([F.deviations[[lab in in_support for lab in F.labels]] <= e
+                   for F, e in zip(seq, eps)])
+    # onward[n, j]: ok from n to the end of the range
+    onward = np.logical_and.accumulate(ok[::-1], axis=0)[::-1]
+    starts = onward.argmax(axis=0) + 1  # 1-based index into the schedule
+    first_certified = {lab: int(n) if certified else None
+                       for lab, n, certified in zip(support, starts, onward.any(axis=0))}
+    flagged = [lab for lab, n in first_certified.items() if n is None]
     if flagged:
         logger.info("build_from_states: epsilon certificate impossible for %d labels",
                     len(flagged))
-    f_sets = tuple(
-        frozenset(lab for lab in support if deviations[lab][n] <= eps[n])
-        for n in range(len(seq))
-    )
+    f_sets = tuple(frozenset(lab for lab, good in zip(support, row) if good) for row in ok)
     report = BuildReport(
         schedule=tuple(zip(betas, eps)),
         tail_bound=4.0 ** -len(seq) / 3.0 if _is_default_schedule(betas, eps) else None,

@@ -114,3 +114,42 @@ def block_min_eigenvalues(blocks):
     """One numpy eigvalsh call per block on (B + B*)/2; NaN for a non-finite block."""
     return [float(np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0])
             if np.isfinite(blk).all() else math.nan for blk in blocks]
+
+
+def block_expm_neg(blocks, t):
+    """exp(-t*a) one block at a time: one eigh on (a + a*)/2 when the adjoint
+    residual is at most 1e-12 * max(1, ||a||), scipy's expm otherwise."""
+    import scipy.linalg
+    out = []
+    for a in blocks:
+        norm, residual = block_norms([a, a - a.conj().T])
+        if residual <= 1e-12 * max(1.0, norm):
+            w, v = np.linalg.eigh((a + a.conj().T) / 2)
+            out.append((v * np.exp(-t * w)) @ v.conj().T)
+        else:
+            out.append(scipy.linalg.expm(-t * a))
+    return out
+
+
+def block_psd_sqrt(blocks):
+    """One eigh per block on (B + B*)/2: the root with negative eigenvalues
+    clamped to 0 and the smallest eigenvalue; NaN for a non-finite block."""
+    roots, lows = [], []
+    for blk in blocks:
+        if not np.isfinite(blk).all():
+            roots.append(np.full(blk.shape, math.nan, dtype=np.complex128))
+            lows.append(math.nan)
+            continue
+        w, v = np.linalg.eigh((blk + blk.conj().T) / 2)
+        roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+        lows.append(float(w[0]))
+    return roots, lows
+
+
+def first_certified(deviations, eps):
+    """Per label (one row of per-state deviations each), the 1-based first n
+    from which deviation <= eps holds to the end of the range, or None."""
+    n_states = len(eps)
+    return [next((n0 + 1 for n0 in range(n_states)
+                  if all(row[n] <= eps[n] for n in range(n0, n_states))), None)
+            for row in deviations]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import hapkit as hk
 import oracles
-from conftest import label_value, random_hermitian, zdual_family, zdual_table
+from conftest import FIXTURES, label_value, random_hermitian, run_cli, zdual_family, zdual_table
+from hapkit import serialize as sz
 from oracles import zdual_word_norm
 
 
@@ -389,3 +391,59 @@ class TestStackedEvaluation:
         fam = hk.cfree_state(random_normalized(rng, t1), random_normalized(rng, t2), wp)
         again = hk.MatrixFamily(wp, dict(fam.blocks), normalized=True)
         assert all(again.blocks[w] is blk for w, blk in fam.blocks.items())
+
+
+def _matrix_factor(rng, entries, n_stages):
+    """An explicit factor: Hermitian contractions of drawn norms, one family per stage."""
+    t = hk.make_table(entries)
+    families = []
+    for _ in range(n_stages):
+        blocks = {t.trivial: [[1.0]]}
+        for lab in t.nontrivial_labels:
+            blocks[lab] = random_hermitian(rng, t.dim(lab), float(rng.uniform(0.3, 1.0)))
+        families.append({"blocks": sz.blocks_to_obj(t, hk.MatrixFamily(t, blocks).blocks)})
+    return {"table": sz.table_to_obj(t), "families": families}
+
+
+def _freeprod_configs():
+    zz = json.loads((FIXTURES / "freeprod_zz.json").read_text())
+    rng = np.random.default_rng(11)
+    return {
+        "freeprod_zz": zz,
+        # unequal factors, and a schedule tight enough for many failing witnesses
+        "z-z2z3": {**zz, "factor2": {"group": "Z2*Z3", "radius": 2},
+                   "conv_tols": [1.0, 0.9, 0.6, 0.4, 0.2]},
+        "matrix-2x2": {"factor1": _matrix_factor(rng, [("x", 2), ("y", 1)], 3),
+                       "factor2": _matrix_factor(rng, [("u", 2)], 3),
+                       "k_values": [1, 2, 4], "max_word_length": 3, "eps_decay": 0.5,
+                       "conv_tols": [1.5, 1.2, 1.0], "damp": True},
+    }
+
+
+class TestFactorSwap:
+    """Swapping factor1 and factor2 renames every word but keeps its letter
+    blocks in order, so verdicts and witness values must not move."""
+
+    @staticmethod
+    def _conditions(config, path):
+        sz.dump_json(config, path)
+        res = run_cli("freeprod", path, "--json", path.with_suffix(".report.json"))
+        assert res.returncode in (0, 1), res.stderr
+        report = json.loads(path.with_suffix(".report.json").read_text())
+        return [(c["name"], c["passed"], sorted(w["achieved"] for w in c["witnesses"]))
+                for c in report["conditions"]]
+
+    @pytest.mark.parametrize("name", sorted(_freeprod_configs()))
+    def test_verdicts_and_witness_values_unchanged(self, name, tmp_path):
+        config = _freeprod_configs()[name]
+        swapped = {**config, "factor1": config["factor2"], "factor2": config["factor1"]}
+        before = self._conditions(config, tmp_path / "config.json")
+        after = self._conditions(swapped, tmp_path / "swapped.json")
+        assert [(n, ok, len(v)) for n, ok, v in after] == [
+            (n, ok, len(v)) for n, ok, v in before]
+        for (_, _, got), (_, _, expected) in zip(after, before):
+            if name.startswith("matrix"):
+                # permutation-similar blocks may round differently
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            else:
+                assert got == expected

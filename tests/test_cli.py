@@ -360,6 +360,14 @@ class TestRejectedInputs:
         assert res.returncode == 2
         assert b"eps_decay" in res.stderr
 
+    def test_semigroup_repeated_t_writes_no_file(self, tmp_path):
+        # 1 and 1.0 are one t: both would be written to semigroup_t1.0.json
+        source = _fixture_copy(tmp_path, "zdual_length_generator")
+        res = run_cli("semigroup", source, "--t", "1,1.0", "--out", tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith(b"error: --t: ")
+        assert [p.name for p in tmp_path.iterdir()] == [source.name]
+
     def test_semigroup_overflow_writes_no_file(self, tmp_path):
         # exp(-0.1 * -1000) is finite, exp(-1 * -1000) is not: no t may be written,
         # and the error line is all of stderr (no numpy warnings before it)

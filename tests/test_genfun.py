@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hapkit as hk
+import oracles
 from conftest import (label_value, random_hermitian, random_psd, random_psd_generator,
                       random_table, zdual_family, zdual_label, zdual_table)
 from oracles import scalar_quotient_extrapolation
@@ -283,6 +286,33 @@ class TestBuildFromStates:
         for lab in L.labels:
             blk = L.blocks[lab]
             assert np.array_equal(blk, blk.conj().T)
+
+
+# block values whose deviations 1 - b cross the default eps_n = 8^-n, and NaN
+_STATE_VALUES = st.sampled_from([1.0, 0.9, 0.99, 0.999, 0.9999, 0.5, math.nan])
+
+
+class TestBuildCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(_STATE_VALUES, min_size=n, max_size=n), min_size=1, max_size=6)))
+    def test_matches_the_per_label_oracle(self, rows):
+        """rows[j][n] is the 1x1 block of state n at label j."""
+        t = hk.make_table([(f"x{j}", 1) for j in range(len(rows))])
+        labels = t.nontrivial_labels
+        seq = [hk.MatrixFamily(t, {t.trivial: [[1.0]], **{lab: [[row[n]]]
+                                                         for lab, row in zip(labels, rows)}},
+                               normalized=True) for n in range(len(rows[0]))]
+        with np.errstate(all="ignore"):
+            _, report = hk.build_from_states(seq)
+        _, eps = hk.default_schedule(len(seq))
+        devs = [[F.deviations[j + 1] for F in seq] for j in range(len(rows))]
+        expected = oracles.first_certified(devs, eps)
+        assert [report.first_certified[lab] for lab in labels] == expected
+        assert report.flagged == tuple(lab for lab, n in zip(labels, expected) if n is None)
+        assert report.f_sets == tuple(
+            frozenset(lab for lab, row in zip(labels, devs) if row[n] <= eps[n])
+            for n in range(len(seq)))
 
 
 class TestGeneratorRecovery:

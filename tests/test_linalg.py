@@ -1,5 +1,6 @@
 """The stacked scans behind every per-label check, and the checks themselves."""
 
+import ast
 import math
 import subprocess
 import sys
@@ -62,6 +63,71 @@ class TestStackedScans:
             assert np.flatnonzero(np.isnan(values)).tolist() == [bad], name
             assert [v for i, v in enumerate(values.tolist()) if i != bad] == [
                 v for i, v in enumerate(expected[name]) if i != bad], name
+
+
+class TestHermitianCalculus:
+    @settings(max_examples=60, deadline=None)
+    @given(poisoned_blocks(), poisoned_blocks(general=True), st.floats(0.0, 3.0))
+    def test_equal_to_the_per_block_oracle(self, hermitian, general, t):
+        """Hermitian and general blocks share stacks split at 128 bytes; every
+        exponential, root and smallest eigenvalue is the per-block one, bitwise."""
+        _, poisoned, bad = hermitian
+        blocks = poisoned + general[0]
+        with mock.patch.object(_linalg, "STACK_BYTES", 128), np.errstate(all="ignore"):
+            got = _linalg.expm_neg(blocks, t), *_linalg.psd_sqrt(blocks)
+            expected = oracles.block_expm_neg(blocks, t), *oracles.block_psd_sqrt(blocks)
+        for name, values, oracle in zip(["expm_neg", "roots"], got, expected):
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(values, oracle)), name
+        assert np.array_equal(got[2], expected[2], equal_nan=True)
+        assert np.flatnonzero(np.isnan(got[2])).tolist() == [bad]
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=poisoned_blocks())
+    def test_factor_names_the_non_finite_block(self, drawn):
+        _, poisoned, bad = drawn
+        L = hk.GeneratingFunctional(*_scan_inputs(poisoned))
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=f"^block 'b{bad:02d}': .* eigenvalue nan$"):
+            hk.factor_from_generator(L)
+
+
+def _linalg_calls(path):
+    """(function, dotted name) of every numpy.linalg or scipy call and import in ``path``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        names = []
+        if isinstance(node, ast.Call):
+            parts, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                parts.append(func.attr)
+                func = func.value
+            if isinstance(func, ast.Name):
+                names.append(".".join([func.id, *reversed(parts)]))
+        elif isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        found.extend((scope, name) for name in names
+                     if name.split(".")[:2] in (["np", "linalg"], ["numpy", "linalg"])
+                     or name.split(".")[0] == "scipy")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_linear_algebra_runs_only_in_linalg():
+    """One numerics path: outside ``_linalg`` the only LAPACK call is the
+    Gram eigensolve of ``classical.schoenberg_check``."""
+    calls = {path.name: _linalg_calls(path)
+             for path in sorted((REPO_ROOT / "src" / "hapkit").glob("*.py"))
+             if path.name != "_linalg.py"}
+    assert {name: found for name, found in calls.items() if found} == {
+        "classical.py": [("schoenberg_check", "np.linalg.eigvalsh")]}
 
 
 def _scan_inputs(blocks):
