@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg
 from .genfun import GeneratingFunctional
 from .irreps import IrrepTable, make_table
 
@@ -150,20 +151,66 @@ def ball(spec: GroupSpec, radius: int) -> list[GroupElement]:
 
 def dual_irrep_table(spec: GroupSpec, radius: int) -> IrrepTable:
     """Irrep table of the dual: one 1-dimensional label per ball element."""
-    return make_table([(g.encode(), 1) for g in ball(spec, radius)], trivial_id="e")
+    return _dual_table(ball(spec, radius))
+
+
+def _dual_table(elements: list[GroupElement]) -> IrrepTable:
+    return make_table([(g.encode(), 1) for g in elements], trivial_id="e")
+
+
+def _merge_table(spec: GroupSpec, syllables: list[tuple[int, int]]) -> np.ndarray:
+    """Change in length(g^-1 h) from one syllable position of g and h.
+
+    Entry [a, b] is what syllables a (of g) and b (of h) add at the first
+    position where g and h differ, beyond their own costs: 0 across
+    generators, and cost(merged) - cost(a) - cost(b) for one generator, where
+    the merged syllable has exponent f - e (mod m for order m).  The diagonal
+    is -2 cost(a): a syllable both words share cancels.  The last row and
+    column are the padding past a word's end, and add nothing.
+    """
+    def cost(i, e):
+        m = spec.orders[i]
+        return abs(e) if m == 0 else min(e % m, m - e % m)
+
+    k = len(syllables)
+    table = np.zeros((k + 1, k + 1), dtype=np.int64)
+    for a, (i, e) in enumerate(syllables):
+        for b, (j, f) in enumerate(syllables):
+            if i == j:
+                table[a, b] = cost(i, f - e) - cost(i, e) - cost(j, f)
+    return table
 
 
 def length_gram(spec: GroupSpec, t: float, radius: int) -> np.ndarray:
-    """Gram matrix G[i, j] = exp(-t * length(g_i^{-1} g_j)) over a ball."""
+    """Gram matrix G[i, j] = exp(-t * length(g_i^{-1} g_j)) over a ball.
+
+    The lengths come from the reduced syllable words, with no group
+    multiplication: g_i^{-1} g_j drops the common prefix of the two words and
+    merges their first differing syllables if both use one generator.  One
+    pass per syllable position over n x n compact integers; each distance d
+    maps to ``math.exp(-t * d)``.
+    """
     elements = ball(spec, radius)
-    inverses = [g.inverse() for g in elements]
-    n = len(elements)
-    gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            d = length(inverses[i] * elements[j])
-            gram[i, j] = gram[j, i] = math.exp(-t * d)
-    return gram
+    ids: dict[tuple[int, int], int] = {}
+    words = [[ids.setdefault(s, len(ids)) for s in g.word] for g in elements]
+    # codes[k, i]: the k-th syllable of element i, or len(ids) past its end
+    codes = np.full((max(map(len, words)), len(words)), len(ids),
+                    dtype=np.min_scalar_type(len(ids)))
+    for i, word in enumerate(words):
+        codes[:len(word), i] = word
+    # a distance is at most 2 * radius, and a table entry at least -2 * radius
+    dtype = np.min_scalar_type(-2 * radius - 1)
+    table = _merge_table(spec, list(ids)).astype(dtype)
+    lengths = np.array([length(g) for g in elements], dtype=dtype)
+    dist = lengths[:, None] + lengths[None, :]
+    agree = np.ones(dist.shape, dtype=bool)
+    for col in codes:
+        step = table[col][:, col]
+        step *= agree
+        dist += step
+        agree &= col[:, None] == col[None, :]
+    lut = np.array([math.exp(-t * x) for x in range(2 * radius + 1)])
+    return lut[dist]
 
 
 def schoenberg_check(spec: GroupSpec, t: float, radius: int,
@@ -171,17 +218,26 @@ def schoenberg_check(spec: GroupSpec, t: float, radius: int,
     """Positive-definiteness desk check for the kernel exp(-t*length).
 
     Passes iff the smallest eigenvalue of the Gram matrix over the radius-R
-    ball is >= -tol.  The default tolerance 1e-8 is scaled by the matrix
-    dimension, matching the backward stability of dense symmetric
-    eigensolvers at this size.  A failing check is a result, not an error.
+    ball is >= -tol; a non-finite Gram has smallest eigenvalue NaN and fails.
+    The default tolerance 1e-8 is scaled by the matrix dimension, matching
+    the backward stability of dense symmetric eigensolvers at this size.  A
+    failing check is a result, not an error.
     """
+    passed, min_eig, _ = _schoenberg(spec, t, radius, tol)
+    return passed, min_eig
+
+
+def _schoenberg(spec: GroupSpec, t: float, radius: int,
+                tol: float | None) -> tuple[bool, float, int]:
+    """``schoenberg_check``, and the number n of ball elements (an n x n Gram)."""
     if t <= 0:
         raise ValueError("t must be positive")
     gram = length_gram(spec, t, radius)
+    n = gram.shape[0]
     if tol is None:
-        tol = 1e-8 * gram.shape[0]
-    min_eig = float(np.linalg.eigvalsh(gram)[0])
-    return (min_eig >= -tol), min_eig
+        tol = 1e-8 * n
+    min_eig = float(_linalg.min_eigenvalues([gram])[0])
+    return (min_eig >= -tol), min_eig, n
 
 
 def length_functional(spec: GroupSpec, radius: int) -> GeneratingFunctional:
@@ -191,12 +247,10 @@ def length_functional(spec: GroupSpec, radius: int) -> GeneratingFunctional:
     scalar [length(g)]; its semigroup at time t has blocks exp(-t*length(g)),
     the kernels certified by :func:`schoenberg_check`.
     """
-    table = dual_irrep_table(spec, radius)
-    blocks = {}
-    for g in ball(spec, radius):
-        if g.is_identity:
-            continue
-        blocks[table.decode(g.encode())] = [[float(length(g))]]
+    elements = ball(spec, radius)
+    table = _dual_table(elements)
+    blocks = {table.decode(g.encode()): [[float(length(g))]]
+              for g in elements if not g.is_identity}
     return GeneratingFunctional(table, blocks)
 
 

@@ -207,8 +207,7 @@ def cmd_freeprod(args) -> int:
 def cmd_schoenberg(args) -> int:
     spec = classical.parse_group(args.group)
     t = _knob("t", cli=args.t)
-    passed, min_eig = classical.schoenberg_check(spec, t, args.radius, tol=args.tol)
-    n = len(classical.ball(spec, args.radius))
+    passed, min_eig, n = classical._schoenberg(spec, t, args.radius, args.tol)
     digest = content_digest({"group": args.group, "t": t, "radius": args.radius})
     report = CertificationReport(
         command="schoenberg",

@@ -47,6 +47,23 @@ def free_group_ball_size(rank: int, radius: int) -> int:
     return total
 
 
+def word_length_gram(elements, t: float) -> np.ndarray:
+    """exp(-t * length(g^-1 h)) over ``elements`` by group arithmetic: one
+    multiply-and-reduce of reduced words per pair, and the word metric's
+    letter costs |e| (infinite order) or min(e, m - e) (order m)."""
+    def length(g):
+        return sum(abs(e) if g.spec.orders[i] == 0 else min(e, g.spec.orders[i] - e)
+                   for i, e in g.word)
+
+    n = len(elements)
+    gram = np.empty((n, n))
+    for i in range(n):
+        inverse = elements[i].inverse()
+        for j in range(i, n):
+            gram[i, j] = gram[j, i] = math.exp(-t * length(inverse * elements[j]))
+    return gram
+
+
 def zdual_values(radius: int):
     """Label values n = -radius..radius of the integer-group dual."""
     return list(range(-radius, radius + 1))

@@ -1,10 +1,14 @@
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hapkit as hk
-from oracles import alternating_count, free_group_ball_size
+from oracles import alternating_count, free_group_ball_size, word_length_gram
 
 F2 = hk.GroupSpec((0, 0))
 Z = hk.GroupSpec((0,))
@@ -155,6 +159,75 @@ class TestSchoenberg:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             hk.schoenberg_check(F2, 0.0, 1)
+
+
+@st.composite
+def ball_specs(draw):
+    """(spec, radius): 1-3 generators of orders in {0, 2, 3, 4, 5, 7}, radius
+    0-4, lowered until the ball has at most 200 elements."""
+    spec = hk.GroupSpec(tuple(draw(st.lists(st.sampled_from([0, 2, 3, 4, 5, 7]),
+                                            min_size=1, max_size=3))))
+    radius = draw(st.integers(0, 4))
+    while len(hk.ball(spec, radius)) > 200:
+        radius -= 1
+    return spec, radius
+
+
+class TestLengthGram:
+    """``length_gram`` reads distances off syllable words; the oracle multiplies."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ball_specs(), st.floats(0.0, 5.0, exclude_min=True))
+    def test_matches_group_arithmetic(self, drawn, t):
+        spec, radius = drawn
+        want = word_length_gram(hk.ball(spec, radius), t)
+        assert hk.length_gram(spec, t, radius).tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(ball_specs())
+    def test_distances_are_a_metric(self, drawn):
+        spec, radius = drawn
+        # exp(-d) for d <= 8 gives every integer distance back exactly
+        d = np.rint(-np.log(hk.length_gram(spec, 1.0, radius))).astype(int)
+        assert (d == d.T).all()
+        assert (np.diag(d) == 0).all() and (d[~np.eye(len(d), dtype=bool)] > 0).all()
+        for j in range(len(d)):
+            assert (d <= d[:, [j]] + d[[j], :]).all()
+
+    @pytest.mark.parametrize("orders,radius,t", [((3, 4), 6, 0.7), ((2, 3), 10, 0.9)])
+    def test_workload_scale(self, orders, radius, t):
+        spec = hk.GroupSpec(orders)
+        want = word_length_gram(hk.ball(spec, radius), t)
+        assert hk.length_gram(spec, t, radius).tobytes() == want.tobytes()
+
+    def test_temporaries_stay_small(self):
+        # the distances are built one syllable position at a time in compact
+        # integers; an n x n x S int64 broadcast would need far more
+        spec = hk.GroupSpec((3, 4))
+        tracemalloc.start()
+        try:
+            gram = hk.length_gram(spec, 0.5, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gram.shape == (392, 392)
+        assert peak <= 6 * gram.nbytes
+
+    @pytest.mark.parametrize("orders,radius,t", [
+        ((0, 0), 3, 1.0), ((3, 4), 4, 0.5), ((3, 4), 6, 0.5), ((2, 3), 10, 0.9),
+        ((2, 2), 2, 1e-12), ((0,), 5, 1.0)])
+    def test_min_eigenvalue_is_the_gram_eigvalsh(self, orders, radius, t):
+        spec = hk.GroupSpec(orders)
+        gram = hk.length_gram(spec, t, radius)
+        got = hk.schoenberg_check(spec, t, radius)[1]
+        assert got == float(np.linalg.eigvalsh(gram)[0])
+
+    def test_non_finite_gram_fails_closed(self, monkeypatch):
+        from hapkit import classical
+        monkeypatch.setattr(classical, "length_gram",
+                            lambda spec, t, radius: np.full((3, 3), np.nan))
+        passed, min_eig = hk.schoenberg_check(F2, 1.0, 1)
+        assert not passed and math.isnan(min_eig)
 
 
 class TestParseGroup:

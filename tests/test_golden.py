@@ -31,6 +31,7 @@ CASES = {
     "freeprod_fail": ["freeprod", "freeprod_fail.json"],
     "schoenberg_f2": ["schoenberg", "--group", "F2", "--radius", "3"],
     "schoenberg_z3z4": ["schoenberg", "--group", "Z3*Z4", "--radius", "4", "--t", "0.5"],
+    "schoenberg_z2z3_r10": ["schoenberg", "--group", "Z2*Z3", "--radius", "10", "--t", "0.9"],
     "semigroup": ["semigroup", "fixtures/zdual_length_generator.json", "--t", "0.5,1",
                   "--out", "sg"],
     "cocycle_length": ["cocycle", "fixtures/zdual_length_generator.json", "--M", "8",

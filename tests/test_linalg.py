@@ -121,13 +121,11 @@ def _linalg_calls(path):
 
 
 def test_linear_algebra_runs_only_in_linalg():
-    """One numerics path: outside ``_linalg`` the only LAPACK call is the
-    Gram eigensolve of ``classical.schoenberg_check``."""
+    """One numerics path: no module but ``_linalg`` makes a LAPACK call."""
     calls = {path.name: _linalg_calls(path)
              for path in sorted((REPO_ROOT / "src" / "hapkit").glob("*.py"))
              if path.name != "_linalg.py"}
-    assert {name: found for name, found in calls.items() if found} == {
-        "classical.py": [("schoenberg_check", "np.linalg.eigvalsh")]}
+    assert {name: found for name, found in calls.items() if found} == {}
 
 
 def _scan_inputs(blocks):
