@@ -41,7 +41,8 @@ def as_block(mat, dim: int | None = None) -> np.ndarray:
 def _stacks(blocks):
     """(indices, stack) pairs covering the finite square ``blocks``.
 
-    Blocks of one side are stacked, at most ``STACK_BYTES`` at a time.  A
+    Blocks of one side are stacked, at most ``STACK_BYTES`` at a time; a
+    stack of one block is a view of it, not a copy.  A
     block with a non-finite entry is left out, since a LAPACK call on it
     would raise for the whole stack.
     """
@@ -52,7 +53,8 @@ def _stacks(blocks):
         step = max(1, STACK_BYTES // (16 * d * d))
         for start in range(0, len(idx), step):
             chunk = np.array(idx[start:start + step])
-            stack = np.stack([blocks[i] for i in chunk])
+            stack = blocks[chunk[0]][np.newaxis] if len(chunk) == 1 \
+                else np.stack([blocks[i] for i in chunk])
             finite = np.isfinite(stack).all(axis=(-2, -1))
             if finite.all():
                 yield chunk, stack
@@ -99,8 +101,15 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part of a matrix or of every matrix in a stack."""
-    return (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
+    """Hermitian part of a matrix or of every matrix in a stack.
+
+    One temporary, the adjoint, then summed and halved in place: bitwise
+    (a + a*) / 2, since addition commutes.
+    """
+    h = np.conjugate(np.swapaxes(a, -1, -2))  # a new array, even for real ``a``
+    h += a
+    h /= 2.0
+    return h
 
 
 def hermitian_calculus(blocks, f) -> tuple[list, np.ndarray]:

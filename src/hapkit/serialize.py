@@ -16,11 +16,20 @@ Matrices are lists of rows of [re, im] pairs.  Block keys are label ids for
 plain tables and "i1:id1|i2:id2|..." word encodings (empty string for the
 trivial word) for free-product tables.  Writing is deterministic: canonical
 label order, sorted keys, fixed separators.
+
+In memory, ``blocks_to_obj`` maps each key to the block's complex128 array,
+and ``dump_json`` writes the array in the layout json.dumps(..., indent=2)
+gives its nested lists, byte for byte.  ``blocks_from_obj`` converts all
+matrices of one side with one numpy call and hands out read-only views,
+which ``BlockMap`` adopts without a copy.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,30 +47,6 @@ class SchemaError(ValueError):
 def _expect(cond: bool, where: str, what: str) -> None:
     if not cond:
         raise SchemaError(f"{where}: {what}")
-
-
-def matrix_to_obj(block: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(block)]
-
-
-def matrix_from_obj(obj, where: str) -> np.ndarray:
-    _expect(isinstance(obj, list) and obj, where, "matrix must be a nonempty list of rows")
-    n = len(obj)
-    out = np.empty((n, n), dtype=np.complex128)
-    for i, row in enumerate(obj):
-        _expect(isinstance(row, list) and len(row) == n, where,
-                f"row {i} must have {n} entries")
-        for j, entry in enumerate(row):
-            _expect(isinstance(entry, list) and len(entry) == 2
-                    and isinstance(entry[0], (int, float)) and not isinstance(entry[0], bool)
-                    and isinstance(entry[1], (int, float)) and not isinstance(entry[1], bool),
-                    where, f"entry ({i},{j}) must be an [re, im] pair of numbers")
-            try:
-                out[i, j] = complex(entry[0], entry[1])
-            except OverflowError:  # a JSON integer beyond the float range
-                raise SchemaError(f"{where}: entry ({i},{j}) must be finite") from None
-    _expect(np.isfinite(out).all(), where, "entries must be finite")
-    return out
 
 
 def table_to_obj(table) -> dict:
@@ -115,19 +100,88 @@ def table_from_obj(obj, where: str = "table"):
 
 
 def blocks_to_obj(table, blocks) -> dict:
-    return {table.encode(lab): matrix_to_obj(blk) for lab, blk in blocks.items()}
+    """Block key -> the block as a complex128 array (not a copy for a block map's blocks)."""
+    return {table.encode(lab): np.asarray(blk, dtype=np.complex128) for lab, blk in blocks.items()}
 
 
 def blocks_from_obj(table, obj, where: str) -> dict:
+    """Label -> read-only block of a 'blocks' object.
+
+    The matrices of one side are checked and converted together; when any
+    is malformed, the error names the first fault in file order.
+    """
     _expect(isinstance(obj, dict), where, "'blocks' must be an object")
-    out = {}
+    try:
+        labels = [table.decode(key) for key in obj]
+    except KeyError:
+        raise _first_fault(table, obj, where) from None
+    mats = list(obj.values())
+    by_side = {}
+    for i, mat in enumerate(mats):
+        by_side.setdefault(len(mat) if type(mat) is list else 0, []).append(i)
+    out = [None] * len(mats)
+    for side, idx in by_side.items():
+        stack = _read_stack(side, [mats[i] for i in idx])
+        if stack is None:
+            raise _first_fault(table, obj, where)
+        for i, blk in zip(idx, stack):
+            out[i] = blk
+    return dict(zip(labels, out))
+
+
+def _read_stack(side: int, mats: list):
+    """Read-only (k, side, side) complex128 stack of ``mats``, or None unless each
+    is a list of ``side`` rows of ``side`` [re, im] pairs of finite JSON numbers."""
+    if side == 0:  # not a nonempty list
+        return None
+    try:
+        numbers = np.array(mats, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):  # ragged, non-numeric or beyond the float range
+        return None
+    if numbers.shape != (len(mats), side, side, 2):
+        return None
+    rows = list(chain.from_iterable(mats))
+    pairs = list(chain.from_iterable(rows))
+    if not ({*map(type, rows), *map(type, pairs)} == {list}
+            and {*map(type, chain.from_iterable(pairs))} <= {int, float}
+            and np.isfinite(numbers).all()):
+        return None
+    numbers.setflags(write=False)
+    return numbers.view(np.complex128)[..., 0]
+
+
+def _first_fault(table, obj: dict, where: str) -> SchemaError:
+    """The error for the first unknown key or malformed matrix of a rejected 'blocks' object."""
     for key, mat in obj.items():
         try:
-            label = table.decode(key)
+            table.decode(key)
         except KeyError as exc:
-            raise SchemaError(f"{where}: unknown block key {key!r} ({exc})") from None
-        out[label] = matrix_from_obj(mat, f"{where}.blocks[{key!r}]")
-    return out
+            return SchemaError(f"{where}: unknown block key {key!r} ({exc})")
+        fault = _matrix_fault(mat)
+        if fault is not None:
+            return SchemaError(f"{where}.blocks[{key!r}]: {fault}")
+    return SchemaError(f"{where}: malformed 'blocks'")  # fail closed if no fault is named
+
+
+def _matrix_fault(mat) -> str | None:
+    """What is wrong with one matrix, checked row by row and entry by entry; None if nothing."""
+    if not (type(mat) is list and mat):
+        return "matrix must be a nonempty list of rows"
+    n = len(mat)
+    for i, row in enumerate(mat):
+        if not (type(row) is list and len(row) == n):
+            return f"row {i} must have {n} entries"
+        for j, pair in enumerate(row):
+            if not (type(pair) is list and len(pair) == 2
+                    and {type(pair[0]), type(pair[1])} <= {int, float}):
+                return f"entry ({i},{j}) must be an [re, im] pair of numbers"
+            try:
+                complex(*pair)
+            except OverflowError:  # a JSON integer beyond the float range
+                return f"entry ({i},{j}) must be finite"
+    if not all(map(math.isfinite, chain.from_iterable(chain.from_iterable(mat)))):
+        return "entries must be finite"
+    return None
 
 
 def _map_to_obj(M, kind: str | None) -> dict:
@@ -186,10 +240,62 @@ def load_json(path) -> object:
         raise SchemaError(f"{path}: malformed JSON ({exc})") from None
 
 
+_INDENT = "  "
+
+
 def dump_json(obj, path) -> None:
-    """Write strict JSON: a NaN or infinite value raises and writes nothing."""
+    """Write ``obj`` as json.dumps(obj, sort_keys=True, indent=2) would, with
+    every ndarray leaf written as a matrix of [re, im] pairs.
+
+    Strict JSON: a NaN or infinite value raises and writes nothing.
+    """
+    out = []
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        _render(obj, 0, out)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    Path(path).write_text(text + "\n")
+    out.append("\n")
+    with open(path, "w") as fh:  # piece by piece: no second copy of the whole text
+        fh.writelines(out)
+
+
+def _render(obj, depth: int, out: list) -> None:
+    """Append the text of ``obj`` nested ``depth`` levels deep to ``out``."""
+    if isinstance(obj, np.ndarray):
+        out.append(_matrix_text(obj, depth))
+        return
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except TypeError:  # json met an array: lay this container out here
+        if not isinstance(obj, (dict, list, tuple)):
+            raise
+    else:
+        out.append(text.replace("\n", "\n" + _INDENT * depth))
+        return
+    is_dict = isinstance(obj, dict)
+    out.append("{" if is_dict else "[")
+    for n, item in enumerate(sorted(obj.items()) if is_dict else obj):
+        out.append(("," if n else "") + "\n" + _INDENT * (depth + 1))
+        if is_dict:
+            key, item = item
+            out.append(json.encoder.encode_basestring_ascii(key) + ": ")
+        _render(item, depth + 1, out)
+    out.append("\n" + _INDENT * depth + ("}" if is_dict else "]"))
+
+
+def _matrix_text(a: np.ndarray, depth: int) -> str:
+    """The text of one array: its interleaved real and imaginary parts in its template."""
+    numbers = np.ascontiguousarray(a, dtype=np.complex128).reshape(-1).view(np.float64)
+    finite = np.isfinite(numbers)
+    if not finite.all():
+        bad = float(numbers[np.argmin(finite)])
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    return _matrix_template(a.shape, depth) % tuple(map(float.__repr__, numbers.tolist()))
+
+
+@functools.lru_cache(maxsize=16)
+def _matrix_template(shape: tuple, depth: int) -> str:
+    """json's indent=2 text of an array of [re, im] pairs nested ``depth`` levels
+    deep, with one %s per number."""
+    text = json.dumps(np.zeros(shape + (2,), dtype=int).tolist(), indent=2)
+    return text.replace("0", "%s").replace("\n", "\n" + _INDENT * depth)

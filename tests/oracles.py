@@ -8,6 +8,7 @@ into the code paths it is used to check.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from functools import reduce
 
@@ -170,3 +171,64 @@ def first_certified(deviations, eps):
     return [next((n0 + 1 for n0 in range(n_states)
                   if all(row[n] <= eps[n] for n in range(n0, n_states))), None)
             for row in deviations]
+
+
+def matrix_to_obj(block) -> list:
+    """A matrix as nested lists: rows of [re, im] pairs of Python floats."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(block)]
+
+
+def nested_json_text(obj) -> str:
+    """json.dumps(..., sort_keys=True, indent=2, allow_nan=False) of ``obj``, and a
+    newline, after every array leaf is turned into nested lists by ``matrix_to_obj``."""
+    def lists(o):
+        if isinstance(o, np.ndarray):
+            return matrix_to_obj(o)
+        if isinstance(o, dict):
+            return {k: lists(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [lists(v) for v in o]
+        return o
+    return json.dumps(lists(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class SchemaFault(ValueError):
+    """A rejected input of the per-entry reader below."""
+
+
+def matrix_from_obj(obj, where: str) -> np.ndarray:
+    """One matrix, checked and converted entry by entry, row by row."""
+    def expect(cond, what):
+        if not cond:
+            raise SchemaFault(f"{where}: {what}")
+
+    expect(isinstance(obj, list) and obj, "matrix must be a nonempty list of rows")
+    n = len(obj)
+    out = np.empty((n, n), dtype=np.complex128)
+    for i, row in enumerate(obj):
+        expect(isinstance(row, list) and len(row) == n, f"row {i} must have {n} entries")
+        for j, entry in enumerate(row):
+            expect(isinstance(entry, list) and len(entry) == 2
+                   and isinstance(entry[0], (int, float)) and not isinstance(entry[0], bool)
+                   and isinstance(entry[1], (int, float)) and not isinstance(entry[1], bool),
+                   f"entry ({i},{j}) must be an [re, im] pair of numbers")
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:  # a JSON integer beyond the float range
+                raise SchemaFault(f"{where}: entry ({i},{j}) must be finite") from None
+    expect(np.isfinite(out).all(), "entries must be finite")
+    return out
+
+
+def blocks_from_obj(table, obj, where: str) -> dict:
+    """A 'blocks' object read key by key in file order, each matrix by ``matrix_from_obj``."""
+    if not isinstance(obj, dict):
+        raise SchemaFault(f"{where}: 'blocks' must be an object")
+    out = {}
+    for key, mat in obj.items():
+        try:
+            label = table.decode(key)
+        except KeyError as exc:
+            raise SchemaFault(f"{where}: unknown block key {key!r} ({exc})") from None
+        out[label] = matrix_from_obj(mat, f"{where}.blocks[{key!r}]")
+    return out

@@ -430,3 +430,47 @@ class TestExitCodeProperty:
         assert res.returncode in (0, 1, 2)
         if res.returncode == 1:
             assert b"overall: FAIL" in res.stdout
+
+
+_POISONED_RUNS = [
+    ("zdual_length_generator", lambda src, d: ["cocycle", src, "--M", "8",
+                                               "--out", f"{d}/cocycle.json"]),
+    ("unit_shift_generator", lambda src, d: ["cocycle", src, "--M", "1",
+                                             "--out", f"{d}/cocycle.json"]),
+    ("zdual_length_generator", lambda src, d: ["semigroup", src, "--t", "0.5,1",
+                                               "--out", f"{d}/sg"]),
+    ("unit_shift_generator", lambda src, d: ["semigroup", src, "--t", "1", "--out", f"{d}/sg"]),
+    ("buildgen_zdual", lambda src, d: ["buildgen", src, "--out", f"{d}/gen.json"]),
+    ("zdual_hap_pass", lambda src, d: ["certify-hap", src]),
+]
+# a number no fixture holds, rendered by json.dumps as written here
+_SENTINEL = 271828.18284
+
+
+class TestPoisonedBlockFailsClosed:
+    """One non-finite, overflowing or boolean matrix entry in a generator or
+    states file: exit 2 with one error line, and no file written."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=st.sampled_from(_POISONED_RUNS), literal=st.sampled_from(
+               ["NaN", "Infinity", "-Infinity", "1e400", "true"]), data=st.data())
+    def test_exits_2_with_one_error_line_and_writes_nothing(self, run, literal, data):
+        name, argv = run
+        obj = json.loads((FIXTURES / f"{name}.json").read_text())
+        maps = [obj["blocks"]] if "blocks" in obj else [f["blocks"] for f in obj["families"]]
+        blocks = data.draw(st.sampled_from(maps))
+        matrix = blocks[data.draw(st.sampled_from(sorted(blocks)))]
+        row = data.draw(st.sampled_from(matrix))
+        pair = data.draw(st.sampled_from(row))
+        pair[data.draw(st.integers(0, 1))] = _SENTINEL
+        text = json.dumps(obj)
+        assert text.count(repr(_SENTINEL)) == 1
+        with tempfile.TemporaryDirectory() as d:
+            source = Path(d) / f"{name}.json"
+            source.write_text(text.replace(repr(_SENTINEL), literal))
+            res = run_cli(*argv(source, d), "--json", f"{d}/report.json")
+            written = sorted(p.name for p in Path(d).iterdir())
+        assert res.returncode == 2
+        lines = res.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert written == [source.name]

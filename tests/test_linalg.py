@@ -4,6 +4,7 @@ import ast
 import math
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -266,3 +267,25 @@ class TestNonFiniteNorms:
         with np.errstate(all="ignore"):
             sym = hk.check_symmetric(L)
         assert math.isnan(sym.residual) and not sym.ok
+
+
+def test_gram_eigen_scan_copies_the_gram_at_most_once():
+    """The only block of its side is not stacked, and the Hermitian part takes
+    one temporary: the scan adds at most about one Gram to the peak."""
+    gram = hk.length_gram(hk.GroupSpec((3, 4)), 0.5, 7)
+    tracemalloc.start()
+    try:
+        values = _linalg.min_eigenvalues([gram])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * gram.nbytes
+    assert values[:1].tobytes() == np.linalg.eigvalsh(gram)[:1].tobytes()
+
+
+def test_hermitize_leaves_its_argument_alone(rng):
+    for a in (rng.standard_normal((3, 4, 4)), rng.standard_normal((4, 4)) + 1j):
+        before = a.copy()
+        h = _linalg.hermitize(a)
+        assert np.array_equal(a, before)
+        assert h.tobytes() == ((before + np.swapaxes(before.conj(), -1, -2)) / 2.0).tobytes()

@@ -1,11 +1,24 @@
 import json
+import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hapkit as hk
+import oracles
+from hapkit import _linalg
 from hapkit import serialize as sz
 from conftest import random_psd_generator, random_table, zdual_table
+
+
+def through_file(obj, path):
+    """``obj`` written by ``dump_json`` and read back as JSON."""
+    sz.dump_json(obj, path)
+    return sz.load_json(path)
 
 
 class TestTableRoundtrip:
@@ -60,15 +73,15 @@ class TestFamilyRoundtrip:
         for lab in F.labels:
             assert np.array_equal(back.blocks[lab], F.blocks[lab])
 
-    def test_word_table_family(self, rng):
+    def test_word_table_family(self, rng, tmp_path):
         t1 = hk.make_table([("a", 2)])
         t2 = hk.make_table([("X", 1)])
         wp = hk.free_product_table(t1, t2, 2)
-        st = hk.cfree_state(hk.counit_family(t1), hk.counit_family(t2), wp)
-        back = sz.family_from_obj(sz.family_to_obj(st))
-        for w in st.labels:
+        state = hk.cfree_state(hk.counit_family(t1), hk.counit_family(t2), wp)
+        back = sz.family_from_obj(through_file(sz.family_to_obj(state), tmp_path / "f.json"))
+        for w in state.labels:
             assert np.array_equal(back.blocks[back.table.decode(w.encode())],
-                                  st.blocks[w])
+                                  state.blocks[w])
 
     def test_unknown_block_key_rejected(self):
         t = hk.make_table([("a", 1)])
@@ -95,10 +108,10 @@ class TestFamilyRoundtrip:
 
 
 class TestGeneratorRoundtrip:
-    def test_roundtrip(self, rng):
+    def test_roundtrip(self, rng, tmp_path):
         table = random_table(rng, 5, 3)
         L = random_psd_generator(rng, table, 4.0)
-        back = sz.generator_from_obj(sz.generator_to_obj(L))
+        back = sz.generator_from_obj(through_file(sz.generator_to_obj(L), tmp_path / "g.json"))
         for lab in L.labels:
             assert np.array_equal(back.blocks[lab], L.blocks[lab])
 
@@ -118,10 +131,10 @@ class TestGeneratorRoundtrip:
 
 
 class TestCocycleRoundtrip:
-    def test_roundtrip(self, rng):
+    def test_roundtrip(self, rng, tmp_path):
         table = random_table(rng, 5, 3)
         c = hk.factor_from_generator(random_psd_generator(rng, table, 4.0))
-        back = sz.cocycle_from_obj(sz.cocycle_to_obj(c))
+        back = sz.cocycle_from_obj(through_file(sz.cocycle_to_obj(c), tmp_path / "c.json"))
         for lab in c.labels:
             assert np.array_equal(back.blocks[lab], c.blocks[lab])
 
@@ -180,7 +193,7 @@ class TestScalarKinds:
     @pytest.mark.parametrize("entry", [[True, 0.0], [1.0, False]])
     def test_boolean_matrix_entry_rejected(self, entry):
         with pytest.raises(sz.SchemaError, match="pair of numbers"):
-            sz.matrix_from_obj([[entry]], "m")
+            sz.blocks_from_obj(hk.make_table([("a", 1)]), {"a": [[entry]]}, "m")
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10 ** 400])
     def test_nonfinite_matrix_entry_rejected(self, value, tmp_path):
@@ -192,3 +205,179 @@ class TestScalarKinds:
         path.write_text(json.dumps(obj))
         with pytest.raises(sz.SchemaError, match="finite"):
             sz.family_from_obj(sz.load_json(path))
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.0, -2.0, 3.0e15,
+                9999999999999998.0, 1e16, -1.0000000000000002e16, 1e22,
+                0.0001, 9.999999999999999e-05, 0.00010000000000000002, -1e-05,
+                1.7976931348623157e308]
+_NUMBERS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(-10 ** 6, 10 ** 6).map(float),
+                     st.floats(1e-5, 1e-3), st.floats(1e15, 1e17))
+_IDS = st.one_of(st.text(st.characters(exclude_characters="|:"), min_size=1, max_size=3),
+                 st.sampled_from(['"', "\\", 'a"\\b', "é", "☃", "\n", "\x7f"]))
+
+
+@st.composite
+def block_maps(draw):
+    """(table, blocks): a plain table with sides 1-6 or a free-product table,
+    and blocks of drawn values at a drawn subset of its labels (maybe none)."""
+    def plain(max_labels, max_dim):
+        ids = draw(st.lists(_IDS.filter(lambda i: i != "1"), max_size=max_labels, unique=True))
+        return hk.make_table([(i, draw(st.integers(1, max_dim))) for i in ids])
+
+    if draw(st.booleans()):
+        table = plain(5, 6)
+    else:
+        table = hk.free_product_table(plain(2, 2), plain(2, 2), draw(st.integers(0, 2)))
+    labels = draw(st.lists(st.sampled_from(table.labels), unique=True))
+    blocks = {}
+    for lab in labels:
+        d = table.dim(lab)
+        numbers = draw(st.lists(_NUMBERS, min_size=2 * d * d, max_size=2 * d * d))
+        blocks[lab] = np.array(numbers).view(np.complex128).reshape(d, d)
+    return table, blocks
+
+
+def _as_written(table, blocks, layout):
+    """A block map in one of the layouts hapkit writes: a family file, or a
+    states file that nests the blocks two levels deeper."""
+    if layout == "family":
+        return sz.family_to_obj(hk.MatrixFamily(table, blocks))
+    return {"table": sz.table_to_obj(table),
+            "families": [{"blocks": sz.blocks_to_obj(table, blocks), "normalized": False}]}
+
+
+class TestWriterBytes:
+    """``dump_json`` writes arrays from templates; the bytes are those of the
+    nested-list writer, ``json.dumps(..., indent=2)``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(drawn=block_maps(), layout=st.sampled_from(["family", "states"]))
+    def test_bytes_equal_the_nested_list_writer(self, drawn, layout, tmp_path_factory):
+        obj = _as_written(*drawn, layout)
+        path = tmp_path_factory.mktemp("w") / "out.json"
+        sz.dump_json(obj, path)
+        assert path.read_bytes() == oracles.nested_json_text(obj).encode()
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=block_maps().filter(lambda drawn: drawn[1]),
+           layout=st.sampled_from(["family", "states"]), data=st.data())
+    def test_non_finite_value_gives_the_oracle_message_and_no_file(
+            self, drawn, layout, data, tmp_path_factory):
+        table, blocks = drawn
+        for lab in data.draw(st.lists(st.sampled_from(list(blocks)), min_size=1, max_size=2)):
+            numbers = blocks[lab].copy().view(np.float64).reshape(-1)
+            numbers[data.draw(st.integers(0, numbers.size - 1))] = data.draw(
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+            blocks[lab] = numbers.view(np.complex128).reshape(blocks[lab].shape)
+        obj = _as_written(table, blocks, layout)
+        path = tmp_path_factory.mktemp("w") / "out.json"
+        with pytest.raises(ValueError) as expected:
+            oracles.nested_json_text(obj)
+        with pytest.raises(ValueError) as got:
+            sz.dump_json(obj, path)
+        assert str(got.value) == f"{path}: {expected.value}"
+        assert not path.exists()
+
+    def test_peak_memory_is_a_small_multiple_of_the_file(self, rng, tmp_path):
+        L = random_psd_generator(rng, random_table(rng, 1000, 5), 4.0)
+        path = tmp_path / "generator.json"
+        tracemalloc.start()
+        try:
+            sz.dump_json(sz.generator_to_obj(L), path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * path.stat().st_size
+
+
+_TABLE = hk.make_table([("a", 2), ("b", 1), ("c", 1)])
+_A = [[[1.0, 0.0], [0.5, -0.25]], [[0.5, 0.25], [2.0, 0.0]]]
+_B = [[[0.5, 0.0]]]
+
+
+def _with_entry(value, i=0, j=1, matrix=_A):
+    """``matrix`` with entry (i, j) replaced by ``value``."""
+    out = json.loads(json.dumps(matrix))
+    out[i][j] = value
+    return out
+
+
+_MALFORMED = {
+    "bool": {"a": _with_entry([True, 0.0]), "b": _B},
+    "str": {"a": _with_entry([1.0, "0.5"]), "b": _B},
+    "none": {"a": _with_entry([None, 0.0]), "b": _B},
+    "nested-list-number": {"a": _with_entry([[1.0], 0.0]), "b": _B},
+    "one-element-pair": {"a": _with_entry([1.0]), "b": _B},
+    "three-element-pair": {"a": _with_entry([1.0, 0.0, 0.0]), "b": _B},
+    "pair-is-number": {"a": _with_entry(1.0), "b": _B},
+    "ragged-row": {"a": [_A[0], _A[1][:1]], "b": _B},
+    "empty-matrix": {"a": [], "b": _B},
+    "matrix-is-number": {"b": 0.5},
+    "non-list-row": {"a": [_A[0], 5], "b": _B},
+    "string-row": {"a": [_A[0], "ab"], "b": _B},
+    "overflowing-integer": {"a": _with_entry([10 ** 400, 0.0]), "b": _B},
+    "overflowing-imaginary": {"b": [[[0.5, -10 ** 400]]]},
+    "nan": {"a": _with_entry([math.nan, 0.0]), "b": _B},
+    "infinity": {"a": _A, "b": [[[0.5, math.inf]]]},
+    "minus-infinity": {"a": _with_entry([-math.inf, 0.0], 1, 1), "b": _B},
+    "side-not-dim": {"a": _B, "b": _B},
+    "two-errors-first-of-two-sides": {"b": [[[math.nan, 0.0]]], "a": _with_entry([True, 0.0])},
+    "two-errors-first-of-two-sides-reversed": {"a": _with_entry([True, 0.0]),
+                                               "b": [[[math.nan, 0.0]]]},
+    "type-after-non-finite-in-one-matrix": {"a": _with_entry([True, 0.0], 1, 0,
+                                                             _with_entry([math.nan, 0.0]))},
+    "overflow-after-non-finite-in-one-matrix": {
+        "a": _with_entry([10 ** 400, 0.0], 1, 0, _with_entry([math.nan, 0.0]))},
+    # side 1 (b, c) is converted before side 2 (a), but a comes first in the file
+    "first-fault-in-a-side-checked-later": {"b": _B, "a": _with_entry([True, 0.0]),
+                                             "c": [[[math.nan, 0.0]]]},
+    "unknown-key-after-bad-matrix": {"a": _with_entry([True, 0.0]), "zz": _B},
+    "bad-matrix-after-unknown-key": {"zz": _B, "a": _with_entry([True, 0.0])},
+    "blocks-not-object": [_A],
+}
+_ACCEPTED = {
+    "mixed": {"a": _A, "b": _B},
+    "integers-and-edges": {"a": [[[1, -0.0], [2 ** 70 + 1, 5e-324]],
+                                 [[-(2 ** 1023), 0], [1.7976931348623157e308, -1]]],
+                           "b": [[[0, 0]]]},
+    "file-order-not-table-order": {"b": _B, "a": _A},
+    "empty": {},
+}
+
+
+def _read(blocks, reader):
+    """A family file with these blocks, as written to disk, read with ``reader`` as
+    ``serialize.blocks_from_obj``: the family, or the error text."""
+    obj = json.loads(json.dumps({"table": sz.table_to_obj(_TABLE), "blocks": blocks}))
+    with mock.patch.object(sz, "blocks_from_obj", reader):
+        try:
+            return sz.family_from_obj(obj)
+        except ValueError as exc:
+            return exc
+
+
+class TestReaderParity:
+    """One bulk conversion per side accepts exactly what the per-entry loop
+    accepts, with its values, and rejects the rest with its message."""
+
+    @pytest.mark.parametrize("blocks", _MALFORMED.values(), ids=_MALFORMED)
+    def test_rejects_with_the_oracle_text(self, blocks):
+        got = _read(blocks, sz.blocks_from_obj)
+        expected = _read(blocks, oracles.blocks_from_obj)
+        assert isinstance(got, sz.SchemaError) and isinstance(expected, ValueError)
+        assert str(got) == str(expected)
+
+    @pytest.mark.parametrize("blocks", _ACCEPTED.values(), ids=_ACCEPTED)
+    def test_accepts_the_oracle_values_without_copies(self, blocks):
+        got = _read(blocks, sz.blocks_from_obj)
+        expected = _read(blocks, oracles.blocks_from_obj)
+        assert got.labels == expected.labels
+        for lab in got.labels:
+            assert got.blocks[lab].tobytes() == expected.blocks[lab].tobytes()
+        read = sz.blocks_from_obj(_TABLE, json.loads(json.dumps(blocks)), "x")
+        assert all(_linalg._frozen(blk) for blk in read.values())
+        adopted = hk.MatrixFamily(_TABLE, read)
+        assert all(adopted.blocks[lab] is blk for lab, blk in read.items())
