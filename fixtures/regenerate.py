@@ -66,6 +66,31 @@ def main():
         "conv_tols": [1.0, 0.99, 0.9, 0.7, 0.45],
     }, sort_keys=True, indent=2) + "\n")
 
+    # freeprod FAIL with explicit Hermitian letters of sides 1-3 and 1-2, damped,
+    # words up to length 2 (sides <= 6): unit-norm letters in both factors make
+    # words such as 1:a|2:x and 2:x|1:a tie in exact arithmetic, and the tight
+    # second tolerance leaves failing witnesses at k=6 only
+    f1 = hk.make_table([("a", 1), ("b", 2), ("c", 3)])
+    f2 = hk.make_table([("w", 2), ("x", 1)])
+    letters1 = {f1.trivial: [[1.0]], f1.decode("a"): [[1.0]],
+                f1.decode("b"): [[0.6, 0.4j], [-0.4j, 0.6]],
+                f1.decode("c"): [[0.3, 0.2, 0.1j], [0.2, -0.5, 0.1], [-0.1j, 0.1, 0.2]]}
+    letters2 = {f2.trivial: [[1.0]], f2.decode("x"): [[-1.0]],
+                f2.decode("w"): [[0.7, 0.2 + 0.1j], [0.2 - 0.1j, -0.4]]}
+    sz.dump_json({
+        "factor1": {"table": sz.table_to_obj(f1),
+                    "families": [{"blocks": sz.blocks_to_obj(f1, letters1),
+                                  "normalized": True}] * 2},
+        "factor2": {"table": sz.table_to_obj(f2),
+                    "families": [{"blocks": sz.blocks_to_obj(f2, letters2),
+                                  "normalized": True}] * 2},
+        "k_values": [2, 6],
+        "conv_tols": [2.0, 1.35],
+        "eps_decay": 0.5,
+        "max_word_length": 2,
+        "damp": True,
+    }, HERE / "freeprod_matrix.json")
+
     # generators for the semigroup / cocycle / buildgen commands
     sz.dump_json(sz.generator_to_obj(hk.length_functional(hk.GroupSpec((0,)), 4)),
                  HERE / "zdual_length_generator.json")

@@ -29,6 +29,7 @@ CASES = {
     "certify_hap_malformed": ["certify-hap", "fixtures/malformed.json"],
     "freeprod_zz": ["freeprod", "fixtures/freeprod_zz.json"],
     "freeprod_fail": ["freeprod", "freeprod_fail.json"],
+    "freeprod_matrix": ["freeprod", "fixtures/freeprod_matrix.json"],
     "schoenberg_f2": ["schoenberg", "--group", "F2", "--radius", "3"],
     "schoenberg_z3z4": ["schoenberg", "--group", "Z3*Z4", "--radius", "4", "--t", "0.5"],
     "schoenberg_z2z3_r10": ["schoenberg", "--group", "Z2*Z3", "--radius", "10", "--t", "0.9"],
