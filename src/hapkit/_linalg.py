@@ -87,6 +87,20 @@ def min_eigenvalues(blocks) -> np.ndarray:
     return _stacked(blocks, lambda stack: np.linalg.eigvalsh(hermitize(stack))[:, 0])
 
 
+def hermitian_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """(n, d) ascending eigenvalues of an (n, d, d) stack, one row per block.
+
+    A row is NaN unless its block is finite and equal to its adjoint entry
+    for entry, so the eigenvalues are those of the block itself.
+    """
+    out = np.full(stack.shape[:2], np.nan)
+    for idx, chunk in _stacks(stack):
+        hermitian = (chunk == np.conjugate(np.swapaxes(chunk, -1, -2))).all(axis=(-2, -1))
+        if hermitian.any():
+            out[idx[hermitian]] = np.linalg.eigvalsh(chunk[hermitian])
+    return out
+
+
 # The next three are unused by hapkit; kept because the benchmark tracer wraps them by name.
 def spectral_norm(a: np.ndarray) -> float:
     return float(spectral_norms([np.asarray(a)])[0])

@@ -20,9 +20,11 @@ import math
 
 import numpy as np
 
-from .fourier import (DEFAULT_TOL, MatrixFamily, _c0_condition, _constant_blocks,
-                      _identity_condition, _norm_bound_condition, _require_normalized,
-                      convolve, family_content_digest, max_block_deviation)
+from . import _linalg
+from .fourier import (DEFAULT_TOL, C0Result, MatrixFamily, _c0_condition, _constant_blocks,
+                      _identity_condition, _norm_bound_condition, _require_c0_eps,
+                      _require_normalized, _rows, convolve, family_content_digest,
+                      max_block_deviation)
 from .genfun import GeneratingFunctional
 from .irreps import FreeProductTable
 from .reports import CertificationReport
@@ -35,35 +37,54 @@ def _check_factor_tables(wp: FreeProductTable, F1, F2) -> None:
         raise ValueError("factor data does not match the word table's factors")
 
 
-def _word_stacks(F1, F2, wp: FreeProductTable):
-    """The nontrivial words of ``wp``, grouped by their (factor, letter dim) sequence.
+def _letter_stacks(F1, F2):
+    """Where the letter blocks of F1 and F2 sit: (slots, stacks).
 
-    Yields (words, stacks) per group, words in table order, where
-    ``stacks[j][i]`` is the block of F1 or F2 at the j-th letter of
-    ``words[i]``.
+    ``stacks[factor, side]`` stacks the factor's nontrivial blocks of that
+    side in table order, and ``slots[factor, label id]`` is the (stack key,
+    row) of one letter.
     """
-    slots, letter_stacks = {}, {}
+    slots, stacks = {}, {}
     for fi, F in ((1, F1), (2, F2)):
         by_dim = {}
         for lab, blk in F.nontrivial_blocks():
             same_dim = by_dim.setdefault(blk.shape[0], [])
             slots[fi, lab.id] = (fi, blk.shape[0]), len(same_dim)
             same_dim.append(blk)
-        letter_stacks.update(((fi, d), np.stack(blks)) for d, blks in by_dim.items())
+        stacks.update(((fi, d), np.stack(blks)) for d, blks in by_dim.items())
+    return slots, stacks
+
+
+def _word_groups(wp: FreeProductTable, slots) -> list:
+    """The nontrivial words of ``wp``, grouped by their sequence of letter stacks.
+
+    One (key, words, positions, index) per group, words in table order:
+    ``positions[i]`` is the place of ``words[i]`` in ``wp`` and
+    ``index[i, j]`` the row of its j-th letter in the stack ``key[j]``.
+    """
     groups = {}
     try:
-        for word, _ in wp:
+        for pos, (word, _) in enumerate(wp):
             if word.letters:
                 key, rows = zip(*[slots[fi, lab.id] for fi, lab in word.letters])
-                words, index = groups.setdefault(key, ([], []))
+                words, positions, index = groups.setdefault(key, ([], [], []))
                 words.append(word)
+                positions.append(pos)
                 index.append(rows)
     except KeyError as exc:
         fi, lab_id = exc.args[0]
         raise KeyError(f"missing letter block: factor {fi}, label {lab_id!r}") from None
-    for key, (words, index) in groups.items():
-        index = np.array(index)
-        yield words, [letter_stacks[k][index[:, j]] for j, k in enumerate(key)]
+    return [(key, words, np.array(positions), np.array(index))
+            for key, (words, positions, index) in groups.items()]
+
+
+def _word_stacks(letters, wp: FreeProductTable):
+    """(words, stacks) per group of ``_word_groups``, where ``stacks[j][i]``
+    is the letter block at the j-th letter of ``words[i]``; ``letters`` is
+    what ``_letter_stacks`` returns."""
+    slots, stacks = letters
+    for key, words, _, index in _word_groups(wp, slots):
+        yield words, [stacks[k][index[:, j]] for j, k in enumerate(key)]
 
 
 def _kron_fold(stacks) -> np.ndarray:
@@ -90,6 +111,14 @@ def _word_blocks(words, stack: np.ndarray) -> dict:
     return dict(zip(words, stack))
 
 
+def _state_letters(phi1: MatrixFamily, phi2: MatrixFamily, wp: FreeProductTable):
+    """``_letter_stacks`` of two normalized factor families of ``wp``."""
+    _check_factor_tables(wp, phi1, phi2)
+    _require_normalized(phi1, "factor 1 family")
+    _require_normalized(phi2, "factor 2 family")
+    return _letter_stacks(phi1, phi2)
+
+
 def cfree_state(phi1: MatrixFamily, phi2: MatrixFamily,
                 wp: FreeProductTable) -> MatrixFamily:
     """Conditionally free product family on the word table.
@@ -98,11 +127,9 @@ def cfree_state(phi1: MatrixFamily, phi2: MatrixFamily,
     factor blocks in letter order; the trivial word gets [1].  Words with
     the same letter dimensions are built together, as one stack.
     """
-    _check_factor_tables(wp, phi1, phi2)
-    _require_normalized(phi1, "factor 1 family")
-    _require_normalized(phi2, "factor 2 family")
+    letters = _state_letters(phi1, phi2, wp)
     blocks = _word_blocks([wp.trivial], np.ones((1, 1, 1), dtype=np.complex128))
-    for words, stacks in _word_stacks(phi1, phi2, wp):
+    for words, stacks in _word_stacks(letters, wp):
         blocks.update(_word_blocks(words, _kron_fold(stacks)))
     return MatrixFamily(wp, blocks, normalized=True)
 
@@ -116,7 +143,7 @@ def cfree_generator(L1: GeneratingFunctional, L2: GeneratingFunctional,
     """
     _check_factor_tables(wp, L1, L2)
     blocks = {}
-    for words, stacks in _word_stacks(L1, L2, wp):
+    for words, stacks in _word_stacks(_letter_stacks(L1, L2), wp):
         eyes = [np.broadcast_to(np.eye(s.shape[1], dtype=np.complex128), s.shape)
                 for s in stacks]
         side = math.prod(s.shape[1] for s in stacks)
@@ -177,13 +204,105 @@ def damp_sequence(omegas, k_values) -> list[MatrixFamily]:
     return out
 
 
+# Unit roundoff of float64.
+_U = np.finfo(np.float64).eps / 2
+
+
+class _WordValues:
+    """||W|| and ||W - I|| of every word block W of one stage, in table order.
+
+    ``norms`` and ``deviations`` are read from the letters, without forming
+    W.  For Hermitian letters A_j, W = A_1 x ... x A_l is Hermitian with the
+    products of the letters' eigenvalues as its eigenvalues (Van Loan, "The
+    ubiquitous Kronecker product", JCAM 2000), so ||W|| = prod_j max|lambda|
+    and ||W - I|| = max |prod_j lambda - 1|.  A word with a letter that is
+    not finite or not exactly Hermitian gets NaN.
+
+    ``margins`` bound the gap between these values and the ones the formed
+    block gives, which ``exact`` computes on demand.  With side D = prod d_j
+    and N = max(1, prod ||A_j||), first-order backward-error bounds (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002) give: each
+    eigenvalue of A_j is off by at most about d_j u ||A_j||, so the products
+    by about (sum d_j + l) u N; the formed block carries l - 1 roundings per
+    entry, at most about l sqrt(D) u N in norm; its SVD is off by about
+    D u N.  ``margins`` = 32 l (D + sum d_j) u N covers their sum with room:
+    a test keeps the gap seen below an eighth of it.  The trivial word's
+    values, 1 and 0, are exact.
+    """
+
+    def __init__(self, F1, F2, wp: FreeProductTable, layouts: dict):
+        slots, self._letters = _state_letters(F1, F2, wp)
+        key = tuple(slots.items())
+        if key not in layouts:  # stages with the same letter layout share their word groups
+            groups = _word_groups(wp, slots)
+            where = np.zeros((len(wp), 2), dtype=np.intp)  # (group, row) of every word
+            for g, (_, _, positions, _) in enumerate(groups):
+                where[positions] = np.column_stack([np.full(len(positions), g),
+                                                    np.arange(len(positions))])
+            layouts[key] = groups, where
+        self._groups, self._where = layouts[key]
+        n = len(wp)
+        self.norms, self.deviations, self.margins = np.ones(n), np.zeros(n), np.zeros(n)
+        spectra = {k: _linalg.hermitian_eigenvalues(stack) for k, stack in self._letters.items()}
+        for key, _, positions, index in self._groups:
+            letters = [spectra[k][index[:, j]] for j, k in enumerate(key)]
+            norm, products = np.abs(letters[0]).max(axis=1), letters[0]
+            for lam in letters[1:]:
+                norm = norm * np.abs(lam).max(axis=1)
+                products = (products[:, :, np.newaxis] * lam[:, np.newaxis, :]).reshape(
+                    len(lam), -1)
+            sides = [d for _, d in key]
+            self.norms[positions] = norm
+            self.deviations[positions] = np.abs(products - 1.0).max(axis=1)
+            self.margins[positions] = (32 * len(key) * (math.prod(sides) + sum(sides)) * _U
+                                       * np.maximum(1.0, norm))
+        self.margins[~np.isfinite(self.margins)] = np.nan
+        self._exact = {False: self.norms.copy(), True: self.deviations.copy()}
+        self._known = {False: self.margins == 0, True: self.margins == 0}
+
+    def exact(self, positions: np.ndarray, minus_identity: bool) -> np.ndarray:
+        """||W|| (or ||W - I||) of the formed blocks at ``positions``: the value
+        ``_linalg.spectral_norms`` gives for the ``_kron_fold`` of the letters."""
+        values, known = self._exact[minus_identity], self._known[minus_identity]
+        todo = positions[~known[positions]]
+        for g in np.unique(self._where[todo, 0]):
+            at = todo[self._where[todo, 0] == g]
+            key, _, _, index = self._groups[g]
+            rows = index[self._where[at, 1]]
+            blocks = _kron_fold([self._letters[k][rows[:, j]] for j, k in enumerate(key)])
+            values[at] = _linalg.spectral_norms(blocks, minus_identity)
+            known[at] = True
+        return values[positions]
+
+    def c0_result(self, eps: float, words) -> C0Result:
+        """The words whose norm is not <= eps, deciding from the estimate where the margin allows."""
+        unsure = np.flatnonzero(~((self.norms + self.margins <= eps)
+                                  | (self.norms - self.margins > eps)))
+        over = self.norms - self.margins > eps
+        over[unsure] = ~(self.exact(unsure, False) <= eps)
+        return C0Result(eps=eps, exceptional=tuple(words[i] for i in np.flatnonzero(over)),
+                        unspecified=(), tail_clean=True, table_size=len(words))
+
+
+def _stagewise(stages, positions: np.ndarray, minus_identity: bool):
+    """``exact`` for condition rows that run stage-major over ``positions``."""
+    def exact(rows):
+        stage, col = np.divmod(rows, len(positions))
+        out = np.empty(len(rows))
+        for s in np.unique(stage):
+            here = stage == s
+            out[here] = stages[s].exact(positions[col[here]], minus_identity)
+        return out
+    return exact
+
+
 def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
                           conv_tols, k_values, tol: float = DEFAULT_TOL,
                           input_digest: str | None = None) -> CertificationReport:
     """Word-table certification of the free-product approximation argument.
 
     For each stage k the conditionally free product of the factor families
-    is formed on the word table and three conditions are checked:
+    is taken on the word table and three conditions are checked:
 
     (a) word-norm-bound: a word of length l has block norm <= exp(-l/k)+tol
         (Kronecker products multiply spectral norms, so damped letters give
@@ -192,23 +311,37 @@ def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
     (c) c0-decay: the exceptional set at eps_decay is finite inside the
         truncation, tail verified, with at least one label decayed.
 
-    Failures are reported with witnesses, never raised.
+    Each word is decided from its letters' eigenvalues (``_WordValues``);
+    a word block is formed only when its margin cannot settle a row, or
+    when the report shows the row.  Every reported value is the formed
+    block's.  Failures are reported with witnesses, never raised.
     """
     seq1, seq2 = list(seq1), list(seq2)
     k_values = list(k_values)
     conv_tols = [float(x) for x in conv_tols]
     if not (len(seq1) == len(seq2) == len(k_values) == len(conv_tols)):
         raise ValueError("seq1, seq2, k_values and conv_tols must have equal length")
-    products = [cfree_state(F1, F2, wp) for F1, F2 in zip(seq1, seq2)]
+    layouts = {}
+    stages = [_WordValues(F1, F2, wp, layouts) for F1, F2 in zip(seq1, seq2)]
+    words = wp.labels
+    everywhere = np.arange(len(wp))
+    lengths = np.array([len(w) for w in words[1:]], dtype=int)  # the trivial word comes first
     contexts = [f"k={k}" for k in k_values]
     conditions = (
         _norm_bound_condition(
             "word-norm-bound", "length-l word blocks damped below exp(-l/k) + tol",
-            products, wp, k_values, tol, len, lambda i, l: f"{contexts[i]}, length {l}"),
-        _identity_condition(products, wp, conv_tols, contexts,
-                            "per-word ||block - I|| within the stage tolerance schedule"),
-        _c0_condition(products, wp, eps_decay, contexts, "word"),
+            [(words[1:], lengths, s.norms[1:]) for s in stages], wp, k_values, tol,
+            lambda i, l: f"{contexts[i]}, length {l}",
+            margin=_rows(s.margins[1:] for s in stages),
+            exact=_stagewise(stages, everywhere[1:], False)),
+        _identity_condition([s.deviations for s in stages], wp, conv_tols, contexts,
+                            "per-word ||block - I|| within the stage tolerance schedule",
+                            margin=_rows(s.margins for s in stages),
+                            exact=_stagewise(stages, everywhere, True)),
     )
+    _require_c0_eps(eps_decay)
+    c0 = _c0_condition([s.c0_result(eps_decay, words) for s in stages], wp, eps_decay,
+                       contexts, "word")
 
     return CertificationReport(
         command="freeprod",
@@ -216,7 +349,7 @@ def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
         truncation=(f"word table: {len(wp)} words (max word length {wp.max_word_length}); "
                     f"factor1: {len(wp.factor1)} labels; factor2: {len(wp.factor2)} labels"),
         tolerances=(("tol", tol), ("eps_decay", eps_decay)),
-        conditions=conditions,
+        conditions=conditions + (c0,),
         notes=(f"conv_tols: {', '.join(f'{x:g}' for x in conv_tols)}",
                f"k_values: {', '.join(str(k) for k in k_values)}"),
     )

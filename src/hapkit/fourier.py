@@ -202,17 +202,20 @@ class C0Result:
         return self.table_size - len(self.exceptional) - len(self.unspecified)
 
 
+def _require_c0_eps(eps: float) -> None:
+    """A state's blocks have norm at most 1, so only an ``eps`` in (0, 1) certifies decay."""
+    if not 0 < eps < 1:
+        raise ValueError(f"eps_decay (the c0 threshold) must lie in (0, 1), got {eps:g}")
+
+
 def check_c0(F: MatrixFamily, eps: float) -> C0Result:
     """Labels whose block norm is not verified <= ``eps`` (NaN counts as above).
 
     ``tail_clean`` records whether every remaining table label actually
     carries a block that was verified <= eps; unspecified labels make the
-    scan inconclusive outside the support and are listed separately.  A
-    state's blocks have norm at most 1, so ``eps`` must lie in (0, 1) to
-    certify any decay.
+    scan inconclusive outside the support and are listed separately.
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps_decay (the c0 threshold) must lie in (0, 1), got {eps:g}")
+    _require_c0_eps(eps)
     labels = F.labels
     exceptional = [labels[i] for i in np.flatnonzero(~(F.norms <= eps))]
     unspecified = tuple(lab for lab in F.table.labels if lab not in F.blocks)
@@ -294,14 +297,13 @@ def _c0_verdict(res: C0Result, table, ctx: str):
         context=f"{ctx}: exceptional labels within truncation")
 
 
-def _c0_condition(families, table, eps_decay, contexts, noun: str) -> ConditionVerdict:
-    """c0-decay verdict over a family sequence, one context string per family.
+def _c0_condition(results, table, eps_decay, contexts, noun: str) -> ConditionVerdict:
+    """c0-decay verdict over one ``C0Result`` per family, one context string each.
 
     Fails with every failing family's witness; otherwise reports the family
     with the most exceptional labels.
     """
-    results = [_c0_verdict(check_c0(F, eps_decay), table, ctx)
-               for F, ctx in zip(families, contexts)]
+    results = [_c0_verdict(res, table, ctx) for res, ctx in zip(results, contexts)]
     failed = tuple(w for ok, w in results if not ok)
     worst = max((w for _, w in results), key=lambda w: w.achieved, default=None)
     return ConditionVerdict(
@@ -311,68 +313,97 @@ def _c0_condition(families, table, eps_decay, contexts, noun: str) -> ConditionV
                 f"tail verified <= {eps_decay:g}")
 
 
-def _threshold_condition(name: str, summary: str, rows, encode,
-                         failed=()) -> ConditionVerdict:
-    """Verdict over lazily produced (label, achieved, threshold, context) rows.
+def _threshold_condition(name: str, summary: str, estimate, threshold, witness,
+                         failed=(), margin=0.0, exact=None) -> ConditionVerdict:
+    """Verdict over rows held as arrays, in row order.
 
-    A row holds only when ``achieved <= threshold``, so NaN on either side
-    fails closed.  Every failing row becomes a witness, after the ``failed``
-    witnesses found up front; when nothing fails, the row with the largest
-    achieved - threshold is reported instead.  Labels are encoded and
-    witnesses built only for the rows that are reported.
+    Row r holds only when its achieved value a <= threshold[r], so NaN on
+    either side fails closed.  Up front only ``estimate`` is known, with
+    |a - estimate[r]| <= margin[r] even after the sum estimate + margin is
+    rounded; a margin of 0 means the estimate is a.  ``exact(rows)`` gives
+    a at an ascending index array; it is asked only for the rows whose
+    bracket does not clear the threshold and for those that may be the worst
+    row.  Every failing row becomes a witness, after the ``failed``
+    witnesses found up front; when nothing fails, the first row of largest
+    a - threshold is reported instead.  ``witness(r, a)`` builds the witness
+    of a reported row, so labels are encoded only for those.
     """
-    witnesses = list(failed)
-    worst = None
-    for label, achieved, threshold, context in rows:
-        if not achieved <= threshold:
-            witnesses.append(Witness(encode(label), achieved, threshold, context))
-        elif worst is None or achieved - threshold > worst[0]:
-            worst = (achieved - threshold, label, achieved, threshold, context)
+    achieved = np.array(estimate, dtype=float)
+    threshold = np.asarray(threshold, dtype=float)
+    margin = np.broadcast_to(np.asarray(margin, dtype=float), achieved.shape)
+    unknown = margin != 0
+
+    def settle(rows):
+        rows = rows[unknown[rows]]
+        if rows.size:
+            achieved[rows] = exact(rows)
+            unknown[rows] = False
+
+    settle(np.flatnonzero(~(achieved + margin <= threshold)))
+    witnesses = list(failed) + [witness(int(r), float(achieved[r]))
+                                for r in np.flatnonzero(~(achieved <= threshold))]
     passed = not witnesses
-    if passed and worst is not None:
-        _, label, achieved, threshold, context = worst
-        witnesses = [Witness(encode(label), achieved, threshold, context)]
+    if passed and achieved.size:
+        # the worst row is among those whose slack can reach the best sure slack
+        low = np.where(unknown, (achieved - margin) - threshold, achieved - threshold)
+        high = np.where(unknown, (achieved + margin) - threshold, achieved - threshold)
+        settle(np.flatnonzero(high >= low.max()))
+        r = int(np.argmax(np.where(unknown, -np.inf, achieved - threshold)))
+        witnesses = [witness(r, float(achieved[r]))]
     return ConditionVerdict(name=name, passed=passed, witnesses=tuple(witnesses),
                             summary=summary)
 
 
-def _identity_condition(families, table, conv_tols, contexts,
-                        summary: str) -> ConditionVerdict:
+def _rows(per_family) -> np.ndarray:
+    """The per-family value arrays laid end to end: the row order of a condition."""
+    return np.concatenate([np.empty(0), *per_family])
+
+
+def _identity_condition(deviations, table, conv_tols, contexts, summary: str,
+                        unspecified=None, margin=0.0, exact=None) -> ConditionVerdict:
     """identity-convergence: ||block_k - I|| <= conv_tols[k] at every table label.
 
-    An unspecified block fails; so does a tolerance schedule that increases.
+    ``deviations[k]`` holds family k's values in table order, inf where
+    ``unspecified[k]`` marks a label without a block, which fails; so does a
+    tolerance schedule that increases.
     """
     failed = ()
     if any(b > a for a, b in zip(conv_tols, conv_tols[1:])):
         failed = (Witness(label="*", achieved=max(conv_tols), threshold=conv_tols[0],
                           context="conv_tols schedule is not nonincreasing"),)
+    labels, n = table.labels, len(table)
 
-    def rows():
-        for F, thr, ctx in zip(families, conv_tols, contexts):
-            deviation = dict(zip(F.labels, F.deviations.tolist()))
-            for lab in F.table.labels:
-                dev = deviation.get(lab)
-                if dev is None:
-                    yield lab, math.inf, thr, f"{ctx}: block unspecified"
-                else:
-                    yield lab, dev, thr, ctx
-    return _threshold_condition("identity-convergence", summary, rows(), table.encode, failed)
+    def witness(r, achieved):
+        k, j = divmod(r, n)
+        gap = unspecified is not None and unspecified[k][j]
+        return Witness(table.encode(labels[j]), achieved, conv_tols[k],
+                       f"{contexts[k]}: block unspecified" if gap else contexts[k])
+    return _threshold_condition("identity-convergence", summary, _rows(deviations),
+                                np.repeat(conv_tols, n), witness, failed, margin, exact)
 
 
 def _norm_bound_condition(name: str, summary: str, families, table, k_values,
-                          tol: float, length, context) -> ConditionVerdict:
-    """Block norm <= exp(-l/k) + tol at every supported label of length l >= 1.
+                          tol: float, context, margin=0.0, exact=None) -> ConditionVerdict:
+    """Block norm <= exp(-l/k) + tol at every row.
 
-    ``length`` maps a label to its length (0 skips it) and ``context(i, l)``
-    names family i at length l.
+    ``families[i]`` is (labels, lengths, norms) of family i: the labels of
+    its rows, their lengths (each >= 1) and the block norms there;
+    ``context(i, l)`` names family i at length l.
     """
-    def rows():
-        for i, (F, k) in enumerate(zip(families, k_values)):
-            for lab, norm in zip(F.labels, F.norms.tolist()):
-                l = length(lab)
-                if l:
-                    yield lab, norm, math.exp(-l / k) + tol, context(i, l)
-    return _threshold_condition(name, summary, rows(), table.encode)
+    thresholds = [np.array([math.exp(-l / k) + tol
+                            for l in range(int(lengths.max(initial=0)) + 1)])[lengths]
+                  for (_, lengths, _), k in zip(families, k_values)]
+    ends = np.cumsum([len(lengths) for _, lengths, _ in families])
+    threshold = _rows(thresholds)
+
+    def witness(r, achieved):
+        i = int(np.searchsorted(ends, r, side="right"))
+        labels, lengths, _ = families[i]
+        j = r - (int(ends[i - 1]) if i else 0)
+        return Witness(table.encode(labels[j]), achieved, float(threshold[r]),
+                       context(i, int(lengths[j])))
+    return _threshold_condition(name, summary, _rows(norms for _, _, norms in families),
+                                threshold, witness, margin=margin, exact=exact)
 
 
 def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,
@@ -406,16 +437,26 @@ def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,
     contexts = ([f"family k={k}" for k in k_values] if k_values
                 else [f"family #{i}" for i in range(len(seq))])
 
+    present = [np.fromiter((lab in F.blocks for lab in table.labels), bool, len(table))
+               for F in seq]
+    deviations = [np.full(len(table), math.inf) for _ in seq]
+    for dev, F, here in zip(deviations, seq, present):
+        dev[here] = F.deviations
     conditions = [
-        _c0_condition(seq, table, eps_decay, contexts, "block"),
-        _identity_condition(seq, table, conv_tols, contexts,
-                            "||block - I|| within the per-family tolerance schedule"),
+        _c0_condition([check_c0(F, eps_decay) for F in seq], table, eps_decay, contexts,
+                      "block"),
+        _identity_condition(deviations, table, conv_tols, contexts,
+                            "||block - I|| within the per-family tolerance schedule",
+                            unspecified=[~here for here in present]),
     ]
     if k_values is not None:
+        # the trivial label, first in table order, is the one label of length 0
+        starts = [int(F.labels[:1] == (table.trivial,)) for F in seq]
         conditions.append(_norm_bound_condition(
             "damped-norm-bound", "nontrivial block norms <= exp(-1/k) + tol",
-            seq, table, k_values, tol, lambda lab: int(lab != table.trivial),
-            lambda i, _: contexts[i]))
+            [(F.labels[s:], np.ones(len(F.labels) - s, dtype=int), F.norms[s:])
+             for F, s in zip(seq, starts)],
+            table, k_values, tol, lambda i, _: contexts[i]))
 
     return CertificationReport(
         command="certify-hap",

@@ -128,6 +128,88 @@ def block_norms(blocks, minus_identity=False):
             if np.isfinite(blk).all() else math.nan for blk in blocks]
 
 
+def threshold_verdict(name, summary, rows, failed=()):
+    """The per-row verdict loop over (label, achieved, threshold, context) tuples:
+    a row holds only when achieved <= threshold; every failing row is a
+    witness after ``failed``; when none fails, the first row of largest
+    achieved - threshold is reported."""
+    from hapkit.reports import ConditionVerdict, Witness
+    witnesses = list(failed)
+    worst = None
+    for label, achieved, threshold, context in rows:
+        if not achieved <= threshold:
+            witnesses.append(Witness(label, achieved, threshold, context))
+        elif worst is None or achieved - threshold > worst[0]:
+            worst = (achieved - threshold, Witness(label, achieved, threshold, context))
+    passed = not witnesses
+    if passed and worst is not None:
+        witnesses = [worst[1]]
+    return ConditionVerdict(name=name, passed=passed, witnesses=tuple(witnesses),
+                            summary=summary)
+
+
+def freeprod_report(seq1, seq2, wp, eps_decay, conv_tols, k_values, tol, input_digest):
+    """The free-product report from formed word blocks: every word by
+    ``kron_word_blocks``, its norms by ``block_norms``, and each condition by
+    ``threshold_verdict`` over one tuple per (stage, word)."""
+    from hapkit.reports import CertificationReport, ConditionVerdict, Witness
+    if not 0 < eps_decay < 1:
+        raise ValueError("eps_decay must lie in (0, 1)")
+    conv_tols = [float(x) for x in conv_tols]
+    words = [w for w, _ in wp]
+    norms, deviations = [], []
+    for F1, F2 in zip(seq1, seq2):
+        blocks = kron_word_blocks(F1, F2, wp)
+        blocks[wp.trivial] = np.ones((1, 1), dtype=np.complex128)
+        ordered = [blocks[w] for w in words]
+        norms.append(block_norms(ordered))
+        deviations.append(block_norms(ordered, minus_identity=True))
+    contexts = [f"k={k}" for k in k_values]
+    norm_rows = [(w.encode(), n, math.exp(-len(w) / k) + tol, f"{ctx}, length {len(w)}")
+                 for stage, k, ctx in zip(norms, k_values, contexts)
+                 for w, n in zip(words, stage) if len(w)]
+    schedule = ()
+    if any(b > a for a, b in zip(conv_tols, conv_tols[1:])):
+        schedule = (Witness("*", max(conv_tols), conv_tols[0],
+                            "conv_tols schedule is not nonincreasing"),)
+    deviation_rows = [(w.encode(), d, thr, ctx)
+                      for stage, thr, ctx in zip(deviations, conv_tols, contexts)
+                      for w, d in zip(words, stage)]
+    c0 = []
+    for stage, ctx in zip(norms, contexts):
+        exceptional = [w for w, n in zip(words, stage) if not n <= eps_decay]
+        nontrivial = sum(1 for w in exceptional if len(w))
+        if len(words) > 1 and nontrivial >= len(words) - 1:
+            c0.append((False, Witness("*", float(len(exceptional)), float(len(words) - 1),
+                                      f"{ctx}: no nontrivial label decayed below eps")))
+        else:
+            c0.append((True, Witness("*", float(len(exceptional)), float(len(words)),
+                                     f"{ctx}: exceptional labels within truncation")))
+    c0_failed = tuple(w for ok, w in c0 if not ok)
+    c0_worst = max((w for _, w in c0), key=lambda w: w.achieved, default=None)
+    return CertificationReport(
+        command="freeprod",
+        input_digest=input_digest,
+        truncation=(f"word table: {len(wp)} words (max word length {wp.max_word_length}); "
+                    f"factor1: {len(wp.factor1)} labels; factor2: {len(wp.factor2)} labels"),
+        tolerances=(("tol", tol), ("eps_decay", eps_decay)),
+        conditions=(
+            threshold_verdict("word-norm-bound",
+                              "length-l word blocks damped below exp(-l/k) + tol", norm_rows),
+            threshold_verdict("identity-convergence",
+                              "per-word ||block - I|| within the stage tolerance schedule",
+                              deviation_rows, schedule),
+            ConditionVerdict(
+                name="c0-decay", passed=not c0_failed,
+                witnesses=c0_failed or ((c0_worst,) if c0_worst else ()),
+                summary=f"word norms above eps_decay form a finite set, "
+                        f"tail verified <= {eps_decay:g}"),
+        ),
+        notes=(f"conv_tols: {', '.join(f'{x:g}' for x in conv_tols)}",
+               f"k_values: {', '.join(str(k) for k in k_values)}"),
+    )
+
+
 def block_min_eigenvalues(blocks):
     """One numpy eigvalsh call per block on (B + B*)/2; NaN for a non-finite block."""
     return [float(np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0])

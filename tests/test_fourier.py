@@ -242,28 +242,55 @@ class TestHapSequence:
 
 
 class TestThresholdKernel:
-    def rows(self):
-        yield from [("a", 0.5, 1.0, "x"), ("b", 0.9, 1.0, "y"), ("c", 0.2, 1.0, "z")]
+    LABELS, CONTEXTS = "abcd", "xyzw"
+
+    def kernel(self, estimate, threshold, failed=(), margin=0.0, exact=None):
+        encoded = []
+
+        def witness(r, achieved):
+            encoded.append(self.LABELS[r])
+            return hk.Witness(self.LABELS[r].upper(), achieved, threshold[r], self.CONTEXTS[r])
+        cond = hk.fourier._threshold_condition("demo", "s", estimate, threshold, witness,
+                                               failed, margin, exact)
+        return cond, encoded
 
     def test_worst_row_reported_when_nothing_fails(self):
-        encoded = []
-        cond = hk.fourier._threshold_condition(
-            "demo", "s", self.rows(), lambda lab: encoded.append(lab) or lab.upper())
+        cond, encoded = self.kernel([0.5, 0.9, 0.2], [1.0, 1.0, 1.0])
         assert cond.passed
         assert [(w.label, w.achieved, w.context) for w in cond.witnesses] == [("B", 0.9, "y")]
         assert encoded == ["b"]  # only the reported row is encoded
 
     def test_failing_rows_become_witnesses(self):
-        rows = [("a", 2.0, 1.0, ""), ("b", 0.0, 1.0, ""), ("c", math.nan, 1.0, ""),
-                ("d", 0.0, math.nan, "")]
-        cond = hk.fourier._threshold_condition("demo", "s", iter(rows), str)
+        cond, _ = self.kernel([2.0, 0.0, math.nan, 0.0], [1.0, 1.0, 1.0, math.nan])
         assert not cond.passed
-        assert [w.label for w in cond.witnesses] == ["a", "c", "d"]
+        assert [w.label for w in cond.witnesses] == ["A", "C", "D"]
 
     def test_up_front_witnesses_fail_the_condition(self):
         early = hk.Witness("*", 2.0, 1.0, "schedule")
-        cond = hk.fourier._threshold_condition("demo", "s", self.rows(), str, (early,))
+        cond, _ = self.kernel([0.5, 0.9, 0.2], [1.0, 1.0, 1.0], (early,))
         assert not cond.passed and cond.witnesses == (early,)
+
+    def test_margin_settles_only_unsure_rows(self):
+        asked = []
+        exact_values = np.array([0.5, 1.01, 0.2, 0.3])
+
+        def exact(rows):
+            asked.extend(rows.tolist())
+            return exact_values[rows]
+        cond, _ = self.kernel([0.5, 0.99, 0.2, math.nan], [1.0] * 4, margin=0.05, exact=exact)
+        assert asked == [1, 3]  # the bracket of row 1 reaches 1.0; row 3 has no estimate
+        assert [(w.label, w.achieved) for w in cond.witnesses] == [("B", 1.01)]
+
+    def test_worst_row_comes_from_exact_values(self):
+        asked = []
+        exact_values = np.array([0.5, 0.92, 0.925])
+
+        def exact(rows):
+            asked.extend(rows.tolist())
+            return exact_values[rows]
+        cond, _ = self.kernel([0.5, 0.93, 0.9], [1.0] * 3, margin=0.02, exact=exact)
+        assert cond.passed and asked == [1, 2]  # row 0 cannot reach the best sure slack
+        assert [(w.label, w.achieved) for w in cond.witnesses] == [("C", 0.925)]
 
 
 class TestDigest:

@@ -1,0 +1,249 @@
+"""Free-product verdicts read from the letters' eigenvalues.
+
+``freeprod_hap_pipeline`` estimates every word's ||W|| and ||W - I|| from its
+letters and forms a word block only when the margin cannot settle a row or
+the report shows it.  These tests pin its reports to the formed-block oracle
+(``oracles.freeprod_report``), bound the estimates' gap to the formed blocks'
+SVD by an eighth of the margin, and check the paper's last theorem at
+truncation on drawn damped factors.
+"""
+
+import json
+import math
+from functools import reduce
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hapkit as hk
+import oracles
+from conftest import FIXTURES, random_hermitian, run_cli
+from hapkit import cfree
+
+DIGEST = "sha256:test"
+LETTER_KINDS = ("hermitian", "unit", "repeat", "general", "complex", "nan")
+
+
+def letter(rng, kind, d, previous):
+    """One letter block of side ``d`` of the drawn ``kind``."""
+    if kind == "repeat" and d in previous:
+        return previous[d]  # equal letters: their words tie in exact arithmetic
+    if kind == "unit":  # norm exactly 1: words tie with their thresholds up to rounding
+        return np.diag(rng.choice([-1.0, 1.0], d)).astype(complex)
+    if kind == "general":
+        return 0.5 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    if kind == "complex" and d == 1:
+        return np.array([[rng.uniform(0.2, 0.9) * np.exp(1j * rng.uniform(0.1, 3.0))]])
+    blk = random_hermitian(rng, d, float(rng.uniform(0.2, 1.0)))
+    if kind == "nan":
+        blk[rng.integers(d), rng.integers(d)] = math.nan
+    return blk
+
+
+def stages_of(rng, table, kinds, n_stages):
+    families = []
+    for _ in range(n_stages):
+        previous, blocks = {}, {table.trivial: [[1.0]]}
+        for lab, kind in zip(table.nontrivial_labels, kinds):
+            d = table.dim(lab)
+            blocks[lab] = previous[d] = letter(rng, kind, d, previous)
+        families.append(hk.MatrixFamily(table, blocks, normalized=True))
+    return families
+
+
+def near(target, mode):
+    """A float at ``target`` or one ulp either side."""
+    return {"at": target, "below": np.nextafter(target, -math.inf),
+            "above": np.nextafter(target, math.inf)}[mode] if math.isfinite(target) else target
+
+
+def tol_hitting(target, base):
+    """A tol with base + tol == target when one is found near target - base."""
+    tol = target - base
+    for _ in range(8):
+        got = base + tol
+        if got == target:
+            break
+        tol = np.nextafter(tol, math.inf if got < target else -math.inf)
+    return float(tol)
+
+
+@st.composite
+def freeprod_case(draw):
+    """Two factors (letter sides 1-3), words up to length 3, 1-3 stages, and
+    thresholds at a formed word value or one ulp away from it."""
+    def table(prefix):
+        dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        return hk.make_table([(f"{prefix}{i}", d) for i, d in enumerate(dims)])
+    t1, t2 = table("a"), table("b")
+    wp = hk.free_product_table(t1, t2, draw(st.integers(1, 3)))
+    n_stages = draw(st.integers(1, 3))
+    kinds = [draw(st.lists(st.sampled_from(LETTER_KINDS), min_size=3, max_size=3))
+             for _ in range(2)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seq1 = stages_of(rng, t1, kinds[0], n_stages)
+    seq2 = stages_of(rng, t2, kinds[1], n_stages)
+    k_values = draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=n_stages,
+                             max_size=n_stages))
+    words = [w for w, _ in wp]
+    norms, deviations = [], []
+    for F1, F2 in zip(seq1, seq2):
+        blocks = oracles.kron_word_blocks(F1, F2, wp)
+        blocks[wp.trivial] = np.ones((1, 1), dtype=complex)
+        norms.append(oracles.block_norms([blocks[w] for w in words]))
+        deviations.append(oracles.block_norms([blocks[w] for w in words], minus_identity=True))
+    mode = st.sampled_from(["at", "below", "above"])
+    pick = st.integers(0, len(words) - 1)
+
+    i, j = draw(st.integers(0, n_stages - 1)), draw(pick)
+    if len(words[j]) and math.isfinite(norms[i][j]):
+        base = math.exp(-len(words[j]) / k_values[i])
+        tol = tol_hitting(near(norms[i][j], draw(mode)), base)
+    else:
+        tol = draw(st.sampled_from([0.0, 1e-9]))
+    if draw(st.booleans()):
+        conv_tols = [near(stage[draw(pick)], draw(mode)) for stage in deviations]
+    else:
+        conv_tols = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.nan]),
+                                  min_size=n_stages, max_size=n_stages))
+    inside = sorted({n for stage in norms for n in stage if 0 < n < 1})
+    eps = near(draw(st.sampled_from(inside)), draw(mode)) if inside else 0.5
+    eps = eps if 0 < eps < 1 else 0.5
+    return seq1, seq2, wp, eps, conv_tols, k_values, tol
+
+
+def assert_same_report(seq1, seq2, wp, eps, conv_tols, k_values, tol):
+    want = oracles.freeprod_report(seq1, seq2, wp, eps, conv_tols, k_values, tol, DIGEST)
+    got = hk.freeprod_hap_pipeline(seq1, seq2, wp, eps, conv_tols, k_values, tol=tol,
+                                   input_digest=DIGEST)
+    assert got.to_text() == want.to_text()
+    assert json.dumps(got.to_obj()) == json.dumps(want.to_obj())
+
+
+class TestOracleParity:
+    """Every report byte equals the formed-block oracle's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(freeprod_case())
+    def test_reports_match_formed_blocks(self, case):
+        assert_same_report(*case)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hermitian_letters_at_ulp_thresholds(self, seed):
+        # every row of a stage sits at, or one ulp off, a formed value
+        rng = np.random.default_rng(seed)
+        t1, t2 = hk.make_table([("a", 2), ("b", 3)]), hk.make_table([("c", 2), ("d", 1)])
+        wp = hk.free_product_table(t1, t2, 3)
+        seq1 = stages_of(rng, t1, ["hermitian", "unit"], 2)
+        seq2 = stages_of(rng, t2, ["hermitian", "hermitian"], 2)
+        formed = hk.cfree_state(seq1[1], seq2[1], wp)
+        for j in range(1, len(wp), 7):
+            for mode in ("at", "below", "above"):
+                dev = near(formed.deviations[j], mode)
+                base = math.exp(-len(wp.labels[j]) / 2)
+                tol = tol_hitting(near(formed.norms[j], mode), base)
+                assert_same_report(seq1, seq2, wp, 0.5, [dev, dev], [1, 2], tol)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_worst_rows_far_from_thresholds(self, seed):
+        # passing conditions report their worst row, which no margin brings near its threshold
+        rng = np.random.default_rng(seed)
+        t1, t2 = hk.make_table([("a", 2), ("b", 3)]), hk.make_table([("c", 2), ("d", 3)])
+        wp = hk.free_product_table(t1, t2, 3)
+        seq1 = stages_of(rng, t1, ["hermitian", "hermitian"], 2)
+        seq2 = stages_of(rng, t2, ["hermitian", "repeat"], 2)
+        assert_same_report(seq1, seq2, wp, 0.5, [3.0, 3.0], [1, 2], 1.0)
+
+    def test_zz_fixture_at_zero_tol(self):
+        # in exact arithmetic these words meet exp(-l/k) with equality
+        config = json.loads((FIXTURES / "freeprod_zz.json").read_text())
+        L = hk.length_functional(hk.parse_group("Z"), 3)
+        ks = config["k_values"]
+        seq = [hk.semigroup_at(L, 1.0 / k) for k in ks]
+        wp = hk.free_product_table(L.table, L.table, config["max_word_length"])
+        assert_same_report(seq, seq, wp, config["eps_decay"], config["conv_tols"], ks, 0.0)
+        res = run_cli("freeprod", FIXTURES / "freeprod_zz.json", "--tol", "0")
+        want = oracles.freeprod_report(seq, seq, wp, config["eps_decay"], config["conv_tols"],
+                                       ks, 0.0, DIGEST)
+        assert res.returncode == 1
+        assert res.stdout.decode().split("\n", 2)[2] == want.to_text().split("\n", 2)[2]
+
+
+@st.composite
+def hermitian_word(draw):
+    """Hermitian letters of sides 1-5 and norms up to 2, up to 4 of them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sides = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    letters = []
+    for d in sides:
+        norm = draw(st.sampled_from([1.0, 2.0, float(rng.uniform(0.0, 2.0))]))
+        letters.append(random_hermitian(rng, d, norm))
+    return letters
+
+
+class TestMargin:
+    @settings(max_examples=100, deadline=None)
+    @given(hermitian_word())
+    def test_estimates_stay_well_inside_the_margin(self, letters):
+        # letters alternate between the factors, so one word uses them all in order
+        names = [f"x{j}" for j in range(len(letters))]
+        tables, families = [], []
+        for fi in (0, 1):
+            mine = {name: a for name, a in zip(names[fi::2], letters[fi::2])} or {"y": [[1.0]]}
+            table = hk.make_table([(name, len(a)) for name, a in mine.items()])
+            tables.append(table)
+            families.append(hk.MatrixFamily(table, {table.trivial: [[1.0]], **{
+                table.decode(name): a for name, a in mine.items()}}))
+        wp = hk.free_product_table(*tables, len(letters))
+        at = wp.labels.index(wp.decode("|".join(f"{j % 2 + 1}:{n}" for j, n in enumerate(names))))
+        values = cfree._WordValues(*families, wp, {})
+        word = reduce(np.kron, letters)
+        norm, deviation = oracles.block_norms([word]) + oracles.block_norms([word], True)
+        assert abs(values.norms[at] - norm) <= values.margins[at] / 8
+        assert abs(values.deviations[at] - deviation) <= values.margins[at] / 8
+
+
+@st.composite
+def damped_factors(draw):
+    """Damped factor sequences of Hermitian contractions (sides 1-3) with a
+    conv_tols schedule that certify-hap --k-values passes on both factors."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k_values = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True)))
+    seqs = []
+    for prefix in "ab":
+        dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        table = hk.make_table([(f"{prefix}{i}", d) for i, d in enumerate(dims)])
+        states = [hk.MatrixFamily(table, {table.trivial: [[1.0]], **{
+            lab: random_hermitian(rng, table.dim(lab), float(rng.uniform(0.0, 1.0)))
+            for lab in table.nontrivial_labels}}, normalized=True) for _ in k_values]
+        seqs.append(hk.damp_sequence(states, k_values))
+    conv_tols = [max(float(np.max(F.deviations)) for F in stage) + 1e-9
+                 for stage in zip(*seqs)]
+    conv_tols = [max(conv_tols[j:]) for j in range(len(conv_tols))]
+    return seqs[0], seqs[1], k_values, conv_tols, draw(st.integers(1, 3))
+
+
+class TestFreeProductPreservation:
+    """The paper's last theorem at truncation: damped factors that pass
+    certify-hap give a free product whose words obey the length bound, and
+    each word's ||W - I|| is at most the sum of its letters' deviations
+    (telescoping, since the letters are contractions)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(damped_factors())
+    def test_damped_factors_give_damped_words(self, drawn):
+        seq1, seq2, k_values, conv_tols, length = drawn
+        for seq in (seq1, seq2):
+            assert hk.check_hap_sequence(seq, 0.999, conv_tols, k_values).overall
+        wp = hk.free_product_table(seq1[0].table, seq2[0].table, length)
+        report = hk.freeprod_hap_pipeline(seq1, seq2, wp, 0.999, conv_tols, k_values)
+        assert {c.name: c.passed for c in report.conditions}["word-norm-bound"]
+        for F1, F2 in zip(seq1, seq2):
+            letters = {1: dict(zip(F1.labels, F1.deviations)),
+                       2: dict(zip(F2.labels, F2.deviations))}
+            formed = hk.cfree_state(F1, F2, wp)
+            for word, dev in zip(formed.labels, formed.deviations):
+                bound = sum(letters[fi][lab] for fi, lab in word.letters)
+                assert dev <= bound + 1e-12, (word, dev, bound)

@@ -3,7 +3,8 @@
 Each ``demos/*.py`` must exit 0, and ``fixtures/regenerate.py``, run from a
 copy in a temporary directory, must write files byte-identical to the
 committed ``fixtures/``.  Every function the benchmark tracer patches must
-still exist under the name it looks up.
+still exist under the name it looks up, and a traced run must leave every
+module as it found it.
 """
 
 import importlib.util
@@ -15,7 +16,7 @@ import sys
 import pytest
 
 import hapkit.cli  # noqa: F401  (the tracer resolves names in loaded modules)
-from conftest import FIXTURES, REPO_ROOT
+from conftest import FIXTURES, REPO_ROOT, run_cli
 
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
 
@@ -44,12 +45,39 @@ def test_regenerate_reproduces_fixtures(tmp_path):
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
-def test_traced_names_resolve():
+def load_tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", REPO_ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    tracing = load_tracing()
     targets = [target for span in tracing.TRACED.values() for target in span]
     missing = [(owner, attr) for owner, attr in targets
                if attr not in vars(tracing._resolve(owner))]
     assert not missing
+
+
+def test_traced_runs_record_spans_and_restore(tmp_path):
+    # what `perfbench/run.py --trace 1` does to a run: wrap, run, count, unwrap
+    tracing = load_tracing()
+    modules = [m for name, m in sys.modules.items() if name.startswith("hapkit")]
+    before = [dict(vars(m)) for m in modules]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.invocation = 0
+        assert run_cli("freeprod", FIXTURES / "freeprod_matrix.json",
+                       "--json", tmp_path / "r.json").returncode == 1
+        assert run_cli("certify-hap", FIXTURES / "zdual_hap_pass.json").returncode == 0
+        tracer.flush_counters()
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(m)) for m in modules] == before
+    names = {span[0] for span in tracer.spans}
+    assert {"cfree.freeprod_hap_pipeline", "cfree.damp_sequence", "serialize.read",
+            "fourier.check_hap_sequence", "fourier.check_c0", "reports.render"} <= names
+    assert tracer.counters["reports.witnesses"] > 0
