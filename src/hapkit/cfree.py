@@ -276,6 +276,7 @@ class _WordValues:
 
     def c0_result(self, eps: float, words) -> C0Result:
         """The words whose norm is not <= eps, deciding from the estimate where the margin allows."""
+        _require_c0_eps(eps)
         unsure = np.flatnonzero(~((self.norms + self.margins <= eps)
                                   | (self.norms - self.margins > eps)))
         over = self.norms - self.margins > eps
@@ -339,7 +340,6 @@ def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
                             margin=_rows(s.margins for s in stages),
                             exact=_stagewise(stages, everywhere, True)),
     )
-    _require_c0_eps(eps_decay)
     c0 = _c0_condition([s.c0_result(eps_decay, words) for s in stages], wp, eps_decay,
                        contexts, "word")
 
