@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import _linalg
-from .fourier import (DEFAULT_TOL, C0Result, MatrixFamily, _c0_condition, _constant_blocks,
+from .fourier import (DEFAULT_TOL, MatrixFamily, _c0_condition, _constant_blocks,
                       _identity_condition, _norm_bound_condition, _require_c0_eps,
                       _require_normalized, _rows, convolve, family_content_digest,
                       max_block_deviation)
@@ -41,41 +41,62 @@ def _letter_stacks(F1, F2):
     """Where the letter blocks of F1 and F2 sit: (slots, stacks).
 
     ``stacks[factor, side]`` stacks the factor's nontrivial blocks of that
-    side in table order, and ``slots[factor, label id]`` is the (stack key,
-    row) of one letter.
+    side in table order.  ``slots`` is two arrays over the letters, the
+    nontrivial labels of factor 1 and then those of factor 2: the side of
+    each letter's block (0 where the family has none) and its row in that
+    stack.
     """
-    slots, stacks = {}, {}
+    sides, rows, stacks = [], [], {}
     for fi, F in ((1, F1), (2, F2)):
         by_dim = {}
-        for lab, blk in F.nontrivial_blocks():
-            same_dim = by_dim.setdefault(blk.shape[0], [])
-            slots[fi, lab.id] = (fi, blk.shape[0]), len(same_dim)
+        for lab in F.table.nontrivial_labels:
+            blk = F.blocks.get(lab)
+            sides.append(0 if blk is None else blk.shape[0])
+            same_dim = by_dim.setdefault(sides[-1], [])
+            rows.append(len(same_dim))
             same_dim.append(blk)
+        by_dim.pop(0, None)
         stacks.update(((fi, d), np.stack(blks)) for d, blks in by_dim.items())
-    return slots, stacks
+    return (np.array(sides, dtype=np.intp), np.array(rows, dtype=np.intp)), stacks
 
 
 def _word_groups(wp: FreeProductTable, slots) -> list:
     """The nontrivial words of ``wp``, grouped by their sequence of letter stacks.
 
-    One (key, words, positions, index) per group, words in table order:
-    ``positions[i]`` is the place of ``words[i]`` in ``wp`` and
-    ``index[i, j]`` the row of its j-th letter in the stack ``key[j]``.
+    One (key, positions, index) per group: ``positions`` are the places of
+    its words in ``wp``, ascending, and ``index[i, j]`` is the row of the
+    j-th letter of word ``positions[i]`` in the stack ``key[j]``.  Read from
+    the table's letter arrays; ``slots`` is what ``_letter_stacks`` gives.
     """
-    groups = {}
-    try:
-        for pos, (word, _) in enumerate(wp):
-            if word.letters:
-                key, rows = zip(*[slots[fi, lab.id] for fi, lab in word.letters])
-                words, positions, index = groups.setdefault(key, ([], [], []))
-                words.append(word)
-                positions.append(pos)
-                index.append(rows)
-    except KeyError as exc:
-        fi, lab_id = exc.args[0]
-        raise KeyError(f"missing letter block: factor {fi}, label {lab_id!r}") from None
-    return [(key, words, np.array(positions), np.array(index))
-            for key, (words, positions, index) in groups.items()]
+    sides, rows = slots
+    offsets = (0, len(wp.factor1) - 1)  # where each factor's letters start in ``slots``
+    # Number each factor's sides 0, 1, ...: a word's group is its sides in that
+    # mixed radix, below the size of its (length, first factor) block.
+    kinds, radix = np.empty_like(sides), []
+    for part in (slice(0, offsets[1]), slice(offsets[1], None)):
+        values, kinds[part] = np.unique(sides[part], return_inverse=True)
+        radix.append(len(values))
+    firsts = np.flatnonzero(np.diff(wp.lengths * 3 + wp.starts, prepend=-1))
+    out = []
+    for r0, r1 in zip(firsts[1:], [*firsts[2:], len(wp)]):  # row 0 is the trivial word
+        k, start = int(wp.lengths[r0]), int(wp.starts[r0])
+        factors = [start if j % 2 == 0 else 3 - start for j in range(k)]
+        letters = [wp.letters[r0:r1, j] + offsets[fi - 1] for j, fi in enumerate(factors)]
+        side = np.stack([sides[x] for x in letters], axis=1)
+        missing = np.flatnonzero(side == 0)
+        if missing.size:  # the first in table order, as a loop over the words finds it
+            w, j = np.divmod(missing[0], k)
+            lab = (wp.factor1, wp.factor2)[factors[j] - 1].nontrivial_labels[
+                wp.letters[r0 + w, j]]
+            raise KeyError(f"missing letter block: factor {factors[j]}, label {lab.id!r}")
+        group = np.zeros(r1 - r0, dtype=np.intp)
+        for x, fi in zip(letters, factors):
+            group = group * radix[fi - 1] + kinds[x]
+        order = np.argsort(group, kind="stable")
+        for at in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+            out.append((tuple(zip(factors, side[at[0]].tolist())), at + r0,
+                        np.stack([rows[x[at]] for x in letters], axis=1)))
+    return out
 
 
 def _word_stacks(letters, wp: FreeProductTable):
@@ -83,8 +104,9 @@ def _word_stacks(letters, wp: FreeProductTable):
     is the letter block at the j-th letter of ``words[i]``; ``letters`` is
     what ``_letter_stacks`` returns."""
     slots, stacks = letters
-    for key, words, _, index in _word_groups(wp, slots):
-        yield words, [stacks[k][index[:, j]] for j, k in enumerate(key)]
+    for key, positions, index in _word_groups(wp, slots):
+        yield ([wp.labels[p] for p in positions],
+               [stacks[k][index[:, j]] for j, k in enumerate(key)])
 
 
 def _kron_fold(stacks) -> np.ndarray:
@@ -232,11 +254,11 @@ class _WordValues:
 
     def __init__(self, F1, F2, wp: FreeProductTable, layouts: dict):
         slots, self._letters = _state_letters(F1, F2, wp)
-        key = tuple(slots.items())
+        key = tuple(a.tobytes() for a in slots)
         if key not in layouts:  # stages with the same letter layout share their word groups
             groups = _word_groups(wp, slots)
             where = np.zeros((len(wp), 2), dtype=np.intp)  # (group, row) of every word
-            for g, (_, _, positions, _) in enumerate(groups):
+            for g, (_, positions, _) in enumerate(groups):
                 where[positions] = np.column_stack([np.full(len(positions), g),
                                                     np.arange(len(positions))])
             layouts[key] = groups, where
@@ -244,7 +266,7 @@ class _WordValues:
         n = len(wp)
         self.norms, self.deviations, self.margins = np.ones(n), np.zeros(n), np.zeros(n)
         spectra = {k: _linalg.hermitian_eigenvalues(stack) for k, stack in self._letters.items()}
-        for key, _, positions, index in self._groups:
+        for key, positions, index in self._groups:
             letters = [spectra[k][index[:, j]] for j, k in enumerate(key)]
             norm, products = np.abs(letters[0]).max(axis=1), letters[0]
             for lam in letters[1:]:
@@ -267,22 +289,22 @@ class _WordValues:
         todo = positions[~known[positions]]
         for g in np.unique(self._where[todo, 0]):
             at = todo[self._where[todo, 0] == g]
-            key, _, _, index = self._groups[g]
+            key, _, index = self._groups[g]
             rows = index[self._where[at, 1]]
             blocks = _kron_fold([self._letters[k][rows[:, j]] for j, k in enumerate(key)])
             values[at] = _linalg.spectral_norms(blocks, minus_identity)
             known[at] = True
         return values[positions]
 
-    def c0_result(self, eps: float, words) -> C0Result:
-        """The words whose norm is not <= eps, deciding from the estimate where the margin allows."""
+    def c0_scan(self, eps: float) -> tuple:
+        """(words whose norm is not <= eps, how many of them are nontrivial, no
+        unspecified words), deciding from the estimate where the margin allows."""
         _require_c0_eps(eps)
         unsure = np.flatnonzero(~((self.norms + self.margins <= eps)
                                   | (self.norms - self.margins > eps)))
         over = self.norms - self.margins > eps
         over[unsure] = ~(self.exact(unsure, False) <= eps)
-        return C0Result(eps=eps, exceptional=tuple(words[i] for i in np.flatnonzero(over)),
-                        unspecified=(), tail_clean=True, table_size=len(words))
+        return int(np.count_nonzero(over)), int(np.count_nonzero(over[1:])), ()
 
 
 def _stagewise(stages, positions: np.ndarray, minus_identity: bool):
@@ -324,14 +346,12 @@ def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
         raise ValueError("seq1, seq2, k_values and conv_tols must have equal length")
     layouts = {}
     stages = [_WordValues(F1, F2, wp, layouts) for F1, F2 in zip(seq1, seq2)]
-    words = wp.labels
     everywhere = np.arange(len(wp))
-    lengths = np.array([len(w) for w in words[1:]], dtype=int)  # the trivial word comes first
     contexts = [f"k={k}" for k in k_values]
     conditions = (
-        _norm_bound_condition(
+        _norm_bound_condition(  # the trivial word, of length 0, comes first
             "word-norm-bound", "length-l word blocks damped below exp(-l/k) + tol",
-            [(words[1:], lengths, s.norms[1:]) for s in stages], wp, k_values, tol,
+            [(everywhere[1:], wp.lengths[1:], s.norms[1:]) for s in stages], wp, k_values, tol,
             lambda i, l: f"{contexts[i]}, length {l}",
             margin=_rows(s.margins[1:] for s in stages),
             exact=_stagewise(stages, everywhere[1:], False)),
@@ -340,8 +360,7 @@ def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
                             margin=_rows(s.margins for s in stages),
                             exact=_stagewise(stages, everywhere, True)),
     )
-    c0 = _c0_condition([s.c0_result(eps_decay, words) for s in stages], wp, eps_decay,
-                       contexts, "word")
+    c0 = _c0_condition([s.c0_scan(eps_decay) for s in stages], wp, eps_decay, contexts, "word")
 
     return CertificationReport(
         command="freeprod",

@@ -272,22 +272,28 @@ def family_content_digest(families, table=None) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _c0_verdict(res: C0Result, table, ctx: str):
+def _c0_scan(res: C0Result, table) -> tuple:
+    """(exceptional, nontrivial exceptional, unspecified) of a ``check_c0`` result:
+    its exceptional labels are in table order, so only the first can be trivial."""
+    exc = res.exceptional
+    return len(exc), len(exc) - (exc[:1] == (table.trivial,)), res.unspecified
+
+
+def _c0_verdict(exc: int, nontrivial_exc: int, unspecified: tuple, table, ctx: str):
     """Classify one c0 scan: (ok, witness).
 
+    ``exc`` labels are above eps, ``nontrivial_exc`` of them nontrivial.
     Decay is only demandable at nontrivial labels (the trivial block of a
     state is always 1, it just sits inside the finite exceptional set), so
     the scan passes when the tail is verified and either the table has no
     nontrivial labels at all or at least one of them decayed below eps.
     """
-    if not res.tail_clean:
+    if unspecified:
         return False, Witness(
-            label=table.encode(res.unspecified[0]),
-            achieved=float(len(res.unspecified)), threshold=0.0,
+            label=table.encode(unspecified[0]),
+            achieved=float(len(unspecified)), threshold=0.0,
             context=f"{ctx}: labels without blocks")
     nontrivial_total = len(table) - 1
-    exc = len(res.exceptional)
-    nontrivial_exc = sum(1 for lab in res.exceptional if lab != table.trivial)
     if nontrivial_total > 0 and nontrivial_exc >= nontrivial_total:
         return False, Witness(
             label="*", achieved=float(exc), threshold=float(nontrivial_total),
@@ -297,13 +303,14 @@ def _c0_verdict(res: C0Result, table, ctx: str):
         context=f"{ctx}: exceptional labels within truncation")
 
 
-def _c0_condition(results, table, eps_decay, contexts, noun: str) -> ConditionVerdict:
-    """c0-decay verdict over one ``C0Result`` per family, one context string each.
+def _c0_condition(scans, table, eps_decay, contexts, noun: str) -> ConditionVerdict:
+    """c0-decay verdict over one (exceptional, nontrivial exceptional,
+    unspecified) scan per family, one context string each.
 
     Fails with every failing family's witness; otherwise reports the family
     with the most exceptional labels.
     """
-    results = [_c0_verdict(res, table, ctx) for res, ctx in zip(results, contexts)]
+    results = [_c0_verdict(*scan, table, ctx) for scan, ctx in zip(scans, contexts)]
     failed = tuple(w for ok, w in results if not ok)
     worst = max((w for _, w in results), key=lambda w: w.achieved, default=None)
     return ConditionVerdict(
@@ -371,12 +378,12 @@ def _identity_condition(deviations, table, conv_tols, contexts, summary: str,
     if any(b > a for a, b in zip(conv_tols, conv_tols[1:])):
         failed = (Witness(label="*", achieved=max(conv_tols), threshold=conv_tols[0],
                           context="conv_tols schedule is not nonincreasing"),)
-    labels, n = table.labels, len(table)
+    n = len(table)
 
     def witness(r, achieved):
         k, j = divmod(r, n)
         gap = unspecified is not None and unspecified[k][j]
-        return Witness(table.encode(labels[j]), achieved, conv_tols[k],
+        return Witness(table.key_at(j), achieved, conv_tols[k],
                        f"{contexts[k]}: block unspecified" if gap else contexts[k])
     return _threshold_condition("identity-convergence", summary, _rows(deviations),
                                 np.repeat(conv_tols, n), witness, failed, margin, exact)
@@ -386,8 +393,8 @@ def _norm_bound_condition(name: str, summary: str, families, table, k_values,
                           tol: float, context, margin=0.0, exact=None) -> ConditionVerdict:
     """Block norm <= exp(-l/k) + tol at every row.
 
-    ``families[i]`` is (labels, lengths, norms) of family i: the labels of
-    its rows, their lengths (each >= 1) and the block norms there;
+    ``families[i]`` is (positions, lengths, norms) of family i: the table
+    positions of its rows, their lengths (each >= 1) and the block norms there;
     ``context(i, l)`` names family i at length l.
     """
     thresholds = [np.array([math.exp(-l / k) + tol
@@ -398,9 +405,9 @@ def _norm_bound_condition(name: str, summary: str, families, table, k_values,
 
     def witness(r, achieved):
         i = int(np.searchsorted(ends, r, side="right"))
-        labels, lengths, _ = families[i]
+        positions, lengths, _ = families[i]
         j = r - (int(ends[i - 1]) if i else 0)
-        return Witness(table.encode(labels[j]), achieved, float(threshold[r]),
+        return Witness(table.key_at(int(positions[j])), achieved, float(threshold[r]),
                        context(i, int(lengths[j])))
     return _threshold_condition(name, summary, _rows(norms for _, _, norms in families),
                                 threshold, witness, margin=margin, exact=exact)
@@ -443,19 +450,19 @@ def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,
     for dev, F, here in zip(deviations, seq, present):
         dev[here] = F.deviations
     conditions = [
-        _c0_condition([check_c0(F, eps_decay) for F in seq], table, eps_decay, contexts,
-                      "block"),
+        _c0_condition([_c0_scan(check_c0(F, eps_decay), table) for F in seq], table,
+                      eps_decay, contexts, "block"),
         _identity_condition(deviations, table, conv_tols, contexts,
                             "||block - I|| within the per-family tolerance schedule",
                             unspecified=[~here for here in present]),
     ]
     if k_values is not None:
         # the trivial label, first in table order, is the one label of length 0
-        starts = [int(F.labels[:1] == (table.trivial,)) for F in seq]
+        rows = [(np.flatnonzero(here[1:]) + 1, F.norms[int(here[0]):])
+                for F, here in zip(seq, present)]
         conditions.append(_norm_bound_condition(
             "damped-norm-bound", "nontrivial block norms <= exp(-1/k) + tol",
-            [(F.labels[s:], np.ones(len(F.labels) - s, dtype=int), F.norms[s:])
-             for F, s in zip(seq, starts)],
+            [(at, np.ones(len(at), dtype=int), norms) for at, norms in rows],
             table, k_values, tol, lambda i, _: contexts[i]))
 
     return CertificationReport(

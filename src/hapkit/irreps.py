@@ -8,16 +8,22 @@ of the factors, with dimensions multiplying along the word; this module
 enumerates those words up to a chosen length.
 
 Tables and words are immutable values: safe to share across threads and to
-use as dictionary keys.
+use as dictionary keys.  A table's derived tuples (``labels`` and, for word
+tables, ``entries``) are made once, on first use.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 _RESERVED_ID_CHARS = ("|", ":")
+# the most letters a word table may hold: its arrays must be indexable
+_MAX_CELLS = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -32,45 +38,28 @@ class LabelTable:
     """Protocol shared by label tables: ordered (label, dim) entries, trivial first.
 
     The canonical entry order governs every serialization and report
-    produced from the table.  Subclasses fix ``_key``, the string a label is
-    encoded to, and ``_noun``, what their labels are called in errors.
+    produced from the table.  Subclasses give ``entries``, ``trivial``,
+    ``dim``, ``decode``, ``key_at`` (the key of the label at a position),
+    ``_key`` (the key of a label) and ``_noun``, what their labels are
+    called in errors.
     """
 
     _noun = "label"
 
-    def __init__(self, entries: tuple):
-        self.entries = entries
-        self.trivial = entries[0][0]
-        self._dims = dict(entries)
-        self._by_key = {self._key(lab): lab for lab, _ in entries}
-
-    @property
+    @functools.cached_property
     def labels(self) -> tuple:
         return tuple(lab for lab, _ in self.entries)
 
-    @property
+    @functools.cached_property
     def nontrivial_labels(self) -> tuple:
-        return tuple(lab for lab, _ in self.entries if not lab.is_trivial)
+        return self.labels[1:]
 
-    def dim(self, label) -> int:
-        try:
-            return self._dims[label]
-        except KeyError:
-            raise KeyError(f"{self._noun} {label!r} not in table") from None
+    def _missing(self, label) -> KeyError:
+        return KeyError(f"{self._noun} {label!r} not in table")
 
     def encode(self, label) -> str:
-        if label not in self._dims:
-            raise KeyError(f"{self._noun} {label!r} not in table")
+        self.dim(label)  # raises for a label outside the table
         return self._key(label)
-
-    def decode(self, key: str):
-        try:
-            return self._by_key[key]
-        except KeyError:
-            raise KeyError(f"no {self._noun} encoded as {key!r}") from None
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.entries)
@@ -100,11 +89,32 @@ class IrrepTable(LabelTable):
         for (lab, dim) in entries:
             if dim < 1:
                 raise ValueError(f"label {lab.id!r} has nonpositive dimension {dim}")
-        super().__init__(entries)
+        self.entries = entries
+        self.trivial = entries[0][0]
+        self._dims = dict(entries)
+        self._by_key = {lab.id: lab for lab, _ in entries}
 
     @staticmethod
     def _key(label: IrrepLabel) -> str:
         return label.id
+
+    def key_at(self, j: int) -> str:
+        return self.entries[j][0].id
+
+    def dim(self, label) -> int:
+        try:
+            return self._dims[label]
+        except KeyError:
+            raise self._missing(label) from None
+
+    def decode(self, key: str) -> IrrepLabel:
+        try:
+            return self._by_key[key]
+        except KeyError:
+            raise KeyError(f"no label encoded as {key!r}") from None
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IrrepTable) and self.entries == other.entries
@@ -189,21 +199,110 @@ class Word:
 class FreeProductTable(LabelTable):
     """All alternating words of length <= max_word_length over two factors.
 
-    The word list is ordered by (length, factor pattern, letter ids), the
+    The word list is ordered by (length, starting factor, letter ids), the
     dimension of a word is the product of its letters' dimensions, and words
     are encoded by :meth:`Word.encode`.  Factor tables are referenced, not
     copied.
+
+    The words are held as arrays, row j for the j-th word: ``letters[j, i]``
+    is the position of its i-th letter among that factor's nontrivial
+    labels (0 past the word's end), ``lengths[j]`` its length, ``starts[j]``
+    the factor of its first letter (0 for the trivial word) and ``dims[j]``
+    its dimension.  ``key_at`` encodes a row from these; ``Word`` objects,
+    ``labels`` and ``entries`` are made on first use.
     """
 
     _noun = "word"
     _key = staticmethod(Word.encode)
 
-    def __init__(self, factor1: IrrepTable, factor2: IrrepTable, max_word_length: int,
-                 words: tuple[tuple[Word, int], ...]):
+    def __init__(self, factor1: IrrepTable, factor2: IrrepTable, max_word_length: int):
+        if max_word_length < 0:
+            raise ValueError("max_word_length must be >= 0")
         self.factor1 = factor1
         self.factor2 = factor2
         self.max_word_length = max_word_length
-        super().__init__(words)
+        pools = (len(factor1) - 1, len(factor2) - 1)
+        # a factor without nontrivial labels leaves only the one-letter words of the other
+        longest = max_word_length if all(pools) else min(max_word_length, int(any(pools)))
+        n, counts = 1, (1, 1)  # words, and those of the last length by starting factor
+        for _ in range(longest):  # in Python ints, before anything is allocated
+            counts = (pools[0] * counts[1], pools[1] * counts[0])
+            n += sum(counts)
+            if n * longest > _MAX_CELLS:
+                raise ValueError(f"max_word_length {max_word_length} gives a word table "
+                                 f"too large to index (over {_MAX_CELLS} letters)")
+        big = max(dim for _, dim in factor1.entries + factor2.entries) ** longest
+        dtype = np.int64 if big <= np.iinfo(np.int64).max else object
+        letter_dims = [np.array([dim for _, dim in f.entries[1:]], dtype=dtype)
+                       for f in (factor1, factor2)]
+        self.letters = np.zeros((n, longest), dtype=np.intp, order="F")
+        self.lengths = np.zeros(n, dtype=np.intp)
+        self.starts = np.zeros(n, dtype=np.int8)
+        self.dims = np.ones(n, dtype=dtype)
+        # The words of length k that start in factor s are a letter of s, slowest,
+        # followed by each word of length k - 1 that starts in the other factor
+        # (itertools.product order); the empty word stands for both at k = 0.
+        shorter, row = [slice(0, 1)] * 2, 1
+        for k in range(1, longest + 1):
+            made = []
+            for s in (0, 1):
+                tail, size = shorter[1 - s], pools[s]
+                rows = slice(row, row + size * (tail.stop - tail.start))
+                self.letters[rows, 0] = np.repeat(np.arange(size), tail.stop - tail.start)
+                self.letters[rows, 1:k] = np.tile(self.letters[tail, :k - 1], (size, 1))
+                self.dims[rows] = np.multiply.outer(letter_dims[s], self.dims[tail]).ravel()
+                self.lengths[rows], self.starts[rows] = k, s + 1
+                made.append(rows)
+                row = rows.stop
+            shorter = made
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @functools.cached_property
+    def trivial(self) -> Word:
+        return Word(())
+
+    @functools.cached_property
+    def labels(self) -> tuple:
+        pools = [[(fi, lab) for lab in f.nontrivial_labels]
+                 for fi, f in ((1, self.factor1), (2, self.factor2))]
+        return tuple(Word(tuple(pools[(start + i + 1) % 2][x] for i, x in enumerate(row[:k])))
+                     for row, k, start in zip(self.letters.tolist(), self.lengths.tolist(),
+                                              self.starts.tolist()))
+
+    @functools.cached_property
+    def entries(self) -> tuple:
+        return tuple(zip(self.labels, self.dims.tolist()))
+
+    @functools.cached_property
+    def _letter_keys(self) -> list:
+        return [[f"{fi}:{lab.id}" for lab in f.nontrivial_labels]
+                for fi, f in ((1, self.factor1), (2, self.factor2))]
+
+    def key_at(self, j: int) -> str:
+        start, k = int(self.starts[j]), int(self.lengths[j])
+        keys = self._letter_keys
+        return "|".join(keys[(start + i + 1) % 2][x]
+                        for i, x in enumerate(self.letters[j, :k].tolist()))
+
+    def dim(self, label) -> int:
+        factors = (self.factor1, self.factor2)
+        if isinstance(label, Word) and len(label) <= self.max_word_length:
+            try:
+                return math.prod(factors[fi - 1].dim(lab) for fi, lab in label.letters)
+            except KeyError:
+                pass
+        raise self._missing(label)
+
+    def decode(self, key: str) -> Word:
+        try:
+            word = parse_word(key, self.factor1, self.factor2)
+            if len(word) <= self.max_word_length:
+                return word
+        except (KeyError, ValueError):
+            pass
+        raise KeyError(f"no word encoded as {key!r}")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FreeProductTable)
@@ -212,8 +311,7 @@ class FreeProductTable(LabelTable):
                 and self.max_word_length == other.max_word_length)
 
     def __repr__(self) -> str:
-        return (f"FreeProductTable({len(self.entries)} words, "
-                f"max_word_length={self.max_word_length})")
+        return f"FreeProductTable({len(self)} words, max_word_length={self.max_word_length})"
 
 
 def parse_word(encoding: str, factor1: IrrepTable, factor2: IrrepTable) -> Word:
@@ -238,23 +336,4 @@ def free_product_table(t1: IrrepTable, t2: IrrepTable, max_word_length: int) -> 
     word is the trivial label of the product.  Enumeration is deterministic:
     re-running with equal inputs gives an identical word list.
     """
-    if max_word_length < 0:
-        raise ValueError("max_word_length must be >= 0")
-    nontrivial = {1: t1.nontrivial_labels, 2: t2.nontrivial_labels}
-    dims = {1: t1, 2: t2}
-    words: list[tuple[Word, int]] = [(Word(()), 1)]
-    for k in range(1, max_word_length + 1):
-        for start in (1, 2):
-            pattern = [start if j % 2 == 0 else 3 - start for j in range(k)]
-            pools = [nontrivial[fi] for fi in pattern]
-            if any(not pool for pool in pools):
-                continue
-            # itertools.product in pool order = lexicographic in letter ids,
-            # because every factor table lists nontrivial labels sorted by id.
-            for combo in itertools.product(*pools):
-                letters = tuple(zip(pattern, combo))
-                dim = 1
-                for fi, lab in letters:
-                    dim *= dims[fi].dim(lab)
-                words.append((Word(letters), dim))
-    return FreeProductTable(t1, t2, max_word_length, tuple(words))
+    return FreeProductTable(t1, t2, max_word_length)

@@ -31,6 +31,48 @@ def alternating_words(ids1, ids2, max_len):
     return words
 
 
+def product_words(t1, t2, max_len):
+    """(Word, dim) of every alternating word of length <= max_len, by the
+    per-word loop: itertools.product over the nontrivial labels of each
+    (length, first factor) letter pattern, one ``Word`` per word."""
+    from hapkit.irreps import Word
+    nontrivial = {1: t1.labels[1:], 2: t2.labels[1:]}
+    tables = {1: t1, 2: t2}
+    words = [(Word(()), 1)]
+    for k in range(1, max_len + 1):
+        for start in (1, 2):
+            pattern = [start if j % 2 == 0 else 3 - start for j in range(k)]
+            for combo in itertools.product(*[nontrivial[fi] for fi in pattern]):
+                letters = tuple(zip(pattern, combo))
+                words.append((Word(letters), math.prod(tables[fi].dim(lab) for fi, lab in letters)))
+    return words
+
+
+def word_groups(wp, F1, F2):
+    """{(factor, side) per letter: (positions, letter rows)} over the nontrivial
+    words of ``wp``, by a loop over its ``Word`` objects; a letter's row counts
+    the factor's earlier blocks of its side, in table order."""
+    slots, seen = {}, {}
+    for fi, F in ((1, F1), (2, F2)):
+        for lab in F.table.labels[1:]:
+            if lab in F.blocks:
+                side = F.blocks[lab].shape[0]
+                slots[fi, lab.id] = (fi, side), seen.get((fi, side), 0)
+                seen[fi, side] = seen.get((fi, side), 0) + 1
+    groups = {}
+    for pos, (word, _) in enumerate(wp):
+        if word.letters:
+            try:
+                key, rows = zip(*[slots[fi, lab.id] for fi, lab in word.letters])
+            except KeyError as exc:
+                fi, lab_id = exc.args[0]
+                raise KeyError(f"missing letter block: factor {fi}, label {lab_id!r}") from None
+            positions, index = groups.setdefault(key, ([], []))
+            positions.append(pos)
+            index.append(rows)
+    return {key: (np.array(positions), np.array(index)) for key, (positions, index) in groups.items()}
+
+
 def alternating_count(p: int, q: int, k: int) -> int:
     """Closed-form count of alternating words of exact length k >= 1."""
     if k == 0:
