@@ -38,13 +38,18 @@ class LabelTable:
     """Protocol shared by label tables: ordered (label, dim) entries, trivial first.
 
     The canonical entry order governs every serialization and report
-    produced from the table.  Subclasses give ``entries``, ``trivial``,
-    ``dim``, ``decode``, ``key_at`` (the key of the label at a position),
-    ``_key`` (the key of a label) and ``_noun``, what their labels are
-    called in errors.
+    produced from the table.  Subclasses fix ``_key``, the string a label is
+    encoded to, and ``_noun``, what their labels are called in errors; one
+    that does not hold its entries overrides what reads them.
     """
 
     _noun = "label"
+
+    def __init__(self, entries: tuple):
+        self.entries = entries
+        self.trivial = entries[0][0]
+        self._dims = dict(entries)
+        self._by_key = {self._key(lab): lab for lab, _ in entries}
 
     @functools.cached_property
     def labels(self) -> tuple:
@@ -54,12 +59,28 @@ class LabelTable:
     def nontrivial_labels(self) -> tuple:
         return self.labels[1:]
 
-    def _missing(self, label) -> KeyError:
-        return KeyError(f"{self._noun} {label!r} not in table")
+    def dim(self, label) -> int:
+        try:
+            return self._dims[label]
+        except KeyError:
+            raise KeyError(f"{self._noun} {label!r} not in table") from None
 
     def encode(self, label) -> str:
         self.dim(label)  # raises for a label outside the table
         return self._key(label)
+
+    def key_at(self, j: int) -> str:
+        """The key of the label at position ``j``."""
+        return self._key(self.entries[j][0])
+
+    def decode(self, key: str):
+        try:
+            return self._by_key[key]
+        except KeyError:
+            raise KeyError(f"no {self._noun} encoded as {key!r}") from None
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.entries)
@@ -89,32 +110,11 @@ class IrrepTable(LabelTable):
         for (lab, dim) in entries:
             if dim < 1:
                 raise ValueError(f"label {lab.id!r} has nonpositive dimension {dim}")
-        self.entries = entries
-        self.trivial = entries[0][0]
-        self._dims = dict(entries)
-        self._by_key = {lab.id: lab for lab, _ in entries}
+        super().__init__(entries)
 
     @staticmethod
     def _key(label: IrrepLabel) -> str:
         return label.id
-
-    def key_at(self, j: int) -> str:
-        return self.entries[j][0].id
-
-    def dim(self, label) -> int:
-        try:
-            return self._dims[label]
-        except KeyError:
-            raise self._missing(label) from None
-
-    def decode(self, key: str) -> IrrepLabel:
-        try:
-            return self._by_key[key]
-        except KeyError:
-            raise KeyError(f"no label encoded as {key!r}") from None
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IrrepTable) and self.entries == other.entries
@@ -293,7 +293,7 @@ class FreeProductTable(LabelTable):
                 return math.prod(factors[fi - 1].dim(lab) for fi, lab in label.letters)
             except KeyError:
                 pass
-        raise self._missing(label)
+        raise KeyError(f"word {label!r} not in table")
 
     def decode(self, key: str) -> Word:
         try:
