@@ -24,7 +24,7 @@ from . import _linalg
 from .fourier import (DEFAULT_TOL, MatrixFamily, _c0_condition, _constant_blocks,
                       _identity_condition, _norm_bound_condition, _require_c0_eps,
                       _require_normalized, _rows, convolve, family_content_digest,
-                      max_block_deviation)
+                      max_block_deviation, stacked_blocks)
 from .genfun import GeneratingFunctional
 from .irreps import FreeProductTable
 from .reports import CertificationReport
@@ -48,16 +48,15 @@ def _letter_stacks(F1, F2):
     """
     sides, rows, stacks = [], [], {}
     for fi, F in ((1, F1), (2, F2)):
-        by_dim = {}
-        for lab in F.table.nontrivial_labels:
-            blk = F.blocks.get(lab)
-            sides.append(0 if blk is None else blk.shape[0])
-            same_dim = by_dim.setdefault(sides[-1], [])
-            rows.append(len(same_dim))
-            same_dim.append(blk)
-        by_dim.pop(0, None)
-        stacks.update(((fi, d), np.stack(blks)) for d, blks in by_dim.items())
-    return (np.array(sides, dtype=np.intp), np.array(rows, dtype=np.intp)), stacks
+        side = np.where(F.rows[1:] >= 0, F.table.dims[1:], 0).astype(np.intp)
+        row = np.zeros_like(side)
+        for d in np.unique(side[side > 0]).tolist():
+            at = np.flatnonzero(side == d)
+            row[at] = np.arange(len(at))
+            stacks[fi, d] = F.blocks.gather(d, at + 1)
+        sides.append(side)
+        rows.append(row)
+    return (np.concatenate(sides), np.concatenate(rows)), stacks
 
 
 def _word_groups(wp: FreeProductTable, slots) -> list:
@@ -100,13 +99,12 @@ def _word_groups(wp: FreeProductTable, slots) -> list:
 
 
 def _word_stacks(letters, wp: FreeProductTable):
-    """(words, stacks) per group of ``_word_groups``, where ``stacks[j][i]``
-    is the letter block at the j-th letter of ``words[i]``; ``letters`` is
-    what ``_letter_stacks`` returns."""
+    """(positions, stacks) per group of ``_word_groups``, where ``stacks[j][i]``
+    is the letter block at the j-th letter of the word at ``positions[i]``;
+    ``letters`` is what ``_letter_stacks`` returns."""
     slots, stacks = letters
     for key, positions, index in _word_groups(wp, slots):
-        yield ([wp.labels[p] for p in positions],
-               [stacks[k][index[:, j]] for j, k in enumerate(key)])
+        yield positions, [stacks[k][index[:, j]] for j, k in enumerate(key)]
 
 
 def _kron_fold(stacks) -> np.ndarray:
@@ -127,17 +125,11 @@ def _kron_fold(stacks) -> np.ndarray:
     return acc
 
 
-def _word_blocks(words, stack: np.ndarray) -> dict:
-    """word -> read-only view of its matrix in ``stack``, which is frozen too."""
-    stack.setflags(write=False)
-    return dict(zip(words, stack))
-
-
 def _state_letters(phi1: MatrixFamily, phi2: MatrixFamily, wp: FreeProductTable):
     """``_letter_stacks`` of two normalized factor families of ``wp``."""
     _check_factor_tables(wp, phi1, phi2)
-    _require_normalized(phi1, "factor 1 family")
-    _require_normalized(phi2, "factor 2 family")
+    _require_normalized(phi1.blocks, "factor 1 family")
+    _require_normalized(phi2.blocks, "factor 2 family")
     return _letter_stacks(phi1, phi2)
 
 
@@ -150,10 +142,10 @@ def cfree_state(phi1: MatrixFamily, phi2: MatrixFamily,
     the same letter dimensions are built together, as one stack.
     """
     letters = _state_letters(phi1, phi2, wp)
-    blocks = _word_blocks([wp.trivial], np.ones((1, 1, 1), dtype=np.complex128))
-    for words, stacks in _word_stacks(letters, wp):
-        blocks.update(_word_blocks(words, _kron_fold(stacks)))
-    return MatrixFamily(wp, blocks, normalized=True)
+    trivial = (np.zeros(1, dtype=np.intp), np.ones((1, 1, 1), dtype=np.complex128))
+    return MatrixFamily(wp, stacked_blocks(wp, [trivial, *(
+        (positions, _kron_fold(stacks)) for positions, stacks in _word_stacks(letters, wp))]),
+        normalized=True)
 
 
 def cfree_generator(L1: GeneratingFunctional, L2: GeneratingFunctional,
@@ -164,16 +156,16 @@ def cfree_generator(L1: GeneratingFunctional, L2: GeneratingFunctional,
     sum_j I x ... x L^{a_j} x ... x I, in letter order.
     """
     _check_factor_tables(wp, L1, L2)
-    blocks = {}
-    for words, stacks in _word_stacks(_letter_stacks(L1, L2), wp):
+    parts = []
+    for positions, stacks in _word_stacks(_letter_stacks(L1, L2), wp):
         eyes = [np.broadcast_to(np.eye(s.shape[1], dtype=np.complex128), s.shape)
                 for s in stacks]
         side = math.prod(s.shape[1] for s in stacks)
-        acc = np.zeros((len(words), side, side), dtype=np.complex128)
+        acc = np.zeros((len(positions), side, side), dtype=np.complex128)
         for j, stack in enumerate(stacks):
             acc = acc + _kron_fold(eyes[:j] + [stack] + eyes[j + 1:])
-        blocks.update(_word_blocks(words, acc))
-    return GeneratingFunctional(wp, blocks)
+        parts.append((positions, acc))
+    return GeneratingFunctional(wp, stacked_blocks(wp, parts))
 
 
 def check_diam3(phi1: MatrixFamily, phi2: MatrixFamily,
@@ -217,7 +209,7 @@ def damp_sequence(omegas, k_values) -> list[MatrixFamily]:
         raise ValueError("k_values must align with the family sequence")
     out = []
     for F, k in zip(omegas, k_values):
-        _require_normalized(F, "input family")
+        _require_normalized(F.blocks, "input family")
         over = np.flatnonzero(~(F.norms <= 1.0 + DAMP_INPUT_TOL))
         if over.size:
             raise ValueError(f"input block at {F.table.encode(F.labels[over[0]])!r} has norm "

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
+from .fourier import stacked_blocks
 from .genfun import GeneratingFunctional
 from .irreps import IrrepTable, make_table
 
@@ -236,7 +237,7 @@ def _schoenberg(spec: GroupSpec, t: float, radius: int,
     n = gram.shape[0]
     if tol is None:
         tol = 1e-8 * n
-    min_eig = float(_linalg.min_eigenvalues([gram])[0])
+    min_eig = float(_linalg.min_eigenvalues(gram[np.newaxis])[0])
     return (min_eig >= -tol), min_eig, n
 
 
@@ -249,9 +250,10 @@ def length_functional(spec: GroupSpec, radius: int) -> GeneratingFunctional:
     """
     elements = ball(spec, radius)
     table = _dual_table(elements)
-    blocks = {table.decode(g.encode()): [[float(length(g))]]
-              for g in elements if not g.is_identity}
-    return GeneratingFunctional(table, blocks)
+    elements = [g for g in elements if not g.is_identity]
+    at = np.array([table.locate(g.encode()) for g in elements], dtype=np.intp)
+    lengths = np.array([[[float(length(g))]] for g in elements], dtype=np.complex128)
+    return GeneratingFunctional(table, stacked_blocks(table, [(at, lengths)]))
 
 
 def parse_group(text: str) -> GroupSpec:

@@ -12,6 +12,7 @@ use, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -143,9 +144,10 @@ def cmd_semigroup(args) -> int:
         families = [(outdir / f"semigroup_t{t!r}.json", genfun.semigroup_at(L, t))
                     for t in ts]
     for path, family in families:
-        for lab, blk in family.blocks.items():
-            if not np.isfinite(blk).all():
-                raise ValueError(f"{path}: block {family.table.encode(lab)!r} is not finite")
+        bad = np.flatnonzero(~family.blocks.scan(lambda s: np.isfinite(s).all(axis=(-2, -1)), bool))
+        if bad.size:
+            at = int(family.positions[bad[0]])
+            raise ValueError(f"{path}: block {family.table.key_at(at)!r} is not finite")
     written = []
     for path, family in families:
         serialize.dump_json(serialize.family_to_obj(family), path)
@@ -302,6 +304,7 @@ def cmd_buildgen(args) -> int:
     return _emit(report, args)
 
 
+@functools.cache  # one argparse tree per process: building it costs more than parsing
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,

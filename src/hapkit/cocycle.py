@@ -20,7 +20,7 @@ import logging
 import numpy as np
 
 from . import _linalg
-from .fourier import BlockMap
+from .fourier import BlockMap, Blocks, _by_side, stacked_blocks
 from .genfun import GeneratingFunctional, PropernessResult, _proper_scan
 
 logger = logging.getLogger(__name__)
@@ -31,9 +31,10 @@ CLAMP_TOL = 1e-10
 class CocycleMatrices(BlockMap):
     """Label -> cocycle block over a table, with no block at the unit."""
 
-    def _check_trivial(self) -> None:
-        if self.table.trivial in self.blocks:
+    def _check_trivial(self, blocks: Blocks) -> Blocks:
+        if blocks.rows[0] >= 0:
             raise ValueError("cocycle matrices carry no block at the trivial label")
+        return blocks
 
 
 def factor_from_generator(L: GeneratingFunctional, tol: float = CLAMP_TOL) -> CocycleMatrices:
@@ -44,33 +45,38 @@ def factor_from_generator(L: GeneratingFunctional, tol: float = CLAMP_TOL) -> Co
     negative and raises.  The principal root is unique, so repeated runs
     are bitwise identical.
     """
-    grams = {lab: blk + blk.conj().T for lab, blk in L.nontrivial_blocks()}
-    roots, lows = _linalg.psd_sqrt(list(grams.values()))
+    roots, lows = _linalg.psd_sqrt({d: s + np.swapaxes(s.conj(), -1, -2)
+                                    for d, s in L.stacks.items()})
+    lows, at = L.blocks.in_order(lows)[1:], L.positions[1:]  # the trivial block comes first
     bad = np.flatnonzero(~(lows >= -tol))
     if bad.size:
-        raise ValueError(f"block {L.table.encode(list(grams)[bad[0]])!r}: matrix is not "
+        raise ValueError(f"block {L.table.key_at(int(at[bad[0]]))!r}: matrix is not "
                          f"positive semidefinite: eigenvalue {float(lows[bad[0]])}")
     if (lows < 0).any():
         logger.info("factor_from_generator: clamped %d blocks (worst magnitude %g)",
                     np.count_nonzero(lows < 0), -lows.min())
-    return CocycleMatrices(L.table, dict(zip(grams, roots)))
+    return CocycleMatrices(L.table, stacked_blocks(L.table, [
+        (where, roots[d][L.rows[where]]) for d, where in _by_side(L.table, at).items()]))
 
 
 def gram_from_cocycle(c: CocycleMatrices) -> GeneratingFunctional:
     """Recover the symmetric functional with blocks (c^a)*(c^a) / 2."""
-    return GeneratingFunctional(c.table, {lab: _linalg.hermitize(blk.conj().T @ blk) / 2.0
-                                          for lab, blk in c.blocks.items()})
+    return GeneratingFunctional(c.table, Blocks(c.table, {
+        d: _linalg.hermitize(_gram(s)) / 2.0 for d, s in c.stacks.items()}, c.rows))
 
 
 def check_proper_cocycle(c: CocycleMatrices, M: float) -> PropernessResult:
     """Labels where the smallest eigenvalue of (c^a)*(c^a) is below M."""
     if M <= 0:
         raise ValueError("threshold M must be positive")
-    grams = [blk.conj().T @ blk for blk in c.blocks.values()]
-    lows = zip(c.labels, _linalg.min_eigenvalues(grams).tolist())
-    unspecified = [lab for lab in c.table.labels
-                   if lab not in c.blocks and lab != c.table.trivial]
+    lows = zip(c.labels, c.blocks.scan(lambda s: _linalg.min_eigenvalues(_gram(s))).tolist())
+    unspecified = [c.table.labels[j] for j in np.flatnonzero(c.rows[1:] < 0) + 1]
     return _proper_scan(M, lows, unspecified, len(c.table) - 1)  # no trivial label
+
+
+def _gram(stack: np.ndarray) -> np.ndarray:
+    """(c^a)*(c^a) for every block of a stack."""
+    return np.swapaxes(stack.conj(), -1, -2) @ stack
 
 
 def check_bounded(c: CocycleMatrices) -> float:

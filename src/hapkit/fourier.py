@@ -18,7 +18,7 @@ zero: operations restrict to support intersections, so no decay is ever
 fabricated for labels nobody supplied.
 
 ``BlockMap`` is the label -> block container behind families, generating
-functionals and cocycles; ``_threshold_condition`` is the one verdict
+functionals and cocycles, one stack per block side (``Blocks``); ``_threshold_condition`` is the one verdict
 kernel behind every per-label threshold check, here and in ``cfree``.
 """
 
@@ -43,62 +43,177 @@ NORMALIZED_ATOL = 1e-9
 DEFAULT_TOL = 1e-9
 
 
+class Blocks(Mapping):
+    """Read-only label -> block view of one frozen ``(n_d, d, d)`` stack per side d.
+
+    ``rows[j]`` is the row of table position j's block in the stack of its
+    side, the table's dim there, or -1 where there is none: an unspecified
+    block is never zero-filled.  Each stack row belongs to one position.
+    Stacks are frozen with ``_linalg.freeze``; the label -> block dict behind
+    lookups and iteration, in table order, is built on first use.
+    """
+
+    def __init__(self, table, stacks: Mapping, rows):
+        self.table = table
+        self.stacks = MappingProxyType({d: _linalg.freeze(s) for d, s in sorted(stacks.items())})
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.rows.setflags(write=False)
+        self.positions = np.flatnonzero(self.rows >= 0)  # of the blocks, ascending
+        sides = table.dims[self.positions]
+        self._places = {}  # side -> (indices into positions, stack rows) of its blocks
+        for d, stack in self.stacks.items():
+            places = np.flatnonzero(sides == d)
+            rows = self._places[d] = places, self.rows[self.positions[places]]
+            if stack.shape != (len(places), d, d) or (np.sort(rows[1]) != np.arange(len(places))).any():
+                raise ValueError(f"side-{d} stack of shape {stack.shape} does not match its rows")
+        if len(self.rows) != len(table) or sum(len(p) for p, _ in self._places.values()) != len(sides):
+            raise ValueError("rows do not match the table and the stacks")
+
+    def views(self) -> list:
+        """The blocks in table order, each a view of its row."""
+        return [self.stacks[d][r] for d, r in zip(self.table.dims[self.positions].tolist(),
+                                                   self.rows[self.positions].tolist())]
+
+    @functools.cached_property
+    def _dict(self) -> dict:
+        return dict(zip((self.table.labels[j] for j in self.positions.tolist()), self.views()))
+
+    def __getitem__(self, label) -> np.ndarray:
+        return self._dict[label]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def at(self, j: int):
+        """The block at table position ``j``, or None."""
+        r = self.rows[j]
+        return None if r < 0 else self.stacks[int(self.table.dims[j])][r]
+
+    def gather(self, d: int, positions) -> np.ndarray:
+        """The blocks at ``positions``, all of side ``d``, as a new stack."""
+        return self.stacks[d][self.rows[positions]]
+
+    def in_order(self, by_side: Mapping, dtype=float) -> np.ndarray:
+        """Values given per side, in stack row order, put in table order."""
+        out = np.empty(len(self.positions), dtype=dtype)
+        for d, (places, rows) in self._places.items():
+            out[places] = by_side[d][rows]
+        return out
+
+    def by_side(self, values: np.ndarray) -> dict:
+        """Values in table order, put per side in stack row order."""
+        out = {d: np.empty(len(rows), dtype=values.dtype) for d, (_, rows) in self._places.items()}
+        for d, (places, rows) in self._places.items():
+            out[d][rows] = values[places]
+        return out
+
+    def scan(self, per_block, dtype=float) -> np.ndarray:
+        """``per_block`` maps a stack to one value per block; the values in table order."""
+        return self.in_order({d: per_block(stack) for d, stack in self.stacks.items()}, dtype)
+
+
+def stacked_blocks(table, parts) -> Blocks:
+    """Blocks from (positions, stack) pairs, ``stack[i]`` at table position
+    ``positions[i]``; the parts of one side are concatenated in order."""
+    rows = np.full(len(table), -1, dtype=np.intp)
+    by_side = {}
+    for positions, stack in parts:
+        if len(positions):
+            by_side.setdefault(stack.shape[-1], []).append((positions, stack))
+    for group in by_side.values():
+        n = 0
+        for positions, _ in group:
+            rows[positions] = np.arange(n, n + len(positions))
+            n += len(positions)
+    return Blocks(table, {d: group[0][1] if len(group) == 1 else np.concatenate(
+        [stack for _, stack in group]) for d, group in by_side.items()}, rows)
+
+
+def _by_side(table, positions: np.ndarray) -> dict:
+    """Side -> the ``positions`` (kept in order) where the table's dim is that side."""
+    sides = table.dims[positions]
+    return {d: positions[sides == d] for d in np.unique(sides).tolist()}
+
+
+def as_blocks(table, blocks: Mapping) -> Blocks:
+    """``blocks`` over ``table`` as ``Blocks``: itself if it is one over an
+    equal table, else its arrays copied into one stack per side.
+
+    A block that is not a square matrix of its label's dim raises ValueError
+    (the first such in table order); keys outside the table raise KeyError.
+    """
+    if isinstance(blocks, Blocks) and (blocks.table is table or blocks.table == table):
+        return blocks
+    positions, arrays, extra = [], [], []
+    for label, mat in blocks.items():
+        try:
+            positions.append(table.index(label))
+            arrays.append(mat)
+        except KeyError:
+            extra.append(label)
+    for i in sorted(range(len(positions)), key=positions.__getitem__):
+        a = arrays[i] = np.asarray(arrays[i], dtype=np.complex128)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"block must be a square matrix, got shape {a.shape}")
+        if a.shape[0] != table.dims[positions[i]]:
+            raise ValueError(f"block has side {a.shape[0]}, expected {table.dims[positions[i]]}")
+    if extra:
+        raise KeyError(f"blocks supplied for labels outside the table: {extra!r}")
+    return stacked_blocks(table, [([j], a[np.newaxis]) for j, a in zip(positions, arrays)])
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
 class BlockMap:
     """Label -> complex block map over a fixed table.
 
-    Immutable after construction: blocks are stored read-only in canonical
-    table order, so maps can be shared freely between threads and
-    serialized reproducibly.  States, generating functionals and cocycles
-    differ only in what they allow at the trivial label, which each
+    Immutable after construction: ``blocks`` holds one frozen stack per
+    block side (see ``Blocks``), so maps can be shared freely between
+    threads and serialized reproducibly.  States, generating functionals and
+    cocycles differ only in what they allow at the trivial label, which each
     subclass enforces in ``_check_trivial``.
     """
 
     def __init__(self, table, blocks: Mapping):
-        store = {label: _linalg.as_block(blocks[label], table.dim(label))
-                 for label in table.labels if label in blocks}
-        if len(store) != len(blocks):
-            extra = [k for k in blocks if k not in store]
-            raise KeyError(f"blocks supplied for labels outside the table: {extra!r}")
         self.table = table
-        self.blocks = MappingProxyType(store)
-        self._check_trivial()
+        self.blocks = self._check_trivial(as_blocks(table, blocks))
+        self.stacks, self.rows, self.positions = (
+            self.blocks.stacks, self.blocks.rows, self.blocks.positions)
 
-    def _check_trivial(self) -> None:
+    def _check_trivial(self, blocks: Blocks) -> Blocks:
         """Validate (or complete) the block at the trivial label."""
+        return blocks
 
-    @property
-    def support(self) -> frozenset:
-        return frozenset(self.blocks)
-
-    @property
+    @functools.cached_property
     def labels(self) -> tuple:
         """Supported labels in canonical table order."""
-        return tuple(self.blocks)
+        return tuple(self.table.labels[j] for j in self.positions.tolist())
 
-    def nontrivial_blocks(self):
-        """(label, block) pairs in table order, skipping the trivial label."""
-        return ((lab, b) for lab, b in self.blocks.items() if lab != self.table.trivial)
+    @functools.cached_property
+    def support(self) -> frozenset:
+        return frozenset(self.labels)
 
     @functools.cached_property
     def norms(self) -> np.ndarray:
         """Read-only ||B|| of every block, aligned with ``labels``; NaN if non-finite."""
-        return self._scan(tuple(self.blocks.values()))
+        return _read_only(self.blocks.scan(_linalg.spectral_norms))
 
     @functools.cached_property
     def deviations(self) -> np.ndarray:
         """Read-only ||B - I|| of every block, aligned with ``labels``."""
-        return self._scan(tuple(self.blocks.values()), minus_identity=True)
+        return _read_only(self.blocks.scan(
+            functools.partial(_linalg.spectral_norms, minus_identity=True)))
 
     @functools.cached_property
     def residuals(self) -> np.ndarray:
         """Read-only Hermitian residual ||B - B*|| of every block, aligned with ``labels``."""
-        return self._scan([b - b.conj().T for b in self.blocks.values()])
-
-    @staticmethod
-    def _scan(blocks, minus_identity: bool = False) -> np.ndarray:
-        values = _linalg.spectral_norms(blocks, minus_identity)
-        values.setflags(write=False)
-        return values
+        return _read_only(self.blocks.scan(_linalg.adjoint_residuals))
 
     def block(self, label) -> np.ndarray:
         try:
@@ -110,9 +225,9 @@ class BlockMap:
         return f"{type(self).__name__}({len(self.blocks)}/{len(self.table)} blocks)"
 
 
-def _require_normalized(F: BlockMap, who: str) -> None:
-    """Raise unless the trivial block of ``F`` is [1] (NaN fails closed)."""
-    triv = F.blocks.get(F.table.trivial)
+def _require_normalized(blocks: Blocks, who: str) -> None:
+    """Raise unless the trivial block is [1] (NaN fails closed)."""
+    triv = blocks.at(0)
     if triv is None or not abs(complex(triv[0, 0]) - 1.0) <= NORMALIZED_ATOL:
         raise ValueError(f"{who} must be normalized (trivial block [1])")
 
@@ -124,9 +239,10 @@ class MatrixFamily(BlockMap):
         self.normalized = normalized
         super().__init__(table, blocks)
 
-    def _check_trivial(self) -> None:
+    def _check_trivial(self, blocks: Blocks) -> Blocks:
         if self.normalized:
-            _require_normalized(self, "family")
+            _require_normalized(blocks, "family")
+        return blocks
 
     def __repr__(self) -> str:
         if not self.normalized:
@@ -146,21 +262,22 @@ def convolve(F: MatrixFamily, G: MatrixFamily) -> MatrixFamily:
     missing from either operand are dropped (and logged), not zero-filled.
     """
     _require_same_table(F, G)
-    common = [lab for lab in F.labels if lab in G.blocks]
-    omitted = (F.support | G.support) - set(common)
+    common = np.flatnonzero((F.rows >= 0) & (G.rows >= 0))
+    omitted = np.count_nonzero((F.rows >= 0) | (G.rows >= 0)) - len(common)
     if omitted:
-        logger.info("convolve: %d labels outside common support omitted", len(omitted))
-    blocks = {lab: F.blocks[lab] @ G.blocks[lab] for lab in common}
+        logger.info("convolve: %d labels outside common support omitted", omitted)
+    blocks = stacked_blocks(F.table, [(at, F.blocks.gather(d, at) @ G.blocks.gather(d, at))
+                                      for d, at in _by_side(F.table, common).items()])
     return MatrixFamily(F.table, blocks, normalized=F.normalized and G.normalized)
 
 
-def _constant_blocks(table, c: float, unit: float | None = None) -> dict:
+def _constant_blocks(table, c: float, unit: float | None = None) -> Blocks:
     """c * I at every nontrivial label, plus [unit] at the trivial one unless None."""
-    blocks = {lab: c * np.eye(table.dim(lab), dtype=np.complex128)
-              for lab in table.labels if lab != table.trivial}
+    parts = [(at, np.repeat(c * np.eye(d, dtype=np.complex128)[np.newaxis], len(at), axis=0))
+             for d, at in _by_side(table, np.arange(1, len(table))).items()]
     if unit is not None:
-        blocks[table.trivial] = np.full((1, 1), unit, dtype=np.complex128)
-    return blocks
+        parts.append((np.zeros(1, dtype=np.intp), np.full((1, 1, 1), unit, dtype=np.complex128)))
+    return stacked_blocks(table, parts)
 
 
 def counit_family(table) -> MatrixFamily:
@@ -182,8 +299,10 @@ def block_norm(F: MatrixFamily, label) -> float:
 def max_block_deviation(F: MatrixFamily, G: MatrixFamily) -> float:
     """Largest spectral-norm difference over the common support."""
     _require_same_table(F, G)
-    gaps = [blk - G.blocks[lab] for lab, blk in F.blocks.items() if lab in G.blocks]
-    return float(np.max(_linalg.spectral_norms(gaps), initial=0.0))
+    common = np.flatnonzero((F.rows >= 0) & (G.rows >= 0))
+    gaps = [_linalg.spectral_norms(F.blocks.gather(d, at) - G.blocks.gather(d, at))
+            for d, at in _by_side(F.table, common).items()]
+    return float(np.max(np.concatenate([np.empty(0), *gaps]), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -218,7 +337,7 @@ def check_c0(F: MatrixFamily, eps: float) -> C0Result:
     _require_c0_eps(eps)
     labels = F.labels
     exceptional = [labels[i] for i in np.flatnonzero(~(F.norms <= eps))]
-    unspecified = tuple(lab for lab in F.table.labels if lab not in F.blocks)
+    unspecified = tuple(F.table.labels[j] for j in np.flatnonzero(F.rows < 0).tolist())
     return C0Result(
         eps=eps,
         exceptional=tuple(exceptional),
@@ -248,7 +367,7 @@ def is_state_candidate(F: MatrixFamily) -> StateCandidate:
 
     ``worst_label`` names the block of largest norm, or the first NaN one.
     """
-    triv = F.blocks.get(F.table.trivial)
+    triv = F.blocks.at(0)
     trivial_dev = math.inf if triv is None else abs(complex(triv[0, 0]) - 1.0)
     worst_norm = float(np.max(F.norms, initial=0.0))
     worst_label = F.table.encode(F.labels[np.argmax(F.norms)]) if worst_norm else ""
@@ -262,13 +381,13 @@ def family_content_digest(families, table=None) -> str:
     if families:
         table = table or families[0].table
     if table is not None:
-        for lab in table.labels:
-            h.update(table.encode(lab).encode())
-            h.update(str(table.dim(lab)).encode())
+        for j, dim in enumerate(table.dims.tolist()):
+            h.update(table.key_at(j).encode())
+            h.update(str(dim).encode())
     for F in families:
-        for lab in F.labels:
-            h.update(F.table.encode(lab).encode())
-            h.update(np.ascontiguousarray(F.blocks[lab]).tobytes())
+        for j, blk in zip(F.positions.tolist(), F.blocks.views()):
+            h.update(F.table.key_at(j).encode())
+            h.update(np.ascontiguousarray(blk).tobytes())
     return "sha256:" + h.hexdigest()
 
 
@@ -444,8 +563,7 @@ def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,
     contexts = ([f"family k={k}" for k in k_values] if k_values
                 else [f"family #{i}" for i in range(len(seq))])
 
-    present = [np.fromiter((lab in F.blocks for lab in table.labels), bool, len(table))
-               for F in seq]
+    present = [F.rows >= 0 for F in seq]
     deviations = [np.full(len(table), math.inf) for _ in seq]
     for dev, F, here in zip(deviations, seq, present):
         dev[here] = F.deviations

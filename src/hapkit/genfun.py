@@ -19,6 +19,7 @@ nontrivial block above the identity.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -28,8 +29,8 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from . import _linalg
-from .fourier import (DEFAULT_TOL, BlockMap, MatrixFamily, _constant_blocks,
-                      _require_normalized, _require_same_table)
+from .fourier import (DEFAULT_TOL, BlockMap, Blocks, MatrixFamily, _by_side, _constant_blocks,
+                      _require_normalized, _require_same_table, stacked_blocks)
 
 logger = logging.getLogger(__name__)
 
@@ -42,14 +43,24 @@ class GeneratingFunctional(BlockMap):
     unspecified, in which case nothing is claimed about them.
     """
 
-    def _check_trivial(self) -> None:
-        triv = self.blocks.get(self.table.trivial)
-        if triv is None:
-            # blocks are in table order (trivial first), so prepending keeps it canonical
-            zero = _linalg.as_block([[0.0]])
-            self.blocks = MappingProxyType({self.table.trivial: zero, **self.blocks})
-        elif np.any(triv != 0):
+    def _check_trivial(self, blocks: Blocks) -> Blocks:
+        triv = blocks.at(0)
+        if triv is None:  # a zero row after the other 1 x 1 blocks
+            scalars = blocks.stacks.get(1, np.empty((0, 1, 1), dtype=np.complex128))
+            rows = blocks.rows.copy()
+            rows[0] = len(scalars)
+            zero = np.zeros((1, 1, 1), dtype=np.complex128)
+            return Blocks(self.table, {**blocks.stacks, 1: np.concatenate([scalars, zero])}, rows)
+        if np.any(triv != 0):
             raise ValueError("generating functional must vanish at the unit")
+        return blocks
+
+    @functools.cached_property
+    def _expm_spectra(self) -> dict:
+        """What ``_linalg.expm_neg`` needs of the stacks whatever t: the Hermitian
+        test, from the cached residuals and norms, and ``eigh``."""
+        by_side = self.blocks.by_side
+        return _linalg.expm_spectra(self.stacks, by_side(self.residuals), by_side(self.norms))
 
 
 class SymmetryCheck(NamedTuple):
@@ -74,7 +85,7 @@ def check_positive_blocks(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> 
     if not sym.ok:
         raise ValueError(f"positivity check needs symmetric blocks "
                          f"(Hermitian residual {sym.residual:g})")
-    worst = float(np.min(_linalg.min_eigenvalues(tuple(L.blocks.values())), initial=math.inf))
+    worst = float(np.min(L.blocks.scan(_linalg.min_eigenvalues), initial=math.inf))
     return PositivityCheck(worst >= -tol, worst)
 
 
@@ -123,8 +134,8 @@ def check_proper(L: GeneratingFunctional, M: float) -> PropernessResult:
     if not sym.ok:
         raise ValueError(f"properness is defined for symmetric functionals "
                          f"(Hermitian residual {sym.residual:g})")
-    lows = zip(L.labels, _linalg.min_eigenvalues(tuple(L.blocks.values())).tolist())
-    unspecified = [lab for lab in L.table.labels if lab not in L.blocks]
+    lows = zip(L.labels, L.blocks.scan(_linalg.min_eigenvalues).tolist())
+    unspecified = [L.table.labels[j] for j in np.flatnonzero(L.rows < 0).tolist()]
     return _proper_scan(M, lows, unspecified, len(L.table))
 
 
@@ -132,20 +143,20 @@ def semigroup_at(L: GeneratingFunctional, t: float) -> MatrixFamily:
     """Family of the convolution semigroup at time t: blocks exp(-t * L^a).
 
     The result is a normalized family supported where L is; see
-    ``_linalg.expm_neg`` for how the blocks are exponentiated.
+    ``_linalg.expm_neg`` for how the blocks are exponentiated.  The Hermitian
+    test and the eigendecomposition of L are made once, for every t.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    generator = dict(L.nontrivial_blocks())
-    blocks = dict(zip(generator, _linalg.expm_neg(list(generator.values()), t)))
-    blocks[L.table.trivial] = np.ones((1, 1), dtype=np.complex128)
-    return MatrixFamily(L.table, blocks, normalized=True)
+    stacks = _linalg.expm_neg(L.stacks, t, L._expm_spectra)
+    stacks[1][L.rows[0]] = 1.0  # the trivial block
+    return MatrixFamily(L.table, Blocks(L.table, stacks, L.rows), normalized=True)
 
 
 def shift_unit(L: GeneratingFunctional) -> GeneratingFunctional:
     """Add the identity to every nontrivial block (convolving in counit - haar)."""
-    return GeneratingFunctional(L.table, {lab: blk + np.eye(blk.shape[0])
-                                          for lab, blk in L.nontrivial_blocks()})
+    return GeneratingFunctional(L.table, stacked_blocks(L.table, [
+        (at, L.blocks.gather(d, at) + np.eye(d)) for d, at in _by_side(L.table, L.positions[1:]).items()]))
 
 
 def unit_shift_functional(table) -> GeneratingFunctional:
@@ -205,17 +216,20 @@ def build_from_states(seq, betas=None, eps=None) -> tuple[GeneratingFunctional, 
     table = seq[0].table
     for F in seq:
         _require_same_table(seq[0], F, "state families")
-        _require_normalized(F, "state families")
+        _require_normalized(F.blocks, "state families")
 
-    support = [lab for lab in table.labels
-               if all(lab in F.blocks for F in seq) and lab != table.trivial]
-    blocks = {lab: sum(b * (np.eye(table.dim(lab)) - F.blocks[lab]) for b, F in zip(betas, seq))
-              for lab in support}
+    common = np.logical_and.reduce([F.rows >= 0 for F in seq])
+    common[0] = False  # the trivial label
+    at = np.flatnonzero(common)
+    # Python's sum, as on one block: it starts from the integer 0, so -0.0 becomes +0.0
+    blocks = stacked_blocks(table, [
+        (where, sum(b * (np.eye(d) - F.blocks.gather(d, where)) for b, F in zip(betas, seq)))
+        for d, where in _by_side(table, at).items()])
+    support = [table.labels[j] for j in at.tolist()]
 
     # ok[n, j]: ||I - block_n|| <= eps_n at support[j] (never at a NaN deviation)
-    in_support = set(support)
-    ok = np.array([F.deviations[[lab in in_support for lab in F.labels]] <= e
-                   for F, e in zip(seq, eps)])
+    ok = np.array([F.deviations[np.searchsorted(F.positions, at)] <= e
+                   for F, e in zip(seq, eps)]).reshape(len(seq), len(at))
     # onward[n, j]: ok from n to the end of the range
     onward = np.logical_and.accumulate(ok[::-1], axis=0)[::-1]
     starts = onward.argmax(axis=0) + 1  # 1-based index into the schedule
@@ -265,16 +279,14 @@ def generator_from_semigroup(sampler: Callable[[float], MatrixFamily],
         weights.append(w)
     i_min = min(range(len(t_small)), key=lambda i: t_small[i])
 
-    blocks = {}
-    gaps = []
-    common = [lab for lab in table.labels
-              if lab != table.trivial and all(lab in F.blocks for F in samples)]
-    for lab in common:
-        dim = table.dim(lab)
-        eye = np.eye(dim)
-        quotients = [(eye - F.blocks[lab]) / t for F, t in zip(samples, t_small)]
+    common = np.logical_and.reduce([F.rows >= 0 for F in samples])
+    common[0] = False  # the trivial label
+    at = np.flatnonzero(common)
+    parts, gaps = [], np.empty(len(at))
+    for d, where in _by_side(table, at).items():
+        quotients = [(np.eye(d) - F.blocks.gather(d, where)) / t for F, t in zip(samples, t_small)]
         est = sum(w * q for w, q in zip(weights, quotients))
-        blocks[lab] = est
-        gaps.append(est - quotients[i_min])
-    errors = dict(zip(common, _linalg.spectral_norms(gaps).tolist()))
-    return GeneratingFunctional(table, blocks), errors
+        parts.append((where, est))
+        gaps[np.searchsorted(at, where)] = _linalg.spectral_norms(est - quotients[i_min])
+    errors = dict(zip([table.labels[j] for j in at.tolist()], gaps.tolist()))
+    return GeneratingFunctional(table, stacked_blocks(table, parts)), errors

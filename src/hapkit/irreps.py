@@ -48,8 +48,7 @@ class LabelTable:
     def __init__(self, entries: tuple):
         self.entries = entries
         self.trivial = entries[0][0]
-        self._dims = dict(entries)
-        self._by_key = {self._key(lab): lab for lab, _ in entries}
+        self._at_key = {self._key(lab): j for j, (lab, _) in enumerate(entries)}
 
     @functools.cached_property
     def labels(self) -> tuple:
@@ -59,11 +58,24 @@ class LabelTable:
     def nontrivial_labels(self) -> tuple:
         return self.labels[1:]
 
-    def dim(self, label) -> int:
+    @functools.cached_property
+    def dims(self) -> np.ndarray:
+        """The dimension of the label at each position."""
+        return np.array([dim for _, dim in self.entries], dtype=np.intp)
+
+    @functools.cached_property
+    def _positions(self) -> dict:
+        return {lab: j for j, lab in enumerate(self.labels)}
+
+    def index(self, label) -> int:
+        """The position of ``label`` in the table."""
         try:
-            return self._dims[label]
+            return self._positions[label]
         except KeyError:
             raise KeyError(f"{self._noun} {label!r} not in table") from None
+
+    def dim(self, label) -> int:
+        return self.entries[self.index(label)][1]
 
     def encode(self, label) -> str:
         self.dim(label)  # raises for a label outside the table
@@ -73,11 +85,15 @@ class LabelTable:
         """The key of the label at position ``j``."""
         return self._key(self.entries[j][0])
 
-    def decode(self, key: str):
+    def locate(self, key: str) -> int:
+        """The position of the label encoded as ``key``."""
         try:
-            return self._by_key[key]
+            return self._at_key[key]
         except KeyError:
             raise KeyError(f"no {self._noun} encoded as {key!r}") from None
+
+    def decode(self, key: str):
+        return self.entries[self.locate(key)][0]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -303,6 +319,9 @@ class FreeProductTable(LabelTable):
         except (KeyError, ValueError):
             pass
         raise KeyError(f"no word encoded as {key!r}")
+
+    def locate(self, key: str) -> int:
+        return self.index(self.decode(key))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FreeProductTable)

@@ -17,11 +17,12 @@ plain tables and "i1:id1|i2:id2|..." word encodings (empty string for the
 trivial word) for free-product tables.  Writing is deterministic: canonical
 label order, sorted keys, fixed separators.
 
-In memory, ``blocks_to_obj`` maps each key to the block's complex128 array,
-and ``dump_json`` writes the array in the layout json.dumps(..., indent=2)
-gives its nested lists, byte for byte.  ``blocks_from_obj`` converts all
-matrices of one side with one numpy call and hands out read-only views,
-which ``BlockMap`` adopts without a copy.
+In memory, ``blocks_to_obj`` maps each key to its block, a read-only view
+of the stack of its side, and keeps the stacks: ``dump_json`` formats each
+stack's numbers at once and writes every block in the layout
+json.dumps(..., indent=2) gives its nested lists, byte for byte.
+``blocks_from_obj`` converts all matrices of one side with one numpy call
+into one read-only stack, which ``BlockMap`` adopts without a copy.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .cocycle import CocycleMatrices
-from .fourier import MatrixFamily
+from .fourier import Blocks, MatrixFamily, as_blocks, stacked_blocks
 from .genfun import GeneratingFunctional
 from .irreps import FreeProductTable, IrrepTable, free_product_table, make_table
 
@@ -99,34 +100,45 @@ def table_from_obj(obj, where: str = "table"):
         raise SchemaError(f"{where}: {exc}") from None
 
 
+class _KeyedBlocks(dict):
+    """Block key -> block, a view of the stack of its side, in table order;
+    ``blocks`` keeps the stacks, which ``dump_json`` formats a side at a time."""
+
+    def __init__(self, blocks: Blocks):
+        super().__init__(zip(map(blocks.table.key_at, blocks.positions.tolist()), blocks.views()))
+        self.blocks = blocks
+
+
 def blocks_to_obj(table, blocks) -> dict:
-    """Block key -> the block as a complex128 array (not a copy for a block map's blocks)."""
-    return {table.encode(lab): np.asarray(blk, dtype=np.complex128) for lab, blk in blocks.items()}
+    """Block key -> the block as a read-only complex128 array (not a copy for a
+    block map's blocks)."""
+    return _KeyedBlocks(as_blocks(table, blocks))
 
 
-def blocks_from_obj(table, obj, where: str) -> dict:
-    """Label -> read-only block of a 'blocks' object.
+def blocks_from_obj(table, obj, where: str) -> Blocks:
+    """The blocks of a 'blocks' object, one read-only stack per side.
 
     The matrices of one side are checked and converted together; when any
-    is malformed, the error names the first fault in file order.
+    is malformed, or is not of its label's dim, the error names the first
+    fault in file order.
     """
     _expect(isinstance(obj, dict), where, "'blocks' must be an object")
     try:
-        labels = [table.decode(key) for key in obj]
+        positions = np.array([table.locate(key) for key in obj], dtype=np.intp)
     except KeyError:
         raise _first_fault(table, obj, where) from None
     mats = list(obj.values())
     by_side = {}
     for i, mat in enumerate(mats):
         by_side.setdefault(len(mat) if type(mat) is list else 0, []).append(i)
-    out = [None] * len(mats)
+    parts = []
     for side, idx in by_side.items():
         stack = _read_stack(side, [mats[i] for i in idx])
-        if stack is None:
+        at = positions[idx]
+        if stack is None or (table.dims[at] != side).any():
             raise _first_fault(table, obj, where)
-        for i, blk in zip(idx, stack):
-            out[i] = blk
-    return dict(zip(labels, out))
+        parts.append((at, stack))
+    return stacked_blocks(table, parts)
 
 
 def _read_stack(side: int, mats: list):
@@ -151,13 +163,16 @@ def _read_stack(side: int, mats: list):
 
 
 def _first_fault(table, obj: dict, where: str) -> SchemaError:
-    """The error for the first unknown key or malformed matrix of a rejected 'blocks' object."""
+    """The error for the first unknown key, malformed matrix or matrix of the
+    wrong side of a rejected 'blocks' object."""
     for key, mat in obj.items():
         try:
-            table.decode(key)
+            dim = table.dims[table.locate(key)]
         except KeyError as exc:
             return SchemaError(f"{where}: unknown block key {key!r} ({exc})")
         fault = _matrix_fault(mat)
+        if fault is None and len(mat) != dim:
+            fault = f"block has side {len(mat)}, expected {dim}"
         if fault is not None:
             return SchemaError(f"{where}.blocks[{key!r}]: {fault}")
     return SchemaError(f"{where}: malformed 'blocks'")  # fail closed if no fault is named
@@ -245,7 +260,8 @@ _INDENT = "  "
 
 def dump_json(obj, path) -> None:
     """Write ``obj`` as json.dumps(obj, sort_keys=True, indent=2) would, with
-    every ndarray leaf written as a matrix of [re, im] pairs.
+    the blocks of every ``blocks_to_obj`` value written as matrices of
+    [re, im] pairs.
 
     Strict JSON: a NaN or infinite value raises and writes nothing.
     """
@@ -261,9 +277,6 @@ def dump_json(obj, path) -> None:
 
 def _render(obj, depth: int, out: list) -> None:
     """Append the text of ``obj`` nested ``depth`` levels deep to ``out``."""
-    if isinstance(obj, np.ndarray):
-        out.append(_matrix_text(obj, depth))
-        return
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except TypeError:  # json met an array: lay this container out here
@@ -273,24 +286,40 @@ def _render(obj, depth: int, out: list) -> None:
         out.append(text.replace("\n", "\n" + _INDENT * depth))
         return
     is_dict = isinstance(obj, dict)
+    texts = _block_texts(obj, depth + 1) if isinstance(obj, _KeyedBlocks) else None
     out.append("{" if is_dict else "[")
     for n, item in enumerate(sorted(obj.items()) if is_dict else obj):
         out.append(("," if n else "") + "\n" + _INDENT * (depth + 1))
         if is_dict:
             key, item = item
             out.append(json.encoder.encode_basestring_ascii(key) + ": ")
-        _render(item, depth + 1, out)
+        if texts is None:
+            _render(item, depth + 1, out)
+        else:
+            out.append(texts[key])
     out.append("\n" + _INDENT * depth + ("}" if is_dict else "]"))
 
 
-def _matrix_text(a: np.ndarray, depth: int) -> str:
-    """The text of one array: its interleaved real and imaginary parts in its template."""
-    numbers = np.ascontiguousarray(a, dtype=np.complex128).reshape(-1).view(np.float64)
-    finite = np.isfinite(numbers)
+def _block_texts(obj: _KeyedBlocks, depth: int) -> dict:
+    """Key -> the text of its block nested ``depth`` levels deep: its interleaved
+    real and imaginary parts in its template.  Each side's numbers are checked,
+    listed and formatted at once; a non-finite one raises, naming the first of
+    the first such block in key order."""
+    numbers = {d: np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
+               for d, stack in obj.blocks.stacks.items()}
+    finite = obj.blocks.in_order({d: np.isfinite(x).all(axis=1) for d, x in numbers.items()}, bool)
     if not finite.all():
-        bad = float(numbers[np.argmin(finite)])
+        key = min(key for key, ok in zip(obj, finite) if not ok)
+        values = obj[key].reshape(-1).view(np.float64)
+        bad = float(values[np.argmin(np.isfinite(values))])
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    return _matrix_template(a.shape, depth) % tuple(map(float.__repr__, numbers.tolist()))
+    texts = {}
+    for d, x in numbers.items():
+        template, step = _matrix_template((d, d), depth), 2 * d * d
+        reprs = list(map(float.__repr__, x.reshape(-1).tolist()))
+        texts[d] = np.array([template % tuple(reprs[i:i + step])
+                             for i in range(0, len(reprs), step)], dtype=object)
+    return dict(zip(obj, obj.blocks.in_order(texts, object)))
 
 
 @functools.lru_cache(maxsize=16)

@@ -354,5 +354,84 @@ def blocks_from_obj(table, obj, where: str) -> dict:
             label = table.decode(key)
         except KeyError as exc:
             raise SchemaFault(f"{where}: unknown block key {key!r} ({exc})") from None
-        out[label] = matrix_from_obj(mat, f"{where}.blocks[{key!r}]")
+        block = out[label] = matrix_from_obj(mat, f"{where}.blocks[{key!r}]")
+        if len(block) != table.dim(label):
+            raise SchemaFault(f"{where}.blocks[{key!r}]: block has side {len(block)}, "
+                              f"expected {table.dim(label)}")
     return out
+
+
+class LabelBlockMap:
+    """The per-label block map: one read-only complex128 array per label, in
+    table order, each checked on its own; a generating functional's missing
+    trivial block becomes [0], as the stacked map makes it."""
+
+    def __init__(self, table, blocks, generator=False):
+        store = {}
+        for label in table.labels:
+            if label in blocks:
+                a = np.array(blocks[label], dtype=np.complex128)
+                if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                    raise ValueError(f"block must be a square matrix, got shape {a.shape}")
+                if a.shape[0] != table.dim(label):
+                    raise ValueError(f"block has side {a.shape[0]}, expected {table.dim(label)}")
+                a.setflags(write=False)
+                store[label] = a
+        if len(store) != len(blocks):
+            extra = [k for k in blocks if k not in store]
+            raise KeyError(f"blocks supplied for labels outside the table: {extra!r}")
+        if generator and table.trivial not in store:
+            store = {table.trivial: np.zeros((1, 1), dtype=np.complex128), **store}
+        self.table, self.blocks = table, store
+        self.labels = tuple(store)
+        self.support = frozenset(store)
+        values = list(store.values())
+        self.norms = np.array(block_norms(values))
+        self.deviations = np.array(block_norms(values, minus_identity=True))
+        self.residuals = np.array(block_norms([b - b.conj().T for b in values]))
+
+
+def label_semigroup(L: LabelBlockMap, t):
+    """label -> exp(-t L^a) by ``block_expm_neg``, one nontrivial label at a
+    time, and [1] at the trivial label."""
+    nontrivial = [lab for lab in L.labels if lab != L.table.trivial]
+    out = dict(zip(nontrivial, block_expm_neg([L.blocks[lab] for lab in nontrivial], t)))
+    out[L.table.trivial] = np.ones((1, 1), dtype=np.complex128)
+    return {lab: out[lab] for lab in L.labels}
+
+
+def label_factor(L: LabelBlockMap, tol):
+    """label -> principal root of L^a + (L^a)* by ``block_psd_sqrt``, or the
+    ValueError text for the first label whose smallest eigenvalue is below -tol."""
+    nontrivial = [lab for lab in L.labels if lab != L.table.trivial]
+    roots, lows = block_psd_sqrt([L.blocks[lab] + L.blocks[lab].conj().T for lab in nontrivial])
+    for lab, low in zip(nontrivial, lows):
+        if not low >= -tol:
+            return (f"block {L.table.encode(lab)!r}: matrix is not positive semidefinite: "
+                    f"eigenvalue {float(low)}")
+    return dict(zip(nontrivial, roots))
+
+
+def label_proper_cocycle(table, blocks, M):
+    """(exceptional (label, low) pairs, unspecified labels) of the cocycle
+    blocks at level M, one ``eigvalsh`` of (c*)c per label in table order."""
+    labels = [lab for lab in table.labels if lab in blocks]
+    lows = block_min_eigenvalues([blocks[lab].conj().T @ blocks[lab] for lab in labels])
+    return (tuple((lab, low) for lab, low in zip(labels, lows) if not low >= M),
+            tuple(lab for lab in table.labels[1:] if lab not in blocks))
+
+
+def label_build_from_states(table, seq, betas, eps):
+    """(generator blocks, first_certified, f_sets) of sum_n beta_n (counit - mu_n),
+    one label at a time; ``seq`` holds one label -> block dict per state.
+    Python's sum starts from the integer 0, as the library's does."""
+    support = [lab for lab in table.labels
+               if lab != table.trivial and all(lab in F for F in seq)]
+    blocks = {lab: sum(b * (np.eye(table.dim(lab)) - F[lab]) for b, F in zip(betas, seq))
+              for lab in support}
+    deviations = [[block_norms([F[lab]], minus_identity=True)[0] for F in seq]
+                  for lab in support]
+    first = dict(zip(support, first_certified(deviations, eps)))
+    f_sets = tuple(frozenset(lab for lab, row in zip(support, deviations) if row[n] <= eps[n])
+                   for n in range(len(seq)))
+    return blocks, first, f_sets

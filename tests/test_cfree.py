@@ -389,8 +389,9 @@ class TestStackedEvaluation:
         t1, t2 = mixed_table("a"), mixed_table("b")
         wp = hk.free_product_table(t1, t2, 2)
         fam = hk.cfree_state(random_normalized(rng, t1), random_normalized(rng, t2), wp)
-        again = hk.MatrixFamily(wp, dict(fam.blocks), normalized=True)
-        assert all(again.blocks[w] is blk for w, blk in fam.blocks.items())
+        again = hk.MatrixFamily(wp, fam.blocks, normalized=True)
+        assert again.stacks.keys() == fam.stacks.keys()
+        assert all(np.shares_memory(again.stacks[d], stack) for d, stack in fam.stacks.items())
 
 
 def _matrix_factor(rng, entries, n_stages):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hapkit as hk
+from hapkit import cli
 from hapkit import serialize as sz
 from conftest import FIXTURES, run_cli, run_cli_subprocess
 
@@ -123,6 +124,43 @@ class TestDeterminism:
     def test_quiet_suppresses_stdout(self):
         res = run_cli("certify-hap", FIXTURES / "zdual_hap_pass.json", "--quiet")
         assert res.returncode == 0 and res.stdout == b""
+
+
+class TestOneParserPerProcess:
+    def test_subcommands_in_one_process_match_fresh_processes(self, tmp_path):
+        """The argparse tree is built once and reused: runs of different
+        subcommands in one process print and write what fresh processes do."""
+        runs = [("certify-hap", FIXTURES / "zdual_hap_pass.json"),
+                ("schoenberg", "--group", "Z3*Z4", "--t", "0.5", "--radius", "2"),
+                ("certify-hap", FIXTURES / "undamped_fail.json", "--eps-decay", "0.25")]
+        for i, argv in enumerate(runs):
+            here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+            got = run_cli(*argv, "--json", here)
+            expected = run_cli_subprocess(*argv, "--json", fresh)
+            assert (got.returncode, got.stdout, got.stderr) == (
+                expected.returncode, expected.stdout, expected.stderr)
+            assert here.read_bytes() == fresh.read_bytes()
+        assert cli.build_parser() is cli.build_parser()
+
+
+class TestSideErrorsNameTheBlock:
+    TABLE = {"entries": [{"id": "e", "dim": 1, "trivial": True}, {"id": "a", "dim": 2}]}
+
+    def test_generator(self, tmp_path):
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps({"kind": "generator", "table": self.TABLE,
+                                   "blocks": {"a": [[[1.0, 0.0]]]}}))
+        res = run_cli("cocycle", gen, "--M", "1")
+        assert res.returncode == 2
+        assert res.stderr == b"error: generator.blocks['a']: block has side 1, expected 2\n"
+
+    def test_family(self, tmp_path):
+        states = tmp_path / "states.json"
+        states.write_text(json.dumps({"table": self.TABLE, "families": [
+            {"blocks": {"e": [[[1.0, 0.0]]]}}, {"blocks": {"a": [[[1.0, 0.0]]]}}]}))
+        res = run_cli("certify-hap", states)
+        assert res.returncode == 2
+        assert res.stderr == b"error: families[1].blocks['a']: block has side 1, expected 2\n"
 
 
 class TestSchoenbergCommand:

@@ -45,6 +45,23 @@ def poisoned_blocks(draw, general=False):
     return clean, poisoned, bad
 
 
+def _by_side(blocks):
+    """One stack per side of ``blocks``, and where each block went: (stacks, [(side, row)])."""
+    stacks, where = {}, []
+    for blk in blocks:
+        rows = stacks.setdefault(blk.shape[0], [])
+        where.append((blk.shape[0], len(rows)))
+        rows.append(blk)
+    return {d: np.stack(rows) for d, rows in stacks.items()}, where
+
+
+def _per_block(scan, blocks, *args, **kwargs) -> np.ndarray:
+    """``scan`` over each side's stack of ``blocks``, its values back in block order."""
+    stacks, where = _by_side(blocks)
+    values = {d: scan(stack, *args, **kwargs) for d, stack in stacks.items()}
+    return np.array([values[d][r] for d, r in where])
+
+
 class TestStackedScans:
     @settings(max_examples=60, deadline=None)
     @given(st.booleans().flatmap(poisoned_blocks), st.booleans())
@@ -54,9 +71,9 @@ class TestStackedScans:
         if real:
             blocks = [blk.real + 0j for blk in blocks]
         with mock.patch.object(_linalg, "STACK_BYTES", 128):
-            got = {"norms": _linalg.spectral_norms(blocks),
-                   "deviations": _linalg.spectral_norms(blocks, minus_identity=True),
-                   "min-eigenvalues": _linalg.min_eigenvalues(blocks)}
+            got = {"norms": _per_block(_linalg.spectral_norms, blocks),
+                   "deviations": _per_block(_linalg.spectral_norms, blocks, minus_identity=True),
+                   "min-eigenvalues": _per_block(_linalg.min_eigenvalues, blocks)}
         expected = {"norms": oracles.block_norms(blocks),
                     "deviations": oracles.block_norms(blocks, minus_identity=True),
                     "min-eigenvalues": oracles.block_min_eigenvalues(blocks)}
@@ -74,8 +91,13 @@ class TestHermitianCalculus:
         exponential, root and smallest eigenvalue is the per-block one, bitwise."""
         _, poisoned, bad = hermitian
         blocks = poisoned + general[0]
+        stacks, where = _by_side(blocks)
         with mock.patch.object(_linalg, "STACK_BYTES", 128), np.errstate(all="ignore"):
-            got = _linalg.expm_neg(blocks, t), *_linalg.psd_sqrt(blocks)
+            spectra = _linalg.expm_spectra(
+                stacks, {d: _linalg.adjoint_residuals(s) for d, s in stacks.items()},
+                {d: _linalg.spectral_norms(s) for d, s in stacks.items()})
+            got = [_linalg.expm_neg(stacks, t, spectra), *_linalg.psd_sqrt(stacks)]
+            got = [[values[d][r] for d, r in where] for values in got]
             expected = oracles.block_expm_neg(blocks, t), *oracles.block_psd_sqrt(blocks)
         for name, values, oracle in zip(["expm_neg", "roots"], got, expected):
             assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(values, oracle)), name
@@ -256,7 +278,7 @@ class TestNonFiniteNorms:
         blocks = [rng.standard_normal((3, 3)) + 0j for _ in range(4)]
         blocks[2] = blocks[2].copy()
         blocks[2][1, 0] = math.nan
-        norms = _linalg.spectral_norms(blocks)
+        norms = _linalg.spectral_norms(np.stack(blocks))
         assert math.isnan(norms[2])
         assert [norms[i] for i in (0, 1, 3)] == [
             float(np.linalg.norm(blocks[i], 2)) for i in (0, 1, 3)]
@@ -275,7 +297,7 @@ def test_gram_eigen_scan_copies_the_gram_at_most_once():
     gram = hk.length_gram(hk.GroupSpec((3, 4)), 0.5, 7)
     tracemalloc.start()
     try:
-        values = _linalg.min_eigenvalues([gram])
+        values = _linalg.min_eigenvalues(gram[np.newaxis])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,0 +1,80 @@
+"""What the benchmark tracer, ``perfbench/tracing.py``, needs of the package.
+
+The tracer wraps functions by (module, attribute) and its counters read
+block maps; the benchmark's own smoke tests run outside this suite, so
+without these checks a rename would only show up as a broken traced run.
+The tracer module is loaded from its file and never changed.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import hapkit as hk
+from hapkit import cli, genfun
+from hapkit import serialize as sz
+from conftest import FIXTURES, REPO_ROOT, run_cli
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", REPO_ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+assert cli.main  # the tracer resolves modules from sys.modules: hapkit.cli imports them all
+
+
+@pytest.mark.parametrize("span", sorted(tracing.TRACED))
+def test_every_traced_target_resolves(span):
+    for owner_path, attr in tracing.TRACED[span]:
+        assert callable(vars(tracing._resolve(owner_path))[attr])
+
+
+def test_counters_read_maps_built_from_stacks():
+    t = hk.make_table([("a", 2), ("b", 1), ("c", 3)])
+    read = sz.blocks_from_obj(t, {"b": [[[0.5, 0.0]]],
+                                  "a": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "x")
+    family, counit = hk.MatrixFamily(t, read), hk.counit_family(t)
+    product = hk.convolve(family, counit)
+    assert list(family.blocks.keys()) == [t.decode("a"), t.decode("b")]
+    assert len(family.blocks) == 2 and len(product.blocks) == 2
+    assert [blk.shape for blk in family.blocks.values()] == [(2, 2), (1, 1)]
+    tracer = tracing.Tracer()
+    tracer._count_block_bytes((), family)
+    tracer._count_prefilter((family, 0.75), None)
+    tracer._count_dropped((family, counit), product)
+    assert dict(tracer.counters) == {
+        "cfree.block_bytes": 16 * (4 + 1),
+        "fourier.check_c0.blocks_scanned": 2,
+        "fourier.check_c0.prefilter_accepts": 1,  # only [0.5] has Frobenius norm <= 0.75
+        "fourier.convolve.dropped_labels": 2,  # the trivial label and c
+    }
+
+
+def test_traced_run_keeps_the_call_paths(tmp_path):
+    """A traced semigroup run makes one ``expm_neg`` per t and reads through the
+    traced reader; a cocycle run takes one ``psd_sqrt``; everything is put back."""
+    original = genfun.semigroup_at
+    gen = FIXTURES / "zdual_length_generator.json"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert run_cli("semigroup", gen, "--t", "0.5,1,2", "--out", tmp_path).returncode == 0
+        assert run_cli("cocycle", gen, "--M", "1", "--out", tmp_path / "c.json").returncode == 0
+        tracer.flush_counters()
+    finally:
+        tracer.uninstall()
+    assert genfun.semigroup_at is original and hk.semigroup_at is original
+    _, calls = tracer.self_times()
+    assert calls["linalg.expm_neg"] == 3 and calls["genfun.semigroup_at"] == 3
+    assert calls["linalg.psd_sqrt"] == 1 and calls["cocycle.factor_from_generator"] == 1
+    assert calls["serialize.read"] >= 2 and calls["serialize.write"] >= 4
+    assert tracer.counters["serialize.bytes_written"] == sum(
+        path.stat().st_size for path in Path(tmp_path).iterdir())
+    assert np.isfinite(list(tracer.self_times()[0].values())).all()
