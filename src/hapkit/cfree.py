@@ -50,7 +50,7 @@ def _letter_stacks(F1, F2):
     for fi, F in ((1, F1), (2, F2)):
         side = np.where(F.rows[1:] >= 0, F.table.dims[1:], 0).astype(np.intp)
         row = np.zeros_like(side)
-        for d in np.unique(side[side > 0]).tolist():
+        for d in sorted(set(side[side > 0].tolist())):
             at = np.flatnonzero(side == d)
             row[at] = np.arange(len(at))
             stacks[fi, d] = F.blocks.gather(d, at + 1)
@@ -73,7 +73,8 @@ def _word_groups(wp: FreeProductTable, slots) -> list:
     # mixed radix, below the size of its (length, first factor) block.
     kinds, radix = np.empty_like(sides), []
     for part in (slice(0, offsets[1]), slice(offsets[1], None)):
-        values, kinds[part] = np.unique(sides[part], return_inverse=True)
+        values = sorted(set(sides[part].tolist()))
+        kinds[part] = np.searchsorted(values, sides[part])
         radix.append(len(values))
     firsts = np.flatnonzero(np.diff(wp.lengths * 3 + wp.starts, prepend=-1))
     out = []
@@ -279,7 +280,7 @@ class _WordValues:
         ``_linalg.spectral_norms`` gives for the ``_kron_fold`` of the letters."""
         values, known = self._exact[minus_identity], self._known[minus_identity]
         todo = positions[~known[positions]]
-        for g in np.unique(self._where[todo, 0]):
+        for g in sorted(set(self._where[todo, 0].tolist())):
             at = todo[self._where[todo, 0] == g]
             key, _, index = self._groups[g]
             rows = index[self._where[at, 1]]
@@ -304,7 +305,7 @@ def _stagewise(stages, positions: np.ndarray, minus_identity: bool):
     def exact(rows):
         stage, col = np.divmod(rows, len(positions))
         out = np.empty(len(rows))
-        for s in np.unique(stage):
+        for s in sorted(set(stage.tolist())):
             here = stage == s
             out[here] = stages[s].exact(positions[col[here]], minus_identity)
         return out

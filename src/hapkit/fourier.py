@@ -135,7 +135,7 @@ def stacked_blocks(table, parts) -> Blocks:
 def _by_side(table, positions: np.ndarray) -> dict:
     """Side -> the ``positions`` (kept in order) where the table's dim is that side."""
     sides = table.dims[positions]
-    return {d: positions[sides == d] for d in np.unique(sides).tolist()}
+    return {d: positions[sides == d] for d in sorted(set(sides.tolist()))}
 
 
 def as_blocks(table, blocks: Mapping) -> Blocks:

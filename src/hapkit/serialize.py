@@ -302,9 +302,9 @@ def _render(obj, depth: int, out: list) -> None:
 
 def _block_texts(obj: _KeyedBlocks, depth: int) -> dict:
     """Key -> the text of its block nested ``depth`` levels deep: its interleaved
-    real and imaginary parts in its template.  Each side's numbers are checked,
-    listed and formatted at once; a non-finite one raises, naming the first of
-    the first such block in key order."""
+    real and imaginary parts in its template.  Each side's numbers are checked
+    and listed at once; a non-finite one raises, naming the first of the first
+    such block in key order."""
     numbers = {d: np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
                for d, stack in obj.blocks.stacks.items()}
     finite = obj.blocks.in_order({d: np.isfinite(x).all(axis=1) for d, x in numbers.items()}, bool)
@@ -316,9 +316,9 @@ def _block_texts(obj: _KeyedBlocks, depth: int) -> dict:
     texts = {}
     for d, x in numbers.items():
         template, step = _matrix_template((d, d), depth), 2 * d * d
-        reprs = list(map(float.__repr__, x.reshape(-1).tolist()))
-        texts[d] = np.array([template % tuple(reprs[i:i + step])
-                             for i in range(0, len(reprs), step)], dtype=object)
+        values = x.reshape(-1).tolist()
+        texts[d] = np.array([template % tuple(map(float.__repr__, values[i:i + step]))
+                             for i in range(0, len(values), step)], dtype=object)
     return dict(zip(obj, obj.blocks.in_order(texts, object)))
 
 

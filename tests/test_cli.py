@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 import hapkit as hk
 from hapkit import cli
 from hapkit import serialize as sz
-from conftest import FIXTURES, run_cli, run_cli_subprocess
+from conftest import FIXTURES, REPO_ROOT, run_cli, run_cli_subprocess
 
 
 class TestExitCodes:
@@ -141,6 +143,25 @@ class TestOneParserPerProcess:
                 expected.returncode, expected.stdout, expected.stderr)
             assert here.read_bytes() == fresh.read_bytes()
         assert cli.build_parser() is cli.build_parser()
+
+
+def test_runs_leave_numpy_ma_unloaded(tmp_path):
+    """numpy.ma is about a megabyte and 15 ms of import: no subcommand needs it
+    (``np.unique`` imports it, so hapkit groups by side without it)."""
+    runs = [["cocycle", FIXTURES / "zdual_length_generator.json", "--M", "1",
+             "--out", tmp_path / "c.json"],
+            ["semigroup", FIXTURES / "unit_shift_generator.json", "--t", "1",
+             "--out", tmp_path / "sg"],
+            ["buildgen", FIXTURES / "buildgen_zdual.json", "--out", tmp_path / "g.json"],
+            ["certify-hap", FIXTURES / "zdual_hap_pass.json"],
+            ["freeprod", FIXTURES / "freeprod_matrix.json"]]
+    code = ("import io, sys, contextlib\nfrom hapkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {[list(map(str, r)) for r in runs]!r}]\n"
+            "print(codes, 'numpy.ma' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                         cwd=REPO_ROOT)
+    assert res.stdout.strip() == b"[0, 0, 1, 0, 1] False"
 
 
 class TestSideErrorsNameTheBlock:
