@@ -18,8 +18,9 @@ zero: operations restrict to support intersections, so no decay is ever
 fabricated for labels nobody supplied.
 
 ``BlockMap`` is the label -> block container behind families, generating
-functionals and cocycles, one stack per block side (``Blocks``); ``_threshold_condition`` is the one verdict
-kernel behind every per-label threshold check, here and in ``cfree``.
+functionals and cocycles, one stack per block side (``Blocks``);
+``_threshold_condition`` is the one verdict kernel behind every per-label
+threshold check, here and in ``cfree``.
 """
 
 from __future__ import annotations
@@ -58,16 +59,19 @@ class Blocks(Mapping):
         self.stacks = MappingProxyType({d: _linalg.freeze(s) for d, s in sorted(stacks.items())})
         self.rows = np.asarray(rows, dtype=np.intp)
         self.rows.setflags(write=False)
+        if len(self.rows) != len(table):
+            raise ValueError(f"{len(self.rows)} rows for a table of {len(table)} labels")
         self.positions = np.flatnonzero(self.rows >= 0)  # of the blocks, ascending
         sides = table.dims[self.positions]
         self._places = {}  # side -> (indices into positions, stack rows) of its blocks
         for d, stack in self.stacks.items():
             places = np.flatnonzero(sides == d)
-            rows = self._places[d] = places, self.rows[self.positions[places]]
-            if stack.shape != (len(places), d, d) or (np.sort(rows[1]) != np.arange(len(places))).any():
+            rows = self.rows[self.positions[places]]
+            if stack.shape != (len(rows), d, d) or (np.sort(rows) != np.arange(len(rows))).any():
                 raise ValueError(f"side-{d} stack of shape {stack.shape} does not match its rows")
-        if len(self.rows) != len(table) or sum(len(p) for p, _ in self._places.values()) != len(sides):
-            raise ValueError("rows do not match the table and the stacks")
+            self._places[d] = places, rows
+        if sum(len(places) for places, _ in self._places.values()) != len(sides):
+            raise ValueError("a block has no stack of its side")
 
     def views(self) -> list:
         """The blocks in table order, each a view of its row."""

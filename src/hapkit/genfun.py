@@ -155,8 +155,9 @@ def semigroup_at(L: GeneratingFunctional, t: float) -> MatrixFamily:
 
 def shift_unit(L: GeneratingFunctional) -> GeneratingFunctional:
     """Add the identity to every nontrivial block (convolving in counit - haar)."""
+    nontrivial = _by_side(L.table, L.positions[1:])
     return GeneratingFunctional(L.table, stacked_blocks(L.table, [
-        (at, L.blocks.gather(d, at) + np.eye(d)) for d, at in _by_side(L.table, L.positions[1:]).items()]))
+        (at, L.blocks.gather(d, at) + np.eye(d)) for d, at in nontrivial.items()]))
 
 
 def unit_shift_functional(table) -> GeneratingFunctional:

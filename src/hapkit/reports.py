@@ -25,7 +25,29 @@ def canonical_json(obj) -> str:
 
 
 def content_digest(obj) -> str:
-    return "sha256:" + hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+    """sha256 of ``canonical_json(obj)``, fed a piece at a time.
+
+    The pieces are the members of a top-level object and the items of the
+    lists directly in it, so a large input (a states file's families) is
+    never held as one JSON string.
+    """
+    h = hashlib.sha256()
+    if not (isinstance(obj, dict) and all(type(key) is str for key in obj)):
+        h.update(canonical_json(obj).encode())
+        return "sha256:" + h.hexdigest()
+    h.update(b"{")
+    for n, key in enumerate(sorted(obj)):
+        h.update(("," * (n > 0) + canonical_json(key) + ":").encode())
+        items = obj[key]
+        if not isinstance(items, list):
+            h.update(canonical_json(items).encode())
+            continue
+        h.update(b"[")
+        for i, item in enumerate(items):
+            h.update(("," * (i > 0) + canonical_json(item)).encode())
+        h.update(b"]")
+    h.update(b"}")
+    return "sha256:" + h.hexdigest()
 
 
 def fmt(x) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import hapkit as hk
 import oracles
 from hapkit import _linalg
+from hapkit import reports
 from hapkit import serialize as sz
 from conftest import random_psd_generator, random_table, zdual_table
 
@@ -384,3 +386,19 @@ class TestReaderParity:
         adopted = hk.MatrixFamily(_TABLE, read)
         assert adopted.stacks.keys() == read.stacks.keys()
         assert all(np.shares_memory(adopted.stacks[d], stack) for d, stack in read.stacks.items())
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(max_size=3), _JSON | st.lists(_JSON, max_size=4), max_size=4)
+       | _JSON)
+def test_content_digest_hashes_the_canonical_text(obj):
+    """Fed a piece at a time, the digest is still that of the whole canonical text."""
+    expected = hashlib.sha256(reports.canonical_json(obj).encode()).hexdigest()
+    assert reports.content_digest(obj) == "sha256:" + expected
