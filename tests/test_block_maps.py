@@ -150,7 +150,8 @@ class TestDerivedMapsOracle:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 3))
     def test_build_from_states(self, data, n):
-        """Sums keep Python's integer start, so a -0.0 sum comes out +0.0."""
+        """Blocks, first_certified and f_sets are the per-label oracle's, bit for
+        bit; both sum with Python's ``sum``, which starts from the integer 0."""
         table, _ = data.draw(block_maps())
         states = []
         for _ in range(n):
