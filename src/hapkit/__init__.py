@@ -15,9 +15,8 @@ tables, and no report claims anything beyond the truncation it saw.
 from .reports import __version__
 from .irreps import (IrrepLabel, IrrepTable, Word, FreeProductTable, make_table,
                      free_product_table, parse_word)
-from .classical import (GroupSpec, GroupElement, multiply, length, ball,
-                        dual_irrep_table, schoenberg_check, length_gram,
-                        length_functional, parse_group)
+from .classical import (GroupSpec, GroupElement, length, ball, dual_irrep_table,
+                        schoenberg_check, length_gram, length_functional, parse_group)
 from .fourier import (MatrixFamily, convolve, counit_family, haar_family, block_norm,
                       check_c0, check_hap_sequence, is_state_candidate,
                       max_block_deviation, C0Result, StateCandidate)
@@ -35,7 +34,7 @@ __all__ = [
     "__version__",
     "IrrepLabel", "IrrepTable", "Word", "FreeProductTable", "make_table",
     "free_product_table", "parse_word",
-    "GroupSpec", "GroupElement", "multiply", "length", "ball", "dual_irrep_table",
+    "GroupSpec", "GroupElement", "length", "ball", "dual_irrep_table",
     "schoenberg_check", "length_gram", "length_functional", "parse_group",
     "MatrixFamily", "convolve", "counit_family", "haar_family", "block_norm",
     "check_c0", "check_hap_sequence", "is_state_candidate", "max_block_deviation",

@@ -15,6 +15,7 @@ at desk scale, that exp(-t*length) is a positive-definite kernel on a ball.
 from __future__ import annotations
 
 import math
+import operator
 import string
 from dataclasses import dataclass
 
@@ -36,45 +37,16 @@ class GroupSpec:
         if not self.orders:
             raise ValueError("need at least one generator")
         for m in self.orders:
+            if isinstance(m, bool) or not hasattr(type(m), "__index__"):
+                raise ValueError(f"generator order must be an integer, got {m!r}")
             if m != 0 and m < 2:
                 raise ValueError(f"generator order must be 0 or >= 2, got {m}")
-        object.__setattr__(self, "orders", tuple(self.orders))
+        object.__setattr__(self, "orders", tuple(map(operator.index, self.orders)))
 
     def gen_name(self, i: int) -> str:
         if i < len(string.ascii_lowercase):
             return string.ascii_lowercase[i]
         return f"g{i}"
-
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, ())
-
-    def generator(self, i: int, exp: int = 1) -> "GroupElement":
-        return self.element([(i, exp)])
-
-    def element(self, word) -> "GroupElement":
-        """Reduce an arbitrary letter sequence to a group element."""
-        reduced: list[tuple[int, int]] = []
-        for i, e in word:
-            if not (0 <= i < len(self.orders)):
-                raise ValueError(f"no generator with index {i}")
-            reduced.append((i, e))
-            while reduced:
-                i2, e2 = reduced[-1]
-                e2 = self._normalize_exp(i2, e2)
-                if e2 == 0:
-                    reduced.pop()
-                    continue
-                reduced[-1] = (i2, e2)
-                if len(reduced) >= 2 and reduced[-2][0] == i2:
-                    j, f = reduced[-2]
-                    reduced[-2:] = [(j, f + e2)]
-                    continue
-                break
-        return GroupElement(self, tuple(reduced))
-
-    def _normalize_exp(self, i: int, e: int) -> int:
-        m = self.orders[i]
-        return e if m == 0 else e % m
 
 
 @dataclass(frozen=True)
@@ -83,19 +55,6 @@ class GroupElement:
 
     spec: GroupSpec
     word: tuple[tuple[int, int], ...]
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return multiply(self, other)
-
-    def inverse(self) -> "GroupElement":
-        inv = []
-        for i, e in reversed(self.word):
-            m = self.spec.orders[i]
-            inv.append((i, -e if m == 0 else m - e))
-        return GroupElement(self.spec, tuple(inv))
-
-    def __invert__(self) -> "GroupElement":
-        return self.inverse()
 
     @property
     def is_identity(self) -> bool:
@@ -110,44 +69,34 @@ class GroupElement:
         return f"GroupElement({self.encode()})"
 
 
-def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Reduced product of two elements of the same group."""
-    if g.spec != h.spec:
-        raise ValueError("elements belong to different group specs")
-    return g.spec.element(g.word + h.word)
+def _cost(m: int, e: int) -> int:
+    """Length of the syllable g^e for a generator g of order m (0: infinite)."""
+    return abs(e) if m == 0 else min(e % m, m - e % m)
 
 
 def length(g: GroupElement) -> int:
     """Word length with respect to the standard generators and inverses."""
-    total = 0
-    for i, e in g.word:
-        m = g.spec.orders[i]
-        total += abs(e) if m == 0 else min(e, m - e)
-    return total
+    return sum(_cost(g.spec.orders[i], e) for i, e in g.word)
 
 
 def ball(spec: GroupSpec, radius: int) -> list[GroupElement]:
-    """All elements of length <= radius, ordered by (length, encoding)."""
+    """All elements of length <= radius, ordered by (length, encoding).
+
+    The elements are the reduced syllable words of length <= radius: a
+    syllable is g_i^e with e in 1..m-1 for order m and e in ±1..±radius for
+    infinite order, and adjacent syllables use different generators.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    moves = []
-    for i, m in enumerate(spec.orders):
-        moves.append(spec.generator(i, 1))
-        if m != 2:
-            moves.append(spec.generator(i, -1))
-    seen: dict[GroupElement, int] = {spec.identity(): 0}
-    frontier = [spec.identity()]
-    for r in range(1, radius + 1):
-        new: list[GroupElement] = []
-        for g in frontier:
-            for s in moves:
-                h = g * s
-                if h not in seen:
-                    seen[h] = r
-                    new.append(h)
-        frontier = new
-    out = sorted(seen, key=lambda g: (seen[g], g.encode()))
-    return out
+    syllables = [(c, i, e) for i, m in enumerate(spec.orders)
+                 for e in (range(1, m) if m else range(-radius, radius + 1))
+                 if 0 < (c := _cost(m, e)) <= radius]
+    words = [((), 0)]
+    for word, n in words:  # visits the words appended below too
+        words += [(word + ((i, e),), n + c) for c, i, e in syllables
+                  if n + c <= radius and not (word and word[-1][0] == i)]
+    elements = {GroupElement(spec, word): n for word, n in words}
+    return sorted(elements, key=lambda g: (elements[g], g.encode()))
 
 
 def dual_irrep_table(spec: GroupSpec, radius: int) -> IrrepTable:
@@ -169,16 +118,13 @@ def _merge_table(spec: GroupSpec, syllables: list[tuple[int, int]]) -> np.ndarra
     is -2 cost(a): a syllable both words share cancels.  The last row and
     column are the padding past a word's end, and add nothing.
     """
-    def cost(i, e):
-        m = spec.orders[i]
-        return abs(e) if m == 0 else min(e % m, m - e % m)
-
     k = len(syllables)
     table = np.zeros((k + 1, k + 1), dtype=np.int64)
     for a, (i, e) in enumerate(syllables):
         for b, (j, f) in enumerate(syllables):
             if i == j:
-                table[a, b] = cost(i, f - e) - cost(i, e) - cost(j, f)
+                m = spec.orders[i]
+                table[a, b] = _cost(m, f - e) - _cost(m, e) - _cost(m, f)
     return table
 
 

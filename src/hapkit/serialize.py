@@ -276,13 +276,10 @@ def dump_json(obj, path) -> None:
 
 
 def _render(obj, depth: int, out: list) -> None:
-    """Append the text of ``obj`` nested ``depth`` levels deep to ``out``."""
-    try:
+    """Append the text of ``obj`` nested ``depth`` levels deep to ``out``: json's
+    own, unless ``obj`` holds blocks, which this lays out."""
+    if not _holds_blocks(obj):
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    except TypeError:  # json met an array: lay this container out here
-        if not isinstance(obj, (dict, list, tuple)):
-            raise
-    else:
         out.append(text.replace("\n", "\n" + _INDENT * depth))
         return
     is_dict = isinstance(obj, dict)
@@ -298,6 +295,17 @@ def _render(obj, depth: int, out: list) -> None:
         else:
             out.append(texts[key])
     out.append("\n" + _INDENT * depth + ("}" if is_dict else "]"))
+
+
+def _holds_blocks(obj) -> bool:
+    """Whether ``obj`` is or contains a nonempty ``_KeyedBlocks``."""
+    if isinstance(obj, _KeyedBlocks):
+        return bool(obj)
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return False
+    return any(map(_holds_blocks, obj))
 
 
 def _block_texts(obj: _KeyedBlocks, depth: int) -> dict:

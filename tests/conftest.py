@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import subprocess
 import sys
@@ -13,6 +14,19 @@ from hapkit.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"
+
+
+def load_perfbench(name: str):
+    """``perfbench/<name>.py`` executed from its file, which stays unchanged."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture

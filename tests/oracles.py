@@ -90,20 +90,79 @@ def free_group_ball_size(rank: int, radius: int) -> int:
     return total
 
 
-def word_length_gram(elements, t: float) -> np.ndarray:
-    """exp(-t * length(g^-1 h)) over ``elements`` by group arithmetic: one
-    multiply-and-reduce of reduced words per pair, and the word metric's
-    letter costs |e| (infinite order) or min(e, m - e) (order m)."""
-    def length(g):
-        return sum(abs(e) if g.spec.orders[i] == 0 else min(e, g.spec.orders[i] - e)
-                   for i, e in g.word)
+def reduce_word(orders, letters) -> tuple:
+    """Reduced form of a sequence of letters (generator, exponent) in the free
+    product of cyclic groups of ``orders`` (0: infinite order): letters of one
+    generator merge as they meet, an order-m exponent is taken mod m, and a
+    letter of exponent 0 drops out."""
+    reduced = []
+    for i, e in letters:
+        reduced.append((i, e))
+        while reduced:
+            j, f = reduced[-1]
+            f = f % orders[j] if orders[j] else f
+            if f == 0:
+                reduced.pop()
+            elif len(reduced) >= 2 and reduced[-2][0] == j:
+                reduced[-2:] = [(j, reduced[-2][1] + f)]
+            else:
+                reduced[-1] = (j, f)
+                break
+    return tuple(reduced)
 
-    n = len(elements)
+
+def multiply_words(orders, g, h) -> tuple:
+    """Reduced product of two reduced words."""
+    return reduce_word(orders, g + h)
+
+
+def inverse_word(orders, g) -> tuple:
+    """Reduced inverse of a reduced word."""
+    return tuple((i, -e if orders[i] == 0 else orders[i] - e) for i, e in reversed(g))
+
+
+def word_length(orders, g) -> int:
+    """Word metric of a reduced word: a letter costs |e| (infinite order) or
+    min(e, m - e) (order m)."""
+    return sum(abs(e) if orders[i] == 0 else min(e, orders[i] - e) for i, e in g)
+
+
+def encode_word(g) -> str:
+    """"e", or the letters as "a^2.b^-1" (generators a..z, then g26, g27, ...)."""
+    def name(i):
+        return chr(ord("a") + i) if i < 26 else f"g{i}"
+    return ".".join(f"{name(i)}^{e}" for i, e in g) or "e"
+
+
+def ball_words(orders, radius: int) -> list:
+    """Reduced words of length <= radius, ordered by (length, encoding), by a
+    breadth-first multiply-and-reduce search with the generators and their
+    inverses as moves."""
+    moves = [((i, s),) for i, m in enumerate(orders) for s in ((1,) if m == 2 else (1, -1))]
+    seen = {(): 0}
+    frontier = [()]
+    for r in range(1, radius + 1):
+        new = []
+        for g in frontier:
+            for s in moves:
+                h = multiply_words(orders, g, s)
+                if h not in seen:
+                    seen[h] = r
+                    new.append(h)
+        frontier = new
+    return sorted(seen, key=lambda g: (seen[g], encode_word(g)))
+
+
+def word_length_gram(orders, words, t: float) -> np.ndarray:
+    """exp(-t * length(g^-1 h)) over ``words`` by group arithmetic: one
+    multiply-and-reduce of reduced words per pair."""
+    n = len(words)
     gram = np.empty((n, n))
     for i in range(n):
-        inverse = elements[i].inverse()
+        inverse = inverse_word(orders, words[i])
         for j in range(i, n):
-            gram[i, j] = gram[j, i] = math.exp(-t * length(inverse * elements[j]))
+            distance = word_length(orders, multiply_words(orders, inverse, words[j]))
+            gram[i, j] = gram[j, i] = math.exp(-t * distance)
     return gram
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hapkit as hk
-from oracles import alternating_count, free_group_ball_size, word_length_gram
+from conftest import load_perfbench
+from oracles import (alternating_count, ball_words, encode_word, free_group_ball_size,
+                     inverse_word, multiply_words, reduce_word, word_length_gram)
 
 F2 = hk.GroupSpec((0, 0))
 Z = hk.GroupSpec((0,))
@@ -17,50 +20,77 @@ Z5 = hk.GroupSpec((5,))
 
 
 class TestGroupArithmetic:
+    """The oracle's multiply-and-reduce, which the ball and Gram oracles run on."""
+
     def test_inverse_law(self):
-        g = F2.element([(0, 2), (1, -1), (0, 3)])
-        assert (g * g.inverse()).is_identity
-        assert (g.inverse() * g).is_identity
+        g = reduce_word(F2.orders, [(0, 2), (1, -1), (0, 3)])
+        assert multiply_words(F2.orders, g, inverse_word(F2.orders, g)) == ()
+        assert multiply_words(F2.orders, inverse_word(F2.orders, g), g) == ()
 
     def test_exponent_merge(self):
-        a = F2.generator(0)
-        assert (a * a).encode() == "a^2"
+        a = ((0, 1),)
+        assert encode_word(multiply_words(F2.orders, a, a)) == "a^2"
 
     def test_cyclic_wraparound(self):
         # modular oracle: 2 + 2 = 4 = 1 (mod 3)
-        g = Z3.element([(0, 2)])
-        assert (g * g).encode() == "a^1"
-
-    def test_mismatched_specs_rejected(self):
-        with pytest.raises(ValueError, match="different group"):
-            hk.multiply(F2.generator(0), Z.generator(0))
+        g = reduce_word(Z3.orders, [(0, 2)])
+        assert encode_word(multiply_words(Z3.orders, g, g)) == "a^1"
 
     def test_associativity_sampled(self):
-        elems = hk.ball(hk.GroupSpec((2, 3)), 2)
+        orders = (2, 3)
+        elems = ball_words(orders, 2)
         for g, h, k in itertools.islice(itertools.product(elems, repeat=3), 300):
-            assert (g * h) * k == g * (h * k)
+            assert (multiply_words(orders, multiply_words(orders, g, h), k)
+                    == multiply_words(orders, g, multiply_words(orders, h, k)))
+
+
+class TestGroupSpec:
+    @pytest.mark.parametrize("order", [3.0, 2.5, "3", None, True, False])
+    def test_non_integer_order_rejected(self, order):
+        with pytest.raises(ValueError, match=re.escape(f"integer, got {order!r}")):
+            hk.GroupSpec((0, order))
+
+    def test_index_orders_become_ints(self):
+        spec = hk.GroupSpec((np.int64(3), 0))
+        assert spec.orders == (3, 0) and all(type(m) is int for m in spec.orders)
+        assert spec == hk.GroupSpec((3, 0))
 
 
 class TestLength:
     def test_identity(self):
-        assert hk.length(F2.identity()) == 0
+        assert hk.length(hk.GroupElement(F2, ())) == 0
 
     def test_letter_costs_sum(self):
         # a^2 b^-1 costs 2 + 1
-        assert hk.length(F2.element([(0, 2), (1, -1)])) == 3
+        assert hk.length(hk.GroupElement(F2, ((0, 2), (1, -1)))) == 3
 
     def test_cyclic_inverse_cost(self):
         # in Z5, a^4 = a^-1 costs min(4, 1) = 1
-        assert hk.length(Z5.element([(0, 4)])) == 1
+        assert hk.length(hk.GroupElement(Z5, ((0, 4),))) == 1
 
     @pytest.mark.parametrize("spec,radius", [(F2, 3), (hk.GroupSpec((3, 4)), 3)])
     def test_inverse_and_subadditive(self, spec, radius):
-        elems = hk.ball(spec, radius)
-        for g in elems:
-            assert hk.length(g.inverse()) == hk.length(g)
-        for g in elems:
-            for h in elems:
-                assert hk.length(g * h) <= hk.length(g) + hk.length(h)
+        def length(word):
+            return hk.length(hk.GroupElement(spec, word))
+
+        words = [g.word for g in hk.ball(spec, radius)]
+        for g in words:
+            assert length(inverse_word(spec.orders, g)) == length(g)
+        for g in words:
+            for h in words:
+                assert length(multiply_words(spec.orders, g, h)) <= length(g) + length(h)
+
+
+@st.composite
+def ball_specs(draw):
+    """(spec, radius): 1-3 generators of orders in {0, 2, 3, 4, 5, 7}, radius
+    0-4, lowered until the ball has at most 200 elements."""
+    spec = hk.GroupSpec(tuple(draw(st.lists(st.sampled_from([0, 2, 3, 4, 5, 7]),
+                                            min_size=1, max_size=3))))
+    radius = draw(st.integers(0, 4))
+    while len(hk.ball(spec, radius)) > 200:
+        radius -= 1
+    return spec, radius
 
 
 class TestBall:
@@ -86,6 +116,22 @@ class TestBall:
         assert b1 == b2
         lengths = [hk.length(g) for g in hk.ball(F2, 3)]
         assert lengths == sorted(lengths)
+
+    @settings(max_examples=80, deadline=None)
+    @given(ball_specs())
+    def test_matches_the_oracle_in_order(self, drawn):
+        spec, radius = drawn
+        got = hk.ball(spec, radius)
+        want = ball_words(spec.orders, radius)
+        assert [g.word for g in got] == want
+        assert [g.encode() for g in got] == [encode_word(g) for g in want]
+
+    def test_sizes_match_the_benchmark_count(self):
+        workloads = load_perfbench("workloads")
+        configs = {(orders, radius) for runs in workloads._SCHOENBERG_CONFIGS.values()
+                   for _, orders, radius in runs}
+        for orders, radius in sorted(configs):
+            assert len(hk.ball(hk.GroupSpec(orders), radius)) == workloads.ball_size(orders, radius)
 
 
 class TestDualTable:
@@ -113,7 +159,7 @@ class TestDualTable:
             for fi, lab in word.letters:
                 exp = int(lab.id.split("^")[1])
                 letters.append((fi - 1, exp))
-            return spec.element(letters).encode()
+            return encode_word(reduce_word(spec.orders, letters))
 
         mapped = {word_to_element(w) for w, _ in wp}
         ball_encodings = {g.encode() for g in hk.ball(spec, radius)}
@@ -146,7 +192,8 @@ class TestSchoenberg:
         gram = hk.length_gram(spec, 0.7, 2)
         for i, g in enumerate(elems):
             for j, h in enumerate(elems):
-                d = hk.length(g.inverse() * h)
+                d = hk.length(hk.GroupElement(spec, multiply_words(
+                    spec.orders, inverse_word(spec.orders, g.word), h.word)))
                 assert gram[i, j] == pytest.approx(math.exp(-0.7 * d), abs=1e-15)
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0, 5.0])
@@ -161,18 +208,6 @@ class TestSchoenberg:
             hk.schoenberg_check(F2, 0.0, 1)
 
 
-@st.composite
-def ball_specs(draw):
-    """(spec, radius): 1-3 generators of orders in {0, 2, 3, 4, 5, 7}, radius
-    0-4, lowered until the ball has at most 200 elements."""
-    spec = hk.GroupSpec(tuple(draw(st.lists(st.sampled_from([0, 2, 3, 4, 5, 7]),
-                                            min_size=1, max_size=3))))
-    radius = draw(st.integers(0, 4))
-    while len(hk.ball(spec, radius)) > 200:
-        radius -= 1
-    return spec, radius
-
-
 class TestLengthGram:
     """``length_gram`` reads distances off syllable words; the oracle multiplies."""
 
@@ -180,7 +215,7 @@ class TestLengthGram:
     @given(ball_specs(), st.floats(0.0, 5.0, exclude_min=True))
     def test_matches_group_arithmetic(self, drawn, t):
         spec, radius = drawn
-        want = word_length_gram(hk.ball(spec, radius), t)
+        want = word_length_gram(spec.orders, ball_words(spec.orders, radius), t)
         assert hk.length_gram(spec, t, radius).tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -197,7 +232,7 @@ class TestLengthGram:
     @pytest.mark.parametrize("orders,radius,t", [((3, 4), 6, 0.7), ((2, 3), 10, 0.9)])
     def test_workload_scale(self, orders, radius, t):
         spec = hk.GroupSpec(orders)
-        want = word_length_gram(hk.ball(spec, radius), t)
+        want = word_length_gram(orders, ball_words(orders, radius), t)
         assert hk.length_gram(spec, t, radius).tobytes() == want.tobytes()
 
     def test_temporaries_stay_small(self):

@@ -2,12 +2,11 @@
 
 Each ``demos/*.py`` must exit 0, and ``fixtures/regenerate.py``, run from a
 copy in a temporary directory, must write files byte-identical to the
-committed ``fixtures/``.  Every function the benchmark tracer patches must
-still exist under the name it looks up, and a traced run must leave every
-module as it found it.
+committed ``fixtures/``.  Every name in ``hapkit.__all__`` must exist.  Every
+function the benchmark tracer patches must still exist under the name it
+looks up, and a traced run must leave every module as it found it.
 """
 
-import importlib.util
 import os
 import shutil
 import subprocess
@@ -16,7 +15,7 @@ import sys
 import pytest
 
 import hapkit.cli  # noqa: F401  (the tracer resolves names in loaded modules)
-from conftest import FIXTURES, REPO_ROOT, run_cli
+from conftest import FIXTURES, REPO_ROOT, load_perfbench, run_cli
 
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
 
@@ -45,25 +44,23 @@ def test_regenerate_reproduces_fixtures(tmp_path):
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", REPO_ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
-
-
 def test_traced_names_resolve():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     targets = [target for span in tracing.TRACED.values() for target in span]
     missing = [(owner, attr) for owner, attr in targets
                if attr not in vars(tracing._resolve(owner))]
     assert not missing
 
 
+def test_public_names_resolve():
+    import hapkit
+    assert len(set(hapkit.__all__)) == len(hapkit.__all__)
+    assert [name for name in hapkit.__all__ if not hasattr(hapkit, name)] == []
+
+
 def test_traced_runs_record_spans_and_restore(tmp_path):
     # what `perfbench/run.py --trace 1` does to a run: wrap, run, count, unwrap
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     modules = [m for name, m in sys.modules.items() if name.startswith("hapkit")]
     before = [dict(vars(m)) for m in modules]
     tracer = tracing.Tracer()

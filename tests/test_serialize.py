@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,7 @@ import oracles
 from hapkit import _linalg
 from hapkit import reports
 from hapkit import serialize as sz
-from conftest import random_psd_generator, random_table, zdual_table
+from conftest import FIXTURES, random_psd_generator, random_table, zdual_table
 
 
 def through_file(obj, path):
@@ -171,6 +173,22 @@ class TestJsonHygiene:
         sz.dump_json(sz.family_to_obj(F), path)
         back = sz.family_from_obj(json.loads(path.read_text()))
         assert back.blocks[t.decode("a")][0, 0] == complex(value)
+
+    def test_dump_leaves_no_reference_cycle(self, tmp_path):
+        # json is never handed a container that holds blocks, so a failed
+        # encoder cannot keep the written object alive until a collection
+        path = FIXTURES / "zdual_length_generator.json"
+        obj = sz.generator_to_obj(sz.generator_from_obj(sz.load_json(path)))
+        written = weakref.ref(obj["blocks"])
+        gc.collect()
+        gc.disable()
+        try:
+            sz.dump_json(obj, tmp_path / "g.json")
+            del obj
+            assert written() is None
+        finally:
+            gc.enable()
+        assert (tmp_path / "g.json").read_bytes() == path.read_bytes()
 
 
 class TestScalarKinds:

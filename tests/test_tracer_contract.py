@@ -6,7 +6,6 @@ without these checks a rename would only show up as a broken traced run.
 The tracer module is loaded from its file and never changed.
 """
 
-import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -15,18 +14,10 @@ import pytest
 import hapkit as hk
 from hapkit import cli, genfun
 from hapkit import serialize as sz
-from conftest import FIXTURES, REPO_ROOT, run_cli
+from conftest import FIXTURES, load_perfbench, run_cli
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", REPO_ROOT / "perfbench" / "tracing.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracing = _load_tracing()
+tracing = load_perfbench("tracing")
 assert cli.main  # the tracer resolves modules from sys.modules: hapkit.cli imports them all
 
 
