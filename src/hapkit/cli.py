@@ -376,6 +376,9 @@ def main(argv=None) -> int:
         # InputError, serialize.SchemaError and library argument errors alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an input whose tables or Gram cannot be allocated
+        print("error: out of memory" + (f" ({exc})" if str(exc) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

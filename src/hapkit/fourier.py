@@ -379,12 +379,11 @@ def is_state_candidate(F: MatrixFamily) -> StateCandidate:
     return StateCandidate(ok, trivial_dev, worst_norm, worst_label)
 
 
-def family_content_digest(families, table=None) -> str:
+def family_content_digest(families) -> str:
     """Content hash of a family sequence (canonical label order)."""
     h = hashlib.sha256()
     if families:
-        table = table or families[0].table
-    if table is not None:
+        table = families[0].table
         for j, dim in enumerate(table.dims.tolist()):
             h.update(table.key_at(j).encode())
             h.update(str(dim).encode())
@@ -589,7 +588,7 @@ def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,
 
     return CertificationReport(
         command="certify-hap",
-        input_digest=input_digest or family_content_digest(seq, table),
+        input_digest=input_digest or family_content_digest(seq),
         truncation=f"{len(table)} labels",
         tolerances=(("tol", tol), ("eps_decay", eps_decay)),
         conditions=tuple(conditions),

@@ -15,15 +15,14 @@ tables, ``entries``) are made once, on first use.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 _RESERVED_ID_CHARS = ("|", ":")
-# the most letters a word table may hold: its arrays must be indexable
-_MAX_CELLS = np.iinfo(np.intp).max
+# the largest dim, and the most letters a word table may hold: both must be indexable
+_MAX_INDEX = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -38,9 +37,10 @@ class LabelTable:
     """Protocol shared by label tables: ordered (label, dim) entries, trivial first.
 
     The canonical entry order governs every serialization and report
-    produced from the table.  Subclasses fix ``_key``, the string a label is
-    encoded to, and ``_noun``, what their labels are called in errors; one
-    that does not hold its entries overrides what reads them.
+    produced from the table.  Subclasses fix ``key_at``, the string the label
+    at a position is encoded to, and ``_noun``, what their labels are called
+    in errors; one that does not hold its entries overrides what reads them.
+    Labels and keys are looked up here only, through dicts made on first use.
     """
 
     _noun = "label"
@@ -48,7 +48,6 @@ class LabelTable:
     def __init__(self, entries: tuple):
         self.entries = entries
         self.trivial = entries[0][0]
-        self._at_key = {self._key(lab): j for j, (lab, _) in enumerate(entries)}
 
     @functools.cached_property
     def labels(self) -> tuple:
@@ -67,6 +66,10 @@ class LabelTable:
     def _positions(self) -> dict:
         return {lab: j for j, lab in enumerate(self.labels)}
 
+    @functools.cached_property
+    def _at_key(self) -> dict:
+        return {self.key_at(j): j for j in range(len(self))}
+
     def index(self, label) -> int:
         """The position of ``label`` in the table."""
         try:
@@ -78,12 +81,11 @@ class LabelTable:
         return self.entries[self.index(label)][1]
 
     def encode(self, label) -> str:
-        self.dim(label)  # raises for a label outside the table
-        return self._key(label)
+        return self.key_at(self.index(label))
 
     def key_at(self, j: int) -> str:
         """The key of the label at position ``j``."""
-        return self._key(self.entries[j][0])
+        raise NotImplementedError
 
     def locate(self, key: str) -> int:
         """The position of the label encoded as ``key``."""
@@ -93,7 +95,7 @@ class LabelTable:
             raise KeyError(f"no {self._noun} encoded as {key!r}") from None
 
     def decode(self, key: str):
-        return self.entries[self.locate(key)][0]
+        return self.labels[self.locate(key)]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -126,11 +128,12 @@ class IrrepTable(LabelTable):
         for (lab, dim) in entries:
             if dim < 1:
                 raise ValueError(f"label {lab.id!r} has nonpositive dimension {dim}")
+            if dim > _MAX_INDEX:
+                raise ValueError(f"label {lab.id!r} has dimension {dim}, over {_MAX_INDEX}")
         super().__init__(entries)
 
-    @staticmethod
-    def _key(label: IrrepLabel) -> str:
-        return label.id
+    def key_at(self, j: int) -> str:
+        return self.entries[j][0].id
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IrrepTable) and self.entries == other.entries
@@ -188,15 +191,6 @@ class Word:
             if prev == fi:
                 raise ValueError("adjacent letters must come from distinct factors")
             prev = fi
-        # words key every block map over a word table: hash the letters once
-        object.__setattr__(self, "_hash", hash(self.letters))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # str hashes differ between processes: rebuild rather than copy _hash
-        return Word, (self.letters,)
 
     @property
     def is_trivial(self) -> bool:
@@ -229,7 +223,6 @@ class FreeProductTable(LabelTable):
     """
 
     _noun = "word"
-    _key = staticmethod(Word.encode)
 
     def __init__(self, factor1: IrrepTable, factor2: IrrepTable, max_word_length: int):
         if max_word_length < 0:
@@ -244,9 +237,9 @@ class FreeProductTable(LabelTable):
         for _ in range(longest):  # in Python ints, before anything is allocated
             counts = (pools[0] * counts[1], pools[1] * counts[0])
             n += sum(counts)
-            if n * longest > _MAX_CELLS:
+            if n * longest > _MAX_INDEX:
                 raise ValueError(f"max_word_length {max_word_length} gives a word table "
-                                 f"too large to index (over {_MAX_CELLS} letters)")
+                                 f"too large to index (over {_MAX_INDEX} letters)")
         big = max(dim for _, dim in factor1.entries + factor2.entries) ** longest
         dtype = np.int64 if big <= np.iinfo(np.int64).max else object
         letter_dims = [np.array([dim for _, dim in f.entries[1:]], dtype=dtype)
@@ -301,27 +294,6 @@ class FreeProductTable(LabelTable):
         keys = self._letter_keys
         return "|".join(keys[(start + i + 1) % 2][x]
                         for i, x in enumerate(self.letters[j, :k].tolist()))
-
-    def dim(self, label) -> int:
-        factors = (self.factor1, self.factor2)
-        if isinstance(label, Word) and len(label) <= self.max_word_length:
-            try:
-                return math.prod(factors[fi - 1].dim(lab) for fi, lab in label.letters)
-            except KeyError:
-                pass
-        raise KeyError(f"word {label!r} not in table")
-
-    def decode(self, key: str) -> Word:
-        try:
-            word = parse_word(key, self.factor1, self.factor2)
-            if len(word) <= self.max_word_length:
-                return word
-        except (KeyError, ValueError):
-            pass
-        raise KeyError(f"no word encoded as {key!r}")
-
-    def locate(self, key: str) -> int:
-        return self.index(self.decode(key))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FreeProductTable)

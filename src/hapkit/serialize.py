@@ -251,7 +251,7 @@ def load_json(path) -> object:
     text = Path(path).read_text()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path}: malformed JSON ({exc})") from None
 
 

@@ -452,6 +452,18 @@ class TestRejectedInputs:
         assert res.returncode == 2
         assert b"Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("name", ["nested", "huge-dim"])
+    def test_unreadable_input_exits_2_without_traceback(self, tmp_path, name):
+        # nesting deeper than the parser's recursion limit, and a dim beyond the index range
+        source = _fixture_copy(tmp_path, "zdual_hap_pass",
+                               (("table", "entries", 1, "dim"), 10 ** 20))
+        if name == "nested":
+            source.write_text("[" * 100000 + "]" * 100000)
+        res = run_cli_subprocess("certify-hap", source)
+        lines = res.stderr.decode().splitlines()
+        assert res.returncode == 2
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
 
 def _json_paths(obj, prefix=(), depth=4):
     """Every path of length <= depth, descending into the first two list items."""

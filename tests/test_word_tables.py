@@ -2,6 +2,7 @@
 per-word loops in ``oracles``, and the limits of enumeration."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -50,11 +51,29 @@ class TestEnumeration:
         for j, word in enumerate(wp.labels):
             key = wp.key_at(j)
             assert key == wp.encode(word) == word.encode()
+            assert wp.locate(key) == j
             decoded = wp.decode(key)
             parsed = hk.parse_word(key, *tables)
             assert decoded == parsed == word
             assert hash(decoded) == hash(parsed) == hash(word)
-            assert wp.dim(decoded) == wp.dims[j]
+            assert wp.dim(word) == wp.dims[j]
+        # a stray key, and a word one letter too long by label and by key
+        cases = [(wp.locate, "1:zz", "no word encoded as '1:zz'")]
+        pools = [[(fi, lab) for lab in t.labels[1:]] for fi, t in ((1, tables[0]), (2, tables[1]))]
+        if all(pools):
+            over = hk.Word(tuple(pools[i % 2][0] for i in range(length + 1)))
+            cases += [(wp.dim, over, f"word {over!r} not in table"),
+                      (wp.locate, over.encode(), f"no word encoded as {over.encode()!r}")]
+        for lookup, arg, text in cases:
+            with pytest.raises(KeyError) as exc:
+                lookup(arg)
+            assert exc.value.args == (text,)
+
+    def test_words_survive_pickle(self):
+        t = hk.make_table([("a", 1), ("b", 2)])
+        word = hk.free_product_table(t, t, 3).labels[-1]
+        back = pickle.loads(pickle.dumps(word))
+        assert back == word and hash(back) == hash(word) and back is not word
 
     def test_irrep_table_keys_by_position(self):
         t = hk.make_table([("b", 2), ("a", 1)])
@@ -152,6 +171,17 @@ class TestOversizedTables:
         t = hk.make_table([(f"a{i}", 1) for i in range(6)])
         with pytest.raises(ValueError, match="max_word_length 100 .*too large"):
             hk.free_product_table(t, t, 100)
+
+    def test_cli_exits_2_when_the_table_cannot_be_allocated(self, tmp_path):
+        # indexable, but its letter array alone would need 6.50 EiB
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**self.CONFIG, "max_word_length": 52,
+                                    "factor1": {"group": "Z", "radius": 1},
+                                    "factor2": {"group": "Z", "radius": 1}}))
+        res = run_cli_subprocess("freeprod", path)
+        lines = res.stderr.decode().splitlines()
+        assert res.returncode == 2
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory")
 
     def test_cli_exits_2_before_enumerating(self, tmp_path):
         path = tmp_path / "huge.json"
