@@ -7,12 +7,14 @@ Outputs are deterministic, so re-running on a clean checkout is a no-op.
 
 import json
 import math
+import sys
 from pathlib import Path
 
-import hapkit as hk
-from hapkit import serialize as sz
-
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))  # the hapkit beside this script, without PYTHONPATH
+
+import hapkit as hk  # noqa: E402
+from hapkit import serialize as sz  # noqa: E402
 
 
 def zdual_scalar_blocks(table, fn):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -110,11 +109,11 @@ def _load_states(path: str):
 
 
 def _emit(report: CertificationReport, args) -> int:
+    if args.json:  # first, so that a report that cannot be written prints no verdict
+        with open(args.json, "w") as fh:
+            fh.writelines(report.json_pieces())
     if not args.quiet:
         sys.stdout.write(report.to_text())
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(report.to_obj(), sort_keys=True, indent=2) + "\n")
     return report.exit_code
 
 

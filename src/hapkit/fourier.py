@@ -36,7 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _linalg
-from .reports import CertificationReport, ConditionVerdict, Witness
+from .reports import CertificationReport, ConditionVerdict, Witness, WitnessRows
 
 logger = logging.getLogger(__name__)
 
@@ -384,12 +384,12 @@ def family_content_digest(families) -> str:
     h = hashlib.sha256()
     if families:
         table = families[0].table
-        for j, dim in enumerate(table.dims.tolist()):
-            h.update(table.key_at(j).encode())
+        for key, dim in zip(table.keys_at(np.arange(len(table))), table.dims.tolist()):
+            h.update(key.encode())
             h.update(str(dim).encode())
     for F in families:
-        for j, blk in zip(F.positions.tolist(), F.blocks.views()):
-            h.update(F.table.key_at(j).encode())
+        for key, blk in zip(F.table.keys_at(F.positions), F.blocks.views()):
+            h.update(key.encode())
             h.update(np.ascontiguousarray(blk).tobytes())
     return "sha256:" + h.hexdigest()
 
@@ -442,8 +442,8 @@ def _c0_condition(scans, table, eps_decay, contexts, noun: str) -> ConditionVerd
                 f"tail verified <= {eps_decay:g}")
 
 
-def _threshold_condition(name: str, summary: str, estimate, threshold, witness,
-                         failed=(), margin=0.0, exact=None) -> ConditionVerdict:
+def _threshold_condition(name: str, summary: str, estimate, threshold, table, at, context,
+                         contexts, failed=(), margin=0.0, exact=None) -> ConditionVerdict:
     """Verdict over rows held as arrays, in row order.
 
     Row r holds only when its achieved value a <= threshold[r], so NaN on
@@ -452,10 +452,11 @@ def _threshold_condition(name: str, summary: str, estimate, threshold, witness,
     rounded; a margin of 0 means the estimate is a.  ``exact(rows)`` gives
     a at an ascending index array; it is asked only for the rows whose
     bracket does not clear the threshold and for those that may be the worst
-    row.  Every failing row becomes a witness, after the ``failed``
-    witnesses found up front; when nothing fails, the first row of largest
-    a - threshold is reported instead.  ``witness(r, a)`` builds the witness
-    of a reported row, so labels are encoded only for those.
+    row.  Every failing row is a witness, after the ``failed`` witnesses
+    found up front; when nothing fails, the first row of largest
+    a - threshold is reported instead.  A reported row r names the label at
+    table position ``at[r]`` in the context ``contexts[context[r]]``; the
+    rows are kept as ``WitnessRows``, so labels are encoded only when shown.
     """
     achieved = np.array(estimate, dtype=float)
     threshold = np.asarray(threshold, dtype=float)
@@ -469,23 +470,22 @@ def _threshold_condition(name: str, summary: str, estimate, threshold, witness,
             unknown[rows] = False
 
     settle(np.flatnonzero(~(achieved + margin <= threshold)))
-    witnesses = list(failed) + [witness(int(r), float(achieved[r]))
-                                for r in np.flatnonzero(~(achieved <= threshold))]
-    passed = not witnesses
+    reported = np.flatnonzero(~(achieved <= threshold))
+    passed = not failed and not reported.size
     if passed and achieved.size:
         # the worst row is among those whose slack can reach the best sure slack
         low = np.where(unknown, (achieved - margin) - threshold, achieved - threshold)
         high = np.where(unknown, (achieved + margin) - threshold, achieved - threshold)
         settle(np.flatnonzero(high >= low.max()))
-        r = int(np.argmax(np.where(unknown, -np.inf, achieved - threshold)))
-        witnesses = [witness(r, float(achieved[r]))]
-    return ConditionVerdict(name=name, passed=passed, witnesses=tuple(witnesses),
-                            summary=summary)
+        reported = np.argmax(np.where(unknown, -np.inf, achieved - threshold), keepdims=True)
+    rows = WitnessRows(tuple(failed), table, at[reported], achieved[reported],
+                       threshold[reported], np.array(contexts, dtype=object)[context[reported]])
+    return ConditionVerdict(name=name, passed=passed, witnesses=rows, summary=summary)
 
 
-def _rows(per_family) -> np.ndarray:
+def _rows(per_family, dtype=float) -> np.ndarray:
     """The per-family value arrays laid end to end: the row order of a condition."""
-    return np.concatenate([np.empty(0), *per_family])
+    return np.concatenate([np.empty(0, dtype=dtype), *per_family])
 
 
 def _identity_condition(deviations, table, conv_tols, contexts, summary: str,
@@ -500,15 +500,14 @@ def _identity_condition(deviations, table, conv_tols, contexts, summary: str,
     if any(b > a for a, b in zip(conv_tols, conv_tols[1:])):
         failed = (Witness(label="*", achieved=max(conv_tols), threshold=conv_tols[0],
                           context="conv_tols schedule is not nonincreasing"),)
-    n = len(table)
-
-    def witness(r, achieved):
-        k, j = divmod(r, n)
-        gap = unspecified is not None and unspecified[k][j]
-        return Witness(table.key_at(j), achieved, conv_tols[k],
-                       f"{contexts[k]}: block unspecified" if gap else contexts[k])
-    return _threshold_condition("identity-convergence", summary, _rows(deviations),
-                                np.repeat(conv_tols, n), witness, failed, margin, exact)
+    n, stages = len(table), len(conv_tols)
+    context = np.repeat(np.arange(stages), n)
+    if unspecified is not None:
+        context[_rows(unspecified, bool)] += stages
+    return _threshold_condition(
+        "identity-convergence", summary, _rows(deviations), np.repeat(conv_tols, n), table,
+        np.tile(np.arange(n), stages), context,
+        [*contexts, *(f"{c}: block unspecified" for c in contexts)], failed, margin, exact)
 
 
 def _norm_bound_condition(name: str, summary: str, families, table, k_values,
@@ -522,17 +521,13 @@ def _norm_bound_condition(name: str, summary: str, families, table, k_values,
     thresholds = [np.array([math.exp(-l / k) + tol
                             for l in range(int(lengths.max(initial=0)) + 1)])[lengths]
                   for (_, lengths, _), k in zip(families, k_values)]
-    ends = np.cumsum([len(lengths) for _, lengths, _ in families])
-    threshold = _rows(thresholds)
-
-    def witness(r, achieved):
-        i = int(np.searchsorted(ends, r, side="right"))
-        positions, lengths, _ = families[i]
-        j = r - (int(ends[i - 1]) if i else 0)
-        return Witness(table.key_at(int(positions[j])), achieved, float(threshold[r]),
-                       context(i, int(lengths[j])))
-    return _threshold_condition(name, summary, _rows(norms for _, _, norms in families),
-                                threshold, witness, margin=margin, exact=exact)
+    width = 1 + max((int(lengths.max(initial=0)) for _, lengths, _ in families), default=0)
+    return _threshold_condition(
+        name, summary, _rows(norms for _, _, norms in families), _rows(thresholds), table,
+        _rows((positions for positions, _, _ in families), np.intp),
+        _rows((i * width + lengths for i, (_, lengths, _) in enumerate(families)), np.intp),
+        [context(i, l) for i in range(len(families)) for l in range(width)],
+        margin=margin, exact=exact)
 
 
 def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,

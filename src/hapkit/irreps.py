@@ -37,9 +37,10 @@ class LabelTable:
     """Protocol shared by label tables: ordered (label, dim) entries, trivial first.
 
     The canonical entry order governs every serialization and report
-    produced from the table.  Subclasses fix ``key_at``, the string the label
-    at a position is encoded to, and ``_noun``, what their labels are called
-    in errors; one that does not hold its entries overrides what reads them.
+    produced from the table.  Subclasses fix ``keys_at``, the strings the
+    labels at given positions are encoded to, and ``_noun``, what their
+    labels are called in errors; one that does not hold its entries
+    overrides what reads them.
     Labels and keys are looked up here only, through dicts made on first use.
     """
 
@@ -68,7 +69,7 @@ class LabelTable:
 
     @functools.cached_property
     def _at_key(self) -> dict:
-        return {self.key_at(j): j for j in range(len(self))}
+        return dict(zip(self.keys_at(np.arange(len(self))), range(len(self))))
 
     def index(self, label) -> int:
         """The position of ``label`` in the table."""
@@ -85,6 +86,10 @@ class LabelTable:
 
     def key_at(self, j: int) -> str:
         """The key of the label at position ``j``."""
+        return self.keys_at([j])[0]
+
+    def keys_at(self, positions) -> list:
+        """The keys of the labels at ``positions``, in that order."""
         raise NotImplementedError
 
     def locate(self, key: str) -> int:
@@ -132,8 +137,8 @@ class IrrepTable(LabelTable):
                 raise ValueError(f"label {lab.id!r} has dimension {dim}, over {_MAX_INDEX}")
         super().__init__(entries)
 
-    def key_at(self, j: int) -> str:
-        return self.entries[j][0].id
+    def keys_at(self, positions) -> list:
+        return [self.entries[j][0].id for j in np.asarray(positions, dtype=np.intp).tolist()]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IrrepTable) and self.entries == other.entries
@@ -218,7 +223,7 @@ class FreeProductTable(LabelTable):
     is the position of its i-th letter among that factor's nontrivial
     labels (0 past the word's end), ``lengths[j]`` its length, ``starts[j]``
     the factor of its first letter (0 for the trivial word) and ``dims[j]``
-    its dimension.  ``key_at`` encodes a row from these; ``Word`` objects,
+    its dimension.  ``keys_at`` encodes rows from these; ``Word`` objects,
     ``labels`` and ``entries`` are made on first use.
     """
 
@@ -289,11 +294,20 @@ class FreeProductTable(LabelTable):
         return [[f"{fi}:{lab.id}" for lab in f.nontrivial_labels]
                 for fi, f in ((1, self.factor1), (2, self.factor2))]
 
-    def key_at(self, j: int) -> str:
-        start, k = int(self.starts[j]), int(self.lengths[j])
-        keys = self._letter_keys
-        return "|".join(keys[(start + i + 1) % 2][x]
-                        for i, x in enumerate(self.letters[j, :k].tolist()))
+    def keys_at(self, positions) -> list:
+        """The keys of the words at ``positions``: the words of one (length,
+        first factor) are encoded together, a letter column at a time."""
+        positions = np.asarray(positions, dtype=np.intp)
+        out = [""] * len(positions)  # the trivial word's key
+        groups = self.lengths[positions] * 3 + self.starts[positions]
+        for group in sorted(set(groups.tolist()) - {0}):
+            at = np.flatnonzero(groups == group)
+            (k, start), rows = divmod(group, 3), positions[at]
+            columns = [map(self._letter_keys[(start + i + 1) % 2].__getitem__,
+                           self.letters[rows, i].tolist()) for i in range(k)]
+            for i, key in zip(at.tolist(), map("|".join, zip(*columns))):
+                out[i] = key
+        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FreeProductTable)

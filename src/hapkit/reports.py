@@ -10,6 +10,7 @@ audited.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -64,6 +65,73 @@ def _json_num(x: float):
     return x if math.isfinite(x) else fmt(x)
 
 
+_INDENT = "  "
+_escape = json.encoder.encode_basestring_ascii
+# json's text of null, the booleans and, by their repr, the non-finite floats
+_CONSTANTS = {None: "null", True: "true", False: "false",
+              "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _leaf(x, allow_nan: bool = True) -> str:
+    """json's text of a scalar; floats, ``np.float64`` among them, by ``float.__repr__``."""
+    if isinstance(x, str):
+        return _escape(x)
+    if x is None or x is True or x is False:
+        return _CONSTANTS[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if not isinstance(x, float):
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    if not (allow_nan or math.isfinite(x)):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    text = float.__repr__(x)
+    return _CONSTANTS.get(text, text)
+
+
+@functools.lru_cache(maxsize=64)
+def _template(keys: tuple, depth: int) -> str:
+    """json's indent=2 text of an object with the sorted ``keys``, nested ``depth``
+    levels deep, with one %s per value."""
+    inner = "\n" + _INDENT * (depth + 1)
+    members = ("," + inner).join(_escape(key).replace("%", "%%") + ": %s" for key in keys)
+    return "{" + inner + members + "\n" + _INDENT * depth + "}"
+
+
+def json_pieces(obj, allow_nan: bool = True, depth: int = 0, out: list | None = None) -> list:
+    """The text of json.dumps(obj, sort_keys=True, indent=2, allow_nan=allow_nan),
+    nested ``depth`` levels deep, appended to ``out`` in pieces.
+
+    An object whose values are all scalars fills the template of its keys.
+    A value with a ``json_texts(depth)`` method lays out its own items: it
+    gives their texts, nested ``depth`` levels deep, as a key -> text dict
+    (an object) or a list (an array).
+    """
+    out = [] if out is None else out
+    own = hasattr(obj, "json_texts")
+    items = obj.json_texts(depth + 1) if own else obj
+    is_dict = isinstance(items, dict)
+    if not isinstance(items, (dict, list, tuple)):
+        out.append(_leaf(obj, allow_nan))
+    elif not items:
+        out.append("{}" if is_dict else "[]")
+    elif is_dict and not own and all(
+            isinstance(v, (str, int, float)) or v is None for v in items.values()):
+        keys = sorted(items)
+        out.append(_template(tuple(keys), depth) % tuple(_leaf(items[k], allow_nan) for k in keys))
+    else:
+        out.append("{" if is_dict else "[")
+        for n, item in enumerate(sorted(items) if is_dict else items):
+            out.append(("," if n else "") + "\n" + _INDENT * (depth + 1)
+                       + (_escape(item) + ": " if is_dict else ""))
+            value = items[item] if is_dict else item
+            if own:
+                out.append(value)
+            else:
+                json_pieces(value, allow_nan, depth + 1, out)
+        out.append("\n" + _INDENT * depth + ("}" if is_dict else "]"))
+    return out
+
+
 @dataclass(frozen=True)
 class Witness:
     """One (label, achieved, threshold) data point behind a verdict."""
@@ -87,11 +155,70 @@ class Witness:
                 f"threshold={fmt(self.threshold)}{ctx}")
 
 
+def _num_texts(values) -> map:
+    """The texts of ``_json_num`` of each number in the float array ``values``."""
+    finite = (abs(values) < math.inf).all()
+    return map(float.__repr__ if finite else lambda x: _leaf(_json_num(x)), values.tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class WitnessRows:
+    """Witnesses kept as arrays: ``head``, then one per row i, for the label at
+    position ``positions[i]`` of ``table``, with ``achieved[i]``,
+    ``threshold[i]`` and ``contexts[i]``.  Row witnesses, and their label
+    keys, are made only when asked for; ``json_texts`` reads the arrays.
+    """
+
+    head: tuple = ()
+    table: object = None
+    positions: object = ()
+    achieved: object = ()
+    threshold: object = ()
+    contexts: object = ()
+
+    def __len__(self) -> int:
+        return len(self.head) + len(self.positions)
+
+    def witnesses(self, stop: int | None = None) -> tuple:
+        """The first ``stop`` witnesses, or all of them."""
+        if self.table is None:
+            return self.head[:stop]
+        rows = slice(0, None if stop is None else max(0, stop - len(self.head)))
+        return self.head[:stop] + tuple(map(
+            Witness, self.table.keys_at(self.positions[rows]), self.achieved[rows].tolist(),
+            self.threshold[rows].tolist(), self.contexts[rows].tolist()))
+
+    def json_texts(self, depth: int) -> list:
+        texts = ["".join(json_pieces(w.to_obj(), depth=depth)) for w in self.head]
+        if self.table is not None:
+            texts += map(_template(("achieved", "context", "label", "threshold"), depth).__mod__,
+                         zip(_num_texts(self.achieved), map(_escape, self.contexts.tolist()),
+                             map(_escape, self.table.keys_at(self.positions)),
+                             _num_texts(self.threshold)))
+        return texts
+
+
+class _Witnesses:
+    """``ConditionVerdict.witnesses``: set as a tuple of ``Witness`` or as
+    ``WitnessRows``, kept as ``rows``, and read as a tuple made on first use."""
+
+    def __get__(self, verdict, owner=None) -> tuple:
+        if verdict is None:
+            return ()  # the field's default
+        if "_witnesses" not in vars(verdict):
+            vars(verdict)["_witnesses"] = verdict.rows.witnesses()
+        return vars(verdict)["_witnesses"]
+
+    def __set__(self, verdict, value) -> None:
+        vars(verdict)["rows"] = value if isinstance(value, WitnessRows) \
+            else WitnessRows(tuple(value))
+
+
 @dataclass(frozen=True)
 class ConditionVerdict:
     name: str
     passed: bool
-    witnesses: tuple[Witness, ...] = ()
+    witnesses: tuple[Witness, ...] = _Witnesses()  # given as a tuple or as WitnessRows
     summary: str = ""
 
     def to_obj(self) -> dict:
@@ -122,6 +249,16 @@ class CertificationReport:
         return 0 if self.overall else 1
 
     def to_obj(self) -> dict:
+        return self._obj([c.to_obj() for c in self.conditions])
+
+    def json_pieces(self) -> list:
+        """The text of json.dumps(self.to_obj(), sort_keys=True, indent=2) and a
+        newline, in pieces, with each condition's witnesses read from its rows."""
+        return json_pieces(self._obj([
+            {"name": c.name, "passed": c.passed, "summary": c.summary, "witnesses": c.rows}
+            for c in self.conditions])) + ["\n"]
+
+    def _obj(self, conditions: list) -> dict:
         return {
             "tool": "hapkit",
             "version": self.version,
@@ -129,7 +266,7 @@ class CertificationReport:
             "input_digest": self.input_digest,
             "truncation": self.truncation,
             "tolerances": {k: _json_num(v) for k, v in self.tolerances},
-            "conditions": [c.to_obj() for c in self.conditions],
+            "conditions": conditions,
             "notes": list(self.notes),
             "overall": "PASS" if self.overall else "FAIL",
         }
@@ -146,11 +283,11 @@ class CertificationReport:
             verdict = "PASS" if cond.passed else "FAIL"
             suffix = f" [{cond.summary}]" if cond.summary else ""
             lines.append(f"condition {cond.name}: {verdict}{suffix}")
-            shown = cond.witnesses[:_TEXT_WITNESS_CAP]
+            shown = cond.rows.witnesses(_TEXT_WITNESS_CAP)
             tag = "worst" if cond.passed else "witness"
             for w in shown:
                 lines.append(f"  {tag}: {w.render()}")
-            hidden = len(cond.witnesses) - len(shown)
+            hidden = len(cond.rows) - len(shown)
             if hidden > 0:
                 lines.append(f"  (+{hidden} more witnesses)")
         lines.append(f"overall: {'PASS' if self.overall else 'FAIL'}")

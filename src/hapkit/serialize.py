@@ -39,6 +39,7 @@ from .cocycle import CocycleMatrices
 from .fourier import Blocks, MatrixFamily, as_blocks, stacked_blocks
 from .genfun import GeneratingFunctional
 from .irreps import FreeProductTable, IrrepTable, free_product_table, make_table
+from .reports import _INDENT, json_pieces
 
 
 class SchemaError(ValueError):
@@ -105,8 +106,30 @@ class _KeyedBlocks(dict):
     ``blocks`` keeps the stacks, which ``dump_json`` formats a side at a time."""
 
     def __init__(self, blocks: Blocks):
-        super().__init__(zip(map(blocks.table.key_at, blocks.positions.tolist()), blocks.views()))
+        super().__init__(zip(blocks.table.keys_at(blocks.positions), blocks.views()))
         self.blocks = blocks
+
+    def json_texts(self, depth: int) -> dict:
+        """Key -> the text of its block nested ``depth`` levels deep: its interleaved
+        real and imaginary parts in its template.  Each side's numbers are checked
+        and listed at once; a non-finite one raises, naming the first of the first
+        such block in key order."""
+        numbers = {d: np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
+                   for d, stack in self.blocks.stacks.items()}
+        finite = self.blocks.in_order({d: np.isfinite(x).all(axis=1)
+                                       for d, x in numbers.items()}, bool)
+        if not finite.all():
+            key = min(key for key, ok in zip(self, finite) if not ok)
+            values = self[key].reshape(-1).view(np.float64)
+            bad = float(values[np.argmin(np.isfinite(values))])
+            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+        texts = {}
+        for d, x in numbers.items():
+            template, step = _matrix_template((d, d), depth), 2 * d * d
+            values = x.reshape(-1).tolist()
+            texts[d] = np.array([template % tuple(map(float.__repr__, values[i:i + step]))
+                                 for i in range(0, len(values), step)], dtype=object)
+        return dict(zip(self, self.blocks.in_order(texts, object)))
 
 
 def blocks_to_obj(table, blocks) -> dict:
@@ -255,79 +278,20 @@ def load_json(path) -> object:
         raise SchemaError(f"{path}: malformed JSON ({exc})") from None
 
 
-_INDENT = "  "
-
-
 def dump_json(obj, path) -> None:
     """Write ``obj`` as json.dumps(obj, sort_keys=True, indent=2) would, with
     the blocks of every ``blocks_to_obj`` value written as matrices of
-    [re, im] pairs.
+    [re, im] pairs, through ``reports.json_pieces``.
 
     Strict JSON: a NaN or infinite value raises and writes nothing.
     """
-    out = []
     try:
-        _render(obj, 0, out)
+        pieces = json_pieces(obj, allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    out.append("\n")
+    pieces.append("\n")
     with open(path, "w") as fh:  # piece by piece: no second copy of the whole text
-        fh.writelines(out)
-
-
-def _render(obj, depth: int, out: list) -> None:
-    """Append the text of ``obj`` nested ``depth`` levels deep to ``out``: json's
-    own, unless ``obj`` holds blocks, which this lays out."""
-    if not _holds_blocks(obj):
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-        out.append(text.replace("\n", "\n" + _INDENT * depth))
-        return
-    is_dict = isinstance(obj, dict)
-    texts = _block_texts(obj, depth + 1) if isinstance(obj, _KeyedBlocks) else None
-    out.append("{" if is_dict else "[")
-    for n, item in enumerate(sorted(obj.items()) if is_dict else obj):
-        out.append(("," if n else "") + "\n" + _INDENT * (depth + 1))
-        if is_dict:
-            key, item = item
-            out.append(json.encoder.encode_basestring_ascii(key) + ": ")
-        if texts is None:
-            _render(item, depth + 1, out)
-        else:
-            out.append(texts[key])
-    out.append("\n" + _INDENT * depth + ("}" if is_dict else "]"))
-
-
-def _holds_blocks(obj) -> bool:
-    """Whether ``obj`` is or contains a nonempty ``_KeyedBlocks``."""
-    if isinstance(obj, _KeyedBlocks):
-        return bool(obj)
-    if isinstance(obj, dict):
-        obj = obj.values()
-    elif not isinstance(obj, (list, tuple)):
-        return False
-    return any(map(_holds_blocks, obj))
-
-
-def _block_texts(obj: _KeyedBlocks, depth: int) -> dict:
-    """Key -> the text of its block nested ``depth`` levels deep: its interleaved
-    real and imaginary parts in its template.  Each side's numbers are checked
-    and listed at once; a non-finite one raises, naming the first of the first
-    such block in key order."""
-    numbers = {d: np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
-               for d, stack in obj.blocks.stacks.items()}
-    finite = obj.blocks.in_order({d: np.isfinite(x).all(axis=1) for d, x in numbers.items()}, bool)
-    if not finite.all():
-        key = min(key for key, ok in zip(obj, finite) if not ok)
-        values = obj[key].reshape(-1).view(np.float64)
-        bad = float(values[np.argmin(np.isfinite(values))])
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    texts = {}
-    for d, x in numbers.items():
-        template, step = _matrix_template((d, d), depth), 2 * d * d
-        values = x.reshape(-1).tolist()
-        texts[d] = np.array([template % tuple(map(float.__repr__, values[i:i + step]))
-                             for i in range(0, len(values), step)], dtype=object)
-    return dict(zip(obj, obj.blocks.in_order(texts, object)))
+        fh.writelines(pieces)
 
 
 @functools.lru_cache(maxsize=16)

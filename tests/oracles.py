@@ -494,3 +494,80 @@ def label_build_from_states(table, seq, betas, eps):
     f_sets = tuple(frozenset(lab for lab, row in zip(support, deviations) if row[n] <= eps[n])
                    for n in range(len(seq)))
     return blocks, first, f_sets
+
+
+def label_key(table, j: int) -> str:
+    """The key of the label at position ``j``, from the label itself."""
+    label = table.labels[j]
+    return label.id if hasattr(label, "id") else label.encode()
+
+
+def closure_threshold_condition(name, summary, estimate, threshold, witness,
+                                failed=(), margin=0.0, exact=None):
+    """The verdict kernel with one ``Witness`` per reported row, built as the
+    row is found by ``witness(r, achieved)``."""
+    from hapkit.reports import ConditionVerdict
+    achieved = np.array(estimate, dtype=float)
+    threshold = np.asarray(threshold, dtype=float)
+    margin = np.broadcast_to(np.asarray(margin, dtype=float), achieved.shape)
+    unknown = margin != 0
+
+    def settle(rows):
+        rows = rows[unknown[rows]]
+        if rows.size:
+            achieved[rows] = exact(rows)
+            unknown[rows] = False
+
+    settle(np.flatnonzero(~(achieved + margin <= threshold)))
+    witnesses = list(failed) + [witness(int(r), float(achieved[r]))
+                                for r in np.flatnonzero(~(achieved <= threshold))]
+    passed = not witnesses
+    if passed and achieved.size:
+        low = np.where(unknown, (achieved - margin) - threshold, achieved - threshold)
+        high = np.where(unknown, (achieved + margin) - threshold, achieved - threshold)
+        settle(np.flatnonzero(high >= low.max()))
+        r = int(np.argmax(np.where(unknown, -np.inf, achieved - threshold)))
+        witnesses = [witness(r, float(achieved[r]))]
+    return ConditionVerdict(name=name, passed=passed, witnesses=tuple(witnesses),
+                            summary=summary)
+
+
+def closure_identity_condition(deviations, table, conv_tols, contexts, summary,
+                               unspecified=None, margin=0.0, exact=None):
+    """identity-convergence through ``closure_threshold_condition``."""
+    from hapkit.reports import Witness
+    failed = ()
+    if any(b > a for a, b in zip(conv_tols, conv_tols[1:])):
+        failed = (Witness(label="*", achieved=max(conv_tols), threshold=conv_tols[0],
+                          context="conv_tols schedule is not nonincreasing"),)
+    n = len(table)
+
+    def witness(r, achieved):
+        k, j = divmod(r, n)
+        gap = unspecified is not None and unspecified[k][j]
+        return Witness(label_key(table, j), achieved, conv_tols[k],
+                       f"{contexts[k]}: block unspecified" if gap else contexts[k])
+    return closure_threshold_condition(
+        "identity-convergence", summary, np.concatenate([np.empty(0), *deviations]),
+        np.repeat(conv_tols, n), witness, failed, margin, exact)
+
+
+def closure_norm_bound_condition(name, summary, families, table, k_values, tol, context,
+                                 margin=0.0, exact=None):
+    """The word and damped norm bounds through ``closure_threshold_condition``."""
+    from hapkit.reports import Witness
+    thresholds = [np.array([math.exp(-l / k) + tol
+                            for l in range(int(lengths.max(initial=0)) + 1)])[lengths]
+                  for (_, lengths, _), k in zip(families, k_values)]
+    ends = np.cumsum([len(lengths) for _, lengths, _ in families])
+    threshold = np.concatenate([np.empty(0), *thresholds])
+
+    def witness(r, achieved):
+        i = int(np.searchsorted(ends, r, side="right"))
+        positions, lengths, _ = families[i]
+        j = r - (int(ends[i - 1]) if i else 0)
+        return Witness(label_key(table, int(positions[j])), achieved, float(threshold[r]),
+                       context(i, int(lengths[j])))
+    return closure_threshold_condition(
+        name, summary, np.concatenate([np.empty(0), *(norms for _, _, norms in families)]),
+        threshold, witness, margin=margin, exact=exact)

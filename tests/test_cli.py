@@ -46,6 +46,15 @@ class TestExitCodes:
                       "--t", "-1", "--out", "/tmp")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_unwritable_json_path_prints_no_verdict(self, where, tmp_path):
+        # the report is written before stdout, so a caller never reads a PASS of a run that exits 2
+        path = tmp_path / "no" / "r.json" if where == "missing-dir" else tmp_path
+        res = run_cli("schoenberg", "--group", "Z", "--radius", "2", "--json", path)
+        assert res.returncode == 2 and res.stdout == b""
+        lines = res.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestFailClosedOnNaN:
     def test_nan_conv_tols_fail_identity_convergence(self):

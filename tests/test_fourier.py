@@ -242,23 +242,29 @@ class TestHapSequence:
 
 
 class TestThresholdKernel:
-    LABELS, CONTEXTS = "abcd", "xyzw"
+    LABELS, CONTEXTS = "ABCD", "xyzw"
 
     def kernel(self, estimate, threshold, failed=(), margin=0.0, exact=None):
-        encoded = []
+        """Row r at label LABELS[r] (table position r + 1), in context CONTEXTS[r]."""
+        table = hk.make_table([(label, 1) for label in self.LABELS])
+        encoded, keys_at = [], table.keys_at
 
-        def witness(r, achieved):
-            encoded.append(self.LABELS[r])
-            return hk.Witness(self.LABELS[r].upper(), achieved, threshold[r], self.CONTEXTS[r])
-        cond = hk.fourier._threshold_condition("demo", "s", estimate, threshold, witness,
-                                               failed, margin, exact)
+        def counted(positions):
+            keys = keys_at(positions)
+            encoded.extend(keys)
+            return keys
+        table.keys_at = counted
+        rows = np.arange(len(estimate))
+        cond = hk.fourier._threshold_condition("demo", "s", estimate, threshold, table,
+                                               rows + 1, rows, list(self.CONTEXTS), failed, margin,
+                                               exact)
         return cond, encoded
 
     def test_worst_row_reported_when_nothing_fails(self):
         cond, encoded = self.kernel([0.5, 0.9, 0.2], [1.0, 1.0, 1.0])
-        assert cond.passed
+        assert cond.passed and encoded == []  # no label is encoded before it is asked for
         assert [(w.label, w.achieved, w.context) for w in cond.witnesses] == [("B", 0.9, "y")]
-        assert encoded == ["b"]  # only the reported row is encoded
+        assert encoded == ["B"]  # only the reported row is encoded
 
     def test_failing_rows_become_witnesses(self):
         cond, _ = self.kernel([2.0, 0.0, math.nan, 0.0], [1.0, 1.0, 1.0, math.nan])

@@ -2,9 +2,11 @@
 
 Each ``demos/*.py`` must exit 0, and ``fixtures/regenerate.py``, run from a
 copy in a temporary directory, must write files byte-identical to the
-committed ``fixtures/``.  Every name in ``hapkit.__all__`` must exist.  Every
-function the benchmark tracer patches must still exist under the name it
-looks up, and a traced run must leave every module as it found it.
+committed ``fixtures/``, also without ``PYTHONPATH`` when ``src/`` sits
+beside its directory, as in a checkout.  Every name in ``hapkit.__all__``
+must exist.  Every function the benchmark tracer patches must still exist
+under the name it looks up, and a traced run must leave every module as it
+found it.
 """
 
 import os
@@ -42,6 +44,20 @@ def test_regenerate_reproduces_fixtures(tmp_path):
     assert written == sorted(p.name for p in FIXTURES.glob("*.json"))
     for name in written:
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
+
+def test_regenerate_runs_without_pythonpath(tmp_path):
+    # the layout of a checkout: fixtures/regenerate.py beside src/
+    (tmp_path / "fixtures").mkdir()
+    script = tmp_path / "fixtures" / "regenerate.py"
+    shutil.copy(FIXTURES / "regenerate.py", script)
+    (tmp_path / "src").symlink_to(REPO_ROOT / "src", target_is_directory=True)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run([sys.executable, str(script)], capture_output=True, cwd=tmp_path,
+                         env=env)
+    assert res.returncode == 0, res.stderr.decode()
+    for path in FIXTURES.glob("*.json"):
+        assert (script.parent / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_traced_names_resolve():

@@ -175,8 +175,8 @@ class TestJsonHygiene:
         assert back.blocks[t.decode("a")][0, 0] == complex(value)
 
     def test_dump_leaves_no_reference_cycle(self, tmp_path):
-        # json is never handed a container that holds blocks, so a failed
-        # encoder cannot keep the written object alive until a collection
+        # the writer makes no reference cycle, so nothing keeps the written
+        # object alive until a collection
         path = FIXTURES / "zdual_length_generator.json"
         obj = sz.generator_to_obj(sz.generator_from_obj(sz.load_json(path)))
         written = weakref.ref(obj["blocks"])

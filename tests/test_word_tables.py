@@ -69,6 +69,18 @@ class TestEnumeration:
                 lookup(arg)
             assert exc.value.args == (text,)
 
+    @settings(max_examples=80, deadline=None)
+    @given(factor_tables(), st.integers(0, 4), st.data())
+    def test_batched_keys_equal_the_word_encoding(self, tables, length, data):
+        wp = hk.free_product_table(*tables, length)
+        want = [word.encode() for word in wp.labels]
+        assert wp.keys_at(np.arange(len(wp))) == want
+        positions = data.draw(st.lists(st.integers(0, len(wp) - 1), max_size=20))
+        assert wp.keys_at(positions) == [want[j] for j in positions]  # any order, repeats
+        assert [wp.key_at(j) for j in positions] == [want[j] for j in positions]
+        plain = tables[0]
+        assert plain.keys_at(np.arange(len(plain))) == [lab.id for lab in plain.labels]
+
     def test_words_survive_pickle(self):
         t = hk.make_table([("a", 1), ("b", 2)])
         word = hk.free_product_table(t, t, 3).labels[-1]
