@@ -20,7 +20,7 @@ import logging
 import numpy as np
 
 from . import _linalg
-from .fourier import BlockMap, Blocks, _by_side, stacked_blocks
+from .fourier import BlockMap, _by_side, stacked_blocks
 from .genfun import GeneratingFunctional, PropernessResult, _proper_scan
 
 logger = logging.getLogger(__name__)
@@ -31,7 +31,7 @@ CLAMP_TOL = 1e-10
 class CocycleMatrices(BlockMap):
     """Label -> cocycle block over a table, with no block at the unit."""
 
-    def _check_trivial(self, blocks: Blocks) -> Blocks:
+    def _check_trivial(self, blocks: BlockMap) -> BlockMap:
         if blocks.rows[0] >= 0:
             raise ValueError("cocycle matrices carry no block at the trivial label")
         return blocks
@@ -61,8 +61,8 @@ def factor_from_generator(L: GeneratingFunctional, tol: float = CLAMP_TOL) -> Co
 
 def gram_from_cocycle(c: CocycleMatrices) -> GeneratingFunctional:
     """Recover the symmetric functional with blocks (c^a)*(c^a) / 2."""
-    return GeneratingFunctional(c.table, Blocks(c.table, {
-        d: _linalg.hermitize(_gram(s)) / 2.0 for d, s in c.stacks.items()}, c.rows))
+    return GeneratingFunctional(c.table, stacked_blocks(c.table, c._parts(
+        {d: _linalg.hermitize(_gram(s)) / 2.0 for d, s in c.stacks.items()})))
 
 
 def check_proper_cocycle(c: CocycleMatrices, M: float) -> PropernessResult:

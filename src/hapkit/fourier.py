@@ -17,10 +17,10 @@ Blocks that a family does not carry are *unspecified*, never implicitly
 zero: operations restrict to support intersections, so no decay is ever
 fabricated for labels nobody supplied.
 
-``BlockMap`` is the label -> block container behind families, generating
-functionals and cocycles, one stack per block side (``Blocks``);
-``_threshold_condition`` is the one verdict kernel behind every per-label
-threshold check, here and in ``cfree``.
+``BlockMap`` is the label -> block map behind families, generating
+functionals and cocycles, one stack per block side; ``_threshold_condition``
+is the one verdict kernel behind every per-label threshold check, here and
+in ``cfree``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from typing import Mapping
 import numpy as np
 
 from . import _linalg
-from .reports import CertificationReport, ConditionVerdict, Witness, WitnessRows
+from .reports import (CertificationReport, ConditionVerdict, Witness, WitnessRows,
+                      _matrix_template)
 
 logger = logging.getLogger(__name__)
 
@@ -44,34 +45,65 @@ NORMALIZED_ATOL = 1e-9
 DEFAULT_TOL = 1e-9
 
 
-class Blocks(Mapping):
-    """Read-only label -> block view of one frozen ``(n_d, d, d)`` stack per side d.
+class BlockMap(Mapping):
+    """Read-only label -> complex block map over a fixed table.
 
-    ``rows[j]`` is the row of table position j's block in the stack of its
-    side, the table's dim there, or -1 where there is none: an unspecified
-    block is never zero-filled.  Each stack row belongs to one position.
-    Stacks are frozen with ``_linalg.freeze``; the label -> block dict behind
-    lookups and iteration, in table order, is built on first use.
+    The blocks are held as one ``(n_d, d, d)`` stack per side d, frozen with
+    ``_linalg.freeze``, and ``rows``: ``rows[j]`` is the row of table position
+    j's block in the stack of its side, or -1 where there is none, so an
+    unspecified block is never zero-filled.  Each stack row belongs to one
+    position.  Maps are immutable, so they can be shared freely between
+    threads and serialized reproducibly; the label -> block dict behind
+    lookups is built on first use.  States, generating functionals and
+    cocycles differ only in what they allow at the trivial label, which each
+    subclass enforces in ``_check_trivial``.
     """
 
-    def __init__(self, table, stacks: Mapping, rows):
+    def __init__(self, table, blocks: Mapping):
+        """A ``BlockMap`` over an equal table is adopted: its stacks and index
+        arrays are taken as they are.  Any other label -> block mapping is
+        copied into one stack per side; a block that is not a square matrix of
+        its label's dim raises ValueError (the first such in table order), and
+        keys outside the table raise KeyError."""
         self.table = table
-        self.stacks = MappingProxyType({d: _linalg.freeze(s) for d, s in sorted(stacks.items())})
-        self.rows = np.asarray(rows, dtype=np.intp)
-        self.rows.setflags(write=False)
-        if len(self.rows) != len(table):
-            raise ValueError(f"{len(self.rows)} rows for a table of {len(table)} labels")
-        self.positions = np.flatnonzero(self.rows >= 0)  # of the blocks, ascending
-        sides = table.dims[self.positions]
-        self._places = {}  # side -> (indices into positions, stack rows) of its blocks
-        for d, stack in self.stacks.items():
-            places = np.flatnonzero(sides == d)
-            rows = self.rows[self.positions[places]]
-            if stack.shape != (len(rows), d, d) or (np.sort(rows) != np.arange(len(rows))).any():
-                raise ValueError(f"side-{d} stack of shape {stack.shape} does not match its rows")
-            self._places[d] = places, rows
-        if sum(len(places) for places, _ in self._places.values()) != len(sides):
-            raise ValueError("a block has no stack of its side")
+        if not (isinstance(blocks, BlockMap) and (blocks.table is table or blocks.table == table)):
+            positions, arrays, extra = [], [], []
+            for label, mat in blocks.items():
+                try:
+                    positions.append(table.index(label))
+                    arrays.append(mat)
+                except KeyError:
+                    extra.append(label)
+            for i in sorted(range(len(positions)), key=positions.__getitem__):
+                a = arrays[i] = np.asarray(arrays[i], dtype=np.complex128)
+                if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                    raise ValueError(f"block must be a square matrix, got shape {a.shape}")
+                if a.shape[0] != (d := table.dims[positions[i]]):
+                    raise ValueError(f"block has side {a.shape[0]}, expected {d}")
+            if extra:
+                raise KeyError(f"blocks supplied for labels outside the table: {extra!r}")
+            blocks = stacked_blocks(table, [([j], a[np.newaxis])
+                                            for j, a in zip(positions, arrays)])
+        blocks = self._check_trivial(blocks)
+        self.stacks, self.rows, self.positions, self._places = (
+            blocks.stacks, blocks.rows, blocks.positions, blocks._places)
+
+    def _check_trivial(self, blocks: BlockMap) -> BlockMap:
+        """Validate (or complete) the block at the trivial label."""
+        return blocks
+
+    @property
+    def blocks(self) -> BlockMap:  # the map itself: ``F.blocks[label]`` is ``F[label]``
+        return self
+
+    @functools.cached_property
+    def labels(self) -> tuple:
+        """Supported labels in canonical table order."""
+        return tuple(self.table.labels[j] for j in self.positions.tolist())
+
+    @functools.cached_property
+    def support(self) -> frozenset:
+        return frozenset(self.labels)
 
     def views(self) -> list:
         """The blocks in table order, each a view of its row."""
@@ -80,13 +112,16 @@ class Blocks(Mapping):
 
     @functools.cached_property
     def _dict(self) -> dict:
-        return dict(zip((self.table.labels[j] for j in self.positions.tolist()), self.views()))
+        return dict(zip(self.labels, self.views()))
 
     def __getitem__(self, label) -> np.ndarray:
-        return self._dict[label]
+        try:
+            return self._dict[label]
+        except KeyError:
+            raise KeyError(f"no block at label {self.table.encode(label)!r}") from None
 
     def __iter__(self):
-        return iter(self._dict)
+        return iter(self.labels)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -101,10 +136,11 @@ class Blocks(Mapping):
         return self.stacks[d][self.rows[positions]]
 
     def in_order(self, by_side: Mapping, dtype=float) -> np.ndarray:
-        """Values given per side, in stack row order, put in table order."""
+        """Values given per side, in stack row order, put in table order, read-only."""
         out = np.empty(len(self.positions), dtype=dtype)
         for d, (places, rows) in self._places.items():
             out[places] = by_side[d][rows]
+        out.setflags(write=False)
         return out
 
     def by_side(self, values: np.ndarray) -> dict:
@@ -118,10 +154,56 @@ class Blocks(Mapping):
         """``per_block`` maps a stack to one value per block; the values in table order."""
         return self.in_order({d: per_block(stack) for d, stack in self.stacks.items()}, dtype)
 
+    def _parts(self, stacks: Mapping) -> list:
+        """``stacked_blocks`` parts that lay ``stacks`` out as this map's stacks are."""
+        return [(at, stacks[d]) for d, at in self.by_side(self.positions).items()]
 
-def stacked_blocks(table, parts) -> Blocks:
-    """Blocks from (positions, stack) pairs, ``stack[i]`` at table position
-    ``positions[i]``; the parts of one side are concatenated in order."""
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        """Read-only ||B|| of every block, aligned with ``labels``; NaN if non-finite."""
+        return self.scan(_linalg.spectral_norms)
+
+    @functools.cached_property
+    def deviations(self) -> np.ndarray:
+        """Read-only ||B - I|| of every block, aligned with ``labels``."""
+        return self.scan(functools.partial(_linalg.spectral_norms, minus_identity=True))
+
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
+        """Read-only Hermitian residual ||B - B*|| of every block, aligned with ``labels``."""
+        return self.scan(_linalg.adjoint_residuals)
+
+    def json_texts(self, depth: int) -> dict:
+        """Block key -> the JSON text of its block nested ``depth`` levels deep,
+        for ``reports.json_pieces``: its interleaved real and imaginary parts in
+        its template.  Each side's numbers are checked and listed at once; a
+        non-finite one raises, naming the first of the first such block in key
+        order."""
+        keys = self.table.keys_at(self.positions)
+        numbers = {d: np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
+                   for d, stack in self.stacks.items()}
+        finite = self.in_order({d: np.isfinite(x).all(axis=1) for d, x in numbers.items()}, bool)
+        if not finite.all():
+            first = min(np.flatnonzero(~finite).tolist(), key=keys.__getitem__)
+            values = self.views()[first].reshape(-1).view(np.float64)
+            bad = float(values[np.argmin(np.isfinite(values))])
+            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+        texts = {}
+        for d, x in numbers.items():
+            template, step = _matrix_template(d, depth), 2 * d * d
+            values = x.reshape(-1).tolist()
+            texts[d] = np.array([template % tuple(map(float.__repr__, values[i:i + step]))
+                                 for i in range(0, len(values), step)], dtype=object)
+        return dict(zip(keys, self.in_order(texts, object)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)}/{len(self.table)} blocks)"
+
+
+def stacked_blocks(table, parts) -> BlockMap:
+    """A plain ``BlockMap`` from (positions, stack) pairs, ``stack[i]`` at table
+    position ``positions[i]``; the parts of one side are concatenated in order.
+    Every map is first made here."""
     rows = np.full(len(table), -1, dtype=np.intp)
     by_side = {}
     for positions, stack in parts:
@@ -132,8 +214,23 @@ def stacked_blocks(table, parts) -> Blocks:
         for positions, _ in group:
             rows[positions] = np.arange(n, n + len(positions))
             n += len(positions)
-    return Blocks(table, {d: group[0][1] if len(group) == 1 else np.concatenate(
-        [stack for _, stack in group]) for d, group in by_side.items()}, rows)
+    rows.setflags(write=False)
+    out = BlockMap.__new__(BlockMap)
+    out.table, out.rows, out.positions = table, rows, np.flatnonzero(rows >= 0)
+    out.stacks = MappingProxyType({d: _linalg.freeze(
+        group[0][1] if len(group) == 1 else np.concatenate([stack for _, stack in group]))
+        for d, group in sorted(by_side.items())})
+    sides = table.dims[out.positions]
+    out._places = {}  # side -> (indices into positions, stack rows) of its blocks
+    for d, stack in out.stacks.items():
+        places = np.flatnonzero(sides == d)
+        rows = out.rows[out.positions[places]]
+        if stack.shape != (len(rows), d, d) or (np.sort(rows) != np.arange(len(rows))).any():
+            raise ValueError(f"side-{d} stack of shape {stack.shape} does not match its rows")
+        out._places[d] = places, rows
+    if sum(len(places) for places, _ in out._places.values()) != len(sides):
+        raise ValueError("a block has no stack of its side")
+    return out
 
 
 def _by_side(table, positions: np.ndarray) -> dict:
@@ -142,94 +239,7 @@ def _by_side(table, positions: np.ndarray) -> dict:
     return {d: positions[sides == d] for d in sorted(set(sides.tolist()))}
 
 
-def as_blocks(table, blocks: Mapping) -> Blocks:
-    """``blocks`` over ``table`` as ``Blocks``: itself if it is one over an
-    equal table, else its arrays copied into one stack per side.
-
-    A block that is not a square matrix of its label's dim raises ValueError
-    (the first such in table order); keys outside the table raise KeyError.
-    """
-    if isinstance(blocks, Blocks) and (blocks.table is table or blocks.table == table):
-        return blocks
-    positions, arrays, extra = [], [], []
-    for label, mat in blocks.items():
-        try:
-            positions.append(table.index(label))
-            arrays.append(mat)
-        except KeyError:
-            extra.append(label)
-    for i in sorted(range(len(positions)), key=positions.__getitem__):
-        a = arrays[i] = np.asarray(arrays[i], dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"block must be a square matrix, got shape {a.shape}")
-        if a.shape[0] != table.dims[positions[i]]:
-            raise ValueError(f"block has side {a.shape[0]}, expected {table.dims[positions[i]]}")
-    if extra:
-        raise KeyError(f"blocks supplied for labels outside the table: {extra!r}")
-    return stacked_blocks(table, [([j], a[np.newaxis]) for j, a in zip(positions, arrays)])
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.setflags(write=False)
-    return values
-
-
-class BlockMap:
-    """Label -> complex block map over a fixed table.
-
-    Immutable after construction: ``blocks`` holds one frozen stack per
-    block side (see ``Blocks``), so maps can be shared freely between
-    threads and serialized reproducibly.  States, generating functionals and
-    cocycles differ only in what they allow at the trivial label, which each
-    subclass enforces in ``_check_trivial``.
-    """
-
-    def __init__(self, table, blocks: Mapping):
-        self.table = table
-        self.blocks = self._check_trivial(as_blocks(table, blocks))
-        self.stacks, self.rows, self.positions = (
-            self.blocks.stacks, self.blocks.rows, self.blocks.positions)
-
-    def _check_trivial(self, blocks: Blocks) -> Blocks:
-        """Validate (or complete) the block at the trivial label."""
-        return blocks
-
-    @functools.cached_property
-    def labels(self) -> tuple:
-        """Supported labels in canonical table order."""
-        return tuple(self.table.labels[j] for j in self.positions.tolist())
-
-    @functools.cached_property
-    def support(self) -> frozenset:
-        return frozenset(self.labels)
-
-    @functools.cached_property
-    def norms(self) -> np.ndarray:
-        """Read-only ||B|| of every block, aligned with ``labels``; NaN if non-finite."""
-        return _read_only(self.blocks.scan(_linalg.spectral_norms))
-
-    @functools.cached_property
-    def deviations(self) -> np.ndarray:
-        """Read-only ||B - I|| of every block, aligned with ``labels``."""
-        return _read_only(self.blocks.scan(
-            functools.partial(_linalg.spectral_norms, minus_identity=True)))
-
-    @functools.cached_property
-    def residuals(self) -> np.ndarray:
-        """Read-only Hermitian residual ||B - B*|| of every block, aligned with ``labels``."""
-        return _read_only(self.blocks.scan(_linalg.adjoint_residuals))
-
-    def block(self, label) -> np.ndarray:
-        try:
-            return self.blocks[label]
-        except KeyError:
-            raise KeyError(f"no block at label {self.table.encode(label)!r}") from None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self.blocks)}/{len(self.table)} blocks)"
-
-
-def _require_normalized(blocks: Blocks, who: str) -> None:
+def _require_normalized(blocks: BlockMap, who: str) -> None:
     """Raise unless the trivial block is [1] (NaN fails closed)."""
     triv = blocks.at(0)
     if triv is None or not abs(complex(triv[0, 0]) - 1.0) <= NORMALIZED_ATOL:
@@ -243,7 +253,7 @@ class MatrixFamily(BlockMap):
         self.normalized = normalized
         super().__init__(table, blocks)
 
-    def _check_trivial(self, blocks: Blocks) -> Blocks:
+    def _check_trivial(self, blocks: BlockMap) -> BlockMap:
         if self.normalized:
             _require_normalized(blocks, "family")
         return blocks
@@ -251,7 +261,7 @@ class MatrixFamily(BlockMap):
     def __repr__(self) -> str:
         if not self.normalized:
             return super().__repr__()
-        return f"MatrixFamily({len(self.blocks)}/{len(self.table)} blocks, normalized)"
+        return f"MatrixFamily({len(self)}/{len(self.table)} blocks, normalized)"
 
 
 def _require_same_table(F: BlockMap, G, who: str = "operands") -> None:
@@ -275,7 +285,7 @@ def convolve(F: MatrixFamily, G: MatrixFamily) -> MatrixFamily:
     return MatrixFamily(F.table, blocks, normalized=F.normalized and G.normalized)
 
 
-def _constant_blocks(table, c: float, unit: float | None = None) -> Blocks:
+def _constant_blocks(table, c: float, unit: float | None = None) -> BlockMap:
     """c * I at every nontrivial label, plus [unit] at the trivial one unless None."""
     parts = [(at, np.repeat(c * np.eye(d, dtype=np.complex128)[np.newaxis], len(at), axis=0))
              for d, at in _by_side(table, np.arange(1, len(table))).items()]
@@ -296,7 +306,7 @@ def haar_family(table) -> MatrixFamily:
 
 def block_norm(F: MatrixFamily, label) -> float:
     """Spectral norm of the block at ``label``."""
-    F.block(label)  # raises for a label without a block
+    F[label]  # raises for a label without a block
     return float(F.norms[F.labels.index(label)])
 
 
@@ -318,11 +328,6 @@ class C0Result:
     unspecified: tuple
     tail_clean: bool
     table_size: int
-
-    @property
-    def complement_size(self) -> int:
-        """Labels verified at or below eps."""
-        return self.table_size - len(self.exceptional) - len(self.unspecified)
 
 
 def _require_c0_eps(eps: float) -> None:

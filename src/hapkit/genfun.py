@@ -29,7 +29,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from . import _linalg
-from .fourier import (DEFAULT_TOL, BlockMap, Blocks, MatrixFamily, _by_side, _constant_blocks,
+from .fourier import (DEFAULT_TOL, BlockMap, MatrixFamily, _by_side, _constant_blocks,
                       _require_normalized, _require_same_table, stacked_blocks)
 
 logger = logging.getLogger(__name__)
@@ -43,14 +43,11 @@ class GeneratingFunctional(BlockMap):
     unspecified, in which case nothing is claimed about them.
     """
 
-    def _check_trivial(self, blocks: Blocks) -> Blocks:
+    def _check_trivial(self, blocks: BlockMap) -> BlockMap:
         triv = blocks.at(0)
         if triv is None:  # a zero row after the other 1 x 1 blocks
-            scalars = blocks.stacks.get(1, np.empty((0, 1, 1), dtype=np.complex128))
-            rows = blocks.rows.copy()
-            rows[0] = len(scalars)
-            zero = np.zeros((1, 1, 1), dtype=np.complex128)
-            return Blocks(self.table, {**blocks.stacks, 1: np.concatenate([scalars, zero])}, rows)
+            zero = (np.zeros(1, dtype=np.intp), np.zeros((1, 1, 1), dtype=np.complex128))
+            return stacked_blocks(self.table, [*blocks._parts(blocks.stacks), zero])
         if np.any(triv != 0):
             raise ValueError("generating functional must vanish at the unit")
         return blocks
@@ -59,7 +56,7 @@ class GeneratingFunctional(BlockMap):
     def _expm_spectra(self) -> dict:
         """What ``_linalg.expm_neg`` needs of the stacks whatever t: the Hermitian
         test, from the cached residuals and norms, and ``eigh``."""
-        by_side = self.blocks.by_side
+        by_side = self.by_side
         return _linalg.expm_spectra(self.stacks, by_side(self.residuals), by_side(self.norms))
 
 
@@ -150,7 +147,7 @@ def semigroup_at(L: GeneratingFunctional, t: float) -> MatrixFamily:
         raise ValueError("t must be >= 0")
     stacks = _linalg.expm_neg(L.stacks, t, L._expm_spectra)
     stacks[1][L.rows[0]] = 1.0  # the trivial block
-    return MatrixFamily(L.table, Blocks(L.table, stacks, L.rows), normalized=True)
+    return MatrixFamily(L.table, stacked_blocks(L.table, L._parts(stacks)), normalized=True)
 
 
 def shift_unit(L: GeneratingFunctional) -> GeneratingFunctional:

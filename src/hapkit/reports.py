@@ -97,6 +97,14 @@ def _template(keys: tuple, depth: int) -> str:
     return "{" + inner + members + "\n" + _INDENT * depth + "}"
 
 
+@functools.lru_cache(maxsize=16)
+def _matrix_template(d: int, depth: int) -> str:
+    """json's indent=2 text of a d x d matrix of [re, im] pairs nested ``depth``
+    levels deep, with one %s per number."""
+    text = json.dumps([[[0, 0]] * d] * d, indent=2)
+    return text.replace("0", "%s").replace("\n", "\n" + _INDENT * depth)
+
+
 def json_pieces(obj, allow_nan: bool = True, depth: int = 0, out: list | None = None) -> list:
     """The text of json.dumps(obj, sort_keys=True, indent=2, allow_nan=allow_nan),
     nested ``depth`` levels deep, appended to ``out`` in pieces.

@@ -17,17 +17,16 @@ plain tables and "i1:id1|i2:id2|..." word encodings (empty string for the
 trivial word) for free-product tables.  Writing is deterministic: canonical
 label order, sorted keys, fixed separators.
 
-In memory, ``blocks_to_obj`` maps each key to its block, a read-only view
-of the stack of its side, and keeps the stacks: ``dump_json`` formats each
-stack's numbers at once and writes every block in the layout
-json.dumps(..., indent=2) gives its nested lists, byte for byte.
-``blocks_from_obj`` converts all matrices of one side with one numpy call
-into one read-only stack, which ``BlockMap`` adopts without a copy.
+In memory, a 'blocks' object is a ``BlockMap``: ``dump_json`` formats each
+of its stacks' numbers at once (``BlockMap.json_texts``) and writes every
+block in the layout json.dumps(..., indent=2) gives its nested lists, byte
+for byte.  ``blocks_from_obj`` converts all matrices of one side with one
+numpy call into one read-only stack, which the map it returns holds and a
+family, generator or cocycle built from it adopts without a copy.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from itertools import chain
@@ -36,10 +35,10 @@ from pathlib import Path
 import numpy as np
 
 from .cocycle import CocycleMatrices
-from .fourier import Blocks, MatrixFamily, as_blocks, stacked_blocks
+from .fourier import BlockMap, MatrixFamily, stacked_blocks
 from .genfun import GeneratingFunctional
 from .irreps import FreeProductTable, IrrepTable, free_product_table, make_table
-from .reports import _INDENT, json_pieces
+from .reports import json_pieces
 
 
 class SchemaError(ValueError):
@@ -101,44 +100,13 @@ def table_from_obj(obj, where: str = "table"):
         raise SchemaError(f"{where}: {exc}") from None
 
 
-class _KeyedBlocks(dict):
-    """Block key -> block, a view of the stack of its side, in table order;
-    ``blocks`` keeps the stacks, which ``dump_json`` formats a side at a time."""
-
-    def __init__(self, blocks: Blocks):
-        super().__init__(zip(blocks.table.keys_at(blocks.positions), blocks.views()))
-        self.blocks = blocks
-
-    def json_texts(self, depth: int) -> dict:
-        """Key -> the text of its block nested ``depth`` levels deep: its interleaved
-        real and imaginary parts in its template.  Each side's numbers are checked
-        and listed at once; a non-finite one raises, naming the first of the first
-        such block in key order."""
-        numbers = {d: np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
-                   for d, stack in self.blocks.stacks.items()}
-        finite = self.blocks.in_order({d: np.isfinite(x).all(axis=1)
-                                       for d, x in numbers.items()}, bool)
-        if not finite.all():
-            key = min(key for key, ok in zip(self, finite) if not ok)
-            values = self[key].reshape(-1).view(np.float64)
-            bad = float(values[np.argmin(np.isfinite(values))])
-            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-        texts = {}
-        for d, x in numbers.items():
-            template, step = _matrix_template((d, d), depth), 2 * d * d
-            values = x.reshape(-1).tolist()
-            texts[d] = np.array([template % tuple(map(float.__repr__, values[i:i + step]))
-                                 for i in range(0, len(values), step)], dtype=object)
-        return dict(zip(self, self.blocks.in_order(texts, object)))
+def blocks_to_obj(table, blocks) -> BlockMap:
+    """``blocks`` as a ``BlockMap`` over ``table``, which ``dump_json`` writes as
+    block key -> matrix; a block map over an equal table is adopted, not copied."""
+    return BlockMap(table, blocks)
 
 
-def blocks_to_obj(table, blocks) -> dict:
-    """Block key -> the block as a read-only complex128 array (not a copy for a
-    block map's blocks)."""
-    return _KeyedBlocks(as_blocks(table, blocks))
-
-
-def blocks_from_obj(table, obj, where: str) -> Blocks:
+def blocks_from_obj(table, obj, where: str) -> BlockMap:
     """The blocks of a 'blocks' object, one read-only stack per side.
 
     The matrices of one side are checked and converted together; when any
@@ -225,7 +193,7 @@ def _matrix_fault(mat) -> str | None:
 def _map_to_obj(M, kind: str | None) -> dict:
     """Shared writer: table and blocks, plus the kind tag or the normalized flag."""
     tag = {"kind": kind} if kind is not None else {"normalized": M.normalized}
-    return {"table": table_to_obj(M.table), "blocks": blocks_to_obj(M.table, M.blocks), **tag}
+    return {"table": table_to_obj(M.table), "blocks": blocks_to_obj(M.table, M), **tag}
 
 
 def _map_from_obj(obj, where: str, cls, kind: str | None):
@@ -250,10 +218,6 @@ def family_to_obj(F: MatrixFamily) -> dict:
     return _map_to_obj(F, None)
 
 
-def family_from_obj(obj, where: str = "family") -> MatrixFamily:
-    return _map_from_obj(obj, where, MatrixFamily, None)
-
-
 def generator_to_obj(L: GeneratingFunctional) -> dict:
     return _map_to_obj(L, "generator")
 
@@ -266,22 +230,18 @@ def cocycle_to_obj(c: CocycleMatrices) -> dict:
     return _map_to_obj(c, "cocycle")
 
 
-def cocycle_from_obj(obj, where: str = "cocycle") -> CocycleMatrices:
-    return _map_from_obj(obj, where, CocycleMatrices, "cocycle")
-
-
 def load_json(path) -> object:
-    text = Path(path).read_text()
+    """The JSON value in the UTF-8 file at ``path``; SchemaError names a file that is not."""
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path}: malformed JSON ({exc})") from None
 
 
 def dump_json(obj, path) -> None:
     """Write ``obj`` as json.dumps(obj, sort_keys=True, indent=2) would, with
-    the blocks of every ``blocks_to_obj`` value written as matrices of
-    [re, im] pairs, through ``reports.json_pieces``.
+    the blocks of every ``BlockMap`` value written as matrices of [re, im]
+    pairs, through ``reports.json_pieces``.
 
     Strict JSON: a NaN or infinite value raises and writes nothing.
     """
@@ -292,11 +252,3 @@ def dump_json(obj, path) -> None:
     pieces.append("\n")
     with open(path, "w") as fh:  # piece by piece: no second copy of the whole text
         fh.writelines(pieces)
-
-
-@functools.lru_cache(maxsize=16)
-def _matrix_template(shape: tuple, depth: int) -> str:
-    """json's indent=2 text of an array of [re, im] pairs nested ``depth`` levels
-    deep, with one %s per number."""
-    text = json.dumps(np.zeros(shape + (2,), dtype=int).tolist(), indent=2)
-    return text.replace("0", "%s").replace("\n", "\n" + _INDENT * depth)

@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -81,11 +82,12 @@ def random_psd_generator(rng, table, max_norm: float) -> hk.GeneratingFunctional
     return hk.GeneratingFunctional(table, blocks)
 
 
-def run_cli_subprocess(*argv, cwd=None) -> subprocess.CompletedProcess:
-    """Real process run: used where the process-level contract itself is under test."""
+def run_cli_subprocess(*argv, cwd=None, env=None) -> subprocess.CompletedProcess:
+    """Real process run: used where the process-level contract itself is under test.
+    ``env`` adds to (or overrides) this process's environment."""
     return subprocess.run(
         [sys.executable, "-m", "hapkit", *map(str, argv)],
-        capture_output=True, cwd=cwd or REPO_ROOT,
+        capture_output=True, cwd=cwd or REPO_ROOT, env={**os.environ, **(env or {})},
     )
 
 

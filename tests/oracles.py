@@ -14,6 +14,9 @@ from functools import reduce
 
 import numpy as np
 
+import hapkit as hk
+from hapkit import serialize
+
 
 def alternating_words(ids1, ids2, max_len):
     """Brute-force enumeration of alternating two-factor words.
@@ -363,10 +366,11 @@ def matrix_to_obj(block) -> list:
 
 def nested_json_text(obj) -> str:
     """json.dumps(..., sort_keys=True, indent=2, allow_nan=False) of ``obj``, and a
-    newline, after every array leaf is turned into nested lists by ``matrix_to_obj``."""
+    newline, after every ``BlockMap`` leaf is turned into a dict from each label's
+    ``encode`` to its block as nested lists by ``matrix_to_obj``."""
     def lists(o):
-        if isinstance(o, np.ndarray):
-            return matrix_to_obj(o)
+        if isinstance(o, hk.fourier.BlockMap):
+            return {o.table.encode(lab): matrix_to_obj(blk) for lab, blk in o.items()}
         if isinstance(o, dict):
             return {k: lists(v) for k, v in o.items()}
         if isinstance(o, (list, tuple)):
@@ -418,6 +422,17 @@ def blocks_from_obj(table, obj, where: str) -> dict:
             raise SchemaFault(f"{where}.blocks[{key!r}]: block has side {len(block)}, "
                               f"expected {table.dim(label)}")
     return out
+
+
+def family_from_obj(obj, where: str = "family") -> hk.MatrixFamily:
+    """A bare family file read back (no CLI path reads one): not an oracle, but
+    ``serialize``'s shared reader with the class it builds."""
+    return serialize._map_from_obj(obj, where, hk.MatrixFamily, None)
+
+
+def cocycle_from_obj(obj, where: str = "cocycle") -> hk.CocycleMatrices:
+    """A cocycle file read back, as ``family_from_obj`` reads a family file."""
+    return serialize._map_from_obj(obj, where, hk.CocycleMatrices, "cocycle")
 
 
 class LabelBlockMap:

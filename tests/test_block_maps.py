@@ -174,3 +174,32 @@ class TestDerivedMapsOracle:
             assert _bits(L.blocks[lab]) == _bits(blk)
         assert dict(report.first_certified) == first
         assert report.f_sets == f_sets
+
+
+class TestAdoption:
+    """A map made from a block map over an equal table takes its stacks and index
+    arrays as they are: nothing is copied, frozen again or sorted again."""
+
+    @pytest.mark.parametrize("cls", [hk.MatrixFamily, hk.GeneratingFunctional,
+                                     hk.CocycleMatrices])
+    def test_rebuilt_map_shares_the_source_arrays(self, cls):
+        def table():
+            return hk.make_table([("a", 2), ("b", 1), ("c", 2)])
+
+        source_table = table()
+        blocks = {source_table.decode("a"): np.eye(2), source_table.decode("b"): [[0.5]],
+                  source_table.decode("c"): 2 * np.eye(2)}
+        if cls is hk.MatrixFamily:
+            blocks[source_table.trivial] = [[1.0]]
+        source = cls(source_table, blocks)  # a generator's zero trivial block is now present
+        equal = table()
+        assert equal == source_table and equal is not source_table
+        with mock.patch.object(_linalg, "freeze", side_effect=AssertionError("frozen again")), \
+                mock.patch.object(np, "sort", side_effect=AssertionError("sorted again")):
+            rebuilt = cls(equal, source)
+        assert rebuilt.blocks is rebuilt
+        assert rebuilt.stacks.keys() == source.stacks.keys()
+        assert all(np.shares_memory(rebuilt.stacks[d], stack)
+                   for d, stack in source.stacks.items())
+        assert rebuilt.rows is source.rows and rebuilt.positions is source.positions
+        assert list(rebuilt) == list(source)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hapkit as hk
+import oracles
 from hapkit import cli
 from hapkit import serialize as sz
 from conftest import FIXTURES, REPO_ROOT, run_cli, run_cli_subprocess
@@ -210,10 +211,10 @@ class TestSemigroupCommand:
         res = run_cli("semigroup", FIXTURES / "unit_shift_generator.json",
                       "--t", "0,1", "--out", tmp_path)
         assert res.returncode == 0
-        fam0 = sz.family_from_obj(sz.load_json(tmp_path / "semigroup_t0.0.json"))
+        fam0 = oracles.family_from_obj(sz.load_json(tmp_path / "semigroup_t0.0.json"))
         eps = hk.counit_family(fam0.table)
         assert hk.max_block_deviation(fam0, eps) == 0.0
-        fam1 = sz.family_from_obj(sz.load_json(tmp_path / "semigroup_t1.0.json"))
+        fam1 = oracles.family_from_obj(sz.load_json(tmp_path / "semigroup_t1.0.json"))
         lab = fam1.table.decode("a")
         assert abs(fam1.blocks[lab][0, 0] - math.exp(-1.0)) < 1e-12
 
@@ -237,7 +238,7 @@ class TestCocycleCommand:
         for enc in ("a^1", "a^2", "a^3", "a^-1", "a^-2", "a^-3"):
             assert enc in text
         assert "a^4" not in text.split("exceptional set")[1].splitlines()[0]
-        c = sz.cocycle_from_obj(sz.load_json(out))
+        c = oracles.cocycle_from_obj(sz.load_json(out))
         lab = c.table.decode("a^2")
         assert abs(c.blocks[lab][0, 0] - 2.0) < 1e-12  # sqrt(2*|2|)
 
@@ -472,6 +473,39 @@ class TestRejectedInputs:
         lines = res.stderr.decode().splitlines()
         assert res.returncode == 2
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# a UTF-8 locale, and a C locale in which Python neither coerces nor uses UTF-8 mode
+_LOCALES = {"utf8": {"PYTHONUTF8": "1"},
+            "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}}
+
+
+class TestInputEncoding:
+    """Input files are read as UTF-8, whatever the locale."""
+
+    def test_non_ascii_label_gives_the_same_report_in_every_locale(self, tmp_path):
+        # the block at \u00e9 is not near I, so the report names it as a witness
+        obj = {"table": {"entries": [{"id": "1", "dim": 1, "trivial": True},
+                                     {"id": "\u00e9", "dim": 1}]},
+               "families": [{"blocks": {"1": [[[1.0, 0.0]]], "\u00e9": [[[0.0, 0.0]]]}}]}
+        source = tmp_path / "states.json"
+        source.write_bytes(json.dumps(obj, ensure_ascii=False).encode("utf-8"))
+        reports = []
+        for name, env in _LOCALES.items():
+            out = tmp_path / f"{name}.json"
+            res = run_cli_subprocess("certify-hap", source, "--json", out, "--quiet", env=env)
+            assert (res.returncode, res.stdout, res.stderr) == (1, b"", b""), name
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert b'"label": "\\u00e9"' in reports[0]
+
+    @pytest.mark.parametrize("locale", _LOCALES)
+    def test_undecodable_input_names_the_file(self, locale, tmp_path):
+        source = tmp_path / "states.json"
+        source.write_bytes(bytes(range(128, 256)))
+        res = run_cli_subprocess("certify-hap", source, env=_LOCALES[locale])
+        assert res.returncode == 2
+        assert res.stderr.decode().startswith(f"error: {source}: malformed JSON ('utf-8' codec")
 
 
 def _json_paths(obj, prefix=(), depth=4):

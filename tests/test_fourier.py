@@ -152,7 +152,7 @@ class TestCheckC0:
     def test_counit_all_exceptional(self, table):
         res = hk.check_c0(hk.counit_family(table), 0.5)
         assert set(res.exceptional) == set(table.labels)
-        assert res.complement_size == 0
+        assert res.table_size - len(res.exceptional) - len(res.unspecified) == 0
 
     def test_zdual_exponential_decay(self):
         t = zdual_table(5)
@@ -160,7 +160,8 @@ class TestCheckC0:
         res = hk.check_c0(F, math.exp(-3) + 1e-12)
         got = sorted(t.encode(lab) for lab in res.exceptional)
         assert got == sorted(["e", "a^1", "a^-1", "a^2", "a^-2"])
-        assert res.tail_clean and res.complement_size == 6
+        assert res.tail_clean
+        assert res.table_size - len(res.exceptional) - len(res.unspecified) == 6
 
     def test_unspecified_labels_spoil_tail(self, table):
         F = hk.MatrixFamily(table, {table.trivial: [[1.0]]})

@@ -1,18 +1,22 @@
 """The bundled scripts still run against the public API.
 
-Each ``demos/*.py`` must exit 0, and ``fixtures/regenerate.py``, run from a
-copy in a temporary directory, must write files byte-identical to the
-committed ``fixtures/``, also without ``PYTHONPATH`` when ``src/`` sits
-beside its directory, as in a checkout.  Every name in ``hapkit.__all__``
-must exist.  Every function the benchmark tracer patches must still exist
-under the name it looks up, and a traced run must leave every module as it
-found it.
+Each ``demos/*.py`` must exit 0 and print its pinned stdout, and
+``fixtures/regenerate.py``, run from a copy in a temporary directory, must
+write files byte-identical to the committed ``fixtures/``, also without
+``PYTHONPATH`` when ``src/`` sits beside its directory, as in a checkout.
+Every name in ``hapkit.__all__`` must exist, and every module-level function
+and class in ``src/hapkit`` must be used there, be public or be traced.
+Every function the benchmark tracer patches must still exist under the name
+it looks up, and a traced run must leave every module as it found it.
 """
 
+import ast
+import hashlib
 import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -20,6 +24,18 @@ import hapkit.cli  # noqa: F401  (the tracer resolves names in loaded modules)
 from conftest import FIXTURES, REPO_ROOT, load_perfbench, run_cli
 
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
+# sha256 of each demo's stdout, the same under 1 and 2 BLAS threads: the demos
+# are what runs convolve, block_norm, cfree_state and maps built from dicts
+DEMO_STDOUT = {
+    "01_length_kernels_on_free_products.py":
+        "46946bf23856f036c1bcc92182a6276a6ba33a1891d22b44f0a1523a4bac2a03",
+    "02_convolution_semigroups.py":
+        "06ac92966bc6b4fddfaba93026e4ca468c072b1c7dac7d8d041da664ee7d1509",
+    "03_cocycle_factorization.py":
+        "1719aaea4176c254a05f5ffa312a168ab41ef41e8c6769aece89fe2c882153b6",
+    "04_free_products.py":
+        "781a1f06b30a23dd46ced8b9dc5a79555efb25806c754e305231469c07e608b8",
+}
 
 
 def run_script(path, cwd) -> subprocess.CompletedProcess:
@@ -33,6 +49,7 @@ def run_script(path, cwd) -> subprocess.CompletedProcess:
 def test_demo_runs(demo, tmp_path):
     res = run_script(demo, tmp_path)
     assert res.returncode == 0, res.stderr.decode()
+    assert hashlib.sha256(res.stdout).hexdigest() == DEMO_STDOUT[demo.name], res.stdout.decode()
 
 
 def test_regenerate_reproduces_fixtures(tmp_path):
@@ -72,6 +89,27 @@ def test_public_names_resolve():
     import hapkit
     assert len(set(hapkit.__all__)) == len(hapkit.__all__)
     assert [name for name in hapkit.__all__ if not hasattr(hapkit, name)] == []
+
+
+def _names(node) -> Counter:
+    """How often each name is read in ``node``, as a variable or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_no_src_code_only_tests_use():
+    """A module-level def or class of ``src/hapkit`` is referenced in ``src``
+    outside its own body, public (in ``hapkit.__all__``) or a benchmark target."""
+    import hapkit
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((REPO_ROOT / "src" / "hapkit").glob("*.py"))}
+    used = sum(map(_names, trees.values()), Counter())
+    traced = {target for span in load_perfbench("tracing").TRACED.values() for target in span}
+    unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and used[node.name] <= _names(node)[node.name]
+              and node.name not in hapkit.__all__ and (module, node.name) not in traced]
+    assert unused == []
 
 
 def test_traced_runs_record_spans_and_restore(tmp_path):

