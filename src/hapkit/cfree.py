@@ -21,9 +21,9 @@ import math
 import numpy as np
 
 from . import _linalg
-from .fourier import (DEFAULT_TOL, MatrixFamily, _c0_condition, _constant_blocks,
+from .fourier import (DEFAULT_TOL, MatrixFamily, _by_side, _c0_condition, _constant_blocks,
                       _identity_condition, _norm_bound_condition, _require_c0_eps,
-                      _require_normalized, _rows, convolve, family_content_digest,
+                      _require_normalized, convolve, family_content_digest,
                       max_block_deviation, stacked_blocks)
 from .genfun import GeneratingFunctional
 from .irreps import FreeProductTable
@@ -32,79 +32,68 @@ from .reports import CertificationReport
 DAMP_INPUT_TOL = 1e-12
 
 
-def _check_factor_tables(wp: FreeProductTable, F1, F2) -> None:
+def _letter_stacks(F1, F2, wp: FreeProductTable, normalized: bool = False) -> dict:
+    """The letter blocks of F1 and F2: ``stacks[factor, d]`` stacks the factor's
+    nontrivial blocks of side d in table order.
+
+    Raises ValueError unless F1 and F2 sit on the factor tables of ``wp`` (and,
+    if ``normalized``, have the trivial block [1]).  Raises KeyError for the
+    first word in table order with a letter that has no block: when ``wp``
+    holds more than the trivial word, every nontrivial label is a one-letter
+    word, so that is the first label without a block, factor 1 first.
+    """
     if F1.table != wp.factor1 or F2.table != wp.factor2:
         raise ValueError("factor data does not match the word table's factors")
+    if normalized:
+        _require_normalized(F1.blocks, "factor 1 family")
+        _require_normalized(F2.blocks, "factor 2 family")
+    stacks = {}
+    if len(wp) > 1:
+        for fi, F in ((1, F1), (2, F2)):
+            missing = np.flatnonzero(F.rows[1:] < 0)
+            if missing.size:
+                lab = F.table.nontrivial_labels[missing[0]]
+                raise KeyError(f"missing letter block: factor {fi}, label {lab.id!r}")
+            for d, at in _by_side(F.table, np.arange(1, len(F.table))).items():
+                stacks[fi, d] = F.blocks.gather(d, at)
+    return stacks
 
 
-def _letter_stacks(F1, F2):
-    """Where the letter blocks of F1 and F2 sit: (slots, stacks).
+def _word_groups(wp: FreeProductTable) -> list:
+    """The nontrivial words of ``wp``, grouped by their letters' (factor, side).
 
-    ``stacks[factor, side]`` stacks the factor's nontrivial blocks of that
-    side in table order.  ``slots`` is two arrays over the letters, the
-    nontrivial labels of factor 1 and then those of factor 2: the side of
-    each letter's block (0 where the family has none) and its row in that
-    stack.
+    One (key, positions, index) per group: ``key[j]`` is the (factor, side)
+    of the j-th letter, ``positions`` are the places of the group's words in
+    ``wp``, ascending, and ``index[i, j]`` is the row of the j-th letter of
+    word ``positions[i]`` in the stack ``key[j]`` of ``_letter_stacks``.
+    Read from the table's letter arrays and its factors' dims alone.
     """
-    sides, rows, stacks = [], [], {}
-    for fi, F in ((1, F1), (2, F2)):
-        side = np.where(F.rows[1:] >= 0, F.table.dims[1:], 0).astype(np.intp)
+    sides, rows = [f.dims[1:] for f in (wp.factor1, wp.factor2)], []
+    for side in sides:  # a letter's row counts the factor's earlier letters of its side
         row = np.zeros_like(side)
-        for d in sorted(set(side[side > 0].tolist())):
-            at = np.flatnonzero(side == d)
-            row[at] = np.arange(len(at))
-            stacks[fi, d] = F.blocks.gather(d, at + 1)
-        sides.append(side)
+        for d in set(side.tolist()):
+            row[side == d] = np.arange(np.count_nonzero(side == d))
         rows.append(row)
-    return (np.concatenate(sides), np.concatenate(rows)), stacks
-
-
-def _word_groups(wp: FreeProductTable, slots) -> list:
-    """The nontrivial words of ``wp``, grouped by their sequence of letter stacks.
-
-    One (key, positions, index) per group: ``positions`` are the places of
-    its words in ``wp``, ascending, and ``index[i, j]`` is the row of the
-    j-th letter of word ``positions[i]`` in the stack ``key[j]``.  Read from
-    the table's letter arrays; ``slots`` is what ``_letter_stacks`` gives.
-    """
-    sides, rows = slots
-    offsets = (0, len(wp.factor1) - 1)  # where each factor's letters start in ``slots``
-    # Number each factor's sides 0, 1, ...: a word's group is its sides in that
-    # mixed radix, below the size of its (length, first factor) block.
-    kinds, radix = np.empty_like(sides), []
-    for part in (slice(0, offsets[1]), slice(offsets[1], None)):
-        values = sorted(set(sides[part].tolist()))
-        kinds[part] = np.searchsorted(values, sides[part])
-        radix.append(len(values))
     firsts = np.flatnonzero(np.diff(wp.lengths * 3 + wp.starts, prepend=-1))
     out = []
     for r0, r1 in zip(firsts[1:], [*firsts[2:], len(wp)]):  # row 0 is the trivial word
         k, start = int(wp.lengths[r0]), int(wp.starts[r0])
         factors = [start if j % 2 == 0 else 3 - start for j in range(k)]
-        letters = [wp.letters[r0:r1, j] + offsets[fi - 1] for j, fi in enumerate(factors)]
-        side = np.stack([sides[x] for x in letters], axis=1)
-        missing = np.flatnonzero(side == 0)
-        if missing.size:  # the first in table order, as a loop over the words finds it
-            w, j = np.divmod(missing[0], k)
-            lab = (wp.factor1, wp.factor2)[factors[j] - 1].nontrivial_labels[
-                wp.letters[r0 + w, j]]
-            raise KeyError(f"missing letter block: factor {factors[j]}, label {lab.id!r}")
-        group = np.zeros(r1 - r0, dtype=np.intp)
-        for x, fi in zip(letters, factors):
-            group = group * radix[fi - 1] + kinds[x]
-        order = np.argsort(group, kind="stable")
-        for at in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
-            out.append((tuple(zip(factors, side[at[0]].tolist())), at + r0,
-                        np.stack([rows[x[at]] for x in letters], axis=1)))
+        letters = [wp.letters[r0:r1, j] for j in range(k)]
+        letter_sides = np.stack([sides[f - 1][x] for x, f in zip(letters, factors)], axis=1)
+        order = np.lexsort(letter_sides.T[::-1])  # stable, by the letters' sides in letter order
+        cuts = np.flatnonzero(np.diff(letter_sides[order], axis=0).any(axis=1)) + 1
+        for at in np.split(order, cuts):
+            out.append((tuple(zip(factors, letter_sides[at[0]].tolist())), at + r0,
+                        np.stack([rows[f - 1][x[at]] for x, f in zip(letters, factors)], axis=1)))
     return out
 
 
-def _word_stacks(letters, wp: FreeProductTable):
+def _word_stacks(stacks: dict, wp: FreeProductTable):
     """(positions, stacks) per group of ``_word_groups``, where ``stacks[j][i]``
     is the letter block at the j-th letter of the word at ``positions[i]``;
-    ``letters`` is what ``_letter_stacks`` returns."""
-    slots, stacks = letters
-    for key, positions, index in _word_groups(wp, slots):
+    ``stacks`` is what ``_letter_stacks`` returns."""
+    for key, positions, index in _word_groups(wp):
         yield positions, [stacks[k][index[:, j]] for j, k in enumerate(key)]
 
 
@@ -126,14 +115,6 @@ def _kron_fold(stacks) -> np.ndarray:
     return acc
 
 
-def _state_letters(phi1: MatrixFamily, phi2: MatrixFamily, wp: FreeProductTable):
-    """``_letter_stacks`` of two normalized factor families of ``wp``."""
-    _check_factor_tables(wp, phi1, phi2)
-    _require_normalized(phi1.blocks, "factor 1 family")
-    _require_normalized(phi2.blocks, "factor 2 family")
-    return _letter_stacks(phi1, phi2)
-
-
 def cfree_state(phi1: MatrixFamily, phi2: MatrixFamily,
                 wp: FreeProductTable) -> MatrixFamily:
     """Conditionally free product family on the word table.
@@ -142,7 +123,7 @@ def cfree_state(phi1: MatrixFamily, phi2: MatrixFamily,
     factor blocks in letter order; the trivial word gets [1].  Words with
     the same letter dimensions are built together, as one stack.
     """
-    letters = _state_letters(phi1, phi2, wp)
+    letters = _letter_stacks(phi1, phi2, wp, normalized=True)
     trivial = (np.zeros(1, dtype=np.intp), np.ones((1, 1, 1), dtype=np.complex128))
     return MatrixFamily(wp, stacked_blocks(wp, [trivial, *(
         (positions, _kron_fold(stacks)) for positions, stacks in _word_stacks(letters, wp))]),
@@ -156,9 +137,8 @@ def cfree_generator(L1: GeneratingFunctional, L2: GeneratingFunctional,
     The block at a word is the Kronecker sum of the letter blocks:
     sum_j I x ... x L^{a_j} x ... x I, in letter order.
     """
-    _check_factor_tables(wp, L1, L2)
     parts = []
-    for positions, stacks in _word_stacks(_letter_stacks(L1, L2), wp):
+    for positions, stacks in _word_stacks(_letter_stacks(L1, L2, wp), wp):
         eyes = [np.broadcast_to(np.eye(s.shape[1], dtype=np.complex128), s.shape)
                 for s in stacks]
         side = math.prod(s.shape[1] for s in stacks)
@@ -224,7 +204,10 @@ _U = np.finfo(np.float64).eps / 2
 
 
 class _WordValues:
-    """||W|| and ||W - I|| of every word block W of one stage, in table order.
+    """||W|| and ||W - I|| of every word block W at every stage of a pipeline.
+
+    The arrays are stage-major: row ``s * len(wp) + j`` is word j at stage s,
+    whose letters are the blocks of ``seq1[s]`` and ``seq2[s]``.
 
     ``norms`` and ``deviations`` are read from the letters, without forming
     W.  For Hermitian letters A_j, W = A_1 x ... x A_l is Hermitian with the
@@ -245,71 +228,64 @@ class _WordValues:
     values, 1 and 0, are exact.
     """
 
-    def __init__(self, F1, F2, wp: FreeProductTable, layouts: dict):
-        slots, self._letters = _state_letters(F1, F2, wp)
-        key = tuple(a.tobytes() for a in slots)
-        if key not in layouts:  # stages with the same letter layout share their word groups
-            groups = _word_groups(wp, slots)
-            where = np.zeros((len(wp), 2), dtype=np.intp)  # (group, row) of every word
-            for g, (_, positions, _) in enumerate(groups):
-                where[positions] = np.column_stack([np.full(len(positions), g),
-                                                    np.arange(len(positions))])
-            layouts[key] = groups, where
-        self._groups, self._where = layouts[key]
-        n = len(wp)
-        self.norms, self.deviations, self.margins = np.ones(n), np.zeros(n), np.zeros(n)
-        spectra = {k: _linalg.hermitian_eigenvalues(stack) for k, stack in self._letters.items()}
-        for key, positions, index in self._groups:
-            letters = [spectra[k][index[:, j]] for j, k in enumerate(key)]
-            norm, products = np.abs(letters[0]).max(axis=1), letters[0]
+    def __init__(self, seq1, seq2, wp: FreeProductTable):
+        stages = [_letter_stacks(F1, F2, wp, normalized=True) for F1, F2 in zip(seq1, seq2)]
+        # every stage has the same stacks: (stages, rows, d, d) per (factor, side)
+        self._letters = {k: np.stack([s[k] for s in stages]) for k in stages[0]}
+        self._groups = _word_groups(wp)
+        self._n = n = len(wp)
+        self._where = np.zeros((n, 2), dtype=np.intp)  # (group, row) of every word
+        for g, (_, positions, _) in enumerate(self._groups):
+            self._where[positions, 0], self._where[positions, 1] = g, np.arange(len(positions))
+        norms, deviations, margins = (np.full((len(stages), n), x) for x in (1.0, 0.0, 0.0))
+        spectra = {k: _linalg.hermitian_eigenvalues(a.reshape(-1, *a.shape[2:]))
+                   .reshape(a.shape[:3]) for k, a in self._letters.items()}
+        for key, positions, index in self._groups:  # (stages, words, d) arrays
+            letters = [spectra[k][:, index[:, j]] for j, k in enumerate(key)]
+            norm, products = np.abs(letters[0]).max(axis=2), letters[0]
             for lam in letters[1:]:
-                norm = norm * np.abs(lam).max(axis=1)
-                products = (products[:, :, np.newaxis] * lam[:, np.newaxis, :]).reshape(
-                    len(lam), -1)
+                norm = norm * np.abs(lam).max(axis=2)
+                products = (products[..., np.newaxis] * lam[..., np.newaxis, :]).reshape(
+                    *lam.shape[:2], -1)
             sides = [d for _, d in key]
-            self.norms[positions] = norm
-            self.deviations[positions] = np.abs(products - 1.0).max(axis=1)
-            self.margins[positions] = (32 * len(key) * (math.prod(sides) + sum(sides)) * _U
-                                       * np.maximum(1.0, norm))
-        self.margins[~np.isfinite(self.margins)] = np.nan
+            norms[:, positions] = norm
+            deviations[:, positions] = np.abs(products - 1.0).max(axis=2)
+            margins[:, positions] = (32 * len(key) * (math.prod(sides) + sum(sides)) * _U
+                                     * np.maximum(1.0, norm))
+        margins[~np.isfinite(margins)] = np.nan
+        self.norms, self.deviations = norms.ravel(), deviations.ravel()
+        self.margins = margins.ravel()
         self._exact = {False: self.norms.copy(), True: self.deviations.copy()}
         self._known = {False: self.margins == 0, True: self.margins == 0}
 
-    def exact(self, positions: np.ndarray, minus_identity: bool) -> np.ndarray:
-        """||W|| (or ||W - I||) of the formed blocks at ``positions``: the value
-        ``_linalg.spectral_norms`` gives for the ``_kron_fold`` of the letters."""
+    def exact(self, rows: np.ndarray, minus_identity: bool) -> np.ndarray:
+        """||W|| (or ||W - I||) of the formed blocks at stage-major ``rows``: the
+        value ``_linalg.spectral_norms`` gives for the ``_kron_fold`` of the letters."""
         values, known = self._exact[minus_identity], self._known[minus_identity]
-        todo = positions[~known[positions]]
-        for g in sorted(set(self._where[todo, 0].tolist())):
-            at = todo[self._where[todo, 0] == g]
+        todo = rows[~known[rows]]
+        stage, word = np.divmod(todo, self._n)
+        group, at = self._where[word].T
+        for g in sorted(set(group.tolist())):
+            here = group == g
             key, _, index = self._groups[g]
-            rows = index[self._where[at, 1]]
-            blocks = _kron_fold([self._letters[k][rows[:, j]] for j, k in enumerate(key)])
-            values[at] = _linalg.spectral_norms(blocks, minus_identity)
-            known[at] = True
-        return values[positions]
+            index = index[at[here]]
+            blocks = _kron_fold([self._letters[k][stage[here], index[:, j]]
+                                 for j, k in enumerate(key)])
+            values[todo[here]] = _linalg.spectral_norms(blocks, minus_identity)
+            known[todo[here]] = True
+        return values[rows]
 
-    def c0_scan(self, eps: float) -> tuple:
-        """(words whose norm is not <= eps, how many of them are nontrivial, no
-        unspecified words), deciding from the estimate where the margin allows."""
+    def c0_scans(self, eps: float) -> list:
+        """Per stage: (words whose norm is not <= eps, how many of them are
+        nontrivial, no unspecified words), deciding from the estimate where
+        the margin allows."""
         _require_c0_eps(eps)
         unsure = np.flatnonzero(~((self.norms + self.margins <= eps)
                                   | (self.norms - self.margins > eps)))
         over = self.norms - self.margins > eps
         over[unsure] = ~(self.exact(unsure, False) <= eps)
-        return int(np.count_nonzero(over)), int(np.count_nonzero(over[1:])), ()
-
-
-def _stagewise(stages, positions: np.ndarray, minus_identity: bool):
-    """``exact`` for condition rows that run stage-major over ``positions``."""
-    def exact(rows):
-        stage, col = np.divmod(rows, len(positions))
-        out = np.empty(len(rows))
-        for s in sorted(set(stage.tolist())):
-            here = stage == s
-            out[here] = stages[s].exact(positions[col[here]], minus_identity)
-        return out
-    return exact
+        return [(int(np.count_nonzero(o)), int(np.count_nonzero(o[1:])), ())
+                for o in over.reshape(-1, self._n)]
 
 
 def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
@@ -337,23 +313,26 @@ def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
     conv_tols = [float(x) for x in conv_tols]
     if not (len(seq1) == len(seq2) == len(k_values) == len(conv_tols)):
         raise ValueError("seq1, seq2, k_values and conv_tols must have equal length")
-    layouts = {}
-    stages = [_WordValues(F1, F2, wp, layouts) for F1, F2 in zip(seq1, seq2)]
-    everywhere = np.arange(len(wp))
+    if not seq1:
+        raise ValueError("empty family sequence")
+    values = _WordValues(seq1, seq2, wp)
+    n = len(wp)
     contexts = [f"k={k}" for k in k_values]
+    norms, margins = (a.reshape(-1, n)[:, 1:] for a in (values.norms, values.margins))
     conditions = (
-        _norm_bound_condition(  # the trivial word, of length 0, comes first
+        # the trivial word, of length 0, comes first: without it row r is word
+        # r % (n - 1) + 1 at stage r // (n - 1), row r + r // (n - 1) + 1 of ``values``
+        _norm_bound_condition(
             "word-norm-bound", "length-l word blocks damped below exp(-l/k) + tol",
-            [(everywhere[1:], wp.lengths[1:], s.norms[1:]) for s in stages], wp, k_values, tol,
-            lambda i, l: f"{contexts[i]}, length {l}",
-            margin=_rows(s.margins[1:] for s in stages),
-            exact=_stagewise(stages, everywhere[1:], False)),
-        _identity_condition([s.deviations for s in stages], wp, conv_tols, contexts,
+            [(np.arange(1, n), wp.lengths[1:], row) for row in norms], wp, k_values, tol,
+            lambda i, l: f"{contexts[i]}, length {l}", margin=margins.ravel(),
+            exact=lambda rows: values.exact(rows + rows // (n - 1) + 1, False)),
+        _identity_condition(values.deviations.reshape(-1, n), wp, conv_tols, contexts,
                             "per-word ||block - I|| within the stage tolerance schedule",
-                            margin=_rows(s.margins for s in stages),
-                            exact=_stagewise(stages, everywhere, True)),
+                            margin=values.margins,
+                            exact=lambda rows: values.exact(rows, True)),
     )
-    c0 = _c0_condition([s.c0_scan(eps_decay) for s in stages], wp, eps_decay, contexts, "word")
+    c0 = _c0_condition(values.c0_scans(eps_decay), wp, eps_decay, contexts, "word")
 
     return CertificationReport(
         command="freeprod",

@@ -112,8 +112,9 @@ def _emit(report: CertificationReport, args) -> int:
     if args.json:  # first, so that a report that cannot be written prints no verdict
         with open(args.json, "w") as fh:
             fh.writelines(report.json_pieces())
-    if not args.quiet:
-        sys.stdout.write(report.to_text())
+    if not args.quiet:  # a character stdout cannot encode prints as its escape
+        encoding = sys.stdout.encoding or "utf-8"
+        sys.stdout.write(report.to_text().encode(encoding, "backslashreplace").decode(encoding))
     return report.exit_code
 
 

@@ -101,10 +101,6 @@ class BlockMap(Mapping):
         """Supported labels in canonical table order."""
         return tuple(self.table.labels[j] for j in self.positions.tolist())
 
-    @functools.cached_property
-    def support(self) -> frozenset:
-        return frozenset(self.labels)
-
     def views(self) -> list:
         """The blocks in table order, each a view of its row."""
         return [self.stacks[d][r] for d, r in zip(self.table.dims[self.positions].tolist(),

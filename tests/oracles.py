@@ -458,7 +458,6 @@ class LabelBlockMap:
             store = {table.trivial: np.zeros((1, 1), dtype=np.complex128), **store}
         self.table, self.blocks = table, store
         self.labels = tuple(store)
-        self.support = frozenset(store)
         values = list(store.values())
         self.norms = np.array(block_norms(values))
         self.deviations = np.array(block_norms(values, minus_identity=True))

@@ -49,7 +49,7 @@ def block_maps(draw, finite=False):
 
 def _assert_same_map(got, expected):
     assert got.labels == expected.labels
-    assert got.support == expected.support
+    assert set(got) == set(expected.blocks)
     assert list(got.blocks) == list(expected.blocks)
     for lab, blk in expected.blocks.items():
         assert got.blocks[lab].tobytes() == blk.tobytes()

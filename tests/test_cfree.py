@@ -291,6 +291,31 @@ class TestPipeline:
         assert not by_name["c0-decay"].passed
         assert by_name["identity-convergence"].passed
 
+    def test_input_checks_keep_their_order(self):
+        # stage by stage: factor tables, then factor 1 and factor 2 normalized, then letters
+        t1, t2 = scalar_table(["a", "b"]), scalar_table(["x"])
+        wp = hk.free_product_table(t1, t2, 2)
+
+        def family(table, trivial, ids):
+            return hk.MatrixFamily(table, {table.trivial: [[trivial]],
+                                           **{table.decode(i): [[0.5]] for i in ids}})
+        ok2, missing = family(t2, 1.0, ["x"]), family(t1, 1.0, ["a"])
+        cases = [([family(t2, 2.0, [])], [ok2], ValueError, "factor data does not match"),
+                 ([family(t1, 2.0, ["a"])], [ok2], ValueError, "factor 1 family must be"),
+                 ([missing], [family(t2, 3.0, [])], ValueError, "factor 2 family must be"),
+                 ([missing, family(t2, 1.0, [])], [ok2, ok2], KeyError,
+                  "missing letter block: factor 1, label 'b'")]
+        for seq1, seq2, error, text in cases:
+            with pytest.raises(error, match=text):
+                hk.freeprod_hap_pipeline(seq1, seq2, wp, 0.5, [1.0] * len(seq1), [1] * len(seq1))
+
+    def test_empty_stage_sequence_raises(self):
+        # no stage certifies nothing, as check_hap_sequence([]) already says
+        t = scalar_table(["x"])
+        wp = hk.free_product_table(t, t, 2)
+        with pytest.raises(ValueError, match="^empty family sequence$"):
+            hk.freeprod_hap_pipeline([], [], wp, 0.5, [], [])
+
 
 class TestKroneckerOrder:
     """Row-major flattening over the letters: kron(A, B) at the word (a, b)."""

@@ -483,13 +483,17 @@ _LOCALES = {"utf8": {"PYTHONUTF8": "1"},
 class TestInputEncoding:
     """Input files are read as UTF-8, whatever the locale."""
 
-    def test_non_ascii_label_gives_the_same_report_in_every_locale(self, tmp_path):
+    @pytest.fixture
+    def source(self, tmp_path):
         # the block at \u00e9 is not near I, so the report names it as a witness
         obj = {"table": {"entries": [{"id": "1", "dim": 1, "trivial": True},
                                      {"id": "\u00e9", "dim": 1}]},
                "families": [{"blocks": {"1": [[[1.0, 0.0]]], "\u00e9": [[[0.0, 0.0]]]}}]}
         source = tmp_path / "states.json"
         source.write_bytes(json.dumps(obj, ensure_ascii=False).encode("utf-8"))
+        return source
+
+    def test_non_ascii_label_gives_the_same_report_in_every_locale(self, source, tmp_path):
         reports = []
         for name, env in _LOCALES.items():
             out = tmp_path / f"{name}.json"
@@ -498,6 +502,15 @@ class TestInputEncoding:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
         assert b'"label": "\\u00e9"' in reports[0]
+
+    def test_stdout_that_cannot_encode_a_label_prints_its_escape(self, source, tmp_path):
+        runs = {name: run_cli_subprocess("certify-hap", source, "--json", tmp_path / f"{name}.json",
+                                         env=env) for name, env in _LOCALES.items()}
+        for name, res in runs.items():
+            assert (res.returncode, res.stderr) == (1, b""), name
+        assert (tmp_path / "ascii.json").read_bytes() == (tmp_path / "utf8.json").read_bytes()
+        assert b"label='\\xe9'" in runs["ascii"].stdout
+        assert runs["ascii"].stdout == runs["utf8"].stdout.replace("\u00e9".encode(), b"\\xe9")
 
     @pytest.mark.parametrize("locale", _LOCALES)
     def test_undecodable_input_names_the_file(self, locale, tmp_path):

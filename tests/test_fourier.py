@@ -97,7 +97,7 @@ class TestConvolve:
         F = hk.MatrixFamily(table, {table.trivial: [[1.0]], a: np.eye(2)})
         G = hk.MatrixFamily(table, {table.trivial: [[1.0]]})
         out = hk.convolve(F, G)
-        assert out.support == {table.trivial}
+        assert set(out) == {table.trivial}
 
     def test_table_mismatch_rejected(self, table):
         other = hk.make_table([("z", 2)])

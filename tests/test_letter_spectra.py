@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import hapkit as hk
 import oracles
 from conftest import FIXTURES, random_hermitian, run_cli
-from hapkit import cfree
+from hapkit import _linalg, cfree
 
 DIGEST = "sha256:test"
 LETTER_KINDS = ("hermitian", "unit", "repeat", "general", "complex", "nan")
@@ -198,11 +198,36 @@ class TestMargin:
                 table.decode(name): a for name, a in mine.items()}}))
         wp = hk.free_product_table(*tables, len(letters))
         at = wp.labels.index(wp.decode("|".join(f"{j % 2 + 1}:{n}" for j, n in enumerate(names))))
-        values = cfree._WordValues(*families, wp, {})
+        values = cfree._WordValues(*([F] for F in families), wp)
         word = reduce(np.kron, letters)
         norm, deviation = oracles.block_norms([word]) + oracles.block_norms([word], True)
         assert abs(values.norms[at] - norm) <= values.margins[at] / 8
         assert abs(values.deviations[at] - deviation) <= values.margins[at] / 8
+
+
+class TestAllStages:
+    """One ``_WordValues`` holds every stage of a pipeline, stage-major."""
+
+    def test_stage_rows_match_one_stage_objects(self):
+        rng = np.random.default_rng(3)
+        t1, t2 = hk.make_table([("a", 1), ("b", 3)]), hk.make_table([("c", 2), ("d", 3)])
+        wp = hk.free_product_table(t1, t2, 3)
+        seq1 = stages_of(rng, t1, ["hermitian", "hermitian"], 3)
+        seq2 = stages_of(rng, t2, ["hermitian", "hermitian"], 3)
+        values, n = cfree._WordValues(seq1, seq2, wp), len(wp)
+        mixed = rng.permutation(3 * n)  # rows of every stage, in no order
+        for minus_identity in (False, True):
+            exact = np.empty(3 * n)
+            exact[mixed] = values.exact(mixed, minus_identity)
+            for s, (F1, F2) in enumerate(zip(seq1, seq2)):
+                rows = slice(s * n, (s + 1) * n)
+                one = cfree._WordValues([F1], [F2], wp)
+                for name in ("norms", "deviations", "margins"):
+                    assert getattr(values, name)[rows].tobytes() == getattr(one, name).tobytes()
+                formed = hk.cfree_state(F1, F2, wp).blocks
+                want = [_linalg.spectral_norms(formed.at(j)[np.newaxis], minus_identity)[0]
+                        for j in range(n)]
+                assert exact[rows].tolist() == want
 
 
 @st.composite

@@ -152,15 +152,15 @@ class TestGroups:
             lab: np.eye(table.dim(lab)) / 2 for lab in table.labels[1:]
             if (table, lab) not in drop}}, normalized=True) for table in tables]
         wp = hk.free_product_table(*tables, length)
-        slots = cfree._letter_stacks(*families)[0]
         try:
             want = oracles.word_groups(wp, *families)
         except KeyError as exc:
             with pytest.raises(KeyError) as got:
-                cfree._word_groups(wp, slots)
+                cfree._letter_stacks(*families, wp)
             assert got.value.args == exc.args
             return
-        got = cfree._word_groups(wp, slots)
+        cfree._letter_stacks(*families, wp)
+        got = cfree._word_groups(wp)
         assert len(got) == len(want)
         for key, positions, index in got:
             assert np.array_equal(positions, want[key][0])
@@ -173,6 +173,27 @@ class TestGroups:
                              normalized=True)
         with pytest.raises(KeyError, match="missing letter block: factor 1, label 'b'"):
             cfree.cfree_state(f1, hk.counit_family(t2), wp)
+
+    def test_missing_letter_block_in_factor_2(self):
+        # factor 1 is complete, so the first missing label of factor 2 is named
+        t1, t2 = hk.make_table([("a", 2)]), hk.make_table([("x", 1), ("y", 3), ("z", 1)])
+        wp = hk.free_product_table(t1, t2, 3)
+        f2 = hk.MatrixFamily(t2, {t2.trivial: [[1.0]], t2.decode("x"): [[0.5]]},
+                             normalized=True)
+        for call in (lambda: cfree.cfree_state(hk.counit_family(t1), f2, wp),
+                     lambda: hk.freeprod_hap_pipeline([hk.counit_family(t1)], [f2], wp,
+                                                      0.5, [1.0], [1])):
+            with pytest.raises(KeyError, match="missing letter block: factor 2, label 'y'"):
+                call()
+
+    def test_missing_letter_blocks_without_words(self):
+        # at max_word_length 0 the table holds only the trivial word: no letter is read
+        t1, t2 = hk.make_table([("a", 1), ("b", 2)]), hk.make_table([("x", 1)])
+        wp = hk.free_product_table(t1, t2, 0)
+        f1, f2 = (hk.MatrixFamily(t, {t.trivial: [[1.0]]}, normalized=True) for t in (t1, t2))
+        assert len(hk.cfree_state(f1, f2, wp)) == 1
+        report = hk.freeprod_hap_pipeline([f1], [f2], wp, 0.5, [1.0], [1])
+        assert [c.passed for c in report.conditions] == [True, True, True]
 
 
 class TestOversizedTables:
