@@ -37,10 +37,9 @@ def _letter_stacks(F1, F2, wp: FreeProductTable, normalized: bool = False) -> di
     nontrivial blocks of side d in table order.
 
     Raises ValueError unless F1 and F2 sit on the factor tables of ``wp`` (and,
-    if ``normalized``, have the trivial block [1]).  Raises KeyError for the
-    first word in table order with a letter that has no block: when ``wp``
-    holds more than the trivial word, every nontrivial label is a one-letter
-    word, so that is the first label without a block, factor 1 first.
+    if ``normalized``, have the trivial block [1]).  If ``wp`` holds more than
+    the trivial word, every nontrivial label is a one-letter word, and a
+    KeyError names the first label without a block, factor 1 first.
     """
     if F1.table != wp.factor1 or F2.table != wp.factor2:
         raise ValueError("factor data does not match the word table's factors")
@@ -59,42 +58,34 @@ def _letter_stacks(F1, F2, wp: FreeProductTable, normalized: bool = False) -> di
     return stacks
 
 
-def _word_groups(wp: FreeProductTable) -> list:
-    """The nontrivial words of ``wp``, grouped by their letters' (factor, side).
-
-    One (key, positions, index) per group: ``key[j]`` is the (factor, side)
-    of the j-th letter, ``positions`` are the places of the group's words in
-    ``wp``, ascending, and ``index[i, j]`` is the row of the j-th letter of
-    word ``positions[i]`` in the stack ``key[j]`` of ``_letter_stacks``.
-    Read from the table's letter arrays and its factors' dims alone.
-    """
-    sides, rows = [f.dims[1:] for f in (wp.factor1, wp.factor2)], []
-    for side in sides:  # a letter's row counts the factor's earlier letters of its side
-        row = np.zeros_like(side)
-        for d in set(side.tolist()):
-            row[side == d] = np.arange(np.count_nonzero(side == d))
-        rows.append(row)
-    firsts = np.flatnonzero(np.diff(wp.lengths * 3 + wp.starts, prepend=-1))
-    out = []
-    for r0, r1 in zip(firsts[1:], [*firsts[2:], len(wp)]):  # row 0 is the trivial word
-        k, start = int(wp.lengths[r0]), int(wp.starts[r0])
-        factors = [start if j % 2 == 0 else 3 - start for j in range(k)]
-        letters = [wp.letters[r0:r1, j] for j in range(k)]
-        letter_sides = np.stack([sides[f - 1][x] for x, f in zip(letters, factors)], axis=1)
-        order = np.lexsort(letter_sides.T[::-1])  # stable, by the letters' sides in letter order
-        cuts = np.flatnonzero(np.diff(letter_sides[order], axis=0).any(axis=1)) + 1
-        for at in np.split(order, cuts):
-            out.append((tuple(zip(factors, letter_sides[at[0]].tolist())), at + r0,
-                        np.stack([rows[f - 1][x[at]] for x, f in zip(letters, factors)], axis=1)))
-    return out
+def _word_groups(wp: FreeProductTable, positions: np.ndarray):
+    """Groups of the nontrivial words at ``positions``, by one stable sort on
+    (length, first factor, letter sides).  Per group (key, at, index), with
+    ``key[j]`` the (factor, side) of the j-th letter, ``at`` the places in
+    ``positions`` of its words, ascending, and ``index[i, j]`` the row of the
+    j-th letter of ``positions[at[i]]`` in the stack ``key[j]`` of ``_letter_stacks``."""
+    _, sides, rows = _letter_places(wp)
+    second = (wp.starts[positions, np.newaxis] == 2) != (np.arange(wp.letters.shape[1]) % 2 == 1)
+    letters = wp.letters[positions] + (len(wp.factor1) - 1) * second
+    keys = np.column_stack([wp.lengths[positions], wp.starts[positions], sides[letters]])
+    order = np.lexsort(keys.T[::-1])  # stable: a group keeps the order of ``positions``
+    keys, index = keys[order], rows[letters[order]]
+    firsts = np.flatnonzero(np.diff(keys, axis=0, prepend=-1).any(axis=1)).tolist()
+    for r0, r1 in zip(firsts, [*firsts[1:], len(order)]):
+        k, start, *word_sides = keys[r0].tolist()  # the factors alternate from ``start``
+        yield tuple(zip((start, 3 - start) * k, word_sides[:k])), order[r0:r1], index[r0:r1, :k]
 
 
-def _word_stacks(stacks: dict, wp: FreeProductTable):
-    """(positions, stacks) per group of ``_word_groups``, where ``stacks[j][i]``
-    is the letter block at the j-th letter of the word at ``positions[i]``;
-    ``stacks`` is what ``_letter_stacks`` returns."""
-    for key, positions, index in _word_groups(wp):
-        yield positions, [stacks[k][index[:, j]] for j, k in enumerate(key)]
+def _letter_places(wp: FreeProductTable) -> tuple:
+    """(factor, side, row in its stack of ``_letter_stacks``) of every letter,
+    numbered from factor 1's nontrivial labels on to factor 2's."""
+    factors = np.repeat([1, 2], [len(wp.factor1) - 1, len(wp.factor2) - 1])
+    sides = np.concatenate([wp.factor1.dims[1:], wp.factor2.dims[1:]])
+    order = np.argsort(factors + 3 * sides, kind="stable")  # by (side, factor), stable
+    kinds = (factors + 3 * sides)[order]
+    rows = np.empty_like(sides)  # a letter's row counts the earlier letters of its kind
+    rows[order] = np.arange(len(sides)) - np.searchsorted(kinds, kinds)
+    return factors, sides, rows
 
 
 def _kron_fold(stacks) -> np.ndarray:
@@ -123,11 +114,11 @@ def cfree_state(phi1: MatrixFamily, phi2: MatrixFamily,
     factor blocks in letter order; the trivial word gets [1].  Words with
     the same letter dimensions are built together, as one stack.
     """
-    letters = _letter_stacks(phi1, phi2, wp, normalized=True)
+    letters, words = _letter_stacks(phi1, phi2, wp, normalized=True), np.arange(1, len(wp))
     trivial = (np.zeros(1, dtype=np.intp), np.ones((1, 1, 1), dtype=np.complex128))
     return MatrixFamily(wp, stacked_blocks(wp, [trivial, *(
-        (positions, _kron_fold(stacks)) for positions, stacks in _word_stacks(letters, wp))]),
-        normalized=True)
+        (words[at], _kron_fold([letters[k][index[:, j]] for j, k in enumerate(key)]))
+        for key, at, index in _word_groups(wp, words))]), normalized=True)
 
 
 def cfree_generator(L1: GeneratingFunctional, L2: GeneratingFunctional,
@@ -137,15 +128,13 @@ def cfree_generator(L1: GeneratingFunctional, L2: GeneratingFunctional,
     The block at a word is the Kronecker sum of the letter blocks:
     sum_j I x ... x L^{a_j} x ... x I, in letter order.
     """
-    parts = []
-    for positions, stacks in _word_stacks(_letter_stacks(L1, L2, wp), wp):
+    parts, letters, words = [], _letter_stacks(L1, L2, wp), np.arange(1, len(wp))
+    for key, at, index in _word_groups(wp, words):
+        stacks = [letters[k][index[:, j]] for j, k in enumerate(key)]
         eyes = [np.broadcast_to(np.eye(s.shape[1], dtype=np.complex128), s.shape)
                 for s in stacks]
-        side = math.prod(s.shape[1] for s in stacks)
-        acc = np.zeros((len(positions), side, side), dtype=np.complex128)
-        for j, stack in enumerate(stacks):
-            acc = acc + _kron_fold(eyes[:j] + [stack] + eyes[j + 1:])
-        parts.append((positions, acc))
+        parts.append((words[at], sum(_kron_fold(eyes[:j] + [stack] + eyes[j + 1:])
+                                     for j, stack in enumerate(stacks))))
     return GeneratingFunctional(wp, stacked_blocks(wp, parts))
 
 
@@ -199,8 +188,7 @@ def damp_sequence(omegas, k_values) -> list[MatrixFamily]:
     return out
 
 
-# Unit roundoff of float64.
-_U = np.finfo(np.float64).eps / 2
+_U = np.finfo(np.float64).eps / 2  # unit roundoff of float64
 
 
 class _WordValues:
@@ -209,52 +197,68 @@ class _WordValues:
     The arrays are stage-major: row ``s * len(wp) + j`` is word j at stage s,
     whose letters are the blocks of ``seq1[s]`` and ``seq2[s]``.
 
-    ``norms`` and ``deviations`` are read from the letters, without forming
-    W.  For Hermitian letters A_j, W = A_1 x ... x A_l is Hermitian with the
-    products of the letters' eigenvalues as its eigenvalues (Van Loan, "The
-    ubiquitous Kronecker product", JCAM 2000), so ||W|| = prod_j max|lambda|
-    and ||W - I|| = max |prod_j lambda - 1|.  A word with a letter that is
-    not finite or not exactly Hermitian gets NaN.
+    ``norms`` and ``deviations`` are read from the letters' eigenvalues,
+    without forming W: for Hermitian letters A_j, the eigenvalues of W = A_1
+    x ... x A_l are the products of theirs (Van Loan, "The ubiquitous
+    Kronecker product", JCAM 2000), so ||W|| = prod_j max|lambda| and
+    ||W - I|| = max |prod_j lambda - 1|; a letter that is not finite or not
+    exactly Hermitian gives NaN.  Rounding is monotone, so the least and
+    greatest product of a word's first j letters, multiplied left to right,
+    are among the products of the first j - 1 letters' extremes with the j-th
+    letter's, and |x - 1| peaks at one of them: each letter's extremes give
+    bitwise what every product gives, save inf * 0, NaN wherever it falls.
 
-    ``margins`` bound the gap between these values and the ones the formed
-    block gives, which ``exact`` computes on demand.  With side D = prod d_j
-    and N = max(1, prod ||A_j||), first-order backward-error bounds (Higham,
-    "Accuracy and Stability of Numerical Algorithms", 2002) give: each
-    eigenvalue of A_j is off by at most about d_j u ||A_j||, so the products
-    by about (sum d_j + l) u N; the formed block carries l - 1 roundings per
-    entry, at most about l sqrt(D) u N in norm; its SVD is off by about
-    D u N.  ``margins`` = 32 l (D + sum d_j) u N covers their sum with room:
-    a test keeps the gap seen below an eighth of it.  The trivial word's
-    values, 1 and 0, are exact.
+    ``margins`` = 32 l (D + sum d_j) u N, with side D = prod d_j, the integer
+    rounded once, and N = max(1, prod ||A_j||), bound the gap to the values
+    of the formed block, which ``exact`` computes.  By first-order
+    backward-error bounds (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002) the eigenvalues move the products by about (sum d_j +
+    l) u N, forming W moves its norm by about l sqrt(D) u N and its SVD is
+    off by about D u N; a test keeps the gap seen below an eighth of the
+    margin.  A margin that is not finite is NaN, so its word is formed.
     """
 
     def __init__(self, seq1, seq2, wp: FreeProductTable):
         stages = [_letter_stacks(F1, F2, wp, normalized=True) for F1, F2 in zip(seq1, seq2)]
         # every stage has the same stacks: (stages, rows, d, d) per (factor, side)
         self._letters = {k: np.stack([s[k] for s in stages]) for k in stages[0]}
-        self._groups = _word_groups(wp)
-        self._n = n = len(wp)
-        self._where = np.zeros((n, 2), dtype=np.intp)  # (group, row) of every word
-        for g, (_, positions, _) in enumerate(self._groups):
-            self._where[positions, 0], self._where[positions, 1] = g, np.arange(len(positions))
-        norms, deviations, margins = (np.full((len(stages), n), x) for x in (1.0, 0.0, 0.0))
-        spectra = {k: _linalg.hermitian_eigenvalues(a.reshape(-1, *a.shape[2:]))
-                   .reshape(a.shape[:3]) for k, a in self._letters.items()}
-        for key, positions, index in self._groups:  # (stages, words, d) arrays
-            letters = [spectra[k][:, index[:, j]] for j, k in enumerate(key)]
-            norm, products = np.abs(letters[0]).max(axis=2), letters[0]
-            for lam in letters[1:]:
-                norm = norm * np.abs(lam).max(axis=2)
-                products = (products[..., np.newaxis] * lam[..., np.newaxis, :]).reshape(
-                    *lam.shape[:2], -1)
-            sides = [d for _, d in key]
-            norms[:, positions] = norm
-            deviations[:, positions] = np.abs(products - 1.0).max(axis=2)
-            margins[:, positions] = (32 * len(key) * (math.prod(sides) + sum(sides)) * _U
-                                     * np.maximum(1.0, norm))
+        self._wp, self._n = wp, len(wp)
+        factors, sides, _ = _letter_places(wp)
+        # per stage and letter: the least, greatest, greatest |.| and least |.| eigenvalue
+        ends = np.empty((4, len(stages), len(sides)))
+        for (f, d), a in self._letters.items():
+            lam = _linalg.hermitian_eigenvalues(a.reshape(-1, d, d)).reshape(a.shape[:3])
+            ends[:, :, (factors == f) & (sides == d)] = (
+                lam[..., 0], lam[..., -1], np.abs(lam).max(axis=2), np.abs(lam).min(axis=2))
+        # per word, over its letters so far: the least and greatest product of their
+        # eigenvalues, the greatest and least |product|, and the sum of their sides
+        acc = np.ones((4, len(stages), self._n))
+        low, high, norms, least = acc
+        side_sums = np.zeros(self._n, dtype=sides.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(wp.letters.shape[1]):  # the words of length > j are a suffix
+                rows = slice(np.searchsorted(wp.lengths, j, side="right"), None)
+                letters = wp.letters[rows, j] + (len(wp.factor1) - 1) * (
+                    (wp.starts[rows] == 2) != (j % 2 == 1))
+                a, b, big, small = letter = ends[:, :, letters]  # a copy, used up below
+                lost = np.isnan(norms[:, rows] * small + least[:, rows] * big)  # inf * 0
+                acc[2:, :, rows] *= letter[2:]
+                x, y = low[:, rows], high[:, rows]  # to the least and greatest of xa, xb, ya, yb
+                cross = np.multiply(x, b, out=small), np.multiply(y, a, out=big)
+                x *= a
+                y *= b
+                np.minimum(x, y, out=a)
+                np.maximum(x, y, out=y)
+                np.maximum(y, np.maximum(*cross, out=b), out=y)
+                np.minimum(a, np.minimum(*cross, out=x), out=x)
+                x[lost] = np.nan
+                side_sums[rows] += sides[letters]
+            deviations = np.maximum(np.abs(low - 1.0), np.abs(high - 1.0))
+            wide = 32 * len(wp.letters.T) * (int(wp.dims.max()) + int(side_sums.max())) >= 2**63
+            sizes = wp.dims.astype(object if wide else np.int64) + side_sums  # D + sum d_j, exact
+            margins = (32 * wp.lengths * sizes).astype(float) * _U * np.maximum(1.0, norms)
         margins[~np.isfinite(margins)] = np.nan
-        self.norms, self.deviations = norms.ravel(), deviations.ravel()
-        self.margins = margins.ravel()
+        self.norms, self.deviations, self.margins = map(np.ravel, (norms, deviations, margins))
         self._exact = {False: self.norms.copy(), True: self.deviations.copy()}
         self._known = {False: self.margins == 0, True: self.margins == 0}
 
@@ -264,25 +268,21 @@ class _WordValues:
         values, known = self._exact[minus_identity], self._known[minus_identity]
         todo = rows[~known[rows]]
         stage, word = np.divmod(todo, self._n)
-        group, at = self._where[word].T
-        for g in sorted(set(group.tolist())):
-            here = group == g
-            key, _, index = self._groups[g]
-            index = index[at[here]]
-            blocks = _kron_fold([self._letters[k][stage[here], index[:, j]]
-                                 for j, k in enumerate(key)])
-            values[todo[here]] = _linalg.spectral_norms(blocks, minus_identity)
-            known[todo[here]] = True
+        for key, at, index in _word_groups(self._wp, word):
+            blocks = _kron_fold([self._letters[k][stage[at], index[:, j]]
+                                 for j, k in enumerate(key)])  # gathered: ours to change
+            if minus_identity:
+                blocks -= np.eye(blocks.shape[-1])
+            values[todo[at]] = _linalg.spectral_norms(blocks)
+            known[todo[at]] = True
         return values[rows]
 
     def c0_scans(self, eps: float) -> list:
-        """Per stage: (words whose norm is not <= eps, how many of them are
-        nontrivial, no unspecified words), deciding from the estimate where
-        the margin allows."""
+        """Per stage: (words whose norm is not <= eps, how many are nontrivial, no
+        unspecified words), from the estimate where the margin allows."""
         _require_c0_eps(eps)
-        unsure = np.flatnonzero(~((self.norms + self.margins <= eps)
-                                  | (self.norms - self.margins > eps)))
         over = self.norms - self.margins > eps
+        unsure = np.flatnonzero(~(over | (self.norms + self.margins <= eps)))
         over[unsure] = ~(self.exact(unsure, False) <= eps)
         return [(int(np.count_nonzero(o)), int(np.count_nonzero(o[1:])), ())
                 for o in over.reshape(-1, self._n)]

@@ -314,6 +314,36 @@ def freeprod_report(seq1, seq2, wp, eps_decay, conv_tols, k_values, tol, input_d
     )
 
 
+def group_word_values(seq1, seq2, wp):
+    """(norms, deviations, margins) of ``cfree._WordValues``, stage-major, by the
+    loop over word groups that it replaced: per (factor, side) group of words
+    (``word_groups``), every product of the letters' eigenvalues is formed, in
+    letter order, and the largest |product - 1| taken."""
+    from hapkit import _linalg, cfree
+    unit = np.finfo(np.float64).eps / 2
+    stages = [cfree._letter_stacks(F1, F2, wp, normalized=True) for F1, F2 in zip(seq1, seq2)]
+    spectra = {k: _linalg.hermitian_eigenvalues(a.reshape(-1, *a.shape[2:])).reshape(a.shape[:3])
+               for k, a in ((k, np.stack([s[k] for s in stages])) for k in stages[0])}
+    norms, deviations, margins = (np.full((len(stages), len(wp)), x) for x in (1.0, 0.0, 0.0))
+    groups = word_groups(wp, seq1[0], seq2[0]) if len(wp) > 1 else {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key, (positions, index) in groups.items():  # (stages, words, d) arrays
+            index = index.reshape(len(positions), len(key))
+            letters = [spectra[k][:, index[:, j]] for j, k in enumerate(key)]
+            norm, products = np.abs(letters[0]).max(axis=2), letters[0]
+            for lam in letters[1:]:
+                norm = norm * np.abs(lam).max(axis=2)
+                products = (products[..., np.newaxis] * lam[..., np.newaxis, :]).reshape(
+                    *lam.shape[:2], -1)
+            sides = [d for _, d in key]
+            norms[:, positions] = norm
+            deviations[:, positions] = np.abs(products - 1.0).max(axis=2)
+            margins[:, positions] = (32 * len(key) * (math.prod(sides) + sum(sides)) * unit
+                                     * np.maximum(1.0, norm))
+    margins[~np.isfinite(margins)] = np.nan
+    return norms.ravel(), deviations.ravel(), margins.ravel()
+
+
 def block_min_eigenvalues(blocks):
     """One numpy eigvalsh call per block on (B + B*)/2; NaN for a non-finite block."""
     return [float(np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0])

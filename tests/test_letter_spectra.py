@@ -230,6 +230,100 @@ class TestAllStages:
                 assert exact[rows].tolist() == want
 
 
+# eigenvalues whose products overflow (1e200), underflow (1e-200) or vanish (0, -0)
+SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e200, -1e200, 1e-200, -1e-200, 1e300)
+
+
+@st.composite
+def extreme_letter(draw, d):
+    """A letter of side ``d``: diagonal with drawn (often extreme) eigenvalues, a
+    dense Hermitian block, one that is not Hermitian or not finite (NaN
+    eigenvalues), or one whose eigenvalues are 0 and inf."""
+    kind = draw(st.sampled_from(["diagonal", "dense", "nan", "inf"]))
+    if kind == "diagonal" or (kind == "inf" and d == 1):
+        values = draw(st.lists(st.sampled_from(SPECIAL) | st.floats(-3, 3), min_size=d, max_size=d))
+        return np.diag(values).astype(complex)
+    if kind == "inf":  # finite, with eigenvalues 0 and +-inf
+        return np.pad(np.full((2, 2), draw(st.sampled_from([1e308, -1e308]))), (0, d - 2)) + 0j
+    if kind == "dense":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return random_hermitian(rng, d, draw(st.sampled_from([0.5, 1.0, 1e200])))
+    blk = np.zeros((d, d), dtype=complex)
+    blk[0, -1] = draw(st.sampled_from([1.0, math.inf]))  # not Hermitian, or not finite
+    return blk
+
+
+@st.composite
+def extreme_stages(draw):
+    """Factors of 1-2 letters of sides 1-3, 1-3 stages of extreme letters, and a
+    word table of length 0-6."""
+    tables = [hk.make_table([(f"{prefix}{i}", d) for i, d in enumerate(
+        draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))]) for prefix in "ab"]
+    n_stages = draw(st.integers(1, 3))
+    seqs = [[hk.MatrixFamily(t, {t.trivial: [[1.0]], **{
+        lab: draw(extreme_letter(t.dim(lab))) for lab in t.nontrivial_labels}}, normalized=True)
+        for _ in range(n_stages)] for t in tables]
+    return seqs[0], seqs[1], hk.free_product_table(*tables, draw(st.integers(0, 6)))
+
+
+class TestGroupLoopOracle:
+    """The estimates from each letter's extreme eigenvalues equal, bit for bit,
+    those of the loop over word groups that multiplied out every product."""
+
+    @staticmethod
+    def assert_bitwise(seq1, seq2, wp):
+        values = cfree._WordValues(seq1, seq2, wp)
+        want = oracles.group_word_values(seq1, seq2, wp)
+        for name, expected in zip(("norms", "deviations", "margins"), want):
+            got = getattr(values, name)
+            assert got.tobytes() == expected.tobytes(), (name, got, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(extreme_stages())
+    def test_estimates_equal_the_group_loop_bitwise(self, drawn):
+        self.assert_bitwise(*drawn)
+
+    @pytest.mark.parametrize("letters1, letters2", [
+        ([[-1.0, 0.0, 1.0]], [[[1e308, 1e308], [1e308, 1e308]]]),  # a zero inside, then inf
+        ([[-1e200, 0.0, 1e200]], [[-1.0, 0.0, 1.0]]),  # overflow, then a zero inside
+        ([[-1e-200, 1.0, 1e-200], [[1.7e308, 1e308], [1e308, 1.7e308]]],
+         [[1e-200, 1.0]]),  # a product underflows to 0 inside, then a letter (not 0) has inf
+    ])
+    def test_nan_from_inside_the_products(self, letters1, letters2):
+        # inf * 0 among the products but at none of their ends: NaN all the same
+        seqs = []
+        for prefix, letters in (("a", letters1), ("b", letters2)):
+            blocks = [np.diag(x) if np.ndim(x) == 1 else np.array(x) for x in letters]
+            t = hk.make_table([(f"{prefix}{i}", len(b)) for i, b in enumerate(blocks)])
+            seqs.append([hk.MatrixFamily(t, {t.trivial: [[1.0]], **dict(
+                zip(t.nontrivial_labels, blocks))}, normalized=True)])
+        wp = hk.free_product_table(seqs[0][0].table, seqs[1][0].table, 4)
+        assert np.isnan(cfree._WordValues(*seqs, wp).deviations).any()
+        self.assert_bitwise(*seqs, wp)
+
+
+class TestMarginArithmetic:
+    """A margin is 32 l (D + sum d_j) u max(1, prod ||A_j||) with the integer
+    rounded once to float64, however large the word's side D."""
+
+    @pytest.mark.parametrize("side, length", [(500, 6), (100, 9), (10, 19)])
+    def test_huge_sides_round_once(self, side, length):
+        # 500**6 > 2**53; 32 * 9 * 100**9 wraps int64; 10**19 is past int64 itself
+        rng = np.random.default_rng(side)
+        tables = [hk.make_table([(name, side)]) for name in "ab"]
+        seqs = [[hk.MatrixFamily(t, {t.trivial: [[1.0]], t.nontrivial_labels[0]:
+                                     random_hermitian(rng, side, 2.0)}, normalized=True)]
+                for t in tables]
+        wp = hk.free_product_table(*tables, length)
+        values = cfree._WordValues(*seqs, wp)  # estimates only: no block of side 100**9 is formed
+        unit = np.finfo(np.float64).eps / 2
+        for j, l in enumerate(wp.lengths.tolist()):
+            exact = 32 * l * (side ** l + side * l)
+            assert values.margins[j] == exact * unit * np.maximum(1.0, values.norms[j])
+            assert values.margins[j] == float(exact) * unit * max(1.0, values.norms[j])
+        assert values.norms[-1] == pytest.approx(2.0 ** length, rel=1e-12)
+
+
 @st.composite
 def damped_factors(draw):
     """Damped factor sequences of Hermitian contractions (sides 1-3) with a

@@ -6,6 +6,9 @@ without these checks a rename would only show up as a broken traced run.
 The tracer module is loaded from its file and never changed.
 """
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 import hapkit as hk
 from hapkit import cli, genfun
 from hapkit import serialize as sz
-from conftest import FIXTURES, load_perfbench, run_cli
+from conftest import FIXTURES, REPO_ROOT, load_perfbench, run_cli
 
 
 tracing = load_perfbench("tracing")
@@ -25,6 +28,25 @@ assert cli.main  # the tracer resolves modules from sys.modules: hapkit.cli impo
 def test_every_traced_target_resolves(span):
     for owner_path, attr in tracing.TRACED[span]:
         assert callable(vars(tracing._resolve(owner_path))[attr])
+
+
+def test_importing_the_cli_alone_loads_every_traced_target():
+    """``Tracer.install`` looks each (module, attribute) up in ``sys.modules`` of
+    a process that has only imported ``hapkit.cli``: a module that the CLI
+    loads later, or never, breaks every traced run (``--trace 1``).  Checked
+    in a fresh process, where nothing else has imported hapkit."""
+    targets = sorted({pair for pairs in tracing.TRACED.values() for pair in pairs})
+    code = ("import json, sys\nimport hapkit.cli\nmissing = []\n"
+            "for path, attr in json.loads(sys.argv[1]):\n"
+            "    module, _, cls = path.partition('.')\n"
+            "    owner = sys.modules.get(f'hapkit.{module}')\n"
+            "    owner = getattr(owner, cls, None) if cls else owner\n"
+            "    if not callable(vars(owner).get(attr) if owner is not None else None):\n"
+            "        missing.append(f'{path}.{attr}')\n"
+            "print(json.dumps(missing))")
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(targets)],
+                         capture_output=True, check=True, cwd=REPO_ROOT)
+    assert json.loads(res.stdout) == []
 
 
 def test_counters_read_maps_built_from_stacks():

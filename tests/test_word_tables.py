@@ -160,11 +160,23 @@ class TestGroups:
             assert got.value.args == exc.args
             return
         cfree._letter_stacks(*families, wp)
-        got = cfree._word_groups(wp)
+        words = np.arange(1, len(wp))
+        got = list(cfree._word_groups(wp, words))
         assert len(got) == len(want)
-        for key, positions, index in got:
-            assert np.array_equal(positions, want[key][0])
+        for key, at, index in got:
+            assert np.array_equal(words[at], want[key][0])
             assert np.array_equal(index, want[key][1].reshape(index.shape))
+        # any rows, in any order and with repeats: each group keeps their order
+        rows = np.array(data.draw(st.lists(st.sampled_from(words.tolist()), max_size=12)
+                                  if len(words) else st.just([])), dtype=np.intp)
+        seen = []
+        for key, at, index in cfree._word_groups(wp, rows):
+            assert np.array_equal(np.sort(at), at)
+            spot = np.searchsorted(want[key][0], rows[at])
+            assert np.array_equal(want[key][0][spot], rows[at])
+            assert np.array_equal(index, want[key][1][spot].reshape(index.shape))
+            seen.extend(at.tolist())
+        assert sorted(seen) == list(range(len(rows)))
 
     def test_missing_letter_block(self):
         t1, t2 = hk.make_table([("a", 1), ("b", 1)]), hk.make_table([("x", 1)])
