@@ -100,12 +100,18 @@ def _family_sequence(table, objs, where: str) -> list[MatrixFamily]:
 
 
 def _load_states(path: str):
-    """Load a 'table' + 'families' input: (object, digest, table, families)."""
+    """Load a 'table' + 'families' input: (its knobs, digest, table, families)."""
     obj, digest = _load(path)
     if not isinstance(obj, dict) or "table" not in obj or "families" not in obj:
         raise InputError(f"{path}: expected an object with 'table' and 'families'")
-    table = serialize.table_from_obj(obj["table"], "table")
-    return obj, digest, table, _family_sequence(table, obj["families"], "families")
+    table = serialize.table_from_obj(obj.pop("table"), "table")
+    return obj, digest, table, _family_sequence(table, obj.pop("families"), "families")
+
+
+def _load_generator(path: str):
+    """Load a generator input: (digest, generator); its raw JSON is dropped once read."""
+    obj, digest = _load(path)
+    return digest, serialize.generator_from_obj(obj)
 
 
 def _emit(report: CertificationReport, args) -> int:
@@ -131,8 +137,7 @@ def cmd_certify_hap(args) -> int:
 
 
 def cmd_semigroup(args) -> int:
-    obj, digest = _load(args.gen)
-    L = serialize.generator_from_obj(obj)
+    digest, L = _load_generator(args.gen)
     ts = _knob("t", cli=args.t, many=True, least=0)
     if len(set(ts)) < len(ts):  # each t names one output file, written once
         raise InputError(f"--t: repeated value in {args.t!r}")
@@ -226,8 +231,7 @@ def cmd_schoenberg(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
-    obj, digest = _load(args.gen)
-    L = serialize.generator_from_obj(obj)
+    digest, L = _load_generator(args.gen)
     M = _knob("M", cli=args.M)
     if M <= 0:
         raise InputError("--M must be positive")

@@ -15,40 +15,55 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 __version__ = "0.1.0"
 
 _TEXT_WITNESS_CAP = 8
 
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+# the canonical text: json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# members per encoder call: one call keeps every repr it makes until it joins them
+_RUN = 32
 
 
 def content_digest(obj) -> str:
-    """sha256 of ``canonical_json(obj)``, fed a piece at a time.
-
-    The pieces are the members of a top-level object and the items of the
-    lists directly in it, so a large input (a states file's families) is
-    never held as one JSON string.
-    """
+    """sha256 of the canonical JSON text of ``obj``, fed in bounded pieces: lists
+    that hold objects, and objects of str keys that hold lists or objects, are
+    walked, and their other members are encoded in runs of at most ``_RUN``."""
     h = hashlib.sha256()
-    if not (isinstance(obj, dict) and all(type(key) is str for key in obj)):
-        h.update(canonical_json(obj).encode())
-        return "sha256:" + h.hexdigest()
-    h.update(b"{")
-    for n, key in enumerate(sorted(obj)):
-        h.update(("," * (n > 0) + canonical_json(key) + ":").encode())
-        items = obj[key]
-        if not isinstance(items, list):
-            h.update(canonical_json(items).encode())
-            continue
-        h.update(b"[")
-        for i, item in enumerate(items):
-            h.update(("," * (i > 0) + canonical_json(item)).encode())
-        h.update(b"]")
-    h.update(b"}")
+    _feed(h.update, obj)
     return "sha256:" + h.hexdigest()
+
+
+def _walked(values: list) -> list:
+    """The positions of the ``values`` that the digest walks."""
+    if {*map(type, values)} == {list} and dict not in map(type, chain.from_iterable(values)):
+        return []  # one look a level down settles a list of matrices
+    return [i for i, v in enumerate(values) if type(v) is list and dict in map(type, v)
+            or type(v) is dict and not {dict, list}.isdisjoint(map(type, v.values()))
+            and {*map(type, v)} <= {str}]
+
+
+def _feed(update, value) -> None:
+    """Feed the canonical text of ``value`` to ``update``, walking it if ``_walked``."""
+    if not _walked([value]):
+        return update(_canonical(value).encode())
+    keys = sorted(value) if type(value) is dict else None
+    members = value if keys is None else [value[key] for key in keys]
+    update(b"[" if keys is None else b"{")
+    start = 0
+    for stop in _walked(members) + [len(members)]:
+        for lo in range(start, stop, _RUN):
+            hi = min(lo + _RUN, stop)
+            run = members[lo:hi] if keys is None else dict(zip(keys[lo:hi], members[lo:hi]))
+            update(b"," * (lo > 0) + _canonical(run)[1:-1].encode())
+        if stop < len(members):
+            key = b"" if keys is None else _canonical(keys[stop]).encode() + b":"
+            update(b"," * (stop > 0) + key)
+            _feed(update, members[stop])
+        start = stop + 1
+    update(b"]" if keys is None else b"}")
 
 
 def fmt(x) -> str:

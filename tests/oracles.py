@@ -394,6 +394,11 @@ def matrix_to_obj(block) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(block)]
 
 
+def canonical_json(obj) -> str:
+    """The text ``reports.content_digest`` hashes: sorted keys, no spaces, ASCII."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def nested_json_text(obj) -> str:
     """json.dumps(..., sort_keys=True, indent=2, allow_nan=False) of ``obj``, and a
     newline, after every ``BlockMap`` leaf is turned into a dict from each label's

@@ -406,17 +406,34 @@ class TestReaderParity:
         assert all(np.shares_memory(adopted.stacks[d], stack) for d, stack in read.stacks.items())
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
-                                                                  max_size=3),
-    max_leaves=12)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+            | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+# what the digest encodes in runs: scalars, lists without objects, objects of scalars
+_FLAT = (_SCALARS | st.lists(_SCALARS | st.lists(_SCALARS, max_size=2), max_size=3)
+         | st.dictionaries(st.text(max_size=3), _SCALARS, max_size=3))
+_KEY_CHARS = 'ab\u00e9\u2603\U0001f600"\\\n'  # escapes, and beyond ASCII and the BMP
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.dictionaries(st.text(max_size=3), _JSON | st.lists(_JSON, max_size=4), max_size=4)
-       | _JSON)
-def test_content_digest_hashes_the_canonical_text(obj):
-    """Fed a piece at a time, the digest is still that of the whole canonical text."""
-    expected = hashlib.sha256(reports.canonical_json(obj).encode()).hexdigest()
-    assert reports.content_digest(obj) == "sha256:" + expected
+def _key(n: int) -> str:
+    return "".join(_KEY_CHARS[int(digit)] for digit in f"{n:o}")
+
+
+def _containers(inner):
+    """Lists and objects of up to 9 members, with keys that sort out of order."""
+    values = st.lists(inner, max_size=9)
+    return (values | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+            | values.map(lambda vs: {_key(i): v for i, v in enumerate(vs)}))
+
+
+# long containers mix flat members with members the digest walks, at every depth
+_JSON = st.recursive(_FLAT, _containers, max_leaves=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON, st.integers(1, 4))
+def test_content_digest_hashes_the_canonical_text(obj, run):
+    """Fed in runs of ``run`` members, the digest is still that of the whole
+    canonical text; small runs put several in each container."""
+    expected = hashlib.sha256(oracles.canonical_json(obj).encode()).hexdigest()
+    with mock.patch.object(reports, "_RUN", run):
+        assert reports.content_digest(obj) == "sha256:" + expected
