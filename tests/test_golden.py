@@ -39,11 +39,23 @@ CASES = {
                        "--out", "cocycle.json"],
     "cocycle_unit_shift": ["cocycle", "fixtures/unit_shift_generator.json", "--M", "1",
                            "--out", "cocycle.json"],
+    "cocycle_nonsymmetric": ["cocycle", "gen_nonsymmetric.json", "--M", "1",
+                             "--out", "cocycle.json"],
+    "cocycle_negative": ["cocycle", "gen_negative.json", "--M", "1", "--out", "cocycle.json"],
+    "cocycle_zero": ["cocycle", "gen_zero.json", "--M", "1", "--out", "cocycle.json"],
+    "cocycle_default_out": ["cocycle", "unit_shift.json", "--M", "1"],
     "buildgen": ["buildgen", "fixtures/buildgen_zdual.json", "--out", "generator.json"],
+    "buildgen_counit": ["buildgen", "counit_states.json", "--out", "generator.json"],
+    "semigroup_overflow": ["semigroup", "gen_overflow.json", "--t", "0.5,1", "--out", "sg"],
 }
 
 # inputs the run directory starts with; they are not outputs of the run
-_INPUTS = {"fixtures", "freeprod_fail.json"}
+_INPUTS = {"fixtures", "freeprod_fail.json", "gen_nonsymmetric.json", "gen_negative.json",
+           "gen_zero.json", "gen_overflow.json", "unit_shift.json", "counit_states.json"}
+
+
+def _pairs(matrix) -> list:
+    return [[[float(x), 0.0] for x in row] for row in matrix]
 
 
 def _write_inputs(workdir: Path) -> None:
@@ -53,6 +65,24 @@ def _write_inputs(workdir: Path) -> None:
     config = json.loads((FIXTURES / "freeprod_zz.json").read_text())
     config.update(conv_tols=[0.9, 0.5, 0.3, 0.25, 0.25], max_word_length=2)
     (workdir / "freeprod_fail.json").write_text(json.dumps(config, sort_keys=True, indent=2))
+    # generators on the unit-shift fixture's table (labels a and b of sides 2 and 3):
+    # a block that is not Hermitian, a negative block, all blocks zero, and a block
+    # whose semigroup overflows at t = 1
+    text = (FIXTURES / "unit_shift_generator.json").read_text()
+    (workdir / "unit_shift.json").write_text(text)
+    zero = {"a": [[0, 0], [0, 0]], "b": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}
+    for name, blocks in {"nonsymmetric": {"a": [[1, 1], [0, 1]]},
+                         "negative": {"a": [[1, 0], [0, -1]]},
+                         "zero": zero,
+                         "overflow": {"a": [[-1000, 0], [0, 1]]}}.items():
+        gen = json.loads(text)
+        gen["blocks"].update({key: _pairs(m) for key, m in blocks.items()})
+        (workdir / f"gen_{name}.json").write_text(json.dumps(gen, sort_keys=True, indent=2))
+    # a counit sequence on the buildgen fixture's table: every deviation is 0
+    states = json.loads((FIXTURES / "buildgen_zdual.json").read_text())
+    for fam in states["families"]:
+        fam["blocks"] = {key: _pairs([[1]]) for key in fam["blocks"]}
+    (workdir / "counit_states.json").write_text(json.dumps(states, sort_keys=True, indent=2))
 
 
 def run_case(name: str, workdir: Path) -> dict:
