@@ -25,6 +25,7 @@ from . import _linalg
 from .fourier import stacked_blocks
 from .genfun import GeneratingFunctional
 from .irreps import IrrepTable, make_table
+from .reports import CertificationReport, ConditionVerdict, Witness
 
 
 @dataclass(frozen=True)
@@ -170,21 +171,31 @@ def schoenberg_check(spec: GroupSpec, t: float, radius: int,
     the backward stability of dense symmetric eigensolvers at this size.  A
     failing check is a result, not an error.
     """
-    passed, min_eig, _ = _schoenberg(spec, t, radius, tol)
-    return passed, min_eig
-
-
-def _schoenberg(spec: GroupSpec, t: float, radius: int,
-                tol: float | None) -> tuple[bool, float, int]:
-    """``schoenberg_check``, and the number n of ball elements (an n x n Gram)."""
     if t <= 0:
         raise ValueError("t must be positive")
     gram = length_gram(spec, t, radius)
-    n = gram.shape[0]
     if tol is None:
-        tol = 1e-8 * n
+        tol = 1e-8 * gram.shape[0]
     min_eig = float(_linalg.min_eigenvalues(gram[np.newaxis])[0])
-    return (min_eig >= -tol), min_eig, n
+    return (min_eig >= -tol), min_eig
+
+
+def schoenberg_report(spec: GroupSpec, t: float, radius: int, tol: float, *, group: str,
+                      input_digest: str) -> CertificationReport:
+    """The ``schoenberg`` report of :func:`schoenberg_check`; ``group`` is ``spec`` as written."""
+    passed, min_eig = schoenberg_check(spec, t, radius, tol)
+    n = len(ball(spec, radius))
+    return CertificationReport(
+        command="schoenberg",
+        input_digest=input_digest,
+        truncation=f"ball of radius {radius}: {n} elements ({n}x{n} Gram matrix)",
+        tolerances=(("tol", tol), ("t", t)),
+        conditions=(ConditionVerdict(
+            name="gram-positive-semidefinite", passed=passed,
+            witnesses=(Witness(label="*", achieved=min_eig, threshold=-tol,
+                               context="smallest eigenvalue"),),
+            summary=f"exp(-t*length) kernel on the group {group}"),),
+    )
 
 
 def length_functional(spec: GroupSpec, radius: int) -> GeneratingFunctional:

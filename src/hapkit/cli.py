@@ -14,16 +14,15 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import cfree, classical, genfun, serialize
-from .cocycle import check_proper_cocycle, factor_from_generator
+from . import cfree, classical, cocycle, genfun, serialize
 from .fourier import DEFAULT_TOL, MatrixFamily, check_hap_sequence
 from .irreps import free_product_table
-from .reports import (CertificationReport, ConditionVerdict, Witness, __version__,
-                      content_digest, fmt)
+from .reports import CertificationReport, __version__, content_digest
 
 DEFAULT_EPS_DECAY = 1e-3
 DEFAULT_MAX_WORD_LENGTH = 3
@@ -100,12 +99,12 @@ def _family_sequence(table, objs, where: str) -> list[MatrixFamily]:
 
 
 def _load_states(path: str):
-    """Load a 'table' + 'families' input: (its knobs, digest, table, families)."""
+    """Load a 'table' + 'families' input: (its knobs, digest, families)."""
     obj, digest = _load(path)
     if not isinstance(obj, dict) or "table" not in obj or "families" not in obj:
         raise InputError(f"{path}: expected an object with 'table' and 'families'")
     table = serialize.table_from_obj(obj.pop("table"), "table")
-    return obj, digest, table, _family_sequence(table, obj.pop("families"), "families")
+    return obj, digest, _family_sequence(table, obj.pop("families"), "families")
 
 
 def _load_generator(path: str):
@@ -124,8 +123,13 @@ def _emit(report: CertificationReport, args) -> int:
     return report.exit_code
 
 
+def _wrote(report: CertificationReport, paths) -> CertificationReport:
+    """``report`` with a ``wrote <name>`` note for each written path, before its notes."""
+    return replace(report, notes=tuple(f"wrote {path.name}" for path in paths) + report.notes)
+
+
 def cmd_certify_hap(args) -> int:
-    obj, digest, _, families = _load_states(args.input)
+    obj, digest, families = _load_states(args.input)
     eps_decay = _knob("eps_decay", obj=obj, cli=args.eps_decay, default=DEFAULT_EPS_DECAY)
     conv_tols = _knob("conv_tols", obj=obj, cli=args.conv_tols, many=True, nan_ok=True,
                       default=_default_conv_tols(len(families)))
@@ -143,32 +147,17 @@ def cmd_semigroup(args) -> int:
         raise InputError(f"--t: repeated value in {args.t!r}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    # every family is evaluated and checked before the first write: all files or none
-    # an overflow is caught by the finite check below, so numpy need not warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        families = [(outdir / f"semigroup_t{t!r}.json", genfun.semigroup_at(L, t))
-                    for t in ts]
-    for path, family in families:
+    report, families = genfun.semigroup_report(L, ts, args.tol, digest)
+    paths = [outdir / f"semigroup_t{t!r}.json" for t in ts]
+    # every family is checked before the first write: all files or none
+    for path, family in zip(paths, families):
         bad = np.flatnonzero(~family.blocks.scan(lambda s: np.isfinite(s).all(axis=(-2, -1)), bool))
         if bad.size:
             at = int(family.positions[bad[0]])
             raise ValueError(f"{path}: block {family.table.key_at(at)!r} is not finite")
-    written = []
-    for path, family in families:
+    for path, family in zip(paths, families):
         serialize.dump_json(serialize.family_to_obj(family), path)
-        written.append(path.name)
-    report = CertificationReport(
-        command="semigroup",
-        input_digest=digest,
-        truncation=f"{len(L.table)} labels",
-        tolerances=(("tol", args.tol),),
-        conditions=(ConditionVerdict(
-            name="evaluation", passed=True,
-            summary=f"{len(written)} semigroup families written"),),
-        notes=tuple(f"wrote {name}" for name in written)
-        + (f"t values: {', '.join(fmt(t) for t in ts)}",),
-    )
-    return _emit(report, args)
+    return _emit(_wrote(report, paths), args)
 
 
 def _factor_sequence(entry, where: str, k_values) -> tuple:
@@ -214,20 +203,9 @@ def cmd_freeprod(args) -> int:
 def cmd_schoenberg(args) -> int:
     spec = classical.parse_group(args.group)
     t = _knob("t", cli=args.t)
-    passed, min_eig, n = classical._schoenberg(spec, t, args.radius, args.tol)
     digest = content_digest({"group": args.group, "t": t, "radius": args.radius})
-    report = CertificationReport(
-        command="schoenberg",
-        input_digest=digest,
-        truncation=f"ball of radius {args.radius}: {n} elements ({n}x{n} Gram matrix)",
-        tolerances=(("tol", args.tol), ("t", t)),
-        conditions=(ConditionVerdict(
-            name="gram-positive-semidefinite", passed=passed,
-            witnesses=(Witness(label="*", achieved=min_eig, threshold=-args.tol,
-                               context="smallest eigenvalue"),),
-            summary=f"exp(-t*length) kernel on the group {args.group}"),),
-    )
-    return _emit(report, args)
+    return _emit(classical.schoenberg_report(spec, t, args.radius, args.tol, group=args.group,
+                                             input_digest=digest), args)
 
 
 def cmd_cocycle(args) -> int:
@@ -235,77 +213,22 @@ def cmd_cocycle(args) -> int:
     M = _knob("M", cli=args.M)
     if M <= 0:
         raise InputError("--M must be positive")
-    truncation = f"{len(L.table)} labels"
-    sym = genfun.check_symmetric(L, args.tol)
-    conditions = [ConditionVerdict(
-        name="symmetric", passed=sym.ok,
-        witnesses=(Witness(label="*", achieved=sym.residual, threshold=args.tol,
-                           context="largest Hermitian residual"),),
-        summary="all blocks self-adjoint")]
-    if sym.ok:
-        pos = genfun.check_positive_blocks(L, args.tol)
-        conditions.append(ConditionVerdict(
-            name="positive-blocks", passed=pos.ok,
-            witnesses=(Witness(label="*", achieved=pos.min_eigenvalue, threshold=-args.tol,
-                               context="smallest block eigenvalue"),),
-            summary="all blocks positive semidefinite"))
-    notes = []
-    if all(c.passed for c in conditions):
-        c = factor_from_generator(L, tol=args.tol)
+    report, c = cocycle.cocycle_report(L, M, args.tol, digest)
+    if c is not None:
         out = Path(args.out) if args.out else Path(args.gen).with_suffix(".cocycle.json")
         serialize.dump_json(serialize.cocycle_to_obj(c), out)
-        notes.append(f"wrote {out.name}")
-        proper = check_proper_cocycle(c, M)
-        exceptional = ", ".join(L.table.encode(lab) for lab, _ in proper.exceptional)
-        conditions.append(ConditionVerdict(
-            name="proper-at-level", passed=proper.proper_at_level,
-            witnesses=tuple(Witness(label=L.table.encode(lab), achieved=low,
-                                    threshold=M, context="min eigenvalue of (c*)c")
-                            for lab, low in proper.exceptional),
-            summary=(f"proper at level M={fmt(M)} (up to a truncation of {truncation}): "
-                     f"{proper.certified_count} blocks certified >= M")))
-        notes.append(f"exceptional set at M={fmt(M)}: "
-                     + (f"{{{exceptional}}}" if exceptional else "{}"))
-    report = CertificationReport(
-        command="cocycle",
-        input_digest=digest,
-        truncation=truncation,
-        tolerances=(("tol", args.tol), ("M", M)),
-        conditions=tuple(conditions),
-        notes=tuple(notes),
-    )
+        report = _wrote(report, [out])
     return _emit(report, args)
 
 
 def cmd_buildgen(args) -> int:
-    obj, digest, table, families = _load_states(args.input)
-    L, build = genfun.build_from_states(
-        families,
-        betas=_knob("betas", obj=obj, many=True, default=None),
-        eps=_knob("eps", obj=obj, many=True, default=None),
-    )
+    obj, digest, families = _load_states(args.input)
+    report, L = genfun.buildgen_report(families, _knob("betas", obj=obj, many=True, default=None),
+                                       _knob("eps", obj=obj, many=True, default=None),
+                                       args.tol, digest)
     out = Path(args.out) if args.out else Path(args.input).with_suffix(".generator.json")
     serialize.dump_json(serialize.generator_to_obj(L), out)
-    schedule = ", ".join(f"(beta={fmt(b)}, eps={fmt(e)})" for b, e in build.schedule)
-    tail = "not available for this schedule" if build.tail_bound is None \
-        else fmt(build.tail_bound)
-    report = CertificationReport(
-        command="buildgen",
-        input_digest=digest,
-        truncation=f"{len(table)} labels",
-        tolerances=(("tol", args.tol),),
-        conditions=(ConditionVerdict(
-            name="epsilon-certificate", passed=not build.flagged,
-            witnesses=tuple(Witness(label=table.encode(lab), achieved=float("inf"),
-                                    threshold=0.0,
-                                    context="no suffix of the schedule certifies this label")
-                            for lab in build.flagged),
-            summary="every label eventually meets ||I - block_n|| <= eps_n"),),
-        notes=(f"wrote {out.name}",
-               f"schedule: {schedule}",
-               f"tail bound beyond supplied range: {tail}"),
-    )
-    return _emit(report, args)
+    return _emit(_wrote(report, [out]), args)
 
 
 @functools.cache  # one argparse tree per process: building it costs more than parsing

@@ -21,7 +21,9 @@ import numpy as np
 
 from . import _linalg
 from .fourier import BlockMap, _by_side, stacked_blocks
-from .genfun import GeneratingFunctional, PropernessResult, _proper_scan
+from .genfun import (GeneratingFunctional, PropernessResult, _proper_scan,
+                     check_positive_blocks, check_symmetric)
+from .reports import CertificationReport, ConditionVerdict, Witness, fmt
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +74,48 @@ def check_proper_cocycle(c: CocycleMatrices, M: float) -> PropernessResult:
     lows = zip(c.labels, c.blocks.scan(lambda s: _linalg.min_eigenvalues(_gram(s))).tolist())
     unspecified = [c.table.labels[j] for j in np.flatnonzero(c.rows[1:] < 0) + 1]
     return _proper_scan(M, lows, unspecified, len(c.table) - 1)  # no trivial label
+
+
+def cocycle_report(L: GeneratingFunctional, M: float, tol: float, input_digest: str
+                   ) -> tuple[CertificationReport, CocycleMatrices | None]:
+    """The ``cocycle`` report on ``L`` at level M, and the cocycle factored out of
+    ``L``, or None when ``L`` is not symmetric with positive blocks."""
+    truncation = f"{len(L.table)} labels"
+    sym = check_symmetric(L, tol)
+    conditions = [ConditionVerdict(
+        name="symmetric", passed=sym.ok,
+        witnesses=(Witness(label="*", achieved=sym.residual, threshold=tol,
+                           context="largest Hermitian residual"),),
+        summary="all blocks self-adjoint")]
+    if sym.ok:
+        pos = check_positive_blocks(L, tol)
+        conditions.append(ConditionVerdict(
+            name="positive-blocks", passed=pos.ok,
+            witnesses=(Witness(label="*", achieved=pos.min_eigenvalue, threshold=-tol,
+                               context="smallest block eigenvalue"),),
+            summary="all blocks positive semidefinite"))
+    c, notes = None, ()
+    if all(v.passed for v in conditions):
+        c = factor_from_generator(L, tol=tol)
+        proper = check_proper_cocycle(c, M)
+        exceptional = ", ".join(L.table.encode(lab) for lab, _ in proper.exceptional)
+        conditions.append(ConditionVerdict(
+            name="proper-at-level", passed=proper.proper_at_level,
+            witnesses=tuple(Witness(label=L.table.encode(lab), achieved=low,
+                                    threshold=M, context="min eigenvalue of (c*)c")
+                            for lab, low in proper.exceptional),
+            summary=(f"proper at level M={fmt(M)} (up to a truncation of {truncation}): "
+                     f"{proper.certified_count} blocks certified >= M")))
+        notes = (f"exceptional set at M={fmt(M)}: "
+                 + (f"{{{exceptional}}}" if exceptional else "{}"),)
+    return CertificationReport(
+        command="cocycle",
+        input_digest=input_digest,
+        truncation=truncation,
+        tolerances=(("tol", tol), ("M", M)),
+        conditions=tuple(conditions),
+        notes=notes,
+    ), c
 
 
 def _gram(stack: np.ndarray) -> np.ndarray:

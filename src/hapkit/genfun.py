@@ -31,6 +31,7 @@ import numpy as np
 from . import _linalg
 from .fourier import (DEFAULT_TOL, BlockMap, MatrixFamily, _by_side, _constant_blocks,
                       _require_normalized, _require_same_table, stacked_blocks)
+from .reports import CertificationReport, ConditionVerdict, Witness, fmt
 
 logger = logging.getLogger(__name__)
 
@@ -150,6 +151,24 @@ def semigroup_at(L: GeneratingFunctional, t: float) -> MatrixFamily:
     return MatrixFamily(L.table, stacked_blocks(L.table, L._parts(stacks)), normalized=True)
 
 
+
+def semigroup_report(L: GeneratingFunctional, ts, tol: float,
+                     input_digest: str) -> tuple[CertificationReport, list[MatrixFamily]]:
+    """The ``semigroup`` report on ``L``, and its family at each time in ``ts``."""
+    # an overflow leaves a non-finite block for the caller to find, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        families = [semigroup_at(L, t) for t in ts]
+    return CertificationReport(
+        command="semigroup",
+        input_digest=input_digest,
+        truncation=f"{len(L.table)} labels",
+        tolerances=(("tol", tol),),
+        conditions=(ConditionVerdict(
+            name="evaluation", passed=True,
+            summary=f"{len(families)} semigroup families written"),),
+        notes=(f"t values: {', '.join(fmt(t) for t in ts)}",),
+    ), families
+
 def shift_unit(L: GeneratingFunctional) -> GeneratingFunctional:
     """Add the identity to every nontrivial block (convolving in counit - haar)."""
     nontrivial = _by_side(L.table, L.positions[1:])
@@ -247,6 +266,29 @@ def build_from_states(seq, betas=None, eps=None) -> tuple[GeneratingFunctional, 
     )
     return GeneratingFunctional(table, blocks), report
 
+
+
+def buildgen_report(seq, betas, eps, tol: float,
+                    input_digest: str) -> tuple[CertificationReport, GeneratingFunctional]:
+    """The ``buildgen`` report on :func:`build_from_states`, and the generator it built."""
+    L, build = build_from_states(seq, betas=betas, eps=eps)
+    schedule = ", ".join(f"(beta={fmt(b)}, eps={fmt(e)})" for b, e in build.schedule)
+    tail = "not available for this schedule" if build.tail_bound is None \
+        else fmt(build.tail_bound)
+    return CertificationReport(
+        command="buildgen",
+        input_digest=input_digest,
+        truncation=f"{len(L.table)} labels",
+        tolerances=(("tol", tol),),
+        conditions=(ConditionVerdict(
+            name="epsilon-certificate", passed=not build.flagged,
+            witnesses=tuple(Witness(label=L.table.encode(lab), achieved=float("inf"),
+                                    threshold=0.0,
+                                    context="no suffix of the schedule certifies this label")
+                            for lab in build.flagged),
+            summary="every label eventually meets ||I - block_n|| <= eps_n"),),
+        notes=(f"schedule: {schedule}", f"tail bound beyond supplied range: {tail}"),
+    ), L
 
 def generator_from_semigroup(sampler: Callable[[float], MatrixFamily],
                              t_small) -> tuple[GeneratingFunctional, dict]:

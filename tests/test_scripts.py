@@ -7,7 +7,8 @@ write files byte-identical to the committed ``fixtures/``, also without
 Every name in ``hapkit.__all__`` must exist, and every module-level function
 and class in ``src/hapkit`` must be used there, be public or be traced.
 Every function the benchmark tracer patches must still exist under the name
-it looks up, and a traced run must leave every module as it found it.
+it looks up, and a traced run must leave every module as it found it.  The
+CLI builds no verdict and reads no private name of the library.
 """
 
 import ast
@@ -110,6 +111,24 @@ def test_no_src_code_only_tests_use():
               and used[node.name] <= _names(node)[node.name]
               and node.name not in hapkit.__all__ and (module, node.name) not in traced]
     assert unused == []
+
+
+def test_cli_builds_no_verdict_and_reads_no_private_name():
+    """``cli`` parses, loads, writes and exits: each report comes whole from a
+    library call, so ``cli.py`` never names ``ConditionVerdict`` or ``Witness``,
+    imports no ``_``-prefixed name and reads none off a hapkit module."""
+    tree = ast.parse((REPO_ROOT / "src" / "hapkit" / "cli.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    imported = {alias.asname or alias.name for node in imports for alias in node.names}
+    modules = {alias.asname or alias.name for node in imports if node.module is None
+               for alias in node.names}
+    assert {"ConditionVerdict", "Witness"} & (imported | set(_names(tree))) == set()
+    private = [name for node in imports for alias in node.names
+               if (name := alias.name).startswith("_") and not name.startswith("__")]
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")]
+    assert private == []
 
 
 def test_traced_runs_record_spans_and_restore(tmp_path):

@@ -72,7 +72,8 @@ def test_counters_read_maps_built_from_stacks():
 
 def test_traced_run_keeps_the_call_paths(tmp_path):
     """A traced semigroup run makes one ``expm_neg`` per t and reads through the
-    traced reader; a cocycle run takes one ``psd_sqrt``; everything is put back."""
+    traced reader; a cocycle run takes one ``psd_sqrt``; a schoenberg run goes
+    through the traced ``schoenberg_check``; everything is put back."""
     original = genfun.semigroup_at
     gen = FIXTURES / "zdual_length_generator.json"
     tracer = tracing.Tracer()
@@ -80,6 +81,7 @@ def test_traced_run_keeps_the_call_paths(tmp_path):
     try:
         assert run_cli("semigroup", gen, "--t", "0.5,1,2", "--out", tmp_path).returncode == 0
         assert run_cli("cocycle", gen, "--M", "1", "--out", tmp_path / "c.json").returncode == 0
+        assert run_cli("schoenberg", "--group", "Z2*Z3", "--radius", "3").returncode == 0
         tracer.flush_counters()
     finally:
         tracer.uninstall()
@@ -87,6 +89,7 @@ def test_traced_run_keeps_the_call_paths(tmp_path):
     _, calls = tracer.self_times()
     assert calls["linalg.expm_neg"] == 3 and calls["genfun.semigroup_at"] == 3
     assert calls["linalg.psd_sqrt"] == 1 and calls["cocycle.factor_from_generator"] == 1
+    assert calls["classical.schoenberg_check"] == 1
     assert calls["serialize.read"] >= 2 and calls["serialize.write"] >= 4
     assert tracer.counters["serialize.bytes_written"] == sum(
         path.stat().st_size for path in Path(tmp_path).iterdir())
