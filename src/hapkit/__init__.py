@@ -14,16 +14,15 @@ tables, and no report claims anything beyond the truncation it saw.
 
 from .reports import __version__
 from .irreps import (IrrepLabel, IrrepTable, Word, FreeProductTable, make_table,
-                     free_product_table, parse_word)
+                     free_product_table)
 from .classical import (GroupSpec, GroupElement, length, ball, dual_irrep_table,
                         schoenberg_check, length_gram, length_functional, parse_group)
 from .fourier import (MatrixFamily, convolve, counit_family, haar_family, block_norm,
                       check_c0, check_hap_sequence, is_state_candidate,
                       max_block_deviation, C0Result, StateCandidate)
 from .genfun import (GeneratingFunctional, check_symmetric, check_positive_blocks,
-                     check_proper, semigroup_at, build_from_states, shift_unit,
-                     unit_shift_functional, generator_from_semigroup, default_schedule,
-                     PropernessResult, BuildReport)
+                     check_proper, semigroup_at, build_from_states, unit_shift_functional,
+                     generator_from_semigroup, default_schedule, PropernessResult, BuildReport)
 from .cocycle import (CocycleMatrices, factor_from_generator, gram_from_cocycle,
                       check_proper_cocycle, check_bounded)
 from .cfree import (cfree_state, cfree_generator, check_diam3, damping_family,
@@ -33,14 +32,14 @@ from .reports import CertificationReport, ConditionVerdict, Witness
 __all__ = [
     "__version__",
     "IrrepLabel", "IrrepTable", "Word", "FreeProductTable", "make_table",
-    "free_product_table", "parse_word",
+    "free_product_table",
     "GroupSpec", "GroupElement", "length", "ball", "dual_irrep_table",
     "schoenberg_check", "length_gram", "length_functional", "parse_group",
     "MatrixFamily", "convolve", "counit_family", "haar_family", "block_norm",
     "check_c0", "check_hap_sequence", "is_state_candidate", "max_block_deviation",
     "C0Result", "StateCandidate",
     "GeneratingFunctional", "check_symmetric", "check_positive_blocks", "check_proper",
-    "semigroup_at", "build_from_states", "shift_unit", "unit_shift_functional",
+    "semigroup_at", "build_from_states", "unit_shift_functional",
     "generator_from_semigroup", "default_schedule", "PropernessResult", "BuildReport",
     "CocycleMatrices", "factor_from_generator", "gram_from_cocycle",
     "check_proper_cocycle", "check_bounded",

@@ -13,8 +13,8 @@ certification in this package.
 
 Also here: the classical sum-of-states construction L = sum_n beta_n
 (counit - mu_n), recovery of the generator from small-time semigroup
-samples, and the unit shift L + (counit - haar) that pushes every
-nontrivial block above the identity.
+samples, the functional counit - haar, and the report builders of the
+``semigroup`` and ``buildgen`` commands.
 """
 
 from __future__ import annotations
@@ -168,13 +168,6 @@ def semigroup_report(L: GeneratingFunctional, ts, tol: float,
             summary=f"{len(families)} semigroup families written"),),
         notes=(f"t values: {', '.join(fmt(t) for t in ts)}",),
     ), families
-
-def shift_unit(L: GeneratingFunctional) -> GeneratingFunctional:
-    """Add the identity to every nontrivial block (convolving in counit - haar)."""
-    nontrivial = _by_side(L.table, L.positions[1:])
-    return GeneratingFunctional(L.table, stacked_blocks(L.table, [
-        (at, L.blocks.gather(d, at) + np.eye(d)) for d, at in nontrivial.items()]))
-
 
 def unit_shift_functional(table) -> GeneratingFunctional:
     """The functional counit - haar: identity at every nontrivial label."""

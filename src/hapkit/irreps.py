@@ -319,21 +319,6 @@ class FreeProductTable(LabelTable):
         return f"FreeProductTable({len(self)} words, max_word_length={self.max_word_length})"
 
 
-def parse_word(encoding: str, factor1: IrrepTable, factor2: IrrepTable) -> Word:
-    """Inverse of :meth:`Word.encode` relative to the two factor tables."""
-    if encoding == "":
-        return Word(())
-    letters = []
-    for part in encoding.split("|"):
-        fi_str, _, id_ = part.partition(":")
-        if fi_str not in ("1", "2") or not id_:
-            raise ValueError(f"malformed word letter {part!r}")
-        fi = int(fi_str)
-        table = factor1 if fi == 1 else factor2
-        letters.append((fi, table.decode(id_)))
-    return Word(tuple(letters))
-
-
 def free_product_table(t1: IrrepTable, t2: IrrepTable, max_word_length: int) -> FreeProductTable:
     """Enumerate the truncated label set of the dual free product.
 

@@ -51,6 +51,21 @@ def product_words(t1, t2, max_len):
     return words
 
 
+
+def parse_word(encoding: str, factor1, factor2) -> hk.Word:
+    """Inverse of ``Word.encode`` relative to the two factor tables, letter by letter."""
+    if encoding == "":
+        return hk.Word(())
+    letters = []
+    for part in encoding.split("|"):
+        fi_str, _, id_ = part.partition(":")
+        if fi_str not in ("1", "2") or not id_:
+            raise ValueError(f"malformed word letter {part!r}")
+        fi = int(fi_str)
+        table = factor1 if fi == 1 else factor2
+        letters.append((fi, table.decode(id_)))
+    return hk.Word(tuple(letters))
+
 def word_groups(wp, F1, F2):
     """{(factor, side) per letter: (positions, letter rows)} over the nontrivial
     words of ``wp``, by a loop over its ``Word`` objects; a letter's row counts
@@ -173,6 +188,12 @@ def zdual_values(radius: int):
     """Label values n = -radius..radius of the integer-group dual."""
     return list(range(-radius, radius + 1))
 
+
+
+def shift_unit(L: hk.GeneratingFunctional) -> hk.GeneratingFunctional:
+    """L + (counit - haar): the identity added to every nontrivial block, label by label."""
+    return hk.GeneratingFunctional(L.table, {lab: L[lab] + np.eye(len(L[lab]))
+                                             for lab in L.labels if lab != L.table.trivial})
 
 def lagrange_weights_at_zero(ts):
     """Extrapolation weights: p(0) = sum w_i p(t_i) for the interpolant."""
