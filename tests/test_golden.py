@@ -55,6 +55,7 @@ _INPUTS = {"fixtures", "freeprod_fail.json", "gen_nonsymmetric.json", "gen_negat
 
 
 def _pairs(matrix) -> list:
+    """A real matrix as the rows of [re, im] pairs a block is read from."""
     return [[[float(x), 0.0] for x in row] for row in matrix]
 
 
@@ -65,9 +66,10 @@ def _write_inputs(workdir: Path) -> None:
     config = json.loads((FIXTURES / "freeprod_zz.json").read_text())
     config.update(conv_tols=[0.9, 0.5, 0.3, 0.25, 0.25], max_word_length=2)
     (workdir / "freeprod_fail.json").write_text(json.dumps(config, sort_keys=True, indent=2))
-    # generators on the unit-shift fixture's table (labels a and b of sides 2 and 3):
-    # a block that is not Hermitian, a negative block, all blocks zero, and a block
-    # whose semigroup overflows at t = 1
+    # a copy of the unit-shift generator, so that cocycle's default output
+    # <gen>.cocycle.json lands in the run directory; then generators on its table
+    # (labels a and b of sides 2 and 3): a block that is not Hermitian, a negative
+    # block, all blocks zero, and a block whose semigroup overflows at t = 1
     text = (FIXTURES / "unit_shift_generator.json").read_text()
     (workdir / "unit_shift.json").write_text(text)
     zero = {"a": [[0, 0], [0, 0]], "b": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}
