@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hapkit as hk
+from hapkit import serialize as sz
 from oracles import alternating_count, alternating_words, parse_word
 
 
@@ -51,6 +52,55 @@ class TestMakeTable:
     def test_reserved_characters_rejected(self):
         with pytest.raises(ValueError, match="reserved"):
             hk.make_table([("a|b", 1)])
+
+
+def _entry(id_, dim=1, trivial=False):
+    return {"id": id_, "dim": dim, "trivial": trivial}
+
+
+TRIVIAL = _entry("1", trivial=True)
+
+# one fault per table: its JSON entries, then the error text of make_table on
+# their (id, dim) pairs (None where make_table takes no such input) and of
+# table_from_obj, which names the entry index where it checks the JSON shape
+TABLE_FAULTS = {
+    "repeated id": ([TRIVIAL, _entry("a"), _entry("b"), _entry("a", 2)],
+                    "duplicate label id 'a'", "table: duplicate label id 'a'"),
+    "repeated trivial id": ([TRIVIAL, _entry("a"), _entry("1")],
+                            "duplicate label id '1'", "table: duplicate label id '1'"),
+    "empty id": ([TRIVIAL, _entry("")],
+                 "label ids must be nonempty", "table: label ids must be nonempty"),
+    "bar in id": ([TRIVIAL, _entry("a|b")],
+                  "label id 'a|b' contains reserved character '|'",
+                  "table: label id 'a|b' contains reserved character '|'"),
+    "colon in id": ([TRIVIAL, _entry("2:x")],
+                    "label id '2:x' contains reserved character ':'",
+                    "table: label id '2:x' contains reserved character ':'"),
+    "dim 0": ([TRIVIAL, _entry("a", 0)],
+              "label 'a' has nonpositive dimension 0",
+              "table: entry 1 needs a positive integer dim"),
+    "trivial of dim 2": ([_entry("e", 2, trivial=True), _entry("a")],
+                         "trivial label 'e' must have dimension 1",
+                         "table: trivial label 'e' must have dimension 1"),
+    "two trivial flags": ([TRIVIAL, _entry("a", trivial=True)],
+                          None, "table: more than one trivial entry"),
+    "no trivial flag": ([_entry("a"), _entry("b")], None, "table: no trivial entry"),
+    "non-integer dim": ([TRIVIAL, _entry("a", 1.5)],
+                        None, "table: entry 1 needs a positive integer dim"),
+}
+
+
+@pytest.mark.parametrize("fault", TABLE_FAULTS)
+def test_table_error_texts(fault):
+    entries, made, read = TABLE_FAULTS[fault]
+    if made is not None:
+        trivial_id = next(e["id"] for e in entries if e["trivial"])
+        with pytest.raises(ValueError) as exc:
+            hk.make_table([(e["id"], e["dim"]) for e in entries], trivial_id=trivial_id)
+        assert exc.value.args == (made,)
+    with pytest.raises(sz.SchemaError) as exc:
+        sz.table_from_obj({"entries": entries})
+    assert exc.value.args == (read,)
 
 
 class TestFreeProductTable:
