@@ -64,10 +64,9 @@ def _word_groups(wp: FreeProductTable, positions: np.ndarray):
     ``key[j]`` the (factor, side) of the j-th letter, ``at`` the places in
     ``positions`` of its words, ascending, and ``index[i, j]`` the row of the
     j-th letter of ``positions[at[i]]`` in the stack ``key[j]`` of ``_letter_stacks``."""
-    _, sides, rows = _letter_places(wp)
-    second = (wp.starts[positions, np.newaxis] == 2) != (np.arange(wp.letters.shape[1]) % 2 == 1)
-    letters = wp.letters[positions] + (len(wp.factor1) - 1) * second
-    keys = np.column_stack([wp.lengths[positions], wp.starts[positions], sides[letters]])
+    factors, sides, rows = _letter_places(wp)
+    letters = wp.letters[positions]
+    keys = np.column_stack([wp.lengths[positions], factors[letters[:, :1]], sides[letters]])
     order = np.lexsort(keys.T[::-1])  # stable: a group keeps the order of ``positions``
     keys, index = keys[order], rows[letters[order]]
     firsts = np.flatnonzero(np.diff(keys, axis=0, prepend=-1).any(axis=1)).tolist()
@@ -78,7 +77,7 @@ def _word_groups(wp: FreeProductTable, positions: np.ndarray):
 
 def _letter_places(wp: FreeProductTable) -> tuple:
     """(factor, side, row in its stack of ``_letter_stacks``) of every letter,
-    numbered from factor 1's nontrivial labels on to factor 2's."""
+    in the numbering of ``wp.letters``."""
     factors = np.repeat([1, 2], [len(wp.factor1) - 1, len(wp.factor2) - 1])
     sides = np.concatenate([wp.factor1.dims[1:], wp.factor2.dims[1:]])
     order = np.argsort(factors + 3 * sides, kind="stable")  # by (side, factor), stable
@@ -238,8 +237,7 @@ class _WordValues:
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(wp.letters.shape[1]):  # the words of length > j are a suffix
                 rows = slice(np.searchsorted(wp.lengths, j, side="right"), None)
-                letters = wp.letters[rows, j] + (len(wp.factor1) - 1) * (
-                    (wp.starts[rows] == 2) != (j % 2 == 1))
+                letters = wp.letters[rows, j]
                 a, b, big, small = letter = ends[:, :, letters]  # a copy, used up below
                 lost = np.isnan(norms[:, rows] * small + least[:, rows] * big)  # inf * 0
                 acc[2:, :, rows] *= letter[2:]

@@ -120,21 +120,27 @@ class IrrepTable(LabelTable):
         entries = tuple(entries)
         if not entries:
             raise ValueError("table needs at least one entry")
-        trivials = [lab for lab, _ in entries if lab.is_trivial]
-        if len(trivials) != 1:
-            raise ValueError(f"table needs exactly one trivial label, got {len(trivials)}")
-        if entries[0][0] is not trivials[0] and entries[0][0] != trivials[0]:
-            raise ValueError("trivial label must come first")
-        if entries[0][1] != 1:
-            raise ValueError("trivial label must have dimension 1")
-        ids = [lab.id for lab, _ in entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("label ids must be unique")
-        for (lab, dim) in entries:
+        seen: set[str] = set()
+        for lab, dim in entries:
+            if lab.id in seen:
+                raise ValueError(f"duplicate label id {lab.id!r}")
+            seen.add(lab.id)
+            if not lab.id:
+                raise ValueError("label ids must be nonempty")
+            for ch in _RESERVED_ID_CHARS:
+                if ch in lab.id:
+                    raise ValueError(f"label id {lab.id!r} contains reserved character {ch!r}")
             if dim < 1:
                 raise ValueError(f"label {lab.id!r} has nonpositive dimension {dim}")
             if dim > _MAX_INDEX:
                 raise ValueError(f"label {lab.id!r} has dimension {dim}, over {_MAX_INDEX}")
+        trivials = [lab for lab, _ in entries if lab.is_trivial]
+        if len(trivials) != 1:
+            raise ValueError(f"table needs exactly one trivial label, got {len(trivials)}")
+        if not entries[0][0].is_trivial:
+            raise ValueError("trivial label must come first")
+        if entries[0][1] != 1:
+            raise ValueError(f"trivial label {trivials[0].id!r} must have dimension 1")
         super().__init__(entries)
 
     def keys_at(self, positions) -> list:
@@ -154,26 +160,10 @@ def make_table(entries: Iterable[tuple[str, int]], trivial_id: str = "1") -> Irr
     and must have dimension 1; if absent it is inserted automatically.  The
     remaining entries are sorted lexicographically by id.
     """
-    entries = list(entries)
-    seen: set[str] = set()
-    for id_, dim in entries:
-        if id_ in seen:
-            raise ValueError(f"duplicate label id {id_!r}")
-        seen.add(id_)
-        if not id_:
-            raise ValueError("label ids must be nonempty")
-        for ch in _RESERVED_ID_CHARS:
-            if ch in id_:
-                raise ValueError(f"label id {id_!r} contains reserved character {ch!r}")
-        if dim < 1:
-            raise ValueError(f"label {id_!r} has nonpositive dimension {dim}")
-    trivial_dims = [dim for id_, dim in entries if id_ == trivial_id]
-    if trivial_dims and trivial_dims[0] != 1:
-        raise ValueError(f"trivial label {trivial_id!r} must have dimension 1")
-    rest = sorted((id_, dim) for id_, dim in entries if id_ != trivial_id)
-    ordered = [(IrrepLabel(trivial_id, is_trivial=True), 1)]
-    ordered.extend((IrrepLabel(id_), dim) for id_, dim in rest)
-    return IrrepTable(ordered)
+    entries = sorted(entries, key=lambda entry: (entry[0] != trivial_id, entry[0]))
+    if not entries or entries[0][0] != trivial_id:
+        entries.insert(0, (trivial_id, 1))
+    return IrrepTable((IrrepLabel(id_, is_trivial=id_ == trivial_id), dim) for id_, dim in entries)
 
 
 @dataclass(frozen=True)
@@ -220,10 +210,10 @@ class FreeProductTable(LabelTable):
     copied.
 
     The words are held as arrays, row j for the j-th word: ``letters[j, i]``
-    is the position of its i-th letter among that factor's nontrivial
-    labels (0 past the word's end), ``lengths[j]`` its length, ``starts[j]``
-    the factor of its first letter (0 for the trivial word) and ``dims[j]``
-    its dimension.  ``keys_at`` encodes rows from these; ``Word`` objects,
+    is the number of its i-th letter, the letters of both factors numbered
+    together, factor 1's nontrivial labels first, then factor 2's (0 past
+    the word's end), ``lengths[j]`` its length and ``dims[j]`` its
+    dimension.  ``keys_at`` encodes rows from these; ``Word`` objects,
     ``labels`` and ``entries`` are made on first use.
     """
 
@@ -251,7 +241,6 @@ class FreeProductTable(LabelTable):
                        for f in (factor1, factor2)]
         self.letters = np.zeros((n, longest), dtype=np.intp, order="F")
         self.lengths = np.zeros(n, dtype=np.intp)
-        self.starts = np.zeros(n, dtype=np.int8)
         self.dims = np.ones(n, dtype=dtype)
         # The words of length k that start in factor s are a letter of s, slowest,
         # followed by each word of length k - 1 that starts in the other factor
@@ -262,10 +251,11 @@ class FreeProductTable(LabelTable):
             for s in (0, 1):
                 tail, size = shorter[1 - s], pools[s]
                 rows = slice(row, row + size * (tail.stop - tail.start))
-                self.letters[rows, 0] = np.repeat(np.arange(size), tail.stop - tail.start)
+                self.letters[rows, 0] = np.repeat(np.arange(size) + s * pools[0],
+                                                  tail.stop - tail.start)
                 self.letters[rows, 1:k] = np.tile(self.letters[tail, :k - 1], (size, 1))
                 self.dims[rows] = np.multiply.outer(letter_dims[s], self.dims[tail]).ravel()
-                self.lengths[rows], self.starts[rows] = k, s + 1
+                self.lengths[rows] = k
                 made.append(rows)
                 row = rows.stop
             shorter = made
@@ -279,11 +269,10 @@ class FreeProductTable(LabelTable):
 
     @functools.cached_property
     def labels(self) -> tuple:
-        pools = [[(fi, lab) for lab in f.nontrivial_labels]
-                 for fi, f in ((1, self.factor1), (2, self.factor2))]
-        return tuple(Word(tuple(pools[(start + i + 1) % 2][x] for i, x in enumerate(row[:k])))
-                     for row, k, start in zip(self.letters.tolist(), self.lengths.tolist(),
-                                              self.starts.tolist()))
+        pool = [(fi, lab) for fi, f in ((1, self.factor1), (2, self.factor2))
+                for lab in f.nontrivial_labels]
+        return tuple(Word(tuple(map(pool.__getitem__, row[:k])))
+                     for row, k in zip(self.letters.tolist(), self.lengths.tolist()))
 
     @functools.cached_property
     def entries(self) -> tuple:
@@ -291,20 +280,19 @@ class FreeProductTable(LabelTable):
 
     @functools.cached_property
     def _letter_keys(self) -> list:
-        return [[f"{fi}:{lab.id}" for lab in f.nontrivial_labels]
-                for fi, f in ((1, self.factor1), (2, self.factor2))]
+        return [f"{fi}:{lab.id}" for fi, f in ((1, self.factor1), (2, self.factor2))
+                for lab in f.nontrivial_labels]
 
     def keys_at(self, positions) -> list:
-        """The keys of the words at ``positions``: the words of one (length,
-        first factor) are encoded together, a letter column at a time."""
+        """The keys of the words at ``positions``: the words of one length are
+        encoded together, a letter column at a time."""
         positions = np.asarray(positions, dtype=np.intp)
         out = [""] * len(positions)  # the trivial word's key
-        groups = self.lengths[positions] * 3 + self.starts[positions]
-        for group in sorted(set(groups.tolist()) - {0}):
-            at = np.flatnonzero(groups == group)
-            (k, start), rows = divmod(group, 3), positions[at]
-            columns = [map(self._letter_keys[(start + i + 1) % 2].__getitem__,
-                           self.letters[rows, i].tolist()) for i in range(k)]
+        lengths = self.lengths[positions]
+        for k in sorted(set(lengths.tolist()) - {0}):
+            at = np.flatnonzero(lengths == k)
+            columns = [map(self._letter_keys.__getitem__, self.letters[positions[at], i].tolist())
+                       for i in range(k)]
             for i, key in zip(at.tolist(), map("|".join, zip(*columns))):
                 out[i] = key
         return out

@@ -53,6 +53,20 @@ class TestMakeTable:
         with pytest.raises(ValueError, match="reserved"):
             hk.make_table([("a|b", 1)])
 
+    @pytest.mark.parametrize("id_, text", [
+        ("a|2:x", "label id 'a|2:x' contains reserved character '|'"),
+        ("", "label ids must be nonempty"),
+    ], ids=["reserved", "empty"])
+    def test_direct_construction_rejects_ids_make_table_rejects(self, id_, text):
+        # with factor ids {a, a|2:x} and {x}, the one-letter word 1:a|2:x and the
+        # two-letter word (1:a, 2:x) would share the key '1:a|2:x'
+        with pytest.raises(ValueError) as made:
+            hk.make_table([("a", 1), (id_, 1)])
+        with pytest.raises(ValueError) as built:
+            hk.IrrepTable([(hk.IrrepLabel("1", is_trivial=True), 1),
+                           (hk.IrrepLabel("a"), 1), (hk.IrrepLabel(id_), 1)])
+        assert made.value.args == built.value.args == (text,)
+
 
 def _entry(id_, dim=1, trivial=False):
     return {"id": id_, "dim": dim, "trivial": trivial}

@@ -40,6 +40,13 @@ class TestEnumeration:
         assert wp.entries == tuple(want)
         assert wp.dims.tolist() == [d for _, d in want]
         assert wp.lengths.tolist() == [len(w) for w, _ in want]
+        # letters are numbered across both factors, factor 1's first
+        pool = [*tables[0].nontrivial_labels, *tables[1].nontrivial_labels]
+        for j, (word, _) in enumerate(want):
+            numbers = wp.letters[j, :len(word)].tolist()
+            assert [pool[x] for x in numbers] == [lab for _, lab in word.letters]
+            assert [1 + (x >= len(tables[0]) - 1) for x in numbers] == [
+                fi for fi, _ in word.letters]
         brute = oracles.alternating_words(ids(tables[0]), ids(tables[1]), length)
         assert {w.encode() for w, _ in want} == {
             "|".join(f"{fi}:{id_}" for fi, id_ in w) for w in brute}
