@@ -151,7 +151,6 @@ def semigroup_at(L: GeneratingFunctional, t: float) -> MatrixFamily:
     return MatrixFamily(L.table, stacked_blocks(L.table, L._parts(stacks)), normalized=True)
 
 
-
 def semigroup_report(L: GeneratingFunctional, ts, tol: float,
                      input_digest: str) -> tuple[CertificationReport, list[MatrixFamily]]:
     """The ``semigroup`` report on ``L``, and its family at each time in ``ts``."""
@@ -168,6 +167,7 @@ def semigroup_report(L: GeneratingFunctional, ts, tol: float,
             summary=f"{len(families)} semigroup families written"),),
         notes=(f"t values: {', '.join(fmt(t) for t in ts)}",),
     ), families
+
 
 def unit_shift_functional(table) -> GeneratingFunctional:
     """The functional counit - haar: identity at every nontrivial label."""
@@ -260,7 +260,6 @@ def build_from_states(seq, betas=None, eps=None) -> tuple[GeneratingFunctional, 
     return GeneratingFunctional(table, blocks), report
 
 
-
 def buildgen_report(seq, betas, eps, tol: float,
                     input_digest: str) -> tuple[CertificationReport, GeneratingFunctional]:
     """The ``buildgen`` report on :func:`build_from_states`, and the generator it built."""
@@ -282,6 +281,7 @@ def buildgen_report(seq, betas, eps, tol: float,
             summary="every label eventually meets ||I - block_n|| <= eps_n"),),
         notes=(f"schedule: {schedule}", f"tail bound beyond supplied range: {tail}"),
     ), L
+
 
 def generator_from_semigroup(sampler: Callable[[float], MatrixFamily],
                              t_small) -> tuple[GeneratingFunctional, dict]:

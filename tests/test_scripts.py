@@ -8,7 +8,8 @@ Every name in ``hapkit.__all__`` must exist, and every module-level function
 and class in ``src/hapkit`` must be used there, be public or be traced.
 Every function the benchmark tracer patches must still exist under the name
 it looks up, and a traced run must leave every module as it found it.  The
-CLI builds no verdict and reads no private name of the library.
+CLI builds no verdict and reads no private name of the library.  Module-level
+definitions in ``src/hapkit`` keep PEP 8's two blank lines above them.
 """
 
 import ast
@@ -111,6 +112,25 @@ def test_no_src_code_only_tests_use():
               and used[node.name] <= _names(node)[node.name]
               and node.name not in hapkit.__all__ and (module, node.name) not in traced]
     assert unused == []
+
+
+def test_module_level_definitions_have_two_blank_lines_above():
+    """PEP 8's layout: exactly two blank lines above each module-level def and
+    class of ``src/hapkit``, a comment directly above it counting as its own."""
+    wrong = []
+    for path in sorted((REPO_ROOT / "src" / "hapkit").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            top = min(d.lineno for d in [node, *node.decorator_list]) - 1  # lines above it
+            while top and lines[top - 1].startswith("#"):
+                top -= 1
+            blank = next((i for i in range(top) if lines[top - 1 - i].strip()), top)
+            if blank != 2 and blank != top:  # a file may open with a definition
+                wrong.append(f"{path.name}:{node.lineno} {node.name}: {blank} blank lines")
+    assert wrong == []
 
 
 def test_cli_builds_no_verdict_and_reads_no_private_name():
