@@ -37,7 +37,7 @@ for t in (0.0, 0.25, 1.0, 4.0):
 
 print("\nc0 scan of the t=1 family at eps=0.1:")
 res = hk.check_c0(hk.semigroup_at(L, 1.0), 0.1)
-print("  exceptional:", [table.encode(lab) for lab in res.exceptional])
+print("  exceptional:", [table.encode(lab) for lab in res.exceptional_labels])
 print("  tail clean:", res.tail_clean)
 
 # the full blockwise criterion on the family sequence exp(-|n|/k)

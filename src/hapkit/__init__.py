@@ -19,10 +19,10 @@ from .classical import (GroupSpec, GroupElement, length, ball, dual_irrep_table,
                         schoenberg_check, length_gram, length_functional, parse_group)
 from .fourier import (MatrixFamily, convolve, counit_family, haar_family, block_norm,
                       check_c0, check_hap_sequence, is_state_candidate,
-                      max_block_deviation, C0Result, StateCandidate)
+                      max_block_deviation, ExceptionalSet, StateCandidate)
 from .genfun import (GeneratingFunctional, check_symmetric, check_positive_blocks,
                      check_proper, semigroup_at, build_from_states, unit_shift_functional,
-                     generator_from_semigroup, default_schedule, PropernessResult, BuildReport)
+                     generator_from_semigroup, default_schedule, BuildReport)
 from .cocycle import (CocycleMatrices, factor_from_generator, gram_from_cocycle,
                       check_proper_cocycle, check_bounded)
 from .cfree import (cfree_state, cfree_generator, check_diam3, damping_family,
@@ -37,10 +37,10 @@ __all__ = [
     "schoenberg_check", "length_gram", "length_functional", "parse_group",
     "MatrixFamily", "convolve", "counit_family", "haar_family", "block_norm",
     "check_c0", "check_hap_sequence", "is_state_candidate", "max_block_deviation",
-    "C0Result", "StateCandidate",
+    "ExceptionalSet", "StateCandidate",
     "GeneratingFunctional", "check_symmetric", "check_positive_blocks", "check_proper",
     "semigroup_at", "build_from_states", "unit_shift_functional",
-    "generator_from_semigroup", "default_schedule", "PropernessResult", "BuildReport",
+    "generator_from_semigroup", "default_schedule", "BuildReport",
     "CocycleMatrices", "factor_from_generator", "gram_from_cocycle",
     "check_proper_cocycle", "check_bounded",
     "cfree_state", "cfree_generator", "check_diam3", "damping_family",

@@ -20,9 +20,8 @@ import logging
 import numpy as np
 
 from . import _linalg
-from .fourier import BlockMap, _by_side, stacked_blocks
-from .genfun import (GeneratingFunctional, PropernessResult, _proper_scan,
-                     check_positive_blocks, check_symmetric)
+from .fourier import BlockMap, ExceptionalSet, _by_side, _exceptional_set, stacked_blocks
+from .genfun import GeneratingFunctional, check_positive_blocks, check_symmetric
 from .reports import CertificationReport, ConditionVerdict, Witness, fmt
 
 logger = logging.getLogger(__name__)
@@ -67,13 +66,13 @@ def gram_from_cocycle(c: CocycleMatrices) -> GeneratingFunctional:
         {d: _linalg.hermitize(_gram(s)) / 2.0 for d, s in c.stacks.items()})))
 
 
-def check_proper_cocycle(c: CocycleMatrices, M: float) -> PropernessResult:
-    """Labels where the smallest eigenvalue of (c^a)*(c^a) is below M."""
+def check_proper_cocycle(c: CocycleMatrices, M: float) -> ExceptionalSet:
+    """(label, smallest eigenvalue of (c^a)*(c^a)) of the blocks below M, over
+    the nontrivial labels."""
     if M <= 0:
         raise ValueError("threshold M must be positive")
-    lows = zip(c.labels, c.blocks.scan(lambda s: _linalg.min_eigenvalues(_gram(s))).tolist())
-    unspecified = [c.table.labels[j] for j in np.flatnonzero(c.rows[1:] < 0) + 1]
-    return _proper_scan(M, lows, unspecified, len(c.table) - 1)  # no trivial label
+    lows = c.blocks.scan(lambda s: _linalg.min_eigenvalues(_gram(s)))
+    return _exceptional_set(c, lows, lows >= M, M, nontrivial=True)
 
 
 def cocycle_report(L: GeneratingFunctional, M: float, tol: float, input_digest: str

@@ -316,14 +316,44 @@ def max_block_deviation(F: MatrixFamily, G: MatrixFamily) -> float:
 
 
 @dataclass(frozen=True)
-class C0Result:
-    """Outcome of a c0-decay scan at one threshold."""
+class ExceptionalSet:
+    """Outcome of a c0 scan (block norm <= eps) or a properness scan (smallest
+    eigenvalue of L^a or (c^a)*(c^a) >= M).  ``proper_at_level`` holds relative
+    to the truncation only: at least one block was certified there."""
 
-    eps: float
-    exceptional: tuple
-    unspecified: tuple
-    tail_clean: bool
-    table_size: int
+    threshold: float
+    exceptional: tuple  # (label, value) pairs in table order; NaN for a non-finite block
+    unspecified: tuple  # scanned labels without a block
+    table_size: int  # labels the scan covers
+
+    @property
+    def exceptional_labels(self) -> tuple:
+        return tuple(lab for lab, _ in self.exceptional)
+
+    @property
+    def tail_clean(self) -> bool:
+        return not self.unspecified
+
+    @property
+    def certified_count(self) -> int:
+        return self.table_size - len(self.exceptional) - len(self.unspecified)
+
+    @property
+    def proper_at_level(self) -> bool:
+        return self.certified_count > 0
+
+
+def _exceptional_set(B: BlockMap, values, ok, threshold: float,
+                     nontrivial: bool = False) -> ExceptionalSet:
+    """The scan of ``B`` whose ``values``, aligned with ``B.labels``, are on the
+    good side where ``ok`` holds, so a NaN fails closed; ``nontrivial`` leaves
+    the trivial label out of the scan."""
+    bad, first = np.flatnonzero(~ok), int(nontrivial)
+    labels, missing = B.labels, np.flatnonzero(B.rows[first:] < 0) + first
+    return ExceptionalSet(threshold, tuple(zip([labels[i] for i in bad.tolist()],
+                                               values[bad].tolist())),
+                          tuple(B.table.labels[j] for j in missing.tolist()),
+                          len(B.table) - first)
 
 
 def _require_c0_eps(eps: float) -> None:
@@ -332,24 +362,12 @@ def _require_c0_eps(eps: float) -> None:
         raise ValueError(f"eps_decay (the c0 threshold) must lie in (0, 1), got {eps:g}")
 
 
-def check_c0(F: MatrixFamily, eps: float) -> C0Result:
-    """Labels whose block norm is not verified <= ``eps`` (NaN counts as above).
-
-    ``tail_clean`` records whether every remaining table label actually
-    carries a block that was verified <= eps; unspecified labels make the
-    scan inconclusive outside the support and are listed separately.
-    """
+def check_c0(F: MatrixFamily, eps: float) -> ExceptionalSet:
+    """(label, norm) of the blocks whose norm is not verified <= ``eps`` (NaN
+    counts as above), and the labels without a block, which make the scan
+    inconclusive outside the support (``tail_clean`` is then False)."""
     _require_c0_eps(eps)
-    labels = F.labels
-    exceptional = [labels[i] for i in np.flatnonzero(~(F.norms <= eps))]
-    unspecified = tuple(F.table.labels[j] for j in np.flatnonzero(F.rows < 0).tolist())
-    return C0Result(
-        eps=eps,
-        exceptional=tuple(exceptional),
-        unspecified=unspecified,
-        tail_clean=not unspecified,
-        table_size=len(F.table),
-    )
+    return _exceptional_set(F, F.norms, F.norms <= eps, eps)
 
 
 @dataclass(frozen=True)
@@ -395,10 +413,10 @@ def family_content_digest(families) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _c0_scan(res: C0Result, table) -> tuple:
+def _c0_scan(res: ExceptionalSet, table) -> tuple:
     """(exceptional, nontrivial exceptional, unspecified) of a ``check_c0`` result:
     its exceptional labels are in table order, so only the first can be trivial."""
-    exc = res.exceptional
+    exc = res.exceptional_labels
     return len(exc), len(exc) - (exc[:1] == (table.trivial,)), res.unspecified
 
 

@@ -29,8 +29,9 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from . import _linalg
-from .fourier import (DEFAULT_TOL, BlockMap, MatrixFamily, _by_side, _constant_blocks,
-                      _require_normalized, _require_same_table, stacked_blocks)
+from .fourier import (DEFAULT_TOL, BlockMap, ExceptionalSet, MatrixFamily, _by_side,
+                      _constant_blocks, _exceptional_set, _require_normalized,
+                      _require_same_table, stacked_blocks)
 from .reports import CertificationReport, ConditionVerdict, Witness, fmt
 
 logger = logging.getLogger(__name__)
@@ -87,54 +88,16 @@ def check_positive_blocks(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> 
     return PositivityCheck(worst >= -tol, worst)
 
 
-@dataclass(frozen=True)
-class PropernessResult:
-    """Labels failing the block bound >= M*I within one truncation.
-
-    ``proper_at_level`` only ever asserts properness *relative to the
-    truncation*: the exceptional set is finite there by construction, so the
-    meaningful content is that at least one block was certified above M.
-    """
-
-    level: float
-    exceptional: tuple  # pairs (label, min eigenvalue)
-    unspecified: tuple
-    table_size: int
-
-    @property
-    def exceptional_labels(self) -> tuple:
-        return tuple(lab for lab, _ in self.exceptional)
-
-    @property
-    def certified_count(self) -> int:
-        return self.table_size - len(self.exceptional) - len(self.unspecified)
-
-    @property
-    def proper_at_level(self) -> bool:
-        return self.certified_count > 0
-
-
-def _proper_scan(M: float, lows, unspecified, table_size: int) -> PropernessResult:
-    """Exceptional set over (label, smallest eigenvalue) pairs; NaN fails closed."""
-    return PropernessResult(
-        level=M,
-        exceptional=tuple((lab, low) for lab, low in lows if not low >= M),
-        unspecified=tuple(unspecified),
-        table_size=table_size,
-    )
-
-
-def check_proper(L: GeneratingFunctional, M: float) -> PropernessResult:
-    """Exceptional set of a symmetric functional at threshold M."""
+def check_proper(L: GeneratingFunctional, M: float) -> ExceptionalSet:
+    """(label, smallest eigenvalue) of the blocks of a symmetric functional below M."""
     if M <= 0:
         raise ValueError("threshold M must be positive")
     sym = check_symmetric(L)
     if not sym.ok:
         raise ValueError(f"properness is defined for symmetric functionals "
                          f"(Hermitian residual {sym.residual:g})")
-    lows = zip(L.labels, L.blocks.scan(_linalg.min_eigenvalues).tolist())
-    unspecified = [L.table.labels[j] for j in np.flatnonzero(L.rows < 0).tolist()]
-    return _proper_scan(M, lows, unspecified, len(L.table))
+    lows = L.blocks.scan(_linalg.min_eigenvalues)
+    return _exceptional_set(L, lows, lows >= M, M)
 
 
 def semigroup_at(L: GeneratingFunctional, t: float) -> MatrixFamily:

@@ -7,9 +7,9 @@ of a free product has labels given by alternating words of nontrivial labels
 of the factors, with dimensions multiplying along the word; this module
 enumerates those words up to a chosen length.
 
-Tables and words are immutable values: safe to share across threads and to
-use as dictionary keys.  A table's derived tuples (``labels`` and, for word
-tables, ``entries``) are made once, on first use.
+Tables and words are immutable values, safe to share across threads.  Words
+are hashable; tables are not, and compare by value.  A table's derived tuples
+(``labels`` and, for word tables, ``entries``) are made once, on first use.
 """
 
 from __future__ import annotations
@@ -141,6 +141,10 @@ class IrrepTable(LabelTable):
             raise ValueError("trivial label must come first")
         if entries[0][1] != 1:
             raise ValueError(f"trivial label {trivials[0].id!r} must have dimension 1")
+        for (a, _), (b, _) in zip(entries[1:], entries[2:]):
+            if not a.id < b.id:
+                raise ValueError(f"label ids must increase after the trivial label: "
+                                 f"{b.id!r} follows {a.id!r}")
         super().__init__(entries)
 
     def keys_at(self, positions) -> list:

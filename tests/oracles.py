@@ -541,13 +541,39 @@ def label_factor(L: LabelBlockMap, tol):
     return dict(zip(nontrivial, roots))
 
 
+def label_c0(table, blocks, eps):
+    """(exceptional (label, norm) pairs, unspecified labels, labels scanned) of
+    the family blocks at threshold eps, one operator norm per label."""
+    labels = [lab for lab in table.labels if lab in blocks]
+    norms = block_norms([blocks[lab] for lab in labels])
+    return (tuple((lab, norm) for lab, norm in zip(labels, norms) if not norm <= eps),
+            tuple(lab for lab in table.labels if lab not in blocks), len(table.labels))
+
+
+def label_proper(table, blocks, M):
+    """(exceptional (label, low) pairs, unspecified labels, labels scanned) of
+    the generator blocks at level M, with [0] at a missing trivial label, one
+    ``eigvalsh`` per label; or the ValueError text when a Hermitian residual
+    is over 1e-9 or NaN."""
+    blocks = {table.trivial: np.zeros((1, 1), dtype=np.complex128), **blocks}
+    residuals = block_norms([blk - blk.conj().T for blk in blocks.values()])
+    worst = math.nan if any(map(math.isnan, residuals)) else max(residuals)
+    if not worst <= 1e-9:
+        return f"properness is defined for symmetric functionals (Hermitian residual {worst:g})"
+    labels = [lab for lab in table.labels if lab in blocks]
+    lows = block_min_eigenvalues([blocks[lab] for lab in labels])
+    return (tuple((lab, low) for lab, low in zip(labels, lows) if not low >= M),
+            tuple(lab for lab in table.labels if lab not in blocks), len(table.labels))
+
+
 def label_proper_cocycle(table, blocks, M):
-    """(exceptional (label, low) pairs, unspecified labels) of the cocycle
-    blocks at level M, one ``eigvalsh`` of (c*)c per label in table order."""
+    """(exceptional (label, low) pairs, unspecified labels, labels scanned) of
+    the cocycle blocks at level M, one ``eigvalsh`` of (c*)c per label in
+    table order; the trivial label is not scanned."""
     labels = [lab for lab in table.labels if lab in blocks]
     lows = block_min_eigenvalues([blocks[lab].conj().T @ blocks[lab] for lab in labels])
     return (tuple((lab, low) for lab, low in zip(labels, lows) if not low >= M),
-            tuple(lab for lab in table.labels[1:] if lab not in blocks))
+            tuple(lab for lab in table.labels[1:] if lab not in blocks), len(table.labels) - 1)
 
 
 def label_build_from_states(table, seq, betas, eps):

@@ -135,17 +135,38 @@ class TestDerivedMapsOracle:
             assert got.blocks[lab].tobytes() == blk.tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(drawn=block_maps(), M=st.sampled_from([1e-3, 1.0, 4.0]))
-    def test_proper_cocycle(self, drawn, M):
+    @given(drawn=block_maps(), M=st.sampled_from([1e-3, 1.0, 4.0]),
+           eps=st.sampled_from([1e-3, 0.5, 0.99]), hermitian=st.booleans())
+    def test_proper_cocycle(self, drawn, M, eps, hermitian):
+        """Every exceptional-set scan as the oracle's: ``check_c0`` on the drawn
+        blocks, ``check_proper_cocycle`` on them without the trivial one, and
+        ``check_proper`` on those or, if ``hermitian``, on each b + b*: the same
+        (label, value) pairs, value bits, unspecified labels and table size, or
+        the same error text."""
         table, blocks = drawn
-        blocks.pop(table.trivial, None)
+        nontrivial = {lab: blk for lab, blk in blocks.items() if lab != table.trivial}
         with _small_stacks(), np.errstate(all="ignore"):
-            got = hk.check_proper_cocycle(hk.CocycleMatrices(table, blocks), M)
-            exceptional, unspecified = oracles.label_proper_cocycle(table, blocks, M)
-        assert [lab for lab, _ in got.exceptional] == [lab for lab, _ in exceptional]
-        assert _bits([low for _, low in got.exceptional]) == _bits(
-            [low for _, low in exceptional])
-        assert got.unspecified == unspecified and got.table_size == len(table) - 1
+            generator = ({lab: blk + blk.conj().T for lab, blk in nontrivial.items()}
+                         if hermitian else nontrivial)
+            for scan, B, level, expected in [
+                    (hk.check_c0, hk.MatrixFamily(table, blocks), eps,
+                     oracles.label_c0(table, blocks, eps)),
+                    (hk.check_proper, hk.GeneratingFunctional(table, generator), M,
+                     oracles.label_proper(table, generator, M)),
+                    (hk.check_proper_cocycle, hk.CocycleMatrices(table, nontrivial), M,
+                     oracles.label_proper_cocycle(table, nontrivial, M))]:
+                if isinstance(expected, str):
+                    with pytest.raises(ValueError) as raised:
+                        scan(B, level)
+                    assert str(raised.value) == expected
+                    continue
+                got, (exceptional, unspecified, size) = scan(B, level), expected
+                assert got.exceptional_labels == tuple(lab for lab, _ in exceptional)
+                assert all(type(value) is float for _, value in got.exceptional)
+                assert _bits([value for _, value in got.exceptional]) == _bits(
+                    [value for _, value in exceptional])
+                assert (got.threshold, got.unspecified, got.table_size) == (
+                    level, unspecified, size)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 3))

@@ -146,19 +146,19 @@ class TestBlockNorm:
 class TestCheckC0:
     def test_haar(self, table):
         res = hk.check_c0(hk.haar_family(table), 0.5)
-        assert res.exceptional == (table.trivial,)
+        assert res.exceptional_labels == (table.trivial,)
         assert res.tail_clean
 
     def test_counit_all_exceptional(self, table):
         res = hk.check_c0(hk.counit_family(table), 0.5)
-        assert set(res.exceptional) == set(table.labels)
+        assert set(res.exceptional_labels) == set(table.labels)
         assert res.table_size - len(res.exceptional) - len(res.unspecified) == 0
 
     def test_zdual_exponential_decay(self):
         t = zdual_table(5)
         F = zdual_family(t, lambda n: math.exp(-abs(n)))
         res = hk.check_c0(F, math.exp(-3) + 1e-12)
-        got = sorted(t.encode(lab) for lab in res.exceptional)
+        got = sorted(t.encode(lab) for lab in res.exceptional_labels)
         assert got == sorted(["e", "a^1", "a^-1", "a^2", "a^-2"])
         assert res.tail_clean
         assert res.table_size - len(res.exceptional) - len(res.unspecified) == 6

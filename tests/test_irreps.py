@@ -67,6 +67,16 @@ class TestMakeTable:
                            (hk.IrrepLabel("a"), 1), (hk.IrrepLabel(id_), 1)])
         assert made.value.args == built.value.args == (text,)
 
+    def test_direct_construction_rejects_ids_out_of_order(self):
+        # the JSON reader sorts by id, so an unsorted table would read back unequal
+        with pytest.raises(ValueError) as built:
+            hk.IrrepTable([(hk.IrrepLabel("1", is_trivial=True), 1),
+                           (hk.IrrepLabel("b"), 1), (hk.IrrepLabel("a"), 1)])
+        assert built.value.args == (
+            "label ids must increase after the trivial label: 'a' follows 'b'",)
+        t = hk.make_table([("b", 1), ("a", 1)])
+        assert sz.table_from_obj(sz.table_to_obj(t)) == t
+
 
 def _entry(id_, dim=1, trivial=False):
     return {"id": id_, "dim": dim, "trivial": trivial}

@@ -253,7 +253,7 @@ class TestNonFiniteFailsClosed:
     def test_c0_counts_a_nan_block_as_exceptional(self):
         with np.errstate(all="ignore"):
             res = hk.check_c0(_inf_family(), 0.5)
-        assert [_table().encode(lab) for lab in res.exceptional] == ["1", "y"]
+        assert [_table().encode(lab) for lab in res.exceptional_labels] == ["1", "y"]
 
     def test_state_candidate_names_the_nan_block(self):
         with np.errstate(all="ignore"):

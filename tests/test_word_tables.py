@@ -291,4 +291,4 @@ class TestC0Count:
         res = hk.check_c0(F, eps)
         exc, nontrivial, unspecified = fourier._c0_scan(res, table)
         assert exc == len(res.exceptional) and unspecified == res.unspecified
-        assert nontrivial == sum(1 for lab in res.exceptional if lab != table.trivial)
+        assert nontrivial == sum(1 for lab in res.exceptional_labels if lab != table.trivial)
