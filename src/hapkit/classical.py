@@ -14,6 +14,7 @@ at desk scale, that exp(-t*length) is a positive-definite kernel on a ball.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import string
@@ -89,6 +90,13 @@ def ball(spec: GroupSpec, radius: int) -> list[GroupElement]:
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    return list(_ball(spec, radius))
+
+
+@functools.lru_cache(maxsize=1)
+def _ball(spec: GroupSpec, radius: int) -> tuple[GroupElement, ...]:
+    """``ball``, kept for the last ``(spec, radius)``: a ``schoenberg`` run reads
+    it in ``length_gram`` and again for the size its report states."""
     syllables = [(c, i, e) for i, m in enumerate(spec.orders)
                  for e in (range(1, m) if m else range(-radius, radius + 1))
                  if 0 < (c := _cost(m, e)) <= radius]
@@ -97,7 +105,7 @@ def ball(spec: GroupSpec, radius: int) -> list[GroupElement]:
         words += [(word + ((i, e),), n + c) for c, i, e in syllables
                   if n + c <= radius and not (word and word[-1][0] == i)]
     elements = {GroupElement(spec, word): n for word, n in words}
-    return sorted(elements, key=lambda g: (elements[g], g.encode()))
+    return tuple(sorted(elements, key=lambda g: (elements[g], g.encode())))
 
 
 def dual_irrep_table(spec: GroupSpec, radius: int) -> IrrepTable:

@@ -15,16 +15,12 @@ many blocks satisfy (c^a)*(c^a) >= M*I.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from . import _linalg
 from .fourier import BlockMap, ExceptionalSet, _by_side, _exceptional_set, stacked_blocks
 from .genfun import GeneratingFunctional, check_positive_blocks, check_symmetric
-from .reports import CertificationReport, ConditionVerdict, Witness, fmt
-
-logger = logging.getLogger(__name__)
+from .reports import CertificationReport, ConditionVerdict, Witness, fmt, log_info
 
 CLAMP_TOL = 1e-10
 
@@ -54,8 +50,8 @@ def factor_from_generator(L: GeneratingFunctional, tol: float = CLAMP_TOL) -> Co
         raise ValueError(f"block {L.table.key_at(int(at[bad[0]]))!r}: matrix is not "
                          f"positive semidefinite: eigenvalue {float(lows[bad[0]])}")
     if (lows < 0).any():
-        logger.info("factor_from_generator: clamped %d blocks (worst magnitude %g)",
-                    np.count_nonzero(lows < 0), -lows.min())
+        log_info(__name__, "factor_from_generator: clamped %d blocks (worst magnitude %g)",
+                 np.count_nonzero(lows < 0), -lows.min())
     return CocycleMatrices(L.table, stacked_blocks(L.table, [
         (where, roots[d][L.rows[where]]) for d, where in _by_side(L.table, at).items()]))
 

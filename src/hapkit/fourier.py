@@ -26,8 +26,6 @@ in ``cfree``.
 from __future__ import annotations
 
 import functools
-import hashlib
-import logging
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -37,9 +35,7 @@ import numpy as np
 
 from . import _linalg
 from .reports import (CertificationReport, ConditionVerdict, Witness, WitnessRows,
-                      _matrix_template)
-
-logger = logging.getLogger(__name__)
+                      _matrix_template, log_info, sha256)
 
 NORMALIZED_ATOL = 1e-9
 DEFAULT_TOL = 1e-9
@@ -275,7 +271,7 @@ def convolve(F: MatrixFamily, G: MatrixFamily) -> MatrixFamily:
     common = np.flatnonzero((F.rows >= 0) & (G.rows >= 0))
     omitted = np.count_nonzero((F.rows >= 0) | (G.rows >= 0)) - len(common)
     if omitted:
-        logger.info("convolve: %d labels outside common support omitted", omitted)
+        log_info(__name__, "convolve: %d labels outside common support omitted", omitted)
     blocks = stacked_blocks(F.table, [(at, F.blocks.gather(d, at) @ G.blocks.gather(d, at))
                                       for d, at in _by_side(F.table, common).items()])
     return MatrixFamily(F.table, blocks, normalized=F.normalized and G.normalized)
@@ -400,7 +396,7 @@ def is_state_candidate(F: MatrixFamily) -> StateCandidate:
 
 def family_content_digest(families) -> str:
     """Content hash of a family sequence (canonical label order)."""
-    h = hashlib.sha256()
+    h = sha256()
     if families:
         table = families[0].table
         for key, dim in zip(table.keys_at(np.arange(len(table))), table.dims.tolist()):

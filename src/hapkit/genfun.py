@@ -20,7 +20,6 @@ samples, the functional counit - haar, and the report builders of the
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -32,9 +31,7 @@ from . import _linalg
 from .fourier import (DEFAULT_TOL, BlockMap, ExceptionalSet, MatrixFamily, _by_side,
                       _constant_blocks, _exceptional_set, _require_normalized,
                       _require_same_table, stacked_blocks)
-from .reports import CertificationReport, ConditionVerdict, Witness, fmt
-
-logger = logging.getLogger(__name__)
+from .reports import CertificationReport, ConditionVerdict, Witness, fmt, log_info
 
 
 class GeneratingFunctional(BlockMap):
@@ -210,8 +207,8 @@ def build_from_states(seq, betas=None, eps=None) -> tuple[GeneratingFunctional, 
                        for lab, n, certified in zip(support, starts, onward.any(axis=0))}
     flagged = [lab for lab, n in first_certified.items() if n is None]
     if flagged:
-        logger.info("build_from_states: epsilon certificate impossible for %d labels",
-                    len(flagged))
+        log_info(__name__, "build_from_states: epsilon certificate impossible for %d labels",
+                 len(flagged))
     f_sets = tuple(frozenset(lab for lab, good in zip(support, row) if good) for row in ok)
     report = BuildReport(
         schedule=tuple(zip(betas, eps)),

@@ -11,13 +11,23 @@ audited.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 
 __version__ = "0.1.0"
+
+# The interpreter's own SHA-256, as random.py takes its sha512: hashlib would
+# load and initialise OpenSSL's libcrypto, about 3.6 MB of every run's peak.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 _TEXT_WITNESS_CAP = 8
 
@@ -31,7 +41,7 @@ def content_digest(obj) -> str:
     """sha256 of the canonical JSON text of ``obj``, fed in bounded pieces: lists
     that hold objects, and objects of str keys that hold lists or objects, are
     walked, and their other members are encoded in runs of at most ``_RUN``."""
-    h = hashlib.sha256()
+    h = sha256()
     _feed(h.update, obj)
     return "sha256:" + h.hexdigest()
 
@@ -64,6 +74,16 @@ def _feed(update, value) -> None:
             _feed(update, members[stop])
         start = stop + 1
     update(b"]" if keys is None else b"}")
+
+
+def log_info(name: str, msg: str, *args) -> None:
+    """Log ``msg % args`` at INFO on the logger ``name``.  Until some code imports
+    ``logging`` nothing can have set a level or a handler, and the root
+    logger's default level, WARNING, drops the record, so hapkit never
+    imports it and a run is spared its few milliseconds of import."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(name).info(msg, *args)
 
 
 def fmt(x) -> str:

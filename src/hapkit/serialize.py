@@ -83,12 +83,15 @@ def table_from_obj(obj, where: str = "table"):
     entries = []
     trivial_id = None
     for i, ent in enumerate(obj["entries"]):
-        _expect(isinstance(ent, dict), where, f"entry {i} must be an object")
-        _expect(isinstance(ent.get("id"), str), where, f"entry {i} needs a string id")
-        _expect(type(ent.get("dim")) is int and ent["dim"] >= 1, where,
-                f"entry {i} needs a positive integer dim")
-        _expect(isinstance(ent.get("trivial", False), bool), where,
-                f"entry {i}: 'trivial' must be a boolean")
+        # each text is made only when its check fails
+        if not isinstance(ent, dict):
+            raise SchemaError(f"{where}: entry {i} must be an object")
+        if not isinstance(ent.get("id"), str):
+            raise SchemaError(f"{where}: entry {i} needs a string id")
+        if not (type(ent.get("dim")) is int and ent["dim"] >= 1):
+            raise SchemaError(f"{where}: entry {i} needs a positive integer dim")
+        if not isinstance(ent.get("trivial", False), bool):
+            raise SchemaError(f"{where}: entry {i}: 'trivial' must be a boolean")
         if ent.get("trivial", False):
             _expect(trivial_id is None, where, "more than one trivial entry")
             trivial_id = ent["id"]

@@ -156,22 +156,26 @@ class TestOneParserPerProcess:
 
 
 def test_runs_leave_numpy_ma_unloaded(tmp_path):
-    """numpy.ma is about a megabyte and 15 ms of import: no subcommand needs it
-    (``np.unique`` imports it, so hapkit groups by side without it)."""
+    """No subcommand loads numpy.ma, about a megabyte and 15 ms of import
+    (``np.unique`` imports it, so hapkit groups by side without it), OpenSSL's
+    ``_hashlib`` or ``_ssl`` (the digests take the interpreter's own SHA-256),
+    or ``logging``."""
     runs = [["cocycle", FIXTURES / "zdual_length_generator.json", "--M", "1",
              "--out", tmp_path / "c.json"],
             ["semigroup", FIXTURES / "unit_shift_generator.json", "--t", "1",
              "--out", tmp_path / "sg"],
             ["buildgen", FIXTURES / "buildgen_zdual.json", "--out", tmp_path / "g.json"],
             ["certify-hap", FIXTURES / "zdual_hap_pass.json"],
-            ["freeprod", FIXTURES / "freeprod_matrix.json"]]
+            ["freeprod", FIXTURES / "freeprod_matrix.json"],
+            ["schoenberg", "--group", "Z2*Z3", "--radius", "3"]]
+    heavy = ["numpy.ma", "_hashlib", "_ssl", "logging"]
     code = ("import io, sys, contextlib\nfrom hapkit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [main(argv) for argv in {[list(map(str, r)) for r in runs]!r}]\n"
-            "print(codes, 'numpy.ma' in sys.modules)")
+            f"print(codes, [m for m in {heavy!r} if m in sys.modules])")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
                          cwd=REPO_ROOT)
-    assert res.stdout.strip() == b"[0, 0, 1, 0, 1] False"
+    assert res.stdout.strip() == b"[0, 0, 1, 0, 1, 0] []"
 
 
 class TestSideErrorsNameTheBlock:

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -98,6 +99,15 @@ class TestConvolve:
         G = hk.MatrixFamily(table, {table.trivial: [[1.0]]})
         out = hk.convolve(F, G)
         assert set(out) == {table.trivial}
+
+    def test_dropped_labels_are_logged(self, table, caplog):
+        F = hk.MatrixFamily(table, {table.trivial: [[1.0]], table.decode("a"): np.eye(2)})
+        G = hk.MatrixFamily(table, {table.trivial: [[1.0]]})
+        with caplog.at_level(logging.INFO, logger="hapkit.fourier"):
+            hk.convolve(F, G)
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("hapkit.fourier", logging.INFO,
+             "convolve: 1 labels outside common support omitted")]
 
     def test_table_mismatch_rejected(self, table):
         other = hk.make_table([("z", 2)])

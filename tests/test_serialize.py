@@ -2,6 +2,8 @@ import gc
 import hashlib
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from unittest import mock
@@ -16,7 +18,7 @@ import oracles
 from hapkit import _linalg
 from hapkit import reports
 from hapkit import serialize as sz
-from conftest import FIXTURES, random_psd_generator, random_table, zdual_table
+from conftest import FIXTURES, REPO_ROOT, random_psd_generator, random_table, zdual_table
 
 
 def through_file(obj, path):
@@ -437,3 +439,22 @@ def test_content_digest_hashes_the_canonical_text(obj, run):
     expected = hashlib.sha256(oracles.canonical_json(obj).encode()).hexdigest()
     with mock.patch.object(reports, "_RUN", run):
         assert reports.content_digest(obj) == "sha256:" + expected
+
+
+def test_digests_fall_back_to_hashlib():
+    """Without the interpreter's own SHA-256 modules both digests come from
+    hashlib, with the same text."""
+    path = FIXTURES / "zdual_hap_pass.json"
+    code = ("import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\nimport hapkit as hk\nfrom hapkit import reports, serialize\n"
+            "family = hk.counit_family(hk.dual_irrep_table(hk.GroupSpec((0,)), 3))\n"
+            "print(reports.sha256 is hashlib.sha256,"
+            f" reports.content_digest(serialize.load_json({str(path)!r})),"
+            " hk.fourier.family_content_digest([family]))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                         cwd=REPO_ROOT)
+    canonical = oracles.canonical_json(json.loads(path.read_text())).encode()
+    family = hk.counit_family(hk.dual_irrep_table(hk.GroupSpec((0,)), 3))
+    assert res.stdout.decode().split() == [
+        "True", "sha256:" + hashlib.sha256(canonical).hexdigest(),
+        hk.fourier.family_content_digest([family])]
