@@ -20,8 +20,9 @@ print(f"dual of Z truncated to radius 6: {len(table)} one-dimensional labels")
 
 # the word-length generating functional: block [|n|] at the label of n
 L = hk.length_functional(Z, 6)
-print("symmetric:", hk.check_symmetric(L))
-print("positive blocks:", hk.check_positive_blocks(L))
+for check in (hk.check_symmetric, hk.check_positive_blocks):
+    verdict = check(L)
+    print(f"{verdict.name}: passed={verdict.passed}, worst {verdict.witnesses[0].render()}")
 
 print("\nproperness within the truncation:")
 for M in (2.0, 5.0):

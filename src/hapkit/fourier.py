@@ -472,10 +472,12 @@ def _threshold_condition(name: str, summary: str, estimate, threshold, table, at
     a - threshold is reported instead.  A reported row r names the label at
     table position ``at[r]`` in the context ``contexts[context[r]]``; the
     rows are kept as ``WitnessRows``, so labels are encoded only when shown.
+    ``threshold``, ``margin`` and ``context`` may each be one value for all rows.
     """
     achieved = np.array(estimate, dtype=float)
-    threshold = np.asarray(threshold, dtype=float)
+    threshold = np.broadcast_to(np.asarray(threshold, dtype=float), achieved.shape)
     margin = np.broadcast_to(np.asarray(margin, dtype=float), achieved.shape)
+    context = np.broadcast_to(context, achieved.shape)
     unknown = margin != 0
 
     def settle(rows):

@@ -23,15 +23,15 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 import numpy as np
 
 from . import _linalg
 from .fourier import (DEFAULT_TOL, BlockMap, ExceptionalSet, MatrixFamily, _by_side,
                       _constant_blocks, _exceptional_set, _require_normalized,
-                      _require_same_table, stacked_blocks)
-from .reports import CertificationReport, ConditionVerdict, Witness, fmt, log_info
+                      _require_same_table, _threshold_condition, stacked_blocks)
+from .reports import CertificationReport, ConditionVerdict, fmt, log_info
 
 
 class GeneratingFunctional(BlockMap):
@@ -59,40 +59,32 @@ class GeneratingFunctional(BlockMap):
         return _linalg.expm_spectra(self.stacks, by_side(self.residuals), by_side(self.norms))
 
 
-class SymmetryCheck(NamedTuple):
-    ok: bool
-    residual: float
+def check_symmetric(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> ConditionVerdict:
+    """symmetric: ||B - B*|| <= tol at every block, one row each (NaN fails)."""
+    return _threshold_condition("symmetric", "all blocks self-adjoint", L.residuals, tol,
+                                L.table, L.positions, 0, ("Hermitian residual",))
 
 
-class PositivityCheck(NamedTuple):
-    ok: bool
-    min_eigenvalue: float
-
-
-def check_symmetric(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> SymmetryCheck:
-    """Largest operator-norm distance of any block from its adjoint (NaN if any is)."""
-    worst = float(np.max(L.residuals, initial=0.0))
-    return SymmetryCheck(worst <= tol, worst)
-
-
-def check_positive_blocks(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> PositivityCheck:
-    """Smallest eigenvalue over all blocks; requires a symmetric functional."""
-    sym = check_symmetric(L, tol)
-    if not sym.ok:
+def check_positive_blocks(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> ConditionVerdict:
+    """positive-blocks: smallest eigenvalue >= -tol at every block, the trivial
+    one included, one row each; requires a symmetric functional."""
+    if not check_symmetric(L, tol).passed:
         raise ValueError(f"positivity check needs symmetric blocks "
-                         f"(Hermitian residual {sym.residual:g})")
-    worst = float(np.min(L.blocks.scan(_linalg.min_eigenvalues), initial=math.inf))
-    return PositivityCheck(worst >= -tol, worst)
+                         f"(Hermitian residual {np.max(L.residuals):g})")
+    lows = L.blocks.scan(_linalg.min_eigenvalues)
+    # 0.0 - low, not -low: a zero eigenvalue is shown as 0, not -0
+    return _threshold_condition("positive-blocks", "all blocks positive semidefinite",
+                                0.0 - lows, tol, L.table, L.positions, 0,
+                                ("minus the smallest block eigenvalue",))
 
 
 def check_proper(L: GeneratingFunctional, M: float) -> ExceptionalSet:
     """(label, smallest eigenvalue) of the blocks of a symmetric functional below M."""
     if M <= 0:
         raise ValueError("threshold M must be positive")
-    sym = check_symmetric(L)
-    if not sym.ok:
+    if not check_symmetric(L).passed:
         raise ValueError(f"properness is defined for symmetric functionals "
-                         f"(Hermitian residual {sym.residual:g})")
+                         f"(Hermitian residual {np.max(L.residuals):g})")
     lows = L.blocks.scan(_linalg.min_eigenvalues)
     return _exceptional_set(L, lows, lows >= M, M)
 
@@ -220,10 +212,19 @@ def build_from_states(seq, betas=None, eps=None) -> tuple[GeneratingFunctional, 
     return GeneratingFunctional(table, blocks), report
 
 
-def buildgen_report(seq, betas, eps, tol: float,
+def buildgen_report(seq: list, betas, eps, tol: float,
                     input_digest: str) -> tuple[CertificationReport, GeneratingFunctional]:
-    """The ``buildgen`` report on :func:`build_from_states`, and the generator it built."""
+    """The ``buildgen`` report on :func:`build_from_states`, and the generator it built.
+
+    A nontrivial label is certified exactly when the last state meets
+    ||I - block_N|| <= eps_N there, so that is its row; a label outside the
+    common support, where the generator has no block, gets inf and fails.
+    """
     L, build = build_from_states(seq, betas=betas, eps=eps)
+    n, last, (_, eps_n) = len(L.table), seq[-1], build.schedule[-1]
+    common = np.flatnonzero(L.rows[1:] >= 0) + 1
+    deviations = np.full(n, math.inf)
+    deviations[common] = last.deviations[np.searchsorted(last.positions, common)]
     schedule = ", ".join(f"(beta={fmt(b)}, eps={fmt(e)})" for b, e in build.schedule)
     tail = "not available for this schedule" if build.tail_bound is None \
         else fmt(build.tail_bound)
@@ -232,13 +233,10 @@ def buildgen_report(seq, betas, eps, tol: float,
         input_digest=input_digest,
         truncation=f"{len(L.table)} labels",
         tolerances=(("tol", tol),),
-        conditions=(ConditionVerdict(
-            name="epsilon-certificate", passed=not build.flagged,
-            witnesses=tuple(Witness(label=L.table.encode(lab), achieved=float("inf"),
-                                    threshold=0.0,
-                                    context="no suffix of the schedule certifies this label")
-                            for lab in build.flagged),
-            summary="every label eventually meets ||I - block_n|| <= eps_n"),),
+        conditions=(_threshold_condition(
+            "epsilon-certificate", "every label eventually meets ||I - block_n|| <= eps_n",
+            deviations[1:], eps_n, L.table, np.arange(1, n), (L.rows[1:] < 0).astype(np.intp),
+            (f"||I - block_n|| at the last n={len(seq)}", "block unspecified in some state")),),
         notes=(f"schedule: {schedule}", f"tail bound beyond supplied range: {tail}"),
     ), L
 

@@ -592,6 +592,55 @@ def label_build_from_states(table, seq, betas, eps):
     return blocks, first, f_sets
 
 
+def _rule(labels, values, holds, passed, extreme) -> tuple:
+    """(passed, (label, value) of each row where ``holds`` is False, the row at
+    index ``extreme`` or None)."""
+    failing = [(lab, v) for lab, v, ok in zip(labels, values, holds) if not ok]
+    return passed, failing, None if extreme is None else (labels[extreme], values[extreme])
+
+
+def _first_extreme(values, pick):
+    """The index of the first of the ``pick`` (max or min) of ``values``, or None."""
+    return values.index(pick(values)) if values and not any(map(math.isnan, values)) else None
+
+
+def symmetric_rule(L: LabelBlockMap, tol):
+    """The scalar symmetric rule: the largest Hermitian residual, NaN if any is,
+    is at most ``tol``; with the rows behind it (see ``_rule``), the extreme
+    being the first largest residual."""
+    r = L.residuals.tolist()
+    worst = math.nan if any(map(math.isnan, r)) else max(r)
+    return _rule(L.labels, r, [x <= tol for x in r], worst <= tol, _first_extreme(r, max))
+
+
+def positive_rule(L: LabelBlockMap, tol):
+    """The scalar positive-blocks rule: the smallest eigenvalue over every block,
+    the trivial [0] included, NaN if any is, is at least ``-tol``; with the rows
+    behind it, the extreme being the first smallest eigenvalue."""
+    lows = block_min_eigenvalues(list(L.blocks.values()))
+    worst = math.nan if any(map(math.isnan, lows)) else min(lows)
+    return _rule(L.labels, lows, [x >= -tol for x in lows], worst >= -tol,
+                 _first_extreme(lows, min))
+
+
+def epsilon_rule(table, seq, eps):
+    """The epsilon-certificate rule over per-label state dicts ``seq``: no label
+    of the common support is flagged by ``first_certified``, and no
+    nontrivial label lies outside it.  Rows: each nontrivial label with the
+    last state's ||I - block||, or inf outside the common support; the
+    extreme is the first largest."""
+    labels = table.labels[1:]
+    common = [lab for lab in labels if all(lab in F for F in seq)]
+    deviations = {lab: block_norms([F[lab] for F in seq], minus_identity=True)
+                  for lab in common}
+    flagged = [lab for lab, n in zip(common, first_certified(list(deviations.values()), eps))
+               if n is None]
+    values = [deviations[lab][-1] if lab in deviations else math.inf for lab in labels]
+    holds = [lab in deviations and lab not in flagged for lab in labels]
+    return _rule(labels, values, holds, not flagged and len(common) == len(labels),
+                 _first_extreme(values, max))
+
+
 def label_key(table, j: int) -> str:
     """The key of the label at position ``j``, from the label itself."""
     label = table.labels[j]

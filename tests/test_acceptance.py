@@ -246,8 +246,8 @@ def test_criterion_8_build_from_states():
            for n in range(1, n_terms + 1)]
     L, build = hk.build_from_states(seq)
 
-    hermitian = hk.check_symmetric(L, 0.0).ok
-    positive = hk.check_positive_blocks(L, 1e-12).ok
+    hermitian = hk.check_symmetric(L, 0.0).passed
+    positive = hk.check_positive_blocks(L, 1e-12).passed
 
     # brute-force summation oracle for the exceptional set at M = 10
     betas = [2.0 ** n for n in range(1, n_terms + 1)]

@@ -2,7 +2,9 @@
 
 Blocks of sides 1-5 share stacks split at 128 bytes; supports leave labels
 unspecified, the trivial block among them, and entries include NaN, ±inf
-and -0.0.  Every view, scan and derived map must be bitwise the per-label one.
+and -0.0.  Every view, scan and derived map must be bitwise the per-label one,
+and the symmetric, positive-blocks and epsilon-certificate verdicts must
+keep the scalar rules of the oracles.
 """
 
 import math
@@ -195,6 +197,81 @@ class TestDerivedMapsOracle:
             assert _bits(L.blocks[lab]) == _bits(blk)
         assert dict(report.first_certified) == first
         assert report.f_sets == f_sets
+
+
+_TOLS = st.sampled_from([0.0, 1e-9, -1e-9, -1.0])
+
+
+@st.composite
+def _generators(draw):
+    """(table, blocks) of a generating functional: no trivial block, and all
+    blocks Hermitian on half the draws, so that the positivity scan runs."""
+    table, blocks = draw(block_maps())
+    blocks.pop(table.trivial, None)
+    if draw(st.booleans()):
+        with np.errstate(all="ignore"):
+            blocks = {lab: (b + b.conj().T) / 2 for lab, b in blocks.items()}
+    return table, blocks
+
+
+def _assert_rule(verdict, rule, table, value=lambda v: v):
+    """``verdict`` keeps the oracle's ``rule``: its pass or fail; a FAIL's
+    witnesses are exactly the failing rows, a PASS's the extreme row, each
+    with ``value`` of the oracle's number, bit for bit."""
+    passed, failing, extreme = rule
+    assert verdict.passed == passed
+    rows = failing if not passed else [extreme] if extreme else []
+    assert [w.label for w in verdict.witnesses] == [table.encode(lab) for lab, _ in rows]
+    assert _bits([w.achieved for w in verdict.witnesses]) == _bits(
+        [value(v) for _, v in rows])
+
+
+class TestVerdictsKeepTheScalarRules:
+    """``check_symmetric``, ``check_positive_blocks`` and ``buildgen``'s
+    epsilon certificate decide as the scalar rules of ``oracles.py`` do, over
+    non-Hermitian, negative, NaN and infinite blocks and tolerances down to
+    negative ones."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(drawn=_generators(), tol=_TOLS)
+    def test_symmetric_and_positive_blocks(self, drawn, tol):
+        table, blocks = drawn
+        with _small_stacks(), np.errstate(all="ignore"):
+            L = hk.GeneratingFunctional(table, blocks)
+            ref = oracles.LabelBlockMap(table, blocks, generator=True)
+            sym = oracles.symmetric_rule(ref, tol)
+            _assert_rule(hk.check_symmetric(L, tol), sym, table)
+            if not sym[0]:
+                worst = max(ref.residuals.tolist(), key=lambda x: (math.isnan(x), x))
+                with pytest.raises(ValueError) as err:
+                    hk.check_positive_blocks(L, tol)
+                assert str(err.value) == ("positivity check needs symmetric blocks "
+                                          f"(Hermitian residual {worst:g})")
+                return
+            _assert_rule(hk.check_positive_blocks(L, tol), oracles.positive_rule(ref, tol),
+                         table, lambda low: 0.0 - low)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 3), tol=_TOLS)
+    def test_epsilon_certificate(self, data, n, tol):
+        table, _ = data.draw(block_maps())
+        states = []
+        for _ in range(n):
+            blocks = {}
+            for lab in table.labels[1:]:
+                if data.draw(st.booleans()):
+                    d = table.dim(lab)
+                    blocks[lab] = np.array(data.draw(st.lists(
+                        _ENTRIES | _SPECIAL, min_size=2 * d * d, max_size=2 * d * d))).view(
+                        np.complex128).reshape(d, d)
+            blocks[table.trivial] = np.ones((1, 1), dtype=np.complex128)
+            states.append(blocks)
+        _, eps = hk.default_schedule(n)
+        with _small_stacks(), np.errstate(all="ignore"):
+            report, _ = hk.genfun.buildgen_report(
+                [hk.MatrixFamily(table, b, normalized=True) for b in states], None, None, tol,
+                "sha256:")
+            _assert_rule(report.conditions[0], oracles.epsilon_rule(table, states, eps), table)
 
 
 class TestAdoption:

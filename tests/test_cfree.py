@@ -128,7 +128,7 @@ class TestCfreeGenerator:
         L2 = hk.GeneratingFunctional(
             t2, {lab: random_hermitian(rng, t2.dim(lab), 2.0) for lab in t2.nontrivial_labels})
         G = hk.cfree_generator(L1, L2, wp)
-        assert hk.check_symmetric(G, 0.0).ok
+        assert hk.check_symmetric(G, 0.0).passed
 
     def test_semigroup_compatibility(self, rng):
         t1, t2 = mixed_table("a"), mixed_table("b")

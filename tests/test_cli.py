@@ -293,8 +293,8 @@ class TestBuildgenCommand:
         assert "epsilon-certificate: FAIL" in text
         assert "tail bound" in text
         L = sz.generator_from_obj(sz.load_json(out))
-        assert hk.check_symmetric(L, 0.0).ok
-        assert hk.check_positive_blocks(L, 1e-12).ok
+        assert hk.check_symmetric(L, 0.0).passed
+        assert hk.check_positive_blocks(L, 1e-12).passed
 
     def test_counit_sequence_passes(self, tmp_path):
         t = hk.make_table([("a", 1)])
@@ -308,6 +308,27 @@ class TestBuildgenCommand:
         res = run_cli("buildgen", config, "--out", tmp_path / "gen.json")
         assert res.returncode == 0
         assert b"epsilon-certificate: PASS" in res.stdout
+
+    @pytest.mark.parametrize("b_first", [False, True], ids=["nowhere", "first-only"])
+    def test_label_outside_the_common_support_fails(self, tmp_path, b_first):
+        """Two states on {e, a, b}, both [1] at a, and b in neither or as [0] in
+        the first only.  The generator sums over the common support {a}, so
+        it has no block at b: nothing certifies b, and the one failing row is
+        b's, inf against eps_2 = 8^-2 of the default schedule."""
+        t = hk.make_table([("a", 1), ("b", 1)], trivial_id="e")
+        ones = {"e": [[[1.0, 0.0]]], "a": [[[1.0, 0.0]]]}
+        first = {**ones, "b": [[[0.0, 0.0]]]} if b_first else ones
+        config = tmp_path / "in.json"
+        sz.dump_json({"table": sz.table_to_obj(t),
+                      "families": [{"blocks": first, "normalized": True},
+                                   {"blocks": ones, "normalized": True}]}, config)
+        res = run_cli("buildgen", config, "--out", tmp_path / "gen.json",
+                      "--json", tmp_path / "r.json")
+        assert res.returncode == 1, res.stderr.decode()
+        [cond] = json.loads((tmp_path / "r.json").read_text())["conditions"]
+        assert (cond["name"], cond["passed"]) == ("epsilon-certificate", False)
+        assert cond["witnesses"] == [{"label": "b", "achieved": "inf", "threshold": 0.015625,
+                                      "context": "block unspecified in some state"}]
 
 
 class TestFreeprodCommand:
@@ -605,3 +626,58 @@ class TestPoisonedBlockFailsClosed:
         lines = res.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert written == [source.name]
+
+
+# knob -> its tightened value: tolerances halved, the properness level doubled
+_TIGHTER = {"tol": lambda x: x / 2, "conv_tols": lambda xs: [x / 2 for x in xs],
+            "eps_decay": lambda x: x / 2, "M": lambda x: 2 * x}
+# fixture -> (command, the knobs it reads); conv_tols and eps_decay are set in the file
+_TIGHTENED = {
+    "zdual_hap_pass": ("certify-hap", ["tol", "conv_tols", "eps_decay"]),
+    "undamped_fail": ("certify-hap", ["tol", "conv_tols", "eps_decay"]),
+    "freeprod_zz": ("freeprod", ["tol", "conv_tols", "eps_decay"]),
+    "zdual_length_generator": ("cocycle", ["tol", "M"]),
+}
+
+
+class TestTightening:
+    """Tightening one tolerance never turns a FAIL into a PASS, condition by
+    condition: ``--tol``, ``conv_tols`` or ``eps_decay`` halved, or ``--M``
+    doubled.  Each example tightens one knob eight times in a row from base
+    settings drawn around the fixture's own, so that the chain crosses the
+    values where a verdict flips."""
+
+    @staticmethod
+    def _verdicts(workdir: Path, name: str, knobs: dict) -> tuple:
+        """(exit code, condition name -> passed) of the fixture's run at ``knobs``."""
+        command, _ = _TIGHTENED[name]
+        obj = json.loads((FIXTURES / f"{name}.json").read_text())
+        obj.update({k: v for k, v in knobs.items() if k in ("conv_tols", "eps_decay")})
+        source = workdir / f"{name}.json"
+        source.write_text(json.dumps(obj))
+        argv = [command, source, "--tol", repr(knobs["tol"]), "--json", workdir / "r.json"]
+        if command == "cocycle":
+            argv += ["--M", repr(knobs["M"]), "--out", workdir / "c.json"]
+        res = run_cli(*argv)
+        assert res.returncode in (0, 1), res.stderr.decode()
+        report = json.loads((workdir / "r.json").read_text())
+        return res.returncode, {c["name"]: c["passed"] for c in report["conditions"]}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), name=st.sampled_from(sorted(_TIGHTENED)),
+           tol=st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 64.0),
+           scale=st.floats(0.05, 2.0), eps_decay=st.floats(0.01, 0.99),
+           M=st.floats(0.5, 16.0))
+    def test_never_turns_fail_into_pass(self, data, name, tol, scale, eps_decay, M):
+        _, knobs = _TIGHTENED[name]
+        conv_tols = json.loads((FIXTURES / f"{name}.json").read_text()).get("conv_tols", [])
+        chain = [{"tol": tol, "conv_tols": [scale * x for x in conv_tols],
+                  "eps_decay": eps_decay, "M": M}]
+        knob = data.draw(st.sampled_from(knobs))
+        for _ in range(8):
+            chain.append({**chain[-1], knob: _TIGHTER[knob](chain[-1][knob])})
+        with tempfile.TemporaryDirectory() as d:
+            runs = [self._verdicts(Path(d), name, knobs) for knobs in chain]
+        for (code, loose), (tight_code, strict) in zip(runs, runs[1:]):
+            assert code <= tight_code
+            assert [c for c, passed in strict.items() if passed and not loose.get(c, False)] == []

@@ -83,9 +83,9 @@ class TestGramFromCocycle:
             blocks[lab] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         c = hk.CocycleMatrices(table, blocks)
         L = hk.gram_from_cocycle(c)
-        ok, residual = hk.check_symmetric(L, 0.0)
-        assert ok and residual == 0.0
-        assert hk.check_positive_blocks(L).ok
+        sym = hk.check_symmetric(L, 0.0)
+        assert sym.passed and sym.witnesses[0].achieved == 0.0
+        assert hk.check_positive_blocks(L).passed
 
     def test_roundtrip(self, rng):
         table = random_table(rng, 6, 4)

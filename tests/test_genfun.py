@@ -39,37 +39,39 @@ class TestConstruction:
 class TestSymmetryAndPositivity:
     def test_real_diagonal_symmetric(self):
         L = zdual_length_gf(3)
-        ok, residual = hk.check_symmetric(L)
-        assert ok and residual == 0.0
+        sym = hk.check_symmetric(L)
+        assert sym.passed and sym.witnesses[0].achieved == 0.0
 
     def test_jordan_block_not_symmetric(self):
         t = hk.make_table([("a", 2)])
         L = hk.GeneratingFunctional(t, {t.decode("a"): [[0, 1], [0, 0]]})
-        ok, residual = hk.check_symmetric(L)
-        assert not ok
-        assert residual == pytest.approx(1.0, abs=1e-12)
+        sym = hk.check_symmetric(L)
+        assert not sym.passed
+        assert [w.label for w in sym.witnesses] == ["a"]
+        assert sym.witnesses[0].achieved == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_functional_positive(self):
         t = zdual_table(2)
-        ok, worst = hk.check_positive_blocks(hk.GeneratingFunctional(t, {}))
-        assert ok and worst == 0.0
+        pos = hk.check_positive_blocks(hk.GeneratingFunctional(t, {}))
+        assert pos.passed and 0.0 - pos.witnesses[0].achieved == 0.0
 
     def test_positive_diagonal(self):
         t = hk.make_table([("a", 2)])
         L = hk.GeneratingFunctional(t, {t.decode("a"): np.diag([2.0, 8.0])})
-        assert hk.check_positive_blocks(L).ok
+        assert hk.check_positive_blocks(L).passed
 
     def test_negative_eigenvalue_detected(self):
         t = hk.make_table([("a", 2)])
         L = hk.GeneratingFunctional(t, {t.decode("a"): np.diag([1.0, -0.5])})
-        ok, worst = hk.check_positive_blocks(L)
-        assert not ok
-        assert worst == pytest.approx(-0.5, abs=1e-12)
+        pos = hk.check_positive_blocks(L)
+        assert not pos.passed
+        assert [w.label for w in pos.witnesses] == ["a"]
+        assert 0.0 - pos.witnesses[0].achieved == pytest.approx(-0.5, abs=1e-12)
 
     def test_zero_tol_demands_exact_symmetry(self):
         t = hk.make_table([("a", 2)])
         L = hk.GeneratingFunctional(t, {t.decode("a"): [[1.0, 1e-12], [0.0, 1.0]]})
-        assert hk.check_positive_blocks(L).ok
+        assert hk.check_positive_blocks(L).passed
         with pytest.raises(ValueError, match="symmetric"):
             hk.check_positive_blocks(L, 0.0)
 
@@ -225,7 +227,7 @@ class TestBuildFromStates:
         seq = [zdual_family(t, lambda m, n=n: math.exp(-abs(m) / n))
                for n in range(1, n_terms + 1)]
         L, report = hk.build_from_states(seq)
-        assert hk.check_symmetric(L, 0.0).ok
+        assert hk.check_symmetric(L, 0.0).passed
         values = {label_value(t, lab): float(L.blocks[lab][0, 0].real)
                   for lab in t.nontrivial_labels}
         # strictly increasing in |m|, symmetric under m -> -m

@@ -46,12 +46,14 @@ CASES = {
     "cocycle_default_out": ["cocycle", "unit_shift.json", "--M", "1"],
     "buildgen": ["buildgen", "fixtures/buildgen_zdual.json", "--out", "generator.json"],
     "buildgen_counit": ["buildgen", "counit_states.json", "--out", "generator.json"],
+    "buildgen_unspecified": ["buildgen", "unspecified_states.json", "--out", "generator.json"],
     "semigroup_overflow": ["semigroup", "gen_overflow.json", "--t", "0.5,1", "--out", "sg"],
 }
 
 # inputs the run directory starts with; they are not outputs of the run
 _INPUTS = {"fixtures", "freeprod_fail.json", "gen_nonsymmetric.json", "gen_negative.json",
-           "gen_zero.json", "gen_overflow.json", "unit_shift.json", "counit_states.json"}
+           "gen_zero.json", "gen_overflow.json", "unit_shift.json", "counit_states.json",
+           "unspecified_states.json"}
 
 
 def _pairs(matrix) -> list:
@@ -85,6 +87,14 @@ def _write_inputs(workdir: Path) -> None:
     for fam in states["families"]:
         fam["blocks"] = {key: _pairs([[1]]) for key in fam["blocks"]}
     (workdir / "counit_states.json").write_text(json.dumps(states, sort_keys=True, indent=2))
+    # two states on the table {e, a, b}, with b = [0] in the first only: b lies
+    # outside the common support, so the generator has no block there
+    ones = {"e": _pairs([[1]]), "a": _pairs([[1]])}
+    states = {"table": {"entries": [{"dim": 1, "id": key, "trivial": key == "e"}
+                                    for key in "eab"]},
+              "families": [{"blocks": {**ones, "b": _pairs([[0]])}, "normalized": True},
+                           {"blocks": ones, "normalized": True}]}
+    (workdir / "unspecified_states.json").write_text(json.dumps(states, sort_keys=True, indent=2))
 
 
 def run_case(name: str, workdir: Path) -> dict:

@@ -161,9 +161,15 @@ def _at_most_one(value):
     return value <= 1.0, value
 
 
+def _passed_and_largest(verdict):
+    """(passed, largest witness value): the worst row's value, NaN if any row's is."""
+    return verdict.passed, float(np.max([w.achieved for w in verdict.witnesses]))
+
+
 # each scan gives (ok, worst value); a bare number is ok when it is at most 1
 _SCANS = {
-    "check_symmetric": lambda t, b: tuple(hk.check_symmetric(hk.GeneratingFunctional(t, b))),
+    "check_symmetric": lambda t, b: _passed_and_largest(
+        hk.check_symmetric(hk.GeneratingFunctional(t, b))),
     "check_bounded": lambda t, b: _at_most_one(hk.check_bounded(hk.CocycleMatrices(t, b))),
     "max_block_deviation": lambda t, b: _at_most_one(hk.max_block_deviation(
         hk.MatrixFamily(t, b), hk.counit_family(t))),
@@ -241,7 +247,7 @@ class TestNonFiniteFailsClosed:
         lambda: (False, hk.check_bounded(_inf_cocycle())),
         lambda: (False, hk.max_block_deviation(_inf_family(), hk.counit_family(_table()))),
         lambda: (lambda res: (res.ok, res.worst_norm))(hk.is_state_candidate(_inf_family())),
-        lambda: tuple(hk.check_positive_blocks(_huge_generator())),
+        lambda: _passed_and_largest(hk.check_positive_blocks(_huge_generator())),
     ], ids=["check_bounded", "max_block_deviation", "is_state_candidate",
             "check_positive_blocks-1e308"])
     def test_nan_and_not_ok(self, scan):
@@ -288,7 +294,8 @@ class TestNonFiniteNorms:
         L = hk.GeneratingFunctional(t, {t.decode("y"): [[math.inf]]})
         with np.errstate(all="ignore"):
             sym = hk.check_symmetric(L)
-        assert math.isnan(sym.residual) and not sym.ok
+        assert [(w.label, math.isnan(w.achieved)) for w in sym.witnesses] == [("y", True)]
+        assert not sym.passed
 
 
 def test_gram_eigen_scan_copies_the_gram_at_most_once():

@@ -8,7 +8,8 @@ Every name in ``hapkit.__all__`` must exist, and every module-level function
 and class in ``src/hapkit`` must be used there, be public or be traced.
 Every function the benchmark tracer patches must still exist under the name
 it looks up, and a traced run must leave every module as it found it.  The
-CLI builds no verdict and reads no private name of the library.  Module-level
+CLI builds no verdict and reads no private name of the library, and the
+library builds verdicts in its kernels only.  Module-level
 definitions in ``src/hapkit`` keep PEP 8's two blank lines above them.
 """
 
@@ -32,7 +33,7 @@ DEMO_STDOUT = {
     "01_length_kernels_on_free_products.py":
         "46946bf23856f036c1bcc92182a6276a6ba33a1891d22b44f0a1523a4bac2a03",
     "02_convolution_semigroups.py":
-        "06ac92966bc6b4fddfaba93026e4ca468c072b1c7dac7d8d041da664ee7d1509",
+        "fd90b902344b063049007d59de2365243284508fe30558ef320a5fb268c22e94",
     "03_cocycle_factorization.py":
         "1719aaea4176c254a05f5ffa312a168ab41ef41e8c6769aece89fe2c882153b6",
     "04_free_products.py":
@@ -149,6 +150,30 @@ def test_cli_builds_no_verdict_and_reads_no_private_name():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
+
+
+# the module-level functions of ``src/hapkit`` that may call ``ConditionVerdict``
+# or ``Witness``: the verdict kernels, and the conditions that are no
+# per-label threshold (an exceptional set, an evaluation, one Gram eigenvalue)
+_VERDICT_BUILDERS = {
+    ("fourier", "_threshold_condition"), ("fourier", "_identity_condition"),
+    ("fourier", "_c0_verdict"), ("fourier", "_c0_condition"),
+    ("cocycle", "cocycle_report"), ("genfun", "semigroup_report"),
+    ("classical", "schoenberg_report"),
+}
+
+
+def test_verdicts_are_built_in_the_kernels_only():
+    """Every per-label threshold condition goes through ``_threshold_condition``:
+    outside ``_VERDICT_BUILDERS`` no code of ``src/hapkit`` calls
+    ``ConditionVerdict`` or ``Witness``, so no verdict compares inline."""
+    found = set()
+    for path in sorted((REPO_ROOT / "src" / "hapkit").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(node, "name", None)  # None for a statement at module level
+            found |= {(path.stem, name) for call in ast.walk(node) if isinstance(call, ast.Call)
+                      and {"ConditionVerdict", "Witness"} & set(_names(call.func))}
+    assert found - _VERDICT_BUILDERS == set()
 
 
 def test_traced_runs_record_spans_and_restore(tmp_path):
