@@ -221,10 +221,10 @@ def buildgen_report(seq: list, betas, eps, tol: float,
     common support, where the generator has no block, gets inf and fails.
     """
     L, build = build_from_states(seq, betas=betas, eps=eps)
-    n, last, (_, eps_n) = len(L.table), seq[-1], build.schedule[-1]
-    common = np.flatnonzero(L.rows[1:] >= 0) + 1
-    deviations = np.full(n, math.inf)
-    deviations[common] = last.deviations[np.searchsorted(last.positions, common)]
+    last, at = seq[-1], np.arange(1, len(L.table))
+    common = L.rows[at] >= 0  # where L has a block: the states' common support
+    deviations = np.full(len(at), math.inf)
+    deviations[common] = last.deviations[np.searchsorted(last.positions, at[common])]
     schedule = ", ".join(f"(beta={fmt(b)}, eps={fmt(e)})" for b, e in build.schedule)
     tail = "not available for this schedule" if build.tail_bound is None \
         else fmt(build.tail_bound)
@@ -235,7 +235,7 @@ def buildgen_report(seq: list, betas, eps, tol: float,
         tolerances=(("tol", tol),),
         conditions=(_threshold_condition(
             "epsilon-certificate", "every label eventually meets ||I - block_n|| <= eps_n",
-            deviations[1:], eps_n, L.table, np.arange(1, n), (L.rows[1:] < 0).astype(np.intp),
+            deviations, build.schedule[-1][1], L.table, at, (~common).astype(np.intp),
             (f"||I - block_n|| at the last n={len(seq)}", "block unspecified in some state")),),
         notes=(f"schedule: {schedule}", f"tail bound beyond supplied range: {tail}"),
     ), L
