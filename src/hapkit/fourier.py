@@ -19,8 +19,8 @@ fabricated for labels nobody supplied.
 
 ``BlockMap`` is the label -> block map behind families, generating
 functionals and cocycles, one stack per block side; ``_threshold_condition``
-is the one verdict kernel behind every per-label threshold check, here and
-in ``cfree``.
+is the one verdict kernel behind every per-label threshold check, here, in
+``cfree`` and in ``genfun``.
 """
 
 from __future__ import annotations

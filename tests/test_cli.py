@@ -631,50 +631,49 @@ class TestPoisonedBlockFailsClosed:
 # knob -> its tightened value: tolerances halved, the properness level doubled
 _TIGHTER = {"tol": lambda x: x / 2, "conv_tols": lambda xs: [x / 2 for x in xs],
             "eps_decay": lambda x: x / 2, "M": lambda x: 2 * x}
-# fixture -> (command, the knobs it reads); conv_tols and eps_decay are set in the file
-_TIGHTENED = {
-    "zdual_hap_pass": ("certify-hap", ["tol", "conv_tols", "eps_decay"]),
-    "undamped_fail": ("certify-hap", ["tol", "conv_tols", "eps_decay"]),
-    "freeprod_zz": ("freeprod", ["tol", "conv_tols", "eps_decay"]),
-    "zdual_length_generator": ("cocycle", ["tol", "M"]),
-}
+# fixture -> its command; cocycle reads --tol and --M, the others --tol and
+# the conv_tols and eps_decay of their input file
+_TIGHTENED = {"zdual_hap_pass": "certify-hap", "undamped_fail": "certify-hap",
+              "freeprod_zz": "freeprod", "zdual_length_generator": "cocycle"}
+_CHAINS = [(name, knob) for name, command in _TIGHTENED.items()
+           for knob in (("tol", "M") if command == "cocycle"
+                        else ("tol", "conv_tols", "eps_decay"))]
 
 
 class TestTightening:
     """Tightening one tolerance never turns a FAIL into a PASS, condition by
     condition: ``--tol``, ``conv_tols`` or ``eps_decay`` halved, or ``--M``
-    doubled.  Each example tightens one knob eight times in a row from base
-    settings drawn around the fixture's own, so that the chain crosses the
-    values where a verdict flips."""
+    doubled.  Each example tightens one knob sixteen times in a row from a
+    loose base (``--tol`` 1-64, ``conv_tols`` 1-2 times the fixture's,
+    ``eps_decay`` 0.5-0.99, ``--M`` 0.25-2), so that every chain crosses the
+    values where the fixtures' verdicts flip."""
 
     @staticmethod
     def _verdicts(workdir: Path, name: str, knobs: dict) -> tuple:
         """(exit code, condition name -> passed) of the fixture's run at ``knobs``."""
-        command, _ = _TIGHTENED[name]
-        obj = json.loads((FIXTURES / f"{name}.json").read_text())
-        obj.update({k: v for k, v in knobs.items() if k in ("conv_tols", "eps_decay")})
-        source = workdir / f"{name}.json"
-        source.write_text(json.dumps(obj))
-        argv = [command, source, "--tol", repr(knobs["tol"]), "--json", workdir / "r.json"]
+        command, source = _TIGHTENED[name], FIXTURES / f"{name}.json"
+        argv = ["--tol", repr(knobs["tol"]), "--json", workdir / "r.json"]
         if command == "cocycle":
             argv += ["--M", repr(knobs["M"]), "--out", workdir / "c.json"]
-        res = run_cli(*argv)
+        else:
+            obj = json.loads(source.read_text())
+            obj.update(conv_tols=knobs["conv_tols"], eps_decay=knobs["eps_decay"])
+            source = workdir / source.name
+            source.write_text(json.dumps(obj))
+        res = run_cli(command, source, *argv)
         assert res.returncode in (0, 1), res.stderr.decode()
         report = json.loads((workdir / "r.json").read_text())
         return res.returncode, {c["name"]: c["passed"] for c in report["conditions"]}
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(data=st.data(), name=st.sampled_from(sorted(_TIGHTENED)),
-           tol=st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 64.0),
-           scale=st.floats(0.05, 2.0), eps_decay=st.floats(0.01, 0.99),
-           M=st.floats(0.5, 16.0))
-    def test_never_turns_fail_into_pass(self, data, name, tol, scale, eps_decay, M):
-        _, knobs = _TIGHTENED[name]
+    @pytest.mark.parametrize("name, knob", _CHAINS, ids=[f"{n}-{k}" for n, k in _CHAINS])
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(tol=st.floats(1.0, 64.0), scale=st.floats(1.0, 2.0),
+           eps_decay=st.floats(0.5, 0.99), M=st.floats(0.25, 2.0))
+    def test_never_turns_fail_into_pass(self, name, knob, tol, scale, eps_decay, M):
         conv_tols = json.loads((FIXTURES / f"{name}.json").read_text()).get("conv_tols", [])
         chain = [{"tol": tol, "conv_tols": [scale * x for x in conv_tols],
                   "eps_decay": eps_decay, "M": M}]
-        knob = data.draw(st.sampled_from(knobs))
-        for _ in range(8):
+        for _ in range(16):
             chain.append({**chain[-1], knob: _TIGHTER[knob](chain[-1][knob])})
         with tempfile.TemporaryDirectory() as d:
             runs = [self._verdicts(Path(d), name, knobs) for knobs in chain]
