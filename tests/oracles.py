@@ -273,10 +273,35 @@ def threshold_verdict(name, summary, rows, failed=()):
                             summary=summary)
 
 
+def c0_rule(keys, norms, eps, contexts):
+    """The scalar c0-decay rule: (passed, one (label, achieved, threshold,
+    context) tuple per witness).  ``keys`` are the table's label keys, the
+    trivial one first; ``norms[i][j]`` is family i's block norm at label j,
+    None where it has no block.  A family fails at its first label without a
+    block (achieved: how many it lacks), or when it has nontrivial labels and
+    none has norm <= eps (achieved: its labels not <= eps).  The witnesses are
+    the failing families', or else the first family with the most labels not
+    <= eps."""
+    failing, worst = [], None
+    for row, ctx in zip(norms, contexts):
+        missing = [key for key, norm in zip(keys, row) if norm is None]
+        over = [j for j, norm in enumerate(row) if norm is not None and not norm <= eps]
+        if missing:
+            failing.append((missing[0], float(len(missing)), 0.0, f"{ctx}: labels without blocks"))
+        elif len(keys) > 1 and sum(1 for j in over if j) >= len(keys) - 1:
+            failing.append(("*", float(len(over)), float(len(keys) - 1),
+                            f"{ctx}: no nontrivial label decayed below eps"))
+        elif worst is None or len(over) > worst[1]:
+            worst = ("*", float(len(over)), float(len(keys)),
+                     f"{ctx}: exceptional labels within truncation")
+    return not failing, tuple(failing) or ((worst,) if worst else ())
+
+
 def freeprod_report(seq1, seq2, wp, eps_decay, conv_tols, k_values, tol, input_digest):
     """The free-product report from formed word blocks: every word by
-    ``kron_word_blocks``, its norms by ``block_norms``, and each condition by
-    ``threshold_verdict`` over one tuple per (stage, word)."""
+    ``kron_word_blocks``, its norms by ``block_norms``, the norm and identity
+    conditions by ``threshold_verdict`` over one tuple per (stage, word), and
+    c0-decay by ``c0_rule``."""
     from hapkit.reports import CertificationReport, ConditionVerdict, Witness
     if not 0 < eps_decay < 1:
         raise ValueError("eps_decay must lie in (0, 1)")
@@ -300,18 +325,7 @@ def freeprod_report(seq1, seq2, wp, eps_decay, conv_tols, k_values, tol, input_d
     deviation_rows = [(w.encode(), d, thr, ctx)
                       for stage, thr, ctx in zip(deviations, conv_tols, contexts)
                       for w, d in zip(words, stage)]
-    c0 = []
-    for stage, ctx in zip(norms, contexts):
-        exceptional = [w for w, n in zip(words, stage) if not n <= eps_decay]
-        nontrivial = sum(1 for w in exceptional if len(w))
-        if len(words) > 1 and nontrivial >= len(words) - 1:
-            c0.append((False, Witness("*", float(len(exceptional)), float(len(words) - 1),
-                                      f"{ctx}: no nontrivial label decayed below eps")))
-        else:
-            c0.append((True, Witness("*", float(len(exceptional)), float(len(words)),
-                                     f"{ctx}: exceptional labels within truncation")))
-    c0_failed = tuple(w for ok, w in c0 if not ok)
-    c0_worst = max((w for _, w in c0), key=lambda w: w.achieved, default=None)
+    c0_passed, c0 = c0_rule([w.encode() for w in words], norms, eps_decay, contexts)
     return CertificationReport(
         command="freeprod",
         input_digest=input_digest,
@@ -325,8 +339,7 @@ def freeprod_report(seq1, seq2, wp, eps_decay, conv_tols, k_values, tol, input_d
                               "per-word ||block - I|| within the stage tolerance schedule",
                               deviation_rows, schedule),
             ConditionVerdict(
-                name="c0-decay", passed=not c0_failed,
-                witnesses=c0_failed or ((c0_worst,) if c0_worst else ()),
+                name="c0-decay", passed=c0_passed, witnesses=tuple(Witness(*w) for w in c0),
                 summary=f"word norms above eps_decay form a finite set, "
                         f"tail verified <= {eps_decay:g}"),
         ),

@@ -4,7 +4,8 @@ Blocks of sides 1-5 share stacks split at 128 bytes; supports leave labels
 unspecified, the trivial block among them, and entries include NaN, ±inf
 and -0.0.  Every view, scan and derived map must be bitwise the per-label one,
 and the symmetric, positive-blocks and epsilon-certificate verdicts must
-keep the scalar rules of the oracles.
+keep the scalar rules of the oracles, as must ``certify-hap``'s c0-decay
+verdict.
 """
 
 import math
@@ -279,6 +280,42 @@ class TestVerdictsKeepTheScalarRules:
                 [hk.MatrixFamily(table, b, normalized=True) for b in states], None, None, 1e-9,
                 "sha256:")
             _assert_rule(report.conditions[0], oracles.epsilon_rule(table, states, eps), table)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 3), eps=st.sampled_from([0.25, 0.5, 0.9]))
+    def test_c0_decay(self, data, n, eps):
+        """Tables of sides 1-3, trivial-only ones included; a family lacks blocks
+        one time in three, and its blocks are eps * I (norm at eps), small, drawn
+        or with a NaN entry.  Same ``passed`` and witnesses as ``c0_rule``."""
+        sides = data.draw(st.lists(st.integers(1, 3), max_size=4))
+        table = hk.make_table([(f"b{i}", d) for i, d in enumerate(sides)])
+        seq = []
+        for _ in range(n):
+            gaps = not data.draw(st.integers(0, 2))
+            blocks = {}
+            for lab in table.labels:
+                d = table.dim(lab)
+                kind = data.draw(st.sampled_from(["gap", "eps", "small", "drawn", "nan"]
+                                                 if gaps else ["eps", "small", "drawn", "nan"]))
+                if kind == "gap":
+                    continue
+                b = np.array(data.draw(st.lists(_ENTRIES, min_size=2 * d * d, max_size=2 * d * d))
+                             ).view(np.complex128).reshape(d, d)
+                if kind == "nan":
+                    b[0, -1] = math.nan
+                blocks[lab] = {"eps": eps * np.eye(d), "small": b / 64}.get(kind, b)
+            seq.append(blocks)
+        with _small_stacks(), np.errstate(all="ignore"):
+            report = hk.check_hap_sequence([hk.MatrixFamily(table, b) for b in seq], eps,
+                                           [1.0] * n)
+            norms = [[oracles.block_norms([b[lab]])[0] if lab in b else None
+                      for lab in table.labels] for b in seq]
+        c0 = report.conditions[0]
+        assert c0.name == "c0-decay"
+        assert (c0.passed, tuple((w.label, w.achieved, w.threshold, w.context)
+                                 for w in c0.witnesses)) == oracles.c0_rule(
+            [table.encode(lab) for lab in table.labels], norms, eps,
+            [f"family #{i}" for i in range(n)])
 
 
 class TestAdoption:
