@@ -275,15 +275,14 @@ class _WordValues:
             known[todo[at]] = True
         return values[rows]
 
-    def c0_scans(self, eps: float) -> list:
-        """Per stage: (words whose norm is not <= eps, how many are nontrivial, no
-        unspecified words), from the estimate where the margin allows."""
+    def c0_scans(self, eps: float) -> np.ndarray:
+        """The (stages, words) grid of "norm not <= eps", from the estimate where
+        the margin allows."""
         _require_c0_eps(eps)
         over = self.norms - self.margins > eps
         unsure = np.flatnonzero(~(over | (self.norms + self.margins <= eps)))
         over[unsure] = ~(self.exact(unsure, False) <= eps)
-        return [(int(np.count_nonzero(o)), int(np.count_nonzero(o[1:])), ())
-                for o in over.reshape(-1, self._n)]
+        return over.reshape(-1, self._n)
 
 
 def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
@@ -313,24 +312,22 @@ def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
         raise ValueError("seq1, seq2, k_values and conv_tols must have equal length")
     if not seq1:
         raise ValueError("empty family sequence")
-    values = _WordValues(seq1, seq2, wp)
-    n = len(wp)
+    values, grid = _WordValues(seq1, seq2, wp), (len(k_values), len(wp))
     contexts = [f"k={k}" for k in k_values]
-    norms, margins = (a.reshape(-1, n)[:, 1:] for a in (values.norms, values.margins))
+    over = values.c0_scans(eps_decay)
     conditions = (
-        # the trivial word, of length 0, comes first: without it row r is word
-        # r % (n - 1) + 1 at stage r // (n - 1), row r + r // (n - 1) + 1 of ``values``
         _norm_bound_condition(
             "word-norm-bound", "length-l word blocks damped below exp(-l/k) + tol",
-            [(np.arange(1, n), wp.lengths[1:], row) for row in norms], wp, k_values, tol,
-            lambda i, l: f"{contexts[i]}, length {l}", margin=margins.ravel(),
-            exact=lambda rows: values.exact(rows + rows // (n - 1) + 1, False)),
-        _identity_condition(values.deviations.reshape(-1, n), wp, conv_tols, contexts,
+            values.norms.reshape(grid), wp.lengths, wp, k_values, tol,
+            lambda i, l: f"{contexts[i]}, length {l}", margin=values.margins,
+            exact=lambda rows: values.exact(rows, False)),
+        _identity_condition(values.deviations.reshape(grid), wp, conv_tols, contexts,
                             "per-word ||block - I|| within the stage tolerance schedule",
                             margin=values.margins,
                             exact=lambda rows: values.exact(rows, True)),
+        _c0_condition(over.sum(axis=1).tolist(), over[:, 1:].sum(axis=1).tolist(),
+                      [()] * len(over), wp, eps_decay, contexts, "word"),
     )
-    c0 = _c0_condition(values.c0_scans(eps_decay), wp, eps_decay, contexts, "word")
 
     return CertificationReport(
         command="freeprod",
@@ -338,7 +335,7 @@ def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
         truncation=(f"word table: {len(wp)} words (max word length {wp.max_word_length}); "
                     f"factor1: {len(wp.factor1)} labels; factor2: {len(wp.factor2)} labels"),
         tolerances=(("tol", tol), ("eps_decay", eps_decay)),
-        conditions=conditions + (c0,),
+        conditions=conditions,
         notes=(f"conv_tols: {', '.join(f'{x:g}' for x in conv_tols)}",
                f"k_values: {', '.join(str(k) for k in k_values)}"),
     )

@@ -20,7 +20,9 @@ fabricated for labels nobody supplied.
 ``BlockMap`` is the label -> block map behind families, generating
 functionals and cocycles, one stack per block side; ``_threshold_condition``
 is the one verdict kernel behind every per-label threshold check, here, in
-``cfree`` and in ``genfun``.
+``cfree`` and in ``genfun``.  The ``certify-hap`` and ``freeprod`` conditions
+(``_c0_condition``, ``_identity_condition``, ``_norm_bound_condition``) read
+their values off one stage-major (stage, table position) grid.
 """
 
 from __future__ import annotations
@@ -409,50 +411,33 @@ def family_content_digest(families) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _c0_scan(res: ExceptionalSet, table) -> tuple:
-    """(exceptional, nontrivial exceptional, unspecified) of a ``check_c0`` result:
-    its exceptional labels are in table order, so only the first can be trivial."""
-    exc = res.exceptional_labels
-    return len(exc), len(exc) - (exc[:1] == (table.trivial,)), res.unspecified
+def _c0_condition(exceptional, nontrivial, unspecified, table, eps_decay, contexts,
+                  noun: str) -> ConditionVerdict:
+    """c0-decay over one scan per family: ``exceptional[i]`` labels of family i
+    have norm not <= eps_decay, ``nontrivial[i]`` of them nontrivial, and
+    ``unspecified[i]`` are its labels without a block.
 
-
-def _c0_verdict(exc: int, nontrivial_exc: int, unspecified: tuple, table, ctx: str):
-    """Classify one c0 scan: (ok, witness).
-
-    ``exc`` labels are above eps, ``nontrivial_exc`` of them nontrivial.
     Decay is only demandable at nontrivial labels (the trivial block of a
-    state is always 1, it just sits inside the finite exceptional set), so
-    the scan passes when the tail is verified and either the table has no
-    nontrivial labels at all or at least one of them decayed below eps.
+    state is always 1, it just sits inside the finite exceptional set), so a
+    family passes when it has a block at every label and either the table has
+    no nontrivial labels at all or at least one of them decayed below eps.
+    Fails with every failing family's witness; otherwise reports the first
+    family with the most exceptional labels.
     """
-    if unspecified:
-        return False, Witness(
-            label=table.encode(unspecified[0]),
-            achieved=float(len(unspecified)), threshold=0.0,
-            context=f"{ctx}: labels without blocks")
-    nontrivial_total = len(table) - 1
-    if nontrivial_total > 0 and nontrivial_exc >= nontrivial_total:
-        return False, Witness(
-            label="*", achieved=float(exc), threshold=float(nontrivial_total),
-            context=f"{ctx}: no nontrivial label decayed below eps")
-    return True, Witness(
-        label="*", achieved=float(exc), threshold=float(len(table)),
-        context=f"{ctx}: exceptional labels within truncation")
-
-
-def _c0_condition(scans, table, eps_decay, contexts, noun: str) -> ConditionVerdict:
-    """c0-decay verdict over one (exceptional, nontrivial exceptional,
-    unspecified) scan per family, one context string each.
-
-    Fails with every failing family's witness; otherwise reports the family
-    with the most exceptional labels.
-    """
-    results = [_c0_verdict(*scan, table, ctx) for scan, ctx in zip(scans, contexts)]
-    failed = tuple(w for ok, w in results if not ok)
-    worst = max((w for _, w in results), key=lambda w: w.achieved, default=None)
+    total, failed, worst = len(table) - 1, [], None
+    for exc, inner, missing, ctx in zip(exceptional, nontrivial, unspecified, contexts):
+        if missing:
+            failed.append(Witness(label=table.encode(missing[0]), achieved=float(len(missing)),
+                                  threshold=0.0, context=f"{ctx}: labels without blocks"))
+        elif total > 0 and inner >= total:
+            failed.append(Witness(label="*", achieved=float(exc), threshold=float(total),
+                                  context=f"{ctx}: no nontrivial label decayed below eps"))
+        elif worst is None or exc > worst.achieved:
+            worst = Witness(label="*", achieved=float(exc), threshold=float(len(table)),
+                            context=f"{ctx}: exceptional labels within truncation")
     return ConditionVerdict(
         name="c0-decay", passed=not failed,
-        witnesses=failed or ((worst,) if worst else ()),
+        witnesses=tuple(failed) or ((worst,) if worst else ()),
         summary=f"{noun} norms above eps_decay form a finite set, "
                 f"tail verified <= {eps_decay:g}")
 
@@ -500,18 +485,14 @@ def _threshold_condition(name: str, summary: str, estimate, threshold, table, at
     return ConditionVerdict(name=name, passed=passed, witnesses=rows, summary=summary)
 
 
-def _rows(per_family, dtype=float) -> np.ndarray:
-    """The per-family value arrays laid end to end: the row order of a condition."""
-    return np.concatenate([np.empty(0, dtype=dtype), *per_family])
-
-
 def _identity_condition(deviations, table, conv_tols, contexts, summary: str,
                         unspecified=None, margin=0.0, exact=None) -> ConditionVerdict:
     """identity-convergence: ||block_k - I|| <= conv_tols[k] at every table label.
 
-    ``deviations[k]`` holds family k's values in table order, inf where
-    ``unspecified[k]`` marks a label without a block, which fails; so does a
-    tolerance schedule that increases.
+    ``deviations[k, j]`` holds family k's value at table position j, inf where
+    ``unspecified[k, j]`` marks a label without a block, which fails; so does a
+    tolerance schedule that increases.  The grid is read flat, stage-major,
+    and so are ``margin`` and the rows ``exact`` is asked for.
     """
     failed = ()
     if any(b > a for a, b in zip(conv_tols, conv_tols[1:])):
@@ -520,31 +501,32 @@ def _identity_condition(deviations, table, conv_tols, contexts, summary: str,
     n, stages = len(table), len(conv_tols)
     context = np.repeat(np.arange(stages), n)
     if unspecified is not None:
-        context[_rows(unspecified, bool)] += stages
+        context[np.ravel(unspecified)] += stages
     return _threshold_condition(
-        "identity-convergence", summary, _rows(deviations), np.repeat(conv_tols, n), table,
+        "identity-convergence", summary, np.ravel(deviations), np.repeat(conv_tols, n), table,
         np.tile(np.arange(n), stages), context,
         [*contexts, *(f"{c}: block unspecified" for c in contexts)], failed, margin, exact)
 
 
-def _norm_bound_condition(name: str, summary: str, families, table, k_values,
-                          tol: float, context, margin=0.0, exact=None) -> ConditionVerdict:
-    """Block norm <= exp(-l/k) + tol at every row.
+def _norm_bound_condition(name: str, summary: str, norms, lengths, table, k_values,
+                          tol: float, context, present=True, margin=0.0,
+                          exact=None) -> ConditionVerdict:
+    """Block norm <= exp(-l/k) + tol at every present label of length l >= 1.
 
-    ``families[i]`` is (positions, lengths, norms) of family i: the table
-    positions of its rows, their lengths (each >= 1) and the block norms there;
-    ``context(i, l)`` names family i at length l.
+    ``norms[i, j]`` is the block norm of family i at table position j, whose
+    length is ``lengths[j]``; ``present[i, j]`` says it has a block.  The rows
+    are taken stage-major, and ``margin`` and the rows ``exact`` is asked for
+    read the grid flat.  ``context(i, l)`` names family i at length l.
     """
-    thresholds = [np.array([math.exp(-l / k) + tol
-                            for l in range(int(lengths.max(initial=0)) + 1)])[lengths]
-                  for (_, lengths, _), k in zip(families, k_values)]
-    width = 1 + max((int(lengths.max(initial=0)) for _, lengths, _ in families), default=0)
+    rows = np.flatnonzero(np.broadcast_to(present & (lengths >= 1), np.shape(norms)))
+    stage, at = np.divmod(rows, len(table))
+    length = lengths[at]
+    width = 1 + int(length.max(initial=0))
+    bounds = np.array([[math.exp(-l / k) + tol for l in range(width)] for k in k_values])
     return _threshold_condition(
-        name, summary, _rows(norms for _, _, norms in families), _rows(thresholds), table,
-        _rows((positions for positions, _, _ in families), np.intp),
-        _rows((i * width + lengths for i, (_, lengths, _) in enumerate(families)), np.intp),
-        [context(i, l) for i in range(len(families)) for l in range(width)],
-        margin=margin, exact=exact)
+        name, summary, np.ravel(norms)[rows], bounds[stage, length], table, at,
+        stage * width + length, [context(i, l) for i in range(len(k_values)) for l in range(width)],
+        margin=np.broadcast_to(margin, np.size(norms))[rows], exact=lambda r: exact(rows[r]))
 
 
 def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,
@@ -578,25 +560,27 @@ def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,
     contexts = ([f"family k={k}" for k in k_values] if k_values
                 else [f"family #{i}" for i in range(len(seq))])
 
-    present = [F.rows >= 0 for F in seq]
-    deviations = [np.full(len(table), math.inf) for _ in seq]
-    for dev, F, here in zip(deviations, seq, present):
-        dev[here] = F.deviations
+    present = np.array([F.rows >= 0 for F in seq])
+    norms, deviations = np.full((2, *present.shape), math.inf)
+    for i, F in enumerate(seq):
+        norms[i, present[i]], deviations[i, present[i]] = F.norms, F.deviations
+    scans = [check_c0(F, eps_decay) for F in seq]
+    exceptional = [len(res.exceptional) for res in scans]
     conditions = [
-        _c0_condition([_c0_scan(check_c0(F, eps_decay), table) for F in seq], table,
-                      eps_decay, contexts, "block"),
+        # its exceptional labels are in table order, so only the first can be trivial
+        _c0_condition(exceptional, [e - (res.exceptional_labels[:1] == (table.trivial,))
+                                    for e, res in zip(exceptional, scans)],
+                      [res.unspecified for res in scans], table, eps_decay, contexts, "block"),
         _identity_condition(deviations, table, conv_tols, contexts,
                             "||block - I|| within the per-family tolerance schedule",
-                            unspecified=[~here for here in present]),
+                            unspecified=~present),
     ]
     if k_values is not None:
         # the trivial label, first in table order, is the one label of length 0
-        rows = [(np.flatnonzero(here[1:]) + 1, F.norms[int(here[0]):])
-                for F, here in zip(seq, present)]
         conditions.append(_norm_bound_condition(
-            "damped-norm-bound", "nontrivial block norms <= exp(-1/k) + tol",
-            [(at, np.ones(len(at), dtype=int), norms) for at, norms in rows],
-            table, k_values, tol, lambda i, _: contexts[i]))
+            "damped-norm-bound", "nontrivial block norms <= exp(-1/k) + tol", norms,
+            np.minimum(np.arange(len(table)), 1), table, k_values, tol,
+            lambda i, _: contexts[i], present=present))
 
     return CertificationReport(
         command="certify-hap",

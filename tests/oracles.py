@@ -710,22 +710,22 @@ def closure_identity_condition(deviations, table, conv_tols, contexts, summary,
         np.repeat(conv_tols, n), witness, failed, margin, exact)
 
 
-def closure_norm_bound_condition(name, summary, families, table, k_values, tol, context,
-                                 margin=0.0, exact=None):
-    """The word and damped norm bounds through ``closure_threshold_condition``."""
+def closure_norm_bound_condition(name, summary, norms, lengths, table, k_values, tol, context,
+                                 present=True, margin=0.0, exact=None):
+    """The word and damped norm bounds through ``closure_threshold_condition``:
+    one row per present (stage, position) of length >= 1, stage-major, each
+    with its own exp(-l/k) + tol."""
     from hapkit.reports import Witness
-    thresholds = [np.array([math.exp(-l / k) + tol
-                            for l in range(int(lengths.max(initial=0)) + 1)])[lengths]
-                  for (_, lengths, _), k in zip(families, k_values)]
-    ends = np.cumsum([len(lengths) for _, lengths, _ in families])
-    threshold = np.concatenate([np.empty(0), *thresholds])
+    stages, n = np.shape(norms)
+    present = np.broadcast_to(present, (stages, n))
+    cells = [(i, j) for i in range(stages) for j in range(n)
+             if present[i, j] and lengths[j] >= 1]
+    flat = np.array([i * n + j for i, j in cells], dtype=np.intp)
+    threshold = [math.exp(-int(lengths[j]) / k_values[i]) + tol for i, j in cells]
 
     def witness(r, achieved):
-        i = int(np.searchsorted(ends, r, side="right"))
-        positions, lengths, _ = families[i]
-        j = r - (int(ends[i - 1]) if i else 0)
-        return Witness(label_key(table, int(positions[j])), achieved, float(threshold[r]),
-                       context(i, int(lengths[j])))
+        i, j = cells[r]
+        return Witness(label_key(table, j), achieved, threshold[r], context(i, int(lengths[j])))
     return closure_threshold_condition(
-        name, summary, np.concatenate([np.empty(0), *(norms for _, _, norms in families)]),
-        threshold, witness, margin=margin, exact=exact)
+        name, summary, [norms[i][j] for i, j in cells], threshold, witness,
+        margin=np.broadcast_to(margin, stages * n)[flat], exact=lambda r: exact(flat[r]))

@@ -78,6 +78,20 @@ class TestFailClosedOnNaN:
         obj = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert obj["tolerances"]["tol"] == "nan"
 
+    def test_nan_tol_compares_nothing_where_a_condition_has_no_rows(self, tmp_path):
+        # a table of the trivial word alone has no word of length >= 1, so no row
+        # meets the NaN and the bound holds vacuously
+        config = {**json.loads((FIXTURES / "freeprod_zz.json").read_text()),
+                  "max_word_length": 0}
+        path = tmp_path / "zz0.json"
+        path.write_text(json.dumps(config))
+        res = run_cli("freeprod", path, "--tol", "nan")
+        assert res.returncode == 0
+        out = res.stdout.decode()
+        assert "tolerances: tol=nan, eps_decay=0.9\n" in out
+        assert "condition word-norm-bound: PASS [length-l word blocks damped below " \
+               "exp(-l/k) + tol]\ncondition identity-convergence: PASS" in out
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_generator_fails_positivity(self, tmp_path):
         # finite blocks whose Hermitian part overflows: eigenvalues come out NaN

@@ -157,23 +157,27 @@ def test_cli_builds_no_verdict_and_reads_no_private_name():
 # per-label threshold (an exceptional set, an evaluation, one Gram eigenvalue)
 _VERDICT_BUILDERS = {
     ("fourier", "_threshold_condition"), ("fourier", "_identity_condition"),
-    ("fourier", "_c0_verdict"), ("fourier", "_c0_condition"),
-    ("cocycle", "cocycle_report"), ("genfun", "semigroup_report"),
-    ("classical", "schoenberg_report"),
+    ("fourier", "_c0_condition"), ("cocycle", "cocycle_report"),
+    ("genfun", "semigroup_report"), ("classical", "schoenberg_report"),
 }
 
 
 def test_verdicts_are_built_in_the_kernels_only():
     """Every per-label threshold condition goes through ``_threshold_condition``:
     outside ``_VERDICT_BUILDERS`` no code of ``src/hapkit`` calls
-    ``ConditionVerdict`` or ``Witness``, so no verdict compares inline."""
-    found = set()
+    ``ConditionVerdict`` or ``Witness``, so no verdict compares inline; and
+    every entry of the list is a module-level function that does, so no stale
+    entry stays."""
+    found, functions = set(), set()
     for path in sorted((REPO_ROOT / "src" / "hapkit").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             name = getattr(node, "name", None)  # None for a statement at module level
+            if isinstance(node, ast.FunctionDef):
+                functions.add((path.stem, name))
             found |= {(path.stem, name) for call in ast.walk(node) if isinstance(call, ast.Call)
                       and {"ConditionVerdict", "Witness"} & set(_names(call.func))}
     assert found - _VERDICT_BUILDERS == set()
+    assert _VERDICT_BUILDERS - (found & functions) == set()
 
 
 def test_traced_runs_record_spans_and_restore(tmp_path):

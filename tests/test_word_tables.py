@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hapkit as hk
 import oracles
 from conftest import run_cli, run_cli_subprocess
-from hapkit import cfree, fourier
+from hapkit import cfree
 
 
 @st.composite
@@ -280,15 +280,3 @@ class TestLaziness:
         assert rendered >= 2
         # at most one Word per rendered row; the keys come from the letter arrays, so none
         assert made[0] <= rendered and made[0] == 0
-
-
-class TestC0Count:
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.floats(0, 1), min_size=1, max_size=6), st.floats(0.01, 0.99))
-    def test_nontrivial_count_matches_the_label_loop(self, values, eps):
-        table = hk.make_table([(f"x{i}", 1) for i in range(len(values) - 1)])
-        F = hk.MatrixFamily(table, {lab: [[v]] for lab, v in zip(table.labels, values)})
-        res = hk.check_c0(F, eps)
-        exc, nontrivial, unspecified = fourier._c0_scan(res, table)
-        assert exc == len(res.exceptional) and unspecified == res.unspecified
-        assert nontrivial == sum(1 for lab in res.exceptional_labels if lab != table.trivial)
