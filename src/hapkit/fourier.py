@@ -425,11 +425,11 @@ def _c0_condition(exceptional, nontrivial, unspecified, table, eps_decay, contex
     family with the most exceptional labels.
     """
     total, failed, worst = len(table) - 1, [], None
-    for exc, inner, missing, ctx in zip(exceptional, nontrivial, unspecified, contexts):
+    for exc, nontrivial_exc, missing, ctx in zip(exceptional, nontrivial, unspecified, contexts):
         if missing:
             failed.append(Witness(label=table.encode(missing[0]), achieved=float(len(missing)),
                                   threshold=0.0, context=f"{ctx}: labels without blocks"))
-        elif total > 0 and inner >= total:
+        elif total > 0 and nontrivial_exc >= total:
             failed.append(Witness(label="*", achieved=float(exc), threshold=float(total),
                                   context=f"{ctx}: no nontrivial label decayed below eps"))
         elif worst is None or exc > worst.achieved:
@@ -525,7 +525,8 @@ def _norm_bound_condition(name: str, summary: str, norms, lengths, table, k_valu
     bounds = np.array([[math.exp(-l / k) + tol for l in range(width)] for k in k_values])
     return _threshold_condition(
         name, summary, np.ravel(norms)[rows], bounds[stage, length], table, at,
-        stage * width + length, [context(i, l) for i in range(len(k_values)) for l in range(width)],
+        stage * width + length,
+        [context(i, l) for i in range(len(k_values)) for l in range(width)],
         margin=np.broadcast_to(margin, np.size(norms))[rows], exact=lambda r: exact(rows[r]))
 
 
@@ -567,7 +568,7 @@ def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,
     scans = [check_c0(F, eps_decay) for F in seq]
     exceptional = [len(res.exceptional) for res in scans]
     conditions = [
-        # its exceptional labels are in table order, so only the first can be trivial
+        # a scan's exceptional labels are in table order, so only the first can be trivial
         _c0_condition(exceptional, [e - (res.exceptional_labels[:1] == (table.trivial,))
                                     for e, res in zip(exceptional, scans)],
                       [res.unspecified for res in scans], table, eps_decay, contexts, "block"),
