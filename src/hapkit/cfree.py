@@ -201,11 +201,13 @@ class _WordValues:
     x ... x A_l are the products of theirs (Van Loan, "The ubiquitous
     Kronecker product", JCAM 2000), so ||W|| = prod_j max|lambda| and
     ||W - I|| = max |prod_j lambda - 1|; a letter that is not finite or not
-    exactly Hermitian gives NaN.  Rounding is monotone, so the least and
-    greatest product of a word's first j letters, multiplied left to right,
-    are among the products of the first j - 1 letters' extremes with the j-th
-    letter's, and |x - 1| peaks at one of them: each letter's extremes give
-    bitwise what every product gives, save inf * 0, NaN wherever it falls.
+    exactly Hermitian gives NaN, always ``np.nan``: IEEE 754 leaves a NaN's
+    sign open, and numpy's loops pass on either operand's.  Rounding is
+    monotone, so the least and greatest product of a word's first j letters,
+    multiplied left to right, are among the products of the first j - 1
+    letters' extremes with the j-th letter's, and |x - 1| peaks at one of
+    them: each letter's extremes give bitwise what every product gives, save
+    inf * 0, NaN wherever it falls.
 
     ``margins`` = 32 l (D + sum d_j) u N, with side D = prod d_j, the integer
     rounded once, and N = max(1, prod ||A_j||), bound the gap to the values
@@ -256,6 +258,8 @@ class _WordValues:
             sizes = wp.dims.astype(object if wide else np.int64) + side_sums  # D + sum d_j, exact
             margins = (32 * wp.lengths * sizes).astype(float) * _U * np.maximum(1.0, norms)
         margins[~np.isfinite(margins)] = np.nan
+        for a in (norms, deviations):
+            a[np.isnan(a)] = np.nan
         self.norms, self.deviations, self.margins = map(np.ravel, (norms, deviations, margins))
         self._exact = {False: self.norms.copy(), True: self.deviations.copy()}
         self._known = {False: self.margins == 0, True: self.margins == 0}

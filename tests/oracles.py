@@ -375,6 +375,7 @@ def group_word_values(seq1, seq2, wp):
             margins[:, positions] = (32 * len(key) * (math.prod(sides) + sum(sides)) * unit
                                      * np.maximum(1.0, norm))
     margins[~np.isfinite(margins)] = np.nan
+    norms[np.isnan(norms)] = np.nan  # inf * 0 gives the sign the hardware picks
     return norms.ravel(), deviations.ravel(), margins.ravel()
 
 
