@@ -458,3 +458,119 @@ def test_digests_fall_back_to_hashlib():
     assert res.stdout.decode().split() == [
         "True", "sha256:" + hashlib.sha256(canonical).hexdigest(),
         hk.fourier.family_content_digest([family])]
+
+
+# number tokens as a file may spell them: floats (edges among them), ints, bools,
+# non-finite tokens, and a float past the range that json reads as inf
+_NUMBER_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "5e-324", "-5e-324", "1e308", "1.7976931348623157e308", "1E-7",
+                     "2.50", "1.0e2", "0.1", "-3.0", "0", "-7", "12345678901234567890",
+                     "true", "false", "NaN", "Infinity", "-Infinity", "1e400"]))
+_PLAIN_TOKENS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_DOC_IDS = ["a", "b", "é", "☃", 'q"', "s\\", "n\n", "\U0001f600"]
+
+
+@st.composite
+def _block_documents(draw):
+    """(kind, text): a generator, states or freeprod-config document written by
+    hand, so that keys may repeat, come in any order and be escaped or not."""
+    space = draw(st.sampled_from(["", " ", "\n  "]))
+
+    def key_text(key):
+        return json.dumps(key, ensure_ascii=draw(st.booleans()))
+
+    def obj_text(members):
+        members = draw(st.permutations(members))
+        return "{" + ("," + space).join(key_text(k) + ":" + space + v for k, v in members) + "}"
+
+    ids = draw(st.lists(st.sampled_from(_DOC_IDS), min_size=1, max_size=4, unique=True))
+    dims = {i: draw(st.integers(1, 3)) for i in ids}
+    table = obj_text([("entries", "[" + ",".join(
+        obj_text([("id", key_text(i)), ("dim", str(dims.get(i, 1))),
+                  ("trivial", "true" if i == "1" else "false")])
+        for i in ["1"] + ids) + "]")])
+    # mostly plain floats, so that most documents are read; sometimes any token
+    tokens = draw(st.sampled_from([_PLAIN_TOKENS, _NUMBER_TOKENS]))
+
+    def matrix_text(side):
+        return "[" + ",".join("[" + ",".join(
+            f"[{draw(tokens)},{draw(tokens)}]" for _ in range(side)) + "]"
+            for _ in range(side)) + "]"
+
+    def blocks_text():
+        keys = draw(st.lists(st.sampled_from(["1"] + ids + ["zz"] * draw(st.booleans())),
+                             max_size=6))  # repeats allowed: json keeps the last value
+        wrong = draw(st.booleans()) and draw(st.booleans())
+        return obj_text([(k, matrix_text(dims.get(k, 1) + (wrong and k != "1")))
+                         for k in keys])
+
+    def families_text():
+        return "[" + ",".join(obj_text(
+            [("blocks", blocks_text()), ("normalized", "false")]
+            + [("blocks", blocks_text())] * draw(st.booleans()))
+            for _ in range(draw(st.integers(1, 3)))) + "]"
+
+    kind = draw(st.sampled_from(["generator", "states", "freeprod"]))
+    if kind == "generator":
+        return kind, obj_text([("kind", '"generator"'), ("table", table),
+                               ("blocks", blocks_text())])
+    if kind == "states":
+        return kind, obj_text([("table", table), ("families", families_text()),
+                               ("eps_decay", draw(_PLAIN_TOKENS))])
+    return kind, obj_text([("k_values", "[1]"), ("factor2", '{"group": "Z2"}'),
+                           ("factor1", obj_text([("table", table),
+                                                 ("families", families_text())]))])
+
+
+def _outcome(build):
+    """What ``build()`` gives: its block maps, or the text of its input error."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_maps(got, expected):
+    assert type(got) is type(expected)
+    if isinstance(got, str):
+        assert got == expected
+        return
+    assert len(got) == len(expected)
+    for mine, theirs in zip(got, expected):
+        assert type(mine) is type(theirs) and mine.table == theirs.table
+        assert mine.rows.tobytes() == theirs.rows.tobytes()
+        assert list(mine.stacks) == list(theirs.stacks)
+        for d, stack in mine.stacks.items():
+            assert stack.tobytes() == theirs.stacks[d].tobytes()
+        assert getattr(mine, "normalized", None) == getattr(theirs, "normalized", None)
+
+
+class TestCliReaderMatchesTheUnhookedParse:
+    """The CLI's reader gives the digest of the canonical text of json.loads
+    and the maps that the raw objects give, for any document a file may hold."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(document=_block_documents())
+    def test_digest_and_maps(self, document, tmp_path_factory):
+        from hapkit import cli
+
+        kind, text = document
+        path = tmp_path_factory.mktemp("doc") / "input.json"
+        path.write_text(text, encoding="utf-8")
+        raw = json.loads(text)
+        expected = hashlib.sha256(oracles.canonical_json(raw).encode()).hexdigest()
+        assert cli._load(str(path))[1] == "sha256:" + expected
+        if kind == "generator":
+            got = _outcome(lambda: [cli._load_generator(str(path))[1]])
+            want = _outcome(lambda: [sz.generator_from_obj(json.loads(text))])
+        elif kind == "states":
+            got = _outcome(lambda: cli._load_states(str(path))[2])
+            want = _outcome(lambda: cli._family_sequence(
+                sz.table_from_obj(raw["table"], "table"), raw["families"], "families"))
+        else:
+            got = _outcome(lambda: cli._factor_sequence(
+                cli._load(str(path))[0]["factor1"], "factor1", [1])[1])
+            want = _outcome(lambda: cli._factor_sequence(
+                json.loads(text)["factor1"], "factor1", [1])[1])
+        _assert_same_maps(got, want)
