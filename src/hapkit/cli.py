@@ -103,12 +103,12 @@ def _load_states(path: str):
     obj, digest = _load(path)
     if not isinstance(obj, dict) or "table" not in obj or "families" not in obj:
         raise InputError(f"{path}: expected an object with 'table' and 'families'")
-    table = serialize.table_from_obj(obj.pop("table"), "table")
-    return obj, digest, _family_sequence(table, obj.pop("families"), "families")
+    table = serialize.table_from_obj(obj["table"], "table")
+    return obj, digest, _family_sequence(table, obj["families"], "families")
 
 
 def _load_generator(path: str):
-    """Load a generator input: (digest, generator); its raw JSON is dropped once read."""
+    """Load a generator input: (digest, generator)."""
     obj, digest = _load(path)
     return digest, serialize.generator_from_obj(obj)
 

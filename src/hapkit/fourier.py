@@ -36,7 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _linalg
-from .reports import (CertificationReport, ConditionVerdict, Witness, WitnessRows,
+from .reports import (CertificationReport, ConditionVerdict, Witness, WitnessRows, _RUN,
                       _matrix_template, log_info, sha256)
 
 NORMALIZED_ATOL = 1e-9
@@ -167,31 +167,36 @@ class BlockMap(Mapping):
         """Read-only Hermitian residual ||B - B*|| of every block, aligned with ``labels``."""
         return self.scan(_linalg.adjoint_residuals)
 
-    def json_texts(self, depth: int) -> dict:
-        """Block key -> the JSON text of its block nested ``depth`` levels deep,
-        for ``reports.json_pieces``: its interleaved real and imaginary parts in
-        its template.  Each side's numbers are checked and listed at once; a
-        non-finite one raises, naming the first of the first such block in key
-        order."""
-        keys = self.table.keys_at(self.positions)
-        numbers = {d: np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
-                   for d, stack in self.stacks.items()}
-        finite = self.in_order({d: np.isfinite(x).all(axis=1) for d, x in numbers.items()}, bool)
-        if not finite.all():
-            first = min(np.flatnonzero(~finite).tolist(), key=keys.__getitem__)
-            values = self.views()[first].reshape(-1).view(np.float64)
-            bad = float(values[np.argmin(np.isfinite(values))])
-            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-        texts = {}
-        for d, x in numbers.items():
-            template, step = _matrix_template(d, depth), 2 * d * d
-            values = x.reshape(-1).tolist()
-            texts[d] = np.array([template % tuple(map(float.__repr__, values[i:i + step]))
-                                 for i in range(0, len(values), step)], dtype=object)
-        return dict(zip(keys, self.in_order(texts, object)))
+    def json_texts(self, depth) -> tuple:
+        """Its sorted block keys and their texts (``block_texts``), for ``json_pieces``."""
+        return block_texts(self.table.keys_at(self.positions), self.table.dims[self.positions],
+                           self.rows[self.positions], self.stacks, depth)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self)}/{len(self.table)} blocks)"
+
+
+def block_texts(keys: list, sides: np.ndarray, rows: np.ndarray, stacks: Mapping,
+                depth) -> tuple:
+    """``keys`` sorted, and an iterator over the JSON texts of their blocks, that of
+    ``keys[i]`` being row ``rows[i]`` of ``stacks[sides[i]]``: its interleaved real and
+    imaginary parts in ``_matrix_template(side, depth)``.  The texts are made
+    ``_RUN`` blocks at a time, one digest run, with one list of numbers per side."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [keys[i] for i in order], _batched_texts(sides[order], rows[order], stacks, depth)
+
+
+def _batched_texts(sides: np.ndarray, rows: np.ndarray, stacks: Mapping, depth):
+    for lo in range(0, len(sides), _RUN):
+        at, texts = slice(lo, lo + _RUN), np.empty(min(_RUN, len(sides) - lo), dtype=object)
+        for d in {*sides[at].tolist()}:
+            mine = sides[at] == d
+            values = stacks[d][rows[at][mine]].view(np.float64).reshape(-1).tolist()
+            template, step = _matrix_template(d, depth), 2 * d * d
+            # a tuple display has its exact size, so the tuple free lists reuse it
+            texts[mine] = [template % (*map(float.__repr__, values[i:i + step]),)
+                           for i in range(0, len(values), step)]
+        yield from texts.tolist()
 
 
 def stacked_blocks(table, parts) -> BlockMap:

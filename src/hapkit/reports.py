@@ -35,12 +35,14 @@ _TEXT_WITNESS_CAP = 8
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 # members per encoder call: one call keeps every repr it makes until it joins them
 _RUN = 32
+_SCALARS = {str, int, float, bool, type(None)}
 
 
 def content_digest(obj) -> str:
     """sha256 of the canonical JSON text of ``obj``, fed in bounded pieces: lists
-    that hold objects, and objects of str keys that hold lists or objects, are
-    walked, and their other members are encoded in runs of at most ``_RUN``."""
+    that hold objects, and objects of str keys that hold more than scalars, are
+    walked, their other members are encoded in runs of at most ``_RUN``, and an
+    object with ``json_texts`` (a 'blocks' object ``load_json`` read) gives its own."""
     h = sha256()
     _feed(h.update, obj)
     return "sha256:" + h.hexdigest()
@@ -51,12 +53,18 @@ def _walked(values: list) -> list:
     if {*map(type, values)} == {list} and dict not in map(type, chain.from_iterable(values)):
         return []  # one look a level down settles a list of matrices
     return [i for i, v in enumerate(values) if type(v) is list and dict in map(type, v)
-            or type(v) is dict and not {dict, list}.isdisjoint(map(type, v.values()))
-            and {*map(type, v)} <= {str}]
+            or type(v) is dict and not {*map(type, v.values())} <= _SCALARS
+            and {*map(type, v)} <= {str} or hasattr(v, "json_texts")]
 
 
 def _feed(update, value) -> None:
     """Feed the canonical text of ``value`` to ``update``, walking it if ``_walked``."""
+    if hasattr(value, "json_texts"):
+        keys, texts = value.json_texts(None)
+        for lo in range(0, len(keys), _RUN):  # zip stops at the keys: one run of texts
+            run = zip(map(_escape, keys[lo:lo + _RUN]), texts)
+            update((b"," if lo else b"{") + ",".join(map("%s:%s".__mod__, run)).encode())
+        return update(b"}" if keys else b"{}")
     if not _walked([value]):
         return update(_canonical(value).encode())
     keys = sorted(value) if type(value) is dict else None
@@ -133,46 +141,44 @@ def _template(keys: tuple, depth: int) -> str:
 
 
 @functools.lru_cache(maxsize=16)
-def _matrix_template(d: int, depth: int) -> str:
-    """json's indent=2 text of a d x d matrix of [re, im] pairs nested ``depth``
-    levels deep, with one %s per number."""
-    text = json.dumps([[[0, 0]] * d] * d, indent=2)
-    return text.replace("0", "%s").replace("\n", "\n" + _INDENT * depth)
+def _matrix_template(d: int, depth: int | None) -> str:
+    """json's text of a d x d matrix of [re, im] pairs, one %s per number: indent=2
+    and nested ``depth`` levels deep, or the canonical compact text if ``depth`` is None."""
+    text = json.dumps([[[0, 0]] * d] * d, indent=None if depth is None else 2,
+                      separators=(",", ":"))
+    return text.replace("0", "%s").replace("\n", "\n" + _INDENT * (depth or 0))
 
 
-def json_pieces(obj, allow_nan: bool = True, depth: int = 0, out: list | None = None) -> list:
+def json_pieces(obj, allow_nan: bool = True, depth: int = 0):
     """The text of json.dumps(obj, sort_keys=True, indent=2, allow_nan=allow_nan),
-    nested ``depth`` levels deep, appended to ``out`` in pieces.
+    nested ``depth`` levels deep, yielded in pieces as it is made.
 
     An object whose values are all scalars fills the template of its keys.
     A value with a ``json_texts(depth)`` method lays out its own items: it
-    gives their texts, nested ``depth`` levels deep, as a key -> text dict
-    (an object) or a list (an array).
+    gives their keys in order (None for an array) and their texts, nested
+    ``depth`` levels deep.
     """
-    out = [] if out is None else out
     own = hasattr(obj, "json_texts")
-    items = obj.json_texts(depth + 1) if own else obj
-    is_dict = isinstance(items, dict)
-    if not isinstance(items, (dict, list, tuple)):
-        out.append(_leaf(obj, allow_nan))
-    elif not items:
-        out.append("{}" if is_dict else "[]")
-    elif is_dict and not own and all(
-            isinstance(v, (str, int, float)) or v is None for v in items.values()):
-        keys = sorted(items)
-        out.append(_template(tuple(keys), depth) % tuple(_leaf(items[k], allow_nan) for k in keys))
+    if own:
+        keys, values = obj.json_texts(depth + 1)
+    elif isinstance(obj, (dict, list, tuple)):
+        keys = sorted(obj) if isinstance(obj, dict) else None
+        values = obj if keys is None else [obj[key] for key in keys]
     else:
-        out.append("{" if is_dict else "[")
-        for n, item in enumerate(sorted(items) if is_dict else items):
-            out.append(("," if n else "") + "\n" + _INDENT * (depth + 1)
-                       + (_escape(item) + ": " if is_dict else ""))
-            value = items[item] if is_dict else item
-            if own:
-                out.append(value)
-            else:
-                json_pieces(value, allow_nan, depth + 1, out)
-        out.append("\n" + _INDENT * depth + ("}" if is_dict else "]"))
-    return out
+        values = keys = None
+    if values is None:
+        yield _leaf(obj, allow_nan)
+    elif keys and not own and all(isinstance(v, (str, int, float)) or v is None for v in values):
+        yield _template(tuple(keys), depth) % tuple(_leaf(v, allow_nan) for v in values)
+    elif not (values if keys is None else keys):
+        yield "[]" if keys is None else "{}"
+    else:
+        yield "[" if keys is None else "{"
+        for n, value in enumerate(values):
+            yield ("," if n else "") + "\n" + _INDENT * (depth + 1) + (
+                "" if keys is None else _escape(keys[n]) + ": ")
+            yield from [value] if own else json_pieces(value, allow_nan, depth + 1)
+        yield "\n" + _INDENT * depth + ("]" if keys is None else "}")
 
 
 @dataclass(frozen=True)
@@ -231,14 +237,14 @@ class WitnessRows:
             Witness, self.table.keys_at(self.positions[rows]), self.achieved[rows].tolist(),
             self.threshold[rows].tolist(), self.contexts[rows].tolist()))
 
-    def json_texts(self, depth: int) -> list:
+    def json_texts(self, depth: int) -> tuple:
         texts = ["".join(json_pieces(w.to_obj(), depth=depth)) for w in self.head]
         if self.table is not None:
             texts += map(_template(("achieved", "context", "label", "threshold"), depth).__mod__,
                          zip(_num_texts(self.achieved), map(_escape, self.contexts.tolist()),
                              map(_escape, self.table.keys_at(self.positions)),
                              _num_texts(self.threshold)))
-        return texts
+        return None, texts
 
 
 class _Witnesses:
@@ -297,9 +303,9 @@ class CertificationReport:
     def json_pieces(self) -> list:
         """The text of json.dumps(self.to_obj(), sort_keys=True, indent=2) and a
         newline, in pieces, with each condition's witnesses read from its rows."""
-        return json_pieces(self._obj([
+        return [*json_pieces(self._obj([
             {"name": c.name, "passed": c.passed, "summary": c.summary, "witnesses": c.rows}
-            for c in self.conditions])) + ["\n"]
+            for c in self.conditions])), "\n"]
 
     def _obj(self, conditions: list) -> dict:
         return {

@@ -17,12 +17,13 @@ plain tables and "i1:id1|i2:id2|..." word encodings (empty string for the
 trivial word) for free-product tables.  Writing is deterministic: canonical
 label order, sorted keys, fixed separators.
 
-In memory, a 'blocks' object is a ``BlockMap``: ``dump_json`` formats each
-of its stacks' numbers at once (``BlockMap.json_texts``) and writes every
-block in the layout json.dumps(..., indent=2) gives its nested lists, byte
-for byte.  ``blocks_from_obj`` converts all matrices of one side with one
-numpy call into one read-only stack, which the map it returns holds and a
-family, generator or cocycle built from it adopts without a copy.
+``load_json`` converts each 'blocks' object of JSON floats as soon as it is
+parsed, so the raw matrices of one such object live at a time: the
+``ReadBlocks`` it leaves holds one read-only stack per side, which
+``blocks_from_obj`` checks against the table and a family, generator or
+cocycle adopts without a copy.  ``dump_json`` writes each ``BlockMap`` a
+batch of blocks at a time, byte for byte as json.dumps(..., indent=2) lays
+out their nested lists.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .cocycle import CocycleMatrices
-from .fourier import BlockMap, MatrixFamily, stacked_blocks
+from .fourier import BlockMap, MatrixFamily, block_texts, stacked_blocks
 from .genfun import GeneratingFunctional
 from .irreps import FreeProductTable, IrrepTable, free_product_table, make_table
 from .reports import json_pieces
@@ -109,64 +110,84 @@ def blocks_to_obj(table, blocks) -> BlockMap:
     return BlockMap(table, blocks)
 
 
-def blocks_from_obj(table, obj, where: str) -> BlockMap:
-    """The blocks of a 'blocks' object, one read-only stack per side.
+class ReadBlocks:
+    """A 'blocks' object as ``load_json`` read it, with no table: its keys in file order,
+    each one's side and stack row, one read-only stack per side, and their texts."""
 
-    The matrices of one side are checked and converted together; when any
-    is malformed, or is not of its label's dim, the error names the first
-    fault in file order.
-    """
-    _expect(isinstance(obj, dict), where, "'blocks' must be an object")
-    try:
-        positions = np.array([table.locate(key) for key in obj], dtype=np.intp)
-    except KeyError:
-        raise _first_fault(table, obj, where) from None
+    def __init__(self, keys: list, sides: np.ndarray, rows: np.ndarray, stacks: dict):
+        self.keys, self.sides, self.rows, self.stacks = keys, sides, rows, stacks
+
+    def json_texts(self, depth) -> tuple:
+        return block_texts(self.keys, self.sides, self.rows, self.stacks, depth)
+
+
+def _read_blocks(obj: dict, kinds=(int, float)) -> ReadBlocks | None:
+    """The one converter: the matrices of a 'blocks' object, side by side, or None
+    unless each is a list of rows of [re, im] pairs of finite numbers of ``kinds``."""
     mats = list(obj.values())
-    by_side = {}
-    for i, mat in enumerate(mats):
-        by_side.setdefault(len(mat) if type(mat) is list else 0, []).append(i)
-    parts = []
-    for side, idx in by_side.items():
-        stack = _read_stack(side, [mats[i] for i in idx])
-        at = positions[idx]
-        if stack is None or (table.dims[at] != side).any():
-            raise _first_fault(table, obj, where)
-        parts.append((at, stack))
-    return stacked_blocks(table, parts)
+    sides = np.array([len(mat) if type(mat) is list else 0 for mat in mats], dtype=np.intp)
+    rows, stacks = np.empty(len(mats), dtype=np.intp), {}
+    for side in {*sides.tolist()}:
+        at = np.flatnonzero(sides == side)
+        stacks[side], rows[at] = _read_stack(side, [mats[i] for i in at], kinds), range(len(at))
+        if stacks[side] is None:
+            return None
+    return ReadBlocks(list(obj), sides, rows, stacks)
 
 
-def _read_stack(side: int, mats: list):
-    """Read-only (k, side, side) complex128 stack of ``mats``, or None unless each
-    is a list of ``side`` rows of ``side`` [re, im] pairs of finite JSON numbers."""
-    if side == 0:  # not a nonempty list
-        return None
+def _read_hook(obj: dict) -> dict:
+    """json's object hook: a 'blocks' object of JSON floats is converted once parsed."""
+    if type(obj.get("blocks")) is dict and obj["blocks"]:
+        obj["blocks"] = _read_blocks(obj["blocks"], (float,)) or obj["blocks"]
+    return obj
+
+
+def blocks_from_obj(table, obj, where: str) -> BlockMap:
+    """The blocks of a 'blocks' object, raw or as ``load_json`` read it, one
+    read-only stack per side; an unknown key, a malformed matrix or one of the
+    wrong side raises, naming the first fault in file order."""
+    _expect(isinstance(obj, (dict, ReadBlocks)), where, "'blocks' must be an object")
+    read = obj if isinstance(obj, ReadBlocks) else _read_blocks(obj)
     try:
-        numbers = np.array(mats, dtype=np.float64)
+        positions = None if read is None else np.array([*map(table.locate, read.keys)], np.intp)
+    except KeyError:
+        positions = None
+    if positions is None or (table.dims[positions] != read.sides).any():
+        raise _first_fault(table, obj, where)
+    return stacked_blocks(table, [(positions[read.sides == d], stack)
+                                  for d, stack in read.stacks.items()])
+
+
+def _read_stack(side: int, mats: list, kinds):
+    """Read-only (k, side, side) complex128 stack of ``mats``, or None unless each
+    is a list of ``side`` rows of ``side`` [re, im] pairs of finite numbers of
+    ``kinds``; 64 matrices per numpy call keep its temporaries small."""
+    try:
+        numbers = np.concatenate([np.array(mats[lo:lo + 64], dtype=np.float64)
+                                  for lo in range(0, len(mats), 64)])
     except (ValueError, TypeError, OverflowError):  # ragged, non-numeric or beyond the float range
         return None
-    if numbers.shape != (len(mats), side, side, 2):
-        return None
-    rows = list(chain.from_iterable(mats))
-    pairs = list(chain.from_iterable(rows))
-    if not ({*map(type, rows), *map(type, pairs)} == {list}
-            and {*map(type, chain.from_iterable(pairs))} <= {int, float}
-            and np.isfinite(numbers).all()):
+    flat = chain.from_iterable
+    if not (numbers.shape == (len(mats), side, side, 2)
+            and {*map(type, flat(mats)), *map(type, flat(flat(mats)))} == {list}
+            and {*map(type, flat(flat(flat(mats))))} <= {*kinds} and np.isfinite(numbers).all()):
         return None
     numbers.setflags(write=False)
     return numbers.view(np.complex128)[..., 0]
 
 
-def _first_fault(table, obj: dict, where: str) -> SchemaError:
+def _first_fault(table, obj, where: str) -> SchemaError:
     """The error for the first unknown key, malformed matrix or matrix of the
     wrong side of a rejected 'blocks' object."""
-    for key, mat in obj.items():
+    read = isinstance(obj, ReadBlocks)
+    for key, mat in zip(obj.keys, obj.sides.tolist()) if read else obj.items():
         try:
             dim = table.dims[table.locate(key)]
         except KeyError as exc:
             return SchemaError(f"{where}: unknown block key {key!r} ({exc})")
-        fault = _matrix_fault(mat)
-        if fault is None and len(mat) != dim:
-            fault = f"block has side {len(mat)}, expected {dim}"
+        fault = None if read else _matrix_fault(mat)
+        if fault is None and (side := mat if read else len(mat)) != dim:
+            fault = f"block has side {side}, expected {dim}"
         if fault is not None:
             return SchemaError(f"{where}.blocks[{key!r}]: {fault}")
     return SchemaError(f"{where}: malformed 'blocks'")  # fail closed if no fault is named
@@ -236,22 +257,34 @@ def cocycle_to_obj(c: CocycleMatrices) -> dict:
 def load_json(path) -> object:
     """The JSON value in the UTF-8 file at ``path``; SchemaError names a file that is not."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_read_hook)
+    except (ValueError, RecursionError) as exc:  # an int past the digit limit among them
         raise SchemaError(f"{path}: malformed JSON ({exc})") from None
 
 
 def dump_json(obj, path) -> None:
-    """Write ``obj`` as json.dumps(obj, sort_keys=True, indent=2) would, with
-    the blocks of every ``BlockMap`` value written as matrices of [re, im]
-    pairs, through ``reports.json_pieces``.
-
-    Strict JSON: a NaN or infinite value raises and writes nothing.
-    """
+    """Write ``obj`` as json.dumps(obj, sort_keys=True, indent=2) would, with the
+    blocks of every ``BlockMap`` value as matrices of [re, im] pairs, each piece
+    as ``reports.json_pieces`` makes it.  Strict JSON: a NaN or infinite value
+    raises before the file is opened."""
     try:
-        pieces = json_pieces(obj, allow_nan=False)
+        _check_finite(obj)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    pieces.append("\n")
-    with open(path, "w") as fh:  # piece by piece: no second copy of the whole text
-        fh.writelines(pieces)
+    with open(path, "w") as fh:
+        fh.writelines(json_pieces(obj, allow_nan=False))
+        fh.write("\n")
+
+
+def _check_finite(obj) -> None:
+    """Raise json's error for the first NaN or infinite number of ``obj``, in written
+    order; a ``BlockMap`` is scanned a side at a time."""
+    if isinstance(obj, BlockMap):  # its non-finite blocks, as key -> numbers
+        bad = np.flatnonzero(~obj.scan(lambda stack: np.isfinite(stack).all(axis=(-2, -1)), bool))
+        obj = {obj.table.key_at(obj.positions[i]): obj.views()[i].view(np.float64).ravel().tolist()
+               for i in bad.tolist()}
+    if isinstance(obj, (dict, list, tuple)):
+        for value in map(obj.__getitem__, sorted(obj)) if isinstance(obj, dict) else obj:
+            _check_finite(value)
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")

@@ -212,6 +212,54 @@ class TestSideErrorsNameTheBlock:
         assert res.stderr == b"error: families[1].blocks['a']: block has side 1, expected 2\n"
 
 
+class TestReadBlocksErrorsMatchTheRawReader:
+    """A 'blocks' object that the reader converted while parsing fails with the
+    text that ``serialize.blocks_from_obj`` gives for the raw object."""
+
+    TABLE = {"entries": [{"id": "e", "dim": 1, "trivial": True}]
+             + [{"id": f"b{i}", "dim": 1 + i % 3} for i in range(9)]}
+
+    def _blocks(self, at, fault):
+        blocks = {f"b{i}": [[[0.25, 0.0]] * (1 + i % 3)] * (1 + i % 3) for i in range(9)}
+        keys = list(blocks)
+        key = keys[at]
+        if fault == "unknown":
+            blocks = {("zz" if k == key else k): v for k, v in blocks.items()}
+        elif fault == "side":  # one row and column more than the label's dim
+            side = len(blocks[key]) + 1
+            blocks[key] = [[[0.5, 0.0]] * side] * side
+        return blocks
+
+    @pytest.mark.parametrize("fault", ["unknown", "side"])
+    @pytest.mark.parametrize("at", [0, 4, 8], ids=["first", "middle", "last"])
+    def test_generator(self, tmp_path, at, fault):
+        blocks = self._blocks(at, fault)
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps({"kind": "generator", "table": self.TABLE, "blocks": blocks}))
+        assert isinstance(sz.load_json(gen)["blocks"], sz.ReadBlocks)
+        table = sz.table_from_obj(self.TABLE)
+        with pytest.raises(sz.SchemaError) as raw:
+            sz.blocks_from_obj(table, blocks, "generator")
+        res = run_cli("cocycle", gen, "--M", "1")
+        assert (res.returncode, res.stderr) == (2, f"error: {raw.value}\n".encode())
+
+    @pytest.mark.parametrize("fault", ["unknown", "side"])
+    @pytest.mark.parametrize("at", [0, 4, 8], ids=["first", "middle", "last"])
+    def test_family(self, tmp_path, at, fault):
+        blocks = self._blocks(at, fault)
+        states = tmp_path / "states.json"
+        states.write_text(json.dumps({"table": self.TABLE, "families": [
+            {"blocks": self._blocks(at, None), "normalized": False},
+            {"blocks": blocks, "normalized": False}]}))
+        assert isinstance(sz.load_json(states)["families"][1]["blocks"], sz.ReadBlocks)
+        table = sz.table_from_obj(self.TABLE)
+        with pytest.raises(sz.SchemaError) as raw:
+            sz.blocks_from_obj(table, blocks, "families[1]")
+        for argv in (["certify-hap", states], ["buildgen", states, "--out", tmp_path / "g.json"]):
+            res = run_cli(*argv)
+            assert (res.returncode, res.stderr) == (2, f"error: {raw.value}\n".encode())
+
+
 class TestSchoenbergCommand:
     def test_f2(self):
         res = run_cli("schoenberg", "--group", "F2", "--t", "1", "--radius", "2")
@@ -500,6 +548,17 @@ class TestRejectedInputs:
         res = run_cli_subprocess("certify-hap", source)
         assert res.returncode == 2
         assert b"Traceback" not in res.stderr
+
+    def test_integer_past_the_digit_limit_names_the_file(self, tmp_path):
+        # json's int() refuses more than sys.get_int_max_str_digits() digits
+        source = tmp_path / "big.json"
+        table = {"entries": [{"id": "e", "dim": 1, "trivial": True}, {"id": "a", "dim": 1}]}
+        source.write_text(json.dumps({"kind": "generator", "table": table,
+                                      "blocks": {"a": [[[0.5, 0.0]]]}}).replace("0.5", "1" * 5001))
+        res = run_cli("cocycle", source, "--M", "1")
+        assert res.returncode == 2
+        assert res.stderr.decode().startswith(
+            f"error: {source}: malformed JSON (Exceeds the limit (4300 digits) for integer string")
 
     @pytest.mark.parametrize("name", ["nested", "huge-dim"])
     def test_unreadable_input_exits_2_without_traceback(self, tmp_path, name):

@@ -8,9 +8,10 @@ Every name in ``hapkit.__all__`` must exist, and every module-level function
 and class in ``src/hapkit`` must be used there, be public or be traced.
 Every function the benchmark tracer patches must still exist under the name
 it looks up, and a traced run must leave every module as it found it.  The
-CLI builds no verdict and reads no private name of the library, and the
-library builds verdicts in its kernels only.  Module-level
-definitions in ``src/hapkit`` keep PEP 8's two blank lines above them.
+CLI builds no verdict and reads no private name of the library, the library
+builds verdicts in its kernels only, and only ``serialize.load_json`` parses
+JSON.  Module-level definitions in ``src/hapkit`` keep PEP 8's two blank
+lines above them.
 """
 
 import ast
@@ -150,6 +151,24 @@ def test_cli_builds_no_verdict_and_reads_no_private_name():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
+
+
+def test_json_is_parsed_in_load_json_only():
+    """Every input goes through the reader that converts 'blocks' objects as it
+    parses: in ``src/hapkit`` only ``serialize.load_json`` calls ``json.loads``
+    or ``json.load``, and no module imports either name from ``json``."""
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "hapkit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.stem, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "json"
+                  for alias in node.names if alias.name in ("load", "loads")]
+        for node in tree.body:
+            found += [(path.stem, getattr(node, "name", None)) for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                      and call.func.attr in ("load", "loads")
+                      and isinstance(call.func.value, ast.Name) and call.func.value.id == "json"]
+    assert found == [("serialize", "load_json")]
 
 
 # the module-level functions of ``src/hapkit`` that may call ``ConditionVerdict``
