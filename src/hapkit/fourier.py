@@ -193,7 +193,7 @@ def _batched_texts(sides: np.ndarray, rows: np.ndarray, stacks: Mapping, depth):
             mine = sides[at] == d
             values = stacks[d][rows[at][mine]].view(np.float64).reshape(-1).tolist()
             template, step = _matrix_template(d, depth), 2 * d * d
-            # a tuple display has its exact size, so the tuple free lists reuse it
+            # a tuple display has a known size, which the tuple free lists then reuse
             texts[mine] = [template % (*map(float.__repr__, values[i:i + step]),)
                            for i in range(0, len(values), step)]
         yield from texts.tolist()

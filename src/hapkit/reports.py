@@ -169,7 +169,8 @@ def json_pieces(obj, allow_nan: bool = True, depth: int = 0):
     if values is None:
         yield _leaf(obj, allow_nan)
     elif keys and not own and all(isinstance(v, (str, int, float)) or v is None for v in values):
-        yield _template(tuple(keys), depth) % tuple(_leaf(v, allow_nan) for v in values)
+        # from a list: a tuple of known size, which the tuple free lists then reuse
+        yield _template(tuple(keys), depth) % tuple([_leaf(v, allow_nan) for v in values])
     elif not (values if keys is None else keys):
         yield "[]" if keys is None else "{}"
     else:

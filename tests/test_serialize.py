@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import hapkit as hk
 import oracles
 from hapkit import _linalg
+from hapkit import cli
 from hapkit import reports
 from hapkit import serialize as sz
 from conftest import FIXTURES, REPO_ROOT, random_psd_generator, random_table, zdual_table
@@ -553,8 +554,6 @@ class TestCliReaderMatchesTheUnhookedParse:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(document=_block_documents())
     def test_digest_and_maps(self, document, tmp_path_factory):
-        from hapkit import cli
-
         kind, text = document
         path = tmp_path_factory.mktemp("doc") / "input.json"
         path.write_text(text, encoding="utf-8")
