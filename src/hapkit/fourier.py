@@ -36,11 +36,12 @@ from typing import Mapping
 import numpy as np
 
 from . import _linalg
-from .reports import (CertificationReport, ConditionVerdict, Witness, WitnessRows, _RUN,
+from .reports import (CertificationReport, ConditionVerdict, Witness, WitnessRows,
                       _matrix_template, log_info, sha256)
 
 NORMALIZED_ATOL = 1e-9
 DEFAULT_TOL = 1e-9
+_RUN = 32  # blocks per batch of ``block_texts``: one batch's numbers and texts live at a time
 
 
 class BlockMap(Mapping):
@@ -181,7 +182,7 @@ def block_texts(keys: list, sides: np.ndarray, rows: np.ndarray, stacks: Mapping
     """``keys`` sorted, and an iterator over the JSON texts of their blocks, that of
     ``keys[i]`` being row ``rows[i]`` of ``stacks[sides[i]]``: its interleaved real and
     imaginary parts in ``_matrix_template(side, depth)``.  The texts are made
-    ``_RUN`` blocks at a time, one digest run, with one list of numbers per side."""
+    ``_RUN`` blocks at a time, with one list of numbers per side."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return [keys[i] for i in order], _batched_texts(sides[order], rows[order], stacks, depth)
 

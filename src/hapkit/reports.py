@@ -15,7 +15,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
 
 __version__ = "0.1.0"
 
@@ -31,57 +30,14 @@ except ImportError:
 
 _TEXT_WITNESS_CAP = 8
 
-# the canonical text: json.dumps(obj, sort_keys=True, separators=(",", ":"))
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-# members per encoder call: one call keeps every repr it makes until it joins them
-_RUN = 32
-_SCALARS = {str, int, float, bool, type(None)}
-
 
 def content_digest(obj) -> str:
-    """sha256 of the canonical JSON text of ``obj``, fed in bounded pieces: lists
-    that hold objects, and objects of str keys that hold more than scalars, are
-    walked, their other members are encoded in runs of at most ``_RUN``, and an
-    object with ``json_texts`` (a 'blocks' object ``load_json`` read) gives its own."""
+    """sha256 of the canonical JSON text of ``obj``, hashed piece by piece as
+    ``json_pieces(obj, depth=None)`` makes it."""
     h = sha256()
-    _feed(h.update, obj)
+    for piece in json_pieces(obj, depth=None):
+        h.update(piece.encode())
     return "sha256:" + h.hexdigest()
-
-
-def _walked(values: list) -> list:
-    """The positions of the ``values`` that the digest walks."""
-    if {*map(type, values)} == {list} and dict not in map(type, chain.from_iterable(values)):
-        return []  # one look a level down settles a list of matrices
-    return [i for i, v in enumerate(values) if type(v) is list and dict in map(type, v)
-            or type(v) is dict and not {*map(type, v.values())} <= _SCALARS
-            and {*map(type, v)} <= {str} or hasattr(v, "json_texts")]
-
-
-def _feed(update, value) -> None:
-    """Feed the canonical text of ``value`` to ``update``, walking it if ``_walked``."""
-    if hasattr(value, "json_texts"):
-        keys, texts = value.json_texts(None)
-        for lo in range(0, len(keys), _RUN):  # zip stops at the keys: one run of texts
-            run = zip(map(_escape, keys[lo:lo + _RUN]), texts)
-            update((b"," if lo else b"{") + ",".join(map("%s:%s".__mod__, run)).encode())
-        return update(b"}" if keys else b"{}")
-    if not _walked([value]):
-        return update(_canonical(value).encode())
-    keys = sorted(value) if type(value) is dict else None
-    members = value if keys is None else [value[key] for key in keys]
-    update(b"[" if keys is None else b"{")
-    start = 0
-    for stop in _walked(members) + [len(members)]:
-        for lo in range(start, stop, _RUN):
-            hi = min(lo + _RUN, stop)
-            run = members[lo:hi] if keys is None else dict(zip(keys[lo:hi], members[lo:hi]))
-            update(b"," * (lo > 0) + _canonical(run)[1:-1].encode())
-        if stop < len(members):
-            key = b"" if keys is None else _canonical(keys[stop]).encode() + b":"
-            update(b"," * (stop > 0) + key)
-            _feed(update, members[stop])
-        start = stop + 1
-    update(b"]" if keys is None else b"}")
 
 
 def log_info(name: str, msg: str, *args) -> None:
@@ -110,6 +66,7 @@ def _json_num(x: float):
 
 _INDENT = "  "
 _escape = json.encoder.encode_basestring_ascii
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 # json's text of null, the booleans and, by their repr, the non-finite floats
 _CONSTANTS = {None: "null", True: "true", False: "false",
               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -131,36 +88,53 @@ def _leaf(x, allow_nan: bool = True) -> str:
     return _CONSTANTS.get(text, text)
 
 
+def _layout(depth: int | None) -> tuple:
+    """The text before each member, before the closing bracket and after each key, and
+    the members' depth: indent=2 and ``depth`` levels deep, or compact if ``depth`` is None."""
+    if depth is None:
+        return "", "", ":", None
+    return "\n" + _INDENT * (depth + 1), "\n" + _INDENT * depth, ": ", depth + 1
+
+
 @functools.lru_cache(maxsize=64)
-def _template(keys: tuple, depth: int) -> str:
-    """json's indent=2 text of an object with the sorted ``keys``, nested ``depth``
-    levels deep, with one %s per value."""
-    inner = "\n" + _INDENT * (depth + 1)
-    members = ("," + inner).join(_escape(key).replace("%", "%%") + ": %s" for key in keys)
-    return "{" + inner + members + "\n" + _INDENT * depth + "}"
+def _template(keys: tuple, depth: int | None) -> str:
+    """json's text of an object with the sorted ``keys`` in ``_layout(depth)``,
+    with one %s per value."""
+    inner, outer, colon, _ = _layout(depth)
+    members = ("," + inner).join(_escape(key).replace("%", "%%") + colon + "%s" for key in keys)
+    return "{" + inner + members + outer + "}"
 
 
 @functools.lru_cache(maxsize=16)
 def _matrix_template(d: int, depth: int | None) -> str:
     """json's text of a d x d matrix of [re, im] pairs, one %s per number: indent=2
     and nested ``depth`` levels deep, or the canonical compact text if ``depth`` is None."""
-    text = json.dumps([[[0, 0]] * d] * d, indent=None if depth is None else 2,
-                      separators=(",", ":"))
-    return text.replace("0", "%s").replace("\n", "\n" + _INDENT * (depth or 0))
+    return "".join(json_pieces([[[0, 0]] * d] * d, depth=depth)).replace("0", "%s")
 
 
-def json_pieces(obj, allow_nan: bool = True, depth: int = 0):
-    """The text of json.dumps(obj, sort_keys=True, indent=2, allow_nan=allow_nan),
-    nested ``depth`` levels deep, yielded in pieces as it is made.
+def json_pieces(obj, allow_nan: bool = True, depth: int | None = 0):
+    """The text of json.dumps(obj, sort_keys=True, allow_nan=allow_nan), yielded in
+    pieces as it is made: indent=2 and nested ``depth`` levels deep, or the
+    canonical compact text (separators "," and ":") if ``depth`` is None.
 
     An object whose values are all scalars fills the template of its keys.
     A value with a ``json_texts(depth)`` method lays out its own items: it
     gives their keys in order (None for an array) and their texts, nested
-    ``depth`` levels deep.
+    ``depth`` levels deep.  In the compact text a list with no object member,
+    such as a raw matrix, is encoded whole by json's C encoder.
     """
+    if depth is None and allow_nan and type(obj) in (list, tuple) and dict not in map(type, obj):
+        try:
+            text = _canonical(obj)
+        except TypeError:  # a 'blocks' object that load_json read sits deeper: walk the list
+            pass
+        else:
+            yield text
+            return
+    inner, outer, colon, child = _layout(depth)
     own = hasattr(obj, "json_texts")
     if own:
-        keys, values = obj.json_texts(depth + 1)
+        keys, values = obj.json_texts(child)
     elif isinstance(obj, (dict, list, tuple)):
         keys = sorted(obj) if isinstance(obj, dict) else None
         values = obj if keys is None else [obj[key] for key in keys]
@@ -176,10 +150,9 @@ def json_pieces(obj, allow_nan: bool = True, depth: int = 0):
     else:
         yield "[" if keys is None else "{"
         for n, value in enumerate(values):
-            yield ("," if n else "") + "\n" + _INDENT * (depth + 1) + (
-                "" if keys is None else _escape(keys[n]) + ": ")
-            yield from [value] if own else json_pieces(value, allow_nan, depth + 1)
-        yield "\n" + _INDENT * depth + ("]" if keys is None else "}")
+            yield ("," if n else "") + inner + ("" if keys is None else _escape(keys[n]) + colon)
+            yield from [value] if own else json_pieces(value, allow_nan, child)
+        yield outer + ("]" if keys is None else "}")
 
 
 @dataclass(frozen=True)

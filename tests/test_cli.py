@@ -475,6 +475,10 @@ def _fixture_copy(directory, name: str, mutation=None):
     return out
 
 
+_NESTED_TABLE = {"entries": [{"id": "e", "dim": 1, "trivial": True}, {"id": "a", "dim": 1}]}
+_NESTED_BLOCKS = {"e": [[[1.0, 0.0]]], "a": [[[0.5, 0.0]]]}
+
+
 class TestRejectedInputs:
     """Each of these once exited 0 or 1, or escaped as a traceback."""
 
@@ -559,6 +563,20 @@ class TestRejectedInputs:
         assert res.returncode == 2
         assert res.stderr.decode().startswith(
             f"error: {source}: malformed JSON (Exceeds the limit (4300 digits) for integer string")
+
+    @pytest.mark.parametrize("command, obj, error", [
+        (["certify-hap"], {"table": _NESTED_TABLE, "families": [[{"blocks": _NESTED_BLOCKS}]]},
+         "families: family 0 must be an object with 'blocks'"),
+        (["cocycle", "--M", "1"], {"x": [[{"blocks": _NESTED_BLOCKS}]], "kind": "generator"},
+         "generator: needs 'table' and 'blocks'"),
+    ], ids=["families", "generator"])
+    def test_blocks_two_lists_down_meet_the_schema(self, tmp_path, command, obj, error):
+        # the digest, taken before the schema is checked, reads the 'blocks' object
+        # that load_json converted inside a list of lists
+        source = tmp_path / "in.json"
+        source.write_text(json.dumps(obj))
+        res = run_cli(command[0], source, *command[1:])
+        assert (res.returncode, res.stderr.decode()) == (2, f"error: {error}\n")
 
     @pytest.mark.parametrize("name", ["nested", "huge-dim"])
     def test_unreadable_input_exits_2_without_traceback(self, tmp_path, name):

@@ -5,8 +5,9 @@ parses, so a states file's families never live as nested lists side by
 side: ``buildgen`` and ``certify-hap`` peak well below one plain parse of
 their input.  A generator file is one 'blocks' object, so ``cocycle`` and
 ``semigroup`` peak near one parse; their outputs are written block by
-block and add little.  The digest hashes the converted blocks from their
-stacks, in runs, and stays a small share of the canonical text.
+block and add little.  The digest hashes the writer's compact pieces, the
+converted blocks remade from their stacks a batch at a time, and stays a
+small share of the canonical text.
 
 Peaks are traced Python allocations (``tracemalloc``) of a second call,
 made after a full collection, so that caches, first-call set-up and what
@@ -26,7 +27,8 @@ import oracles
 from conftest import load_perfbench, run_cli
 from hapkit import reports, serialize
 
-# the digest's largest piece is one run of members: a small share of the text
+# the digest's largest piece is one batch of block texts or one list of no
+# objects (a raw matrix): a small share of the text
 DIGEST_OVER_TEXT = 0.25
 
 
@@ -80,5 +82,5 @@ def test_digest_peaks_below_a_share_of_the_canonical_text(invocations, name):
 
 @pytest.mark.parametrize("name", ["cocycle", "buildgen", "certify-hap"])
 def test_digest_of_the_converted_blocks_peaks_below_the_same_share(invocations, name):
-    # the blocks' texts are remade from their stacks, one run of blocks at a time
+    # the blocks' texts are remade from their stacks, one batch of blocks at a time
     _digest_peak_is_small(invocations[name][1], serialize.load_json)

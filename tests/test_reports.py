@@ -1,7 +1,8 @@
 """The report writer, and witnesses kept as arrays.
 
-``reports.json_pieces`` writes json's ``sort_keys=True, indent=2`` text from
-one template per record shape; ``json.dumps`` is its oracle.  A condition
+``reports.json_pieces`` writes json's ``sort_keys=True, indent=2`` text, and
+with ``depth=None`` the canonical compact text the digest hashes, from one
+template per record shape; ``json.dumps`` is its oracle in both layouts.  A condition
 keeps its failing rows as arrays (``WitnessRows``): its witnesses equal the
 closure path in ``oracles``, and ``Witness`` objects are made only for the
 rows a report prints.
@@ -57,17 +58,23 @@ def written(obj, allow_nan=True) -> str:
     return "".join(reports.json_pieces(obj, allow_nan=allow_nan))
 
 
+def compact(obj) -> str:
+    return "".join(reports.json_pieces(obj, depth=None))
+
+
 class TestWriterOracle:
     @settings(max_examples=300, deadline=None)
     @given(_REPORT | _TABLE | _nested(_LEAVES) | st.lists(_TABLE, max_size=2))
     def test_bytes_equal_json_dumps(self, obj):
         assert written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+        assert compact(obj) == oracles.canonical_json(obj)
 
     @settings(max_examples=200, deadline=None)
     @given(obj=_nested(_LEAVES | _NON_FINITE | _NON_FINITE.map(np.float64)))
     def test_non_finite_values(self, obj, tmp_path_factory):
         # reports write NaN as json does; a written file refuses it with json's message
         assert written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+        assert compact(obj) == oracles.canonical_json(obj)
         path = tmp_path_factory.mktemp("w") / "out.json"
         try:
             expected = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -85,6 +92,8 @@ class TestWriterOracle:
                 json.dumps(obj, sort_keys=True, indent=2)
             with pytest.raises(TypeError):
                 written(obj)
+            with pytest.raises(TypeError):
+                compact(obj)
 
 
 def _tables():

@@ -171,6 +171,23 @@ def test_json_is_parsed_in_load_json_only():
     assert found == [("serialize", "load_json")]
 
 
+def test_json_text_is_made_in_reports_only():
+    """Every JSON text, written file, report and digest alike, comes from
+    ``reports.json_pieces``: outside ``reports`` no module of ``src/hapkit``
+    calls ``json.dump`` or ``json.dumps``, builds a ``json.JSONEncoder``, or
+    imports one of those names from ``json``."""
+    makers = {"dump", "dumps", "JSONEncoder"}
+    found = set()
+    for path in sorted((REPO_ROOT / "src" / "hapkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                found |= {(path.stem, alias.name) for alias in node.names if alias.name in makers}
+            call = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+            if call.startswith("json.") and call.rsplit(".", 1)[1] in makers:
+                found.add((path.stem, call))
+    assert {stem for stem, _ in found} == {"reports"}, sorted(found)
+
+
 # the module-level functions of ``src/hapkit`` that may call ``ConditionVerdict``
 # or ``Witness``: the verdict kernels, and the conditions that are no
 # per-label threshold (an exceptional set, an evaluation, one Gram eigenvalue)

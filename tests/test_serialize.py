@@ -411,10 +411,17 @@ class TestReaderParity:
 
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
             | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
-# what the digest encodes in runs: scalars, lists without objects, objects of scalars
+# flat members: scalars, lists without objects (json's encoder takes them whole) and
+# objects of scalars (one template each)
 _FLAT = (_SCALARS | st.lists(_SCALARS | st.lists(_SCALARS, max_size=2), max_size=3)
          | st.dictionaries(st.text(max_size=3), _SCALARS, max_size=3))
 _KEY_CHARS = 'ab\u00e9\u2603\U0001f600"\\\n'  # escapes, and beyond ASCII and the BMP
+_FINITE = st.sampled_from([-0.0, 5e-324, 1e308]) | st.floats(allow_nan=False, allow_infinity=False)
+# a 'blocks' object of floats, which load_json reads into stacks
+_BLOCKS = st.fixed_dictionaries({"blocks": st.dictionaries(
+    st.text(max_size=3), st.integers(1, 2).flatmap(lambda d: st.lists(st.lists(
+        st.lists(_FINITE, min_size=2, max_size=2), min_size=d, max_size=d), min_size=d,
+        max_size=d)), min_size=1, max_size=3)})
 
 
 def _key(n: int) -> str:
@@ -428,18 +435,20 @@ def _containers(inner):
             | values.map(lambda vs: {_key(i): v for i, v in enumerate(vs)}))
 
 
-# long containers mix flat members with members the digest walks, at every depth
-_JSON = st.recursive(_FLAT, _containers, max_leaves=40)
+# flat members beside walked ones, and 'blocks' objects, at every depth
+_JSON = st.recursive(_FLAT | _BLOCKS, _containers, max_leaves=40)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_JSON, st.integers(1, 4))
-def test_content_digest_hashes_the_canonical_text(obj, run):
-    """Fed in runs of ``run`` members, the digest is still that of the whole
-    canonical text; small runs put several in each container."""
-    expected = hashlib.sha256(oracles.canonical_json(obj).encode()).hexdigest()
-    with mock.patch.object(reports, "_RUN", run):
-        assert reports.content_digest(obj) == "sha256:" + expected
+@given(obj=_JSON)
+def test_content_digest_hashes_the_canonical_text(obj, tmp_path_factory):
+    """The digest of an object, and of that object as ``load_json`` reads it back
+    from a file, with its 'blocks' objects in stacks, is that of its canonical text."""
+    expected = "sha256:" + hashlib.sha256(oracles.canonical_json(obj).encode()).hexdigest()
+    assert reports.content_digest(obj) == expected
+    path = tmp_path_factory.mktemp("digest") / "in.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert reports.content_digest(sz.load_json(path)) == expected
 
 
 def test_digests_fall_back_to_hashlib():
