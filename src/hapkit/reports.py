@@ -11,10 +11,10 @@ audited.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 
 __version__ = "0.1.0"
 
@@ -65,8 +65,6 @@ def _json_num(x: float):
 
 
 _INDENT = "  "
-_escape = json.encoder.encode_basestring_ascii
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 # json's text of null, the booleans and, by their repr, the non-finite floats
 _CONSTANTS = {None: "null", True: "true", False: "false",
               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -120,17 +118,8 @@ def json_pieces(obj, allow_nan: bool = True, depth: int | None = 0):
     An object whose values are all scalars fills the template of its keys.
     A value with a ``json_texts(depth)`` method lays out its own items: it
     gives their keys in order (None for an array) and their texts, nested
-    ``depth`` levels deep.  In the compact text a list with no object member,
-    such as a raw matrix, is encoded whole by json's C encoder.
+    ``depth`` levels deep.
     """
-    if depth is None and allow_nan and type(obj) in (list, tuple) and dict not in map(type, obj):
-        try:
-            text = _canonical(obj)
-        except TypeError:  # a 'blocks' object that load_json read sits deeper: walk the list
-            pass
-        else:
-            yield text
-            return
     inner, outer, colon, child = _layout(depth)
     own = hasattr(obj, "json_texts")
     if own:

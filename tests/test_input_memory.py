@@ -27,8 +27,7 @@ import oracles
 from conftest import load_perfbench, run_cli
 from hapkit import reports, serialize
 
-# the digest's largest piece is one batch of block texts or one list of no
-# objects (a raw matrix): a small share of the text
+# the digest's largest piece is one batch of block texts: a small share of the text
 DIGEST_OVER_TEXT = 0.25
 
 

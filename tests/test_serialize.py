@@ -411,8 +411,7 @@ class TestReaderParity:
 
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
             | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
-# flat members: scalars, lists without objects (json's encoder takes them whole) and
-# objects of scalars (one template each)
+# flat members: scalars, lists without objects and objects of scalars (one template each)
 _FLAT = (_SCALARS | st.lists(_SCALARS | st.lists(_SCALARS, max_size=2), max_size=3)
          | st.dictionaries(st.text(max_size=3), _SCALARS, max_size=3))
 _KEY_CHARS = 'ab\u00e9\u2603\U0001f600"\\\n'  # escapes, and beyond ASCII and the BMP
@@ -440,15 +439,17 @@ _JSON = st.recursive(_FLAT | _BLOCKS, _containers, max_leaves=40)
 
 
 @settings(max_examples=100, deadline=None)
-@given(obj=_JSON)
-def test_content_digest_hashes_the_canonical_text(obj, tmp_path_factory):
+@given(obj=_JSON, run=st.integers(1, 4))
+def test_content_digest_hashes_the_canonical_text(obj, run, tmp_path_factory):
     """The digest of an object, and of that object as ``load_json`` reads it back
-    from a file, with its 'blocks' objects in stacks, is that of its canonical text."""
+    from a file, with its 'blocks' objects in stacks, is that of its canonical text.
+    Block texts made ``run`` at a time put several batches in each 'blocks' object."""
     expected = "sha256:" + hashlib.sha256(oracles.canonical_json(obj).encode()).hexdigest()
     assert reports.content_digest(obj) == expected
     path = tmp_path_factory.mktemp("digest") / "in.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
-    assert reports.content_digest(sz.load_json(path)) == expected
+    with mock.patch.object(hk.fourier, "_RUN", run):
+        assert reports.content_digest(sz.load_json(path)) == expected
 
 
 def test_digests_fall_back_to_hashlib():
