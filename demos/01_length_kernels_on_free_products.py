@@ -24,10 +24,10 @@ for g in some:
 print("\nsmallest Gram eigenvalue of exp(-t*length):")
 for group, name, radius in ((F2, "F2", 3), (PSL2Z, "Z2*Z3", 4)):
     for t in (0.1, 0.5, 1.0, 2.0):
-        passed, min_eig = hk.schoenberg_check(group, t, radius)
+        min_eig = hk.schoenberg_check(group, t, radius)
         n = len(hk.ball(group, radius))
         print(f"  {name:6s} radius {radius} ({n:3d}x{n:3d})  t={t:<4}  "
-              f"min eig {min_eig:+.6e}  {'PASS' if passed else 'FAIL'}")
+              f"min eig {min_eig:+.6e}  {'PASS' if min_eig >= -1e-8 * n else 'FAIL'}")
 
 print("\nThe same check is available from the command line:")
 print("  hapkit schoenberg --group F2 --t 1 --radius 3")

@@ -186,15 +186,11 @@ def expm_spectra(stacks, residuals, norms) -> dict:
             for d, stack in stacks.items()}
 
 
-def psd_sqrt(stacks) -> tuple[dict, dict]:
-    """Principal roots of the Hermitian parts of the blocks of each side's
-    stack, and their smallest eigenvalues, by side.
+def psd_sqrt(stacks) -> dict:
+    """Principal roots of the Hermitian parts of the blocks of each side's stack, by side.
 
-    Negative eigenvalues are clamped to 0; the caller decides which are rounding.
+    Negative eigenvalues are clamped to 0: the caller has decided positivity
+    beforehand, so the ones left are rounding.
     """
-    roots, lows = {}, {}
-    for d, stack in stacks.items():
-        w, v = hermitian_eigh(stack)
-        roots[d] = hermitian_calculus(w, v, lambda w: np.sqrt(np.clip(w, 0.0, None)))
-        lows[d] = w[:, 0]
-    return roots, lows
+    return {d: hermitian_calculus(*hermitian_eigh(s), lambda w: np.sqrt(np.clip(w, 0.0, None)))
+            for d, s in stacks.items()}

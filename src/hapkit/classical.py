@@ -8,7 +8,7 @@ concrete irrep tables.
 
 The word length used throughout charges |e| for a letter g^e of infinite
 order and min(e, m-e) for an order-m letter: the word metric with respect to
-the standard generators and their inverses.  ``schoenberg_check`` certifies,
+the standard generators and their inverses.  ``schoenberg_report`` decides,
 at desk scale, that exp(-t*length) is a positive-definite kernel on a ball.
 """
 
@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .fourier import stacked_blocks
+from .fourier import _threshold_condition, stacked_blocks
 from .genfun import GeneratingFunctional
 from .irreps import IrrepTable, make_table
-from .reports import CertificationReport, ConditionVerdict, Witness
+from .reports import CertificationReport
 
 
 @dataclass(frozen=True)
@@ -169,40 +169,30 @@ def length_gram(spec: GroupSpec, t: float, radius: int) -> np.ndarray:
     return lut[dist]
 
 
-def schoenberg_check(spec: GroupSpec, t: float, radius: int,
-                     tol: float | None = None) -> tuple[bool, float]:
-    """Positive-definiteness desk check for the kernel exp(-t*length).
-
-    Passes iff the smallest eigenvalue of the Gram matrix over the radius-R
-    ball is >= -tol; a non-finite Gram has smallest eigenvalue NaN and fails.
-    The default tolerance 1e-8 is scaled by the matrix dimension, matching
-    the backward stability of dense symmetric eigensolvers at this size.  A
-    failing check is a result, not an error.
-    """
+def schoenberg_check(spec: GroupSpec, t: float, radius: int) -> float:
+    """Smallest eigenvalue of the Gram matrix of exp(-t*length) over the radius-R
+    ball: the kernel is positive definite there iff it is >= 0.  A non-finite
+    Gram gives NaN.  ``schoenberg_report`` decides it against a tolerance."""
     if t <= 0:
         raise ValueError("t must be positive")
-    gram = length_gram(spec, t, radius)
-    if tol is None:
-        tol = 1e-8 * gram.shape[0]
-    min_eig = float(_linalg.min_eigenvalues(gram[np.newaxis])[0])
-    return (min_eig >= -tol), min_eig
+    return float(_linalg.min_eigenvalues(length_gram(spec, t, radius)[np.newaxis])[0])
 
 
 def schoenberg_report(spec: GroupSpec, t: float, radius: int, tol: float, *, group: str,
                       input_digest: str) -> CertificationReport:
-    """The ``schoenberg`` report of :func:`schoenberg_check`; ``group`` is ``spec`` as written."""
-    passed, min_eig = schoenberg_check(spec, t, radius, tol)
-    n = len(ball(spec, radius))
+    """The ``schoenberg`` report: one row, labelled '*', that passes iff the
+    Gram's smallest eigenvalue is >= -tol; ``group`` is ``spec`` as written."""
+    low, n = schoenberg_check(spec, t, radius), len(ball(spec, radius))
     return CertificationReport(
         command="schoenberg",
         input_digest=input_digest,
         truncation=f"ball of radius {radius}: {n} elements ({n}x{n} Gram matrix)",
         tolerances=(("tol", tol), ("t", t)),
-        conditions=(ConditionVerdict(
-            name="gram-positive-semidefinite", passed=passed,
-            witnesses=(Witness(label="*", achieved=min_eig, threshold=-tol,
-                               context="smallest eigenvalue"),),
-            summary=f"exp(-t*length) kernel on the group {group}"),),
+        # 0.0 - low, not -low: a zero eigenvalue is shown as 0, not -0
+        conditions=(_threshold_condition(
+            "gram-positive-semidefinite", f"exp(-t*length) kernel on the group {group}",
+            [0.0 - low], tol, make_table([], trivial_id="*"), np.zeros(1, dtype=np.intp), 0,
+            ("minus the smallest eigenvalue",)),),
     )
 
 

@@ -37,14 +37,12 @@ class CocycleMatrices(BlockMap):
 def factor_from_generator(L: GeneratingFunctional, tol: float = CLAMP_TOL) -> CocycleMatrices:
     """Principal PSD square root of L^a + (L^a)* at every nontrivial label.
 
-    Eigenvalues of the Hermitian part in [-tol, 0) are clamped to zero (and
-    logged); anything below -tol means the data is not conditionally
-    negative and raises.  The principal root is unique, so repeated runs
-    are bitwise identical.
+    Positivity is decided on ``L.lows`` as ``check_positive_blocks`` decides it:
+    a Hermitian part with an eigenvalue below -tol (or NaN) is not conditionally
+    negative and raises; one in [-tol, 0) is clamped to zero (and logged).  The
+    principal root is unique, so repeated runs are bitwise identical.
     """
-    roots, lows = _linalg.psd_sqrt({d: s + np.swapaxes(s.conj(), -1, -2)
-                                    for d, s in L.stacks.items()})
-    lows, at = L.blocks.in_order(lows)[1:], L.positions[1:]  # the trivial block comes first
+    lows, at = L.lows[1:], L.positions[1:]  # the trivial block comes first
     bad = np.flatnonzero(~(lows >= -tol))
     if bad.size:
         raise ValueError(f"block {L.table.key_at(int(at[bad[0]]))!r}: matrix is not "
@@ -52,6 +50,7 @@ def factor_from_generator(L: GeneratingFunctional, tol: float = CLAMP_TOL) -> Co
     if (lows < 0).any():
         log_info(__name__, "factor_from_generator: clamped %d blocks (worst magnitude %g)",
                  np.count_nonzero(lows < 0), -lows.min())
+    roots = _linalg.psd_sqrt({d: s + np.swapaxes(s.conj(), -1, -2) for d, s in L.stacks.items()})
     return CocycleMatrices(L.table, stacked_blocks(L.table, [
         (where, roots[d][L.rows[where]]) for d, where in _by_side(L.table, at).items()]))
 

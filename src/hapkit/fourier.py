@@ -460,13 +460,16 @@ def _threshold_condition(name: str, summary: str, estimate, threshold, table, at
     bracket does not clear the threshold and for those that may be the worst
     row.  Every failing row is a witness, after the ``failed`` witnesses
     found up front; when nothing fails, the first row of largest
-    a - threshold is reported instead.  A reported row r names the label at
-    table position ``at[r]`` in the context ``contexts[context[r]]``; the
+    a - threshold[r] is reported instead, or of largest a, which is exact, when
+    ``threshold`` is one value for all rows.  A reported row r names the label
+    at table position ``at[r]`` in the context ``contexts[context[r]]``; the
     rows are kept as ``WitnessRows``, so labels are encoded only when shown.
     ``threshold``, ``margin`` and ``context`` may each be one value for all rows.
     """
     achieved = np.array(estimate, dtype=float)
+    one = np.ndim(threshold) == 0
     threshold = np.broadcast_to(np.asarray(threshold, dtype=float), achieved.shape)
+    offset = 0.0 if one else threshold  # what ranks the rows is a - offset
     margin = np.broadcast_to(np.asarray(margin, dtype=float), achieved.shape)
     context = np.broadcast_to(context, achieved.shape)
     unknown = margin != 0
@@ -482,10 +485,10 @@ def _threshold_condition(name: str, summary: str, estimate, threshold, table, at
     passed = not failed and not reported.size
     if passed and achieved.size:
         # the worst row is among those whose slack can reach the best sure slack
-        low = np.where(unknown, (achieved - margin) - threshold, achieved - threshold)
-        high = np.where(unknown, (achieved + margin) - threshold, achieved - threshold)
+        low = np.where(unknown, (achieved - margin) - offset, achieved - offset)
+        high = np.where(unknown, (achieved + margin) - offset, achieved - offset)
         settle(np.flatnonzero(high >= low.max()))
-        reported = np.argmax(np.where(unknown, -np.inf, achieved - threshold), keepdims=True)
+        reported = np.argmax(np.where(unknown, -np.inf, achieved - offset), keepdims=True)
     rows = WitnessRows(tuple(failed), table, at[reported], achieved[reported],
                        threshold[reported], np.array(contexts, dtype=object)[context[reported]])
     return ConditionVerdict(name=name, passed=passed, witnesses=rows, summary=summary)

@@ -52,6 +52,12 @@ class GeneratingFunctional(BlockMap):
         return blocks
 
     @functools.cached_property
+    def lows(self) -> np.ndarray:
+        """Read-only smallest eigenvalue of the Hermitian part of every block, aligned
+        with ``labels``; NaN if non-finite.  Every positivity decision on L reads these."""
+        return self.scan(_linalg.min_eigenvalues)
+
+    @functools.cached_property
     def _expm_spectra(self) -> dict:
         """What ``_linalg.expm_neg`` needs of the stacks whatever t: the Hermitian
         test, from the cached residuals and norms, and ``eigh``."""
@@ -71,10 +77,9 @@ def check_positive_blocks(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> 
     if not check_symmetric(L, tol).passed:
         raise ValueError(f"positivity check needs symmetric blocks "
                          f"(Hermitian residual {np.max(L.residuals):g})")
-    lows = L.blocks.scan(_linalg.min_eigenvalues)
     # 0.0 - low, not -low: a zero eigenvalue is shown as 0, not -0
     return _threshold_condition("positive-blocks", "all blocks positive semidefinite",
-                                0.0 - lows, tol, L.table, L.positions, 0,
+                                0.0 - L.lows, tol, L.table, L.positions, 0,
                                 ("minus the smallest block eigenvalue",))
 
 
@@ -85,8 +90,7 @@ def check_proper(L: GeneratingFunctional, M: float) -> ExceptionalSet:
     if not check_symmetric(L).passed:
         raise ValueError(f"properness is defined for symmetric functionals "
                          f"(Hermitian residual {np.max(L.residuals):g})")
-    lows = L.blocks.scan(_linalg.min_eigenvalues)
-    return _exceptional_set(L, lows, lows >= M, M)
+    return _exceptional_set(L, L.lows, L.lows >= M, M)
 
 
 def semigroup_at(L: GeneratingFunctional, t: float) -> MatrixFamily:

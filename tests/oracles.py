@@ -402,17 +402,15 @@ def block_expm_neg(blocks, t):
 
 def block_psd_sqrt(blocks):
     """One eigh per block on (B + B*)/2: the root with negative eigenvalues
-    clamped to 0 and the smallest eigenvalue; NaN for a non-finite block."""
-    roots, lows = [], []
+    clamped to 0; NaN for a non-finite block."""
+    roots = []
     for blk in blocks:
         if not np.isfinite(blk).all():
             roots.append(np.full(blk.shape, math.nan, dtype=np.complex128))
-            lows.append(math.nan)
             continue
         w, v = np.linalg.eigh((blk + blk.conj().T) / 2)
         roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
-        lows.append(float(w[0]))
-    return roots, lows
+    return roots
 
 
 def first_certified(deviations, eps):
@@ -545,13 +543,15 @@ def label_semigroup(L: LabelBlockMap, t):
 
 def label_factor(L: LabelBlockMap, tol):
     """label -> principal root of L^a + (L^a)* by ``block_psd_sqrt``, or the
-    ValueError text for the first label whose smallest eigenvalue is below -tol."""
+    ValueError text for the first label whose Hermitian part L^a has its
+    smallest eigenvalue (``block_min_eigenvalues``) below -tol."""
     nontrivial = [lab for lab in L.labels if lab != L.table.trivial]
-    roots, lows = block_psd_sqrt([L.blocks[lab] + L.blocks[lab].conj().T for lab in nontrivial])
+    lows = block_min_eigenvalues([L.blocks[lab] for lab in nontrivial])
     for lab, low in zip(nontrivial, lows):
         if not low >= -tol:
             return (f"block {L.table.encode(lab)!r}: matrix is not positive semidefinite: "
                     f"eigenvalue {float(low)}")
+    roots = block_psd_sqrt([L.blocks[lab] + L.blocks[lab].conj().T for lab in nontrivial])
     return dict(zip(nontrivial, roots))
 
 

@@ -171,20 +171,17 @@ class TestDualTable:
 class TestSchoenberg:
     def test_all_ones_limit(self):
         # kernel at t ~ 0 degenerates to the rank-one all-ones matrix
-        passed, min_eig = hk.schoenberg_check(hk.GroupSpec((2, 2)), 1e-12, 2)
-        assert passed
+        min_eig = hk.schoenberg_check(hk.GroupSpec((2, 2)), 1e-12, 2)
         assert abs(min_eig) < 1e-8
 
     def test_z_line_kernel(self):
-        passed, min_eig = hk.schoenberg_check(Z, 1.0, 4)
-        assert passed and min_eig > 0
+        assert hk.schoenberg_check(Z, 1.0, 4) > 0
 
     def test_f2_radius_2(self):
         # ball has 1 + 4 + 12 = 17 elements
         gram = hk.length_gram(F2, 1.0, 2)
         assert gram.shape == (17, 17)
-        passed, min_eig = hk.schoenberg_check(F2, 1.0, 2)
-        assert passed and min_eig > 0
+        assert hk.schoenberg_check(F2, 1.0, 2) > 0
 
     def test_gram_against_direct_assembly(self):
         spec = hk.GroupSpec((2, 3))
@@ -198,10 +195,10 @@ class TestSchoenberg:
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0, 5.0])
     def test_t_grid_f2_and_z2z3(self, t):
-        for radius in range(4):
-            assert hk.schoenberg_check(F2, t, radius)[0]
-        for radius in range(5):
-            assert hk.schoenberg_check(hk.GroupSpec((2, 3)), t, radius)[0]
+        for spec, radii in ((F2, range(4)), (hk.GroupSpec((2, 3)), range(5))):
+            for radius in radii:
+                # the check's former default tolerance: 1e-8 per Gram row
+                assert hk.schoenberg_check(spec, t, radius) >= -1e-8 * len(hk.ball(spec, radius))
 
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
@@ -254,15 +251,28 @@ class TestLengthGram:
     def test_min_eigenvalue_is_the_gram_eigvalsh(self, orders, radius, t):
         spec = hk.GroupSpec(orders)
         gram = hk.length_gram(spec, t, radius)
-        got = hk.schoenberg_check(spec, t, radius)[1]
+        got = hk.schoenberg_check(spec, t, radius)
         assert got == float(np.linalg.eigvalsh(gram)[0])
 
     def test_non_finite_gram_fails_closed(self, monkeypatch):
         from hapkit import classical
         monkeypatch.setattr(classical, "length_gram",
                             lambda spec, t, radius: np.full((3, 3), np.nan))
-        passed, min_eig = hk.schoenberg_check(F2, 1.0, 1)
-        assert not passed and math.isnan(min_eig)
+        assert math.isnan(hk.schoenberg_check(F2, 1.0, 1))
+        (verdict,) = classical.schoenberg_report(F2, 1.0, 1, 1e-9, group="F2",
+                                                 input_digest="").conditions
+        assert not verdict.passed and math.isnan(verdict.witnesses[0].achieved)
+
+    @pytest.mark.parametrize("low,passed", [(-1e-9, True), (-1.5e-9, False), (0.0, True)])
+    def test_report_decides_the_smallest_eigenvalue_against_tol(self, monkeypatch, low, passed):
+        from hapkit import classical
+        monkeypatch.setattr(classical, "length_gram",
+                            lambda spec, t, radius: np.diag([1.0, low, 2.0]))
+        (verdict,) = classical.schoenberg_report(F2, 1.0, 1, 1e-9, group="F2",
+                                                 input_digest="").conditions
+        assert verdict.passed == passed
+        assert [(w.label, w.achieved, w.threshold, w.context) for w in verdict.witnesses] == [
+            ("*", 0.0 - low, 1e-9, "minus the smallest eigenvalue")]
 
 
 class TestParseGroup:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hapkit as hk
 from conftest import label_value, random_psd_generator, random_table, zdual_table
@@ -51,6 +53,49 @@ class TestFactorization:
         L = hk.GeneratingFunctional(t, {t.decode("a"): [[-1e-12]]})
         c = hk.factor_from_generator(L, tol=1e-10)
         assert c.blocks[t.decode("a")][0, 0] == 0.0
+
+    def test_boundary_block_passes_and_is_clamped(self):
+        """a = [-0.75e-9] is within tol = 1e-9 of positive, so positive-blocks
+        passes with a as its worst row and the root there is 0; L + L* = 2a
+        is not within tol, which once made the factor raise."""
+        t = hk.make_table([("a", 1), ("b", 1)], trivial_id="e")
+        L = hk.GeneratingFunctional(t, {t.decode("a"): [[-0.75e-9]], t.decode("b"): [[5.0]]})
+        verdict = hk.check_positive_blocks(L, 1e-9)
+        assert verdict.passed
+        assert [(w.label, w.achieved) for w in verdict.witnesses] == [("a", 7.5e-10)]
+        c = hk.factor_from_generator(L, 1e-9)
+        assert c.blocks[t.decode("a")].tolist() == [[0.0]]
+        assert c.blocks[t.decode("b")].tolist() == [[math.sqrt(10.0)]]
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data(), tol=st.sampled_from([1e-9, 1e-10]))
+    def test_factor_raises_exactly_when_positive_blocks_fails(self, data, tol):
+        """Hermitian blocks of sides 1-3, each with smallest eigenvalue s * tol
+        (up to the rounding of a drawn unitary frame) for s around -1: the
+        factor returns exactly when ``check_positive_blocks`` passes."""
+        sides = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        table = hk.make_table([(f"b{i}", d) for i, d in enumerate(sides)])
+        blocks = {}
+        for lab in table.nontrivial_labels:
+            d = table.dim(lab)
+            scale = data.draw(st.sampled_from([-2.0, -1.5, -1.0, -0.75, -0.5, 0.0, 1.0]))
+            w = [scale * tol, *data.draw(st.lists(st.floats(1.0, 4.0), min_size=d - 1,
+                                                  max_size=d - 1))]
+            q = np.eye(d)
+            if data.draw(st.booleans()):
+                entries = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d * d,
+                                             max_size=2 * d * d))
+                q = np.linalg.qr(np.eye(d) + np.array(entries).view(complex).reshape(d, d))[0]
+            b = (q * w) @ q.conj().T
+            blocks[lab] = (b + b.conj().T) / 2  # exactly Hermitian
+        L = hk.GeneratingFunctional(table, blocks)
+        try:
+            hk.factor_from_generator(L, tol)
+            factored = True
+        except ValueError as err:
+            assert "positive semidefinite" in str(err)
+            factored = False
+        assert hk.check_positive_blocks(L, tol).passed == factored
 
     def test_deterministic_bitwise(self, rng):
         table = random_table(rng, 5, 4)

@@ -44,6 +44,7 @@ CASES = {
     "cocycle_negative": ["cocycle", "gen_negative.json", "--M", "1", "--out", "cocycle.json"],
     "cocycle_zero": ["cocycle", "gen_zero.json", "--M", "1", "--out", "cocycle.json"],
     "cocycle_default_out": ["cocycle", "unit_shift.json", "--M", "1"],
+    "cocycle_boundary": ["cocycle", "gen_boundary.json", "--M", "1", "--out", "cocycle.json"],
     "buildgen": ["buildgen", "fixtures/buildgen_zdual.json", "--out", "generator.json"],
     "buildgen_counit": ["buildgen", "counit_states.json", "--out", "generator.json"],
     "buildgen_unspecified": ["buildgen", "unspecified_states.json", "--out", "generator.json"],
@@ -52,8 +53,8 @@ CASES = {
 
 # inputs the run directory starts with; they are not outputs of the run
 _INPUTS = {"fixtures", "freeprod_fail.json", "gen_nonsymmetric.json", "gen_negative.json",
-           "gen_zero.json", "gen_overflow.json", "unit_shift.json", "counit_states.json",
-           "unspecified_states.json"}
+           "gen_zero.json", "gen_overflow.json", "gen_boundary.json", "unit_shift.json",
+           "counit_states.json", "unspecified_states.json"}
 
 
 def _pairs(matrix) -> list:
@@ -95,6 +96,13 @@ def _write_inputs(workdir: Path) -> None:
               "families": [{"blocks": {**ones, "b": _pairs([[0]])}, "normalized": True},
                            {"blocks": ones, "normalized": True}]}
     (workdir / "unspecified_states.json").write_text(json.dumps(states, sort_keys=True, indent=2))
+    # a generator on {e, a, b} whose block a = [-0.75e-9] is within tol = 1e-9 of
+    # positive, while a + a* = [-1.5e-9] is not: positive-blocks passes, and the
+    # factor clamps a's root to [0]
+    gen = {"kind": "generator",
+           "table": {"entries": [{"dim": 1, "id": key, "trivial": key == "e"} for key in "eab"]},
+           "blocks": {"a": _pairs([[-0.75e-9]]), "b": _pairs([[5]])}}
+    (workdir / "gen_boundary.json").write_text(json.dumps(gen, sort_keys=True, indent=2))
 
 
 def run_case(name: str, workdir: Path) -> dict:

@@ -190,11 +190,19 @@ def test_json_text_is_made_in_reports_only():
 
 # the module-level functions of ``src/hapkit`` that may call ``ConditionVerdict``
 # or ``Witness``: the verdict kernels, and the conditions that are no
-# per-label threshold (an exceptional set, an evaluation, one Gram eigenvalue)
+# per-label threshold (an exceptional set, an evaluation)
 _VERDICT_BUILDERS = {
     ("fourier", "_threshold_condition"), ("fourier", "_identity_condition"),
     ("fourier", "_c0_condition"), ("cocycle", "cocycle_report"),
-    ("genfun", "semigroup_report"), ("classical", "schoenberg_report"),
+    ("genfun", "semigroup_report"),
+}
+
+# the functions of ``src/hapkit`` that read ``_linalg.min_eigenvalues``: one per
+# kind of matrix whose positivity is decided (a generator's blocks, a Gram, the
+# (c*)c of a cocycle's blocks), and the single-matrix form the benchmark traces
+_MIN_EIGENVALUE_READERS = {
+    ("genfun", "GeneratingFunctional.lows"), ("classical", "schoenberg_check"),
+    ("cocycle", "check_proper_cocycle"), ("_linalg", "min_eigenvalue"),
 }
 
 
@@ -214,6 +222,34 @@ def test_verdicts_are_built_in_the_kernels_only():
                       and {"ConditionVerdict", "Witness"} & set(_names(call.func))}
     assert found - _VERDICT_BUILDERS == set()
     assert _VERDICT_BUILDERS - (found & functions) == set()
+
+
+def _readers(tree, name: str) -> set:
+    """The qualified names (``Class.method`` or ``function``; None at module level)
+    of the code in ``tree`` that reads ``name``, as a variable or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = node.name if scope is None else f"{scope}.{node.name}"
+        elif (isinstance(node, ast.Name) and node.id == name
+              or isinstance(node, ast.Attribute) and node.attr == name):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_smallest_eigenvalues_have_one_source():
+    """Every positivity decision reads its smallest eigenvalues from one scan:
+    in ``src/hapkit`` only ``_MIN_EIGENVALUE_READERS`` read
+    ``_linalg.min_eigenvalues``, and every entry does, so no stale entry stays."""
+    found = {(path.stem, scope) for path in sorted((REPO_ROOT / "src" / "hapkit").glob("*.py"))
+             for scope in _readers(ast.parse(path.read_text(encoding="utf-8")),
+                                   "min_eigenvalues")}
+    assert found == _MIN_EIGENVALUE_READERS
 
 
 def test_traced_runs_record_spans_and_restore(tmp_path):
