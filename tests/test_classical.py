@@ -204,6 +204,17 @@ class TestSchoenberg:
         with pytest.raises(ValueError):
             hk.schoenberg_check(F2, 0.0, 1)
 
+    @pytest.mark.parametrize("low,passed", [(-1e-9, True), (-1.5e-9, False), (0.0, True)])
+    def test_report_decides_the_smallest_eigenvalue_against_tol(self, monkeypatch, low, passed):
+        from hapkit import classical
+        monkeypatch.setattr(classical, "length_gram",
+                            lambda spec, t, radius: np.diag([1.0, low, 2.0]))
+        (verdict,) = classical.schoenberg_report(F2, 1.0, 1, 1e-9, group="F2",
+                                                 input_digest="").conditions
+        assert verdict.passed == passed
+        assert [(w.label, w.achieved, w.threshold, w.context) for w in verdict.witnesses] == [
+            ("*", 0.0 - low, 1e-9, "minus the smallest eigenvalue")]
+
 
 class TestLengthGram:
     """``length_gram`` reads distances off syllable words; the oracle multiplies."""
@@ -262,17 +273,6 @@ class TestLengthGram:
         (verdict,) = classical.schoenberg_report(F2, 1.0, 1, 1e-9, group="F2",
                                                  input_digest="").conditions
         assert not verdict.passed and math.isnan(verdict.witnesses[0].achieved)
-
-    @pytest.mark.parametrize("low,passed", [(-1e-9, True), (-1.5e-9, False), (0.0, True)])
-    def test_report_decides_the_smallest_eigenvalue_against_tol(self, monkeypatch, low, passed):
-        from hapkit import classical
-        monkeypatch.setattr(classical, "length_gram",
-                            lambda spec, t, radius: np.diag([1.0, low, 2.0]))
-        (verdict,) = classical.schoenberg_report(F2, 1.0, 1, 1e-9, group="F2",
-                                                 input_digest="").conditions
-        assert verdict.passed == passed
-        assert [(w.label, w.achieved, w.threshold, w.context) for w in verdict.witnesses] == [
-            ("*", 0.0 - low, 1e-9, "minus the smallest eigenvalue")]
 
 
 class TestParseGroup:

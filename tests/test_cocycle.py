@@ -54,19 +54,6 @@ class TestFactorization:
         c = hk.factor_from_generator(L, tol=1e-10)
         assert c.blocks[t.decode("a")][0, 0] == 0.0
 
-    def test_boundary_block_passes_and_is_clamped(self):
-        """a = [-0.75e-9] is within tol = 1e-9 of positive, so positive-blocks
-        passes with a as its worst row and the root there is 0; L + L* = 2a
-        is not within tol, which once made the factor raise."""
-        t = hk.make_table([("a", 1), ("b", 1)], trivial_id="e")
-        L = hk.GeneratingFunctional(t, {t.decode("a"): [[-0.75e-9]], t.decode("b"): [[5.0]]})
-        verdict = hk.check_positive_blocks(L, 1e-9)
-        assert verdict.passed
-        assert [(w.label, w.achieved) for w in verdict.witnesses] == [("a", 7.5e-10)]
-        c = hk.factor_from_generator(L, 1e-9)
-        assert c.blocks[t.decode("a")].tolist() == [[0.0]]
-        assert c.blocks[t.decode("b")].tolist() == [[math.sqrt(10.0)]]
-
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(data=st.data(), tol=st.sampled_from([1e-9, 1e-10]))
     def test_factor_raises_exactly_when_positive_blocks_fails(self, data, tol):
