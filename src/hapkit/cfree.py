@@ -217,6 +217,12 @@ class _WordValues:
     l) u N, forming W moves its norm by about l sqrt(D) u N and its SVD is
     off by about D u N; a test keeps the gap seen below an eighth of the
     margin.  A margin that is not finite is NaN, so its word is formed.
+
+    A word of 1x1 letters whose norm and deviation are both 0 or in
+    [2**-400, 2**400] has margin 0: its estimates are the formed values.
+    ``_kron_fold`` forms it as the same left-to-right products, |fl(ab)| =
+    fl(|a| |b|), and the SVD of a 1x1 block is its absolute value bitwise
+    when LAPACK does not rescale it, as it does not in that range.
     """
 
     def __init__(self, seq1, seq2, wp: FreeProductTable):
@@ -258,6 +264,8 @@ class _WordValues:
             sizes = wp.dims.astype(object if wide else np.int64) + side_sums  # D + sum d_j, exact
             margins = (32 * wp.lengths * sizes).astype(float) * _U * np.maximum(1.0, norms)
         margins[~np.isfinite(margins)] = np.nan
+        plain = [(v == 0) | ((2.0**-400 <= v) & (v <= 2.0**400)) for v in (norms, deviations)]
+        margins[(wp.dims == 1) & plain[0] & plain[1]] = 0.0  # exact: see the docstring
         for a in (norms, deviations):
             a[np.isnan(a)] = np.nan
         self.norms, self.deviations, self.margins = map(np.ravel, (norms, deviations, margins))
@@ -306,8 +314,10 @@ def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
 
     Each word is decided from its letters' eigenvalues (``_WordValues``);
     a word block is formed only when its margin cannot settle a row, or
-    when the report shows the row.  Every reported value is the formed
-    block's.  Failures are reported with witnesses, never raised.
+    when the report shows the row and its margin is not 0.  A word of 1x1
+    letters with plain values has margin 0, so it is never formed.  Every
+    reported value is the formed block's.  Failures are reported with
+    witnesses, never raised.
     """
     seq1, seq2 = list(seq1), list(seq2)
     k_values = list(k_values)

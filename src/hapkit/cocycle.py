@@ -18,11 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import _linalg
-from .fourier import BlockMap, ExceptionalSet, _by_side, _exceptional_set, stacked_blocks
+from .fourier import (DEFAULT_TOL, BlockMap, ExceptionalSet, _by_side, _exceptional_set,
+                      stacked_blocks)
 from .genfun import GeneratingFunctional, check_positive_blocks, check_symmetric
 from .reports import CertificationReport, ConditionVerdict, Witness, fmt, log_info
-
-CLAMP_TOL = 1e-10
 
 
 class CocycleMatrices(BlockMap):
@@ -34,7 +33,7 @@ class CocycleMatrices(BlockMap):
         return blocks
 
 
-def factor_from_generator(L: GeneratingFunctional, tol: float = CLAMP_TOL) -> CocycleMatrices:
+def factor_from_generator(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> CocycleMatrices:
     """Principal PSD square root of L^a + (L^a)* at every nontrivial label.
 
     Positivity is decided on ``L.lows`` as ``check_positive_blocks`` decides it:

@@ -167,10 +167,17 @@ class Witness:
                 f"threshold={fmt(self.threshold)}{ctx}")
 
 
+def _once(text, keys: list, values: list) -> map:
+    """``text(values[i])`` for every i, made once per distinct ``keys[i]``."""
+    texts = {key: text(value) for key, value in dict(zip(keys, values)).items()}
+    return map(texts.__getitem__, keys)
+
+
 def _num_texts(values) -> map:
-    """The texts of ``_json_num`` of each number in the float array ``values``."""
-    finite = (abs(values) < math.inf).all()
-    return map(float.__repr__ if finite else lambda x: _leaf(_json_num(x)), values.tolist())
+    """The texts of ``_json_num`` of each number in the float array ``values``, one
+    per distinct float64: keyed by its bits, so 0.0 and -0.0 stay apart, and so do NaNs."""
+    text = float.__repr__ if (abs(values) < math.inf).all() else lambda x: _leaf(_json_num(x))
+    return _once(text, values.view("i8").tolist(), values.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +210,9 @@ class WitnessRows:
     def json_texts(self, depth: int) -> tuple:
         texts = ["".join(json_pieces(w.to_obj(), depth=depth)) for w in self.head]
         if self.table is not None:
+            contexts = self.contexts.tolist()
             texts += map(_template(("achieved", "context", "label", "threshold"), depth).__mod__,
-                         zip(_num_texts(self.achieved), map(_escape, self.contexts.tolist()),
+                         zip(_num_texts(self.achieved), _once(_escape, contexts, contexts),
                              map(_escape, self.table.keys_at(self.positions)),
                              _num_texts(self.threshold)))
         return None, texts

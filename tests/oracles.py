@@ -352,7 +352,8 @@ def group_word_values(seq1, seq2, wp):
     """(norms, deviations, margins) of ``cfree._WordValues``, stage-major, by the
     loop over word groups that it replaced: per (factor, side) group of words
     (``word_groups``), every product of the letters' eigenvalues is formed, in
-    letter order, and the largest |product - 1| taken."""
+    letter order, and the largest |product - 1| taken.  A word of 1x1 letters
+    whose norm and deviation are both 0 or in [2**-400, 2**400] has margin 0."""
     from hapkit import _linalg, cfree
     unit = np.finfo(np.float64).eps / 2
     stages = [cfree._letter_stacks(F1, F2, wp, normalized=True) for F1, F2 in zip(seq1, seq2)]
@@ -375,6 +376,12 @@ def group_word_values(seq1, seq2, wp):
             margins[:, positions] = (32 * len(key) * (math.prod(sides) + sum(sides)) * unit
                                      * np.maximum(1.0, norm))
     margins[~np.isfinite(margins)] = np.nan
+    for key, (positions, _) in groups.items():
+        if all(d == 1 for _, d in key):  # a scalar word: exact, inside LAPACK's unscaled range
+            for s, j in itertools.product(range(len(stages)), positions.tolist()):
+                if all(v == 0 or 2.0**-400 <= v <= 2.0**400
+                       for v in (norms[s, j], deviations[s, j])):
+                    margins[s, j] = 0.0
     norms[np.isnan(norms)] = np.nan  # inf * 0 gives the sign the hardware picks
     return norms.ravel(), deviations.ravel(), margins.ravel()
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import hapkit as hk
 import oracles
 from hapkit import _linalg
+from hapkit.fourier import DEFAULT_TOL
 
 _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
                      st.floats(-4.0, 4.0, allow_nan=False))
@@ -126,7 +127,7 @@ class TestDerivedMapsOracle:
             blocks = {lab: blk @ blk.conj().T for lab, blk in blocks.items()}
         L = hk.GeneratingFunctional(table, blocks)
         with _small_stacks():
-            expected = oracles.label_factor(oracles.LabelBlockMap(table, blocks), 1e-10)
+            expected = oracles.label_factor(oracles.LabelBlockMap(table, blocks), DEFAULT_TOL)
             if isinstance(expected, str):
                 with pytest.raises(ValueError) as got:
                     hk.factor_from_generator(L)

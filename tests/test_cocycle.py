@@ -84,6 +84,13 @@ class TestFactorization:
             factored = False
         assert hk.check_positive_blocks(L, tol).passed == factored
 
+    def test_defaults_agree_with_positive_blocks(self):
+        # lambda = -5e-10 lies between -DEFAULT_TOL and 0: both defaults accept it
+        t = hk.make_table([("a", 1)])
+        L = hk.GeneratingFunctional(t, {t.decode("a"): [[-5e-10]]})
+        assert hk.check_positive_blocks(L).passed
+        assert hk.factor_from_generator(L).blocks[t.decode("a")].tolist() == [[0j]]
+
     def test_deterministic_bitwise(self, rng):
         table = random_table(rng, 5, 4)
         L = random_psd_generator(rng, table, 3.0)

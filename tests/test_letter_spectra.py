@@ -340,6 +340,59 @@ class TestMarginArithmetic:
         assert values.norms[-1] == pytest.approx(2.0 ** length, rel=1e-12)
 
 
+# 1x1 letter values: 0, +-1, subnormals, 2**+-400 and one ulp beyond, and values whose
+# products overflow (2**300, -2**200) or underflow (2**-300, 2**-200) within a few letters
+SCALARS = (0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 5e-324, -2.5e-310, 2.0**-400, -(2.0**400),
+           float(np.nextafter(2.0**-400, 0.0)), float(np.nextafter(-(2.0**400), -math.inf)),
+           2.0**300, -(2.0**200), 2.0**-300, 2.0**-200)
+
+
+@st.composite
+def scalar_stages(draw):
+    """Factors of 1-3 letters of side 1, and at times one dense Hermitian letter of
+    side 2, over 1-2 stages, and a word table of length 1-4."""
+    tables = [hk.make_table([(f"{prefix}{i}", d) for i, d in enumerate(
+        [1] * draw(st.integers(1, 3)) + [2] * draw(st.integers(0, 1)))]) for prefix in "ab"]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_stages = draw(st.integers(1, 2))
+
+    def letter(d):
+        if d == 2:
+            return random_hermitian(rng, 2, draw(st.sampled_from([0.5, 1.0, 3.0])))
+        return [[draw(st.sampled_from(SCALARS) | st.floats(-3, 3))]]
+    seqs = [[hk.MatrixFamily(t, {t.trivial: [[1.0]], **{
+        lab: letter(t.dim(lab)) for lab in t.nontrivial_labels}}, normalized=True)
+        for _ in range(n_stages)] for t in tables]
+    return seqs[0], seqs[1], hk.free_product_table(*tables, draw(st.integers(1, 4)))
+
+
+class TestScalarWords:
+    """A word of 1x1 letters with plain values has margin 0: its estimates are
+    the values of its formed block, and freeprod forms none."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(scalar_stages())
+    def test_margin_zero_rows_equal_the_formed_blocks_bitwise(self, drawn):
+        seq1, seq2, wp = drawn
+        values, n = cfree._WordValues(seq1, seq2, wp), len(wp)
+        for s, (F1, F2) in enumerate(zip(seq1, seq2)):
+            formed = hk.cfree_state(F1, F2, wp).blocks
+            for j in np.flatnonzero(values.margins[s * n:(s + 1) * n] == 0).tolist():
+                for got, minus_identity in ((values.norms, False), (values.deviations, True)):
+                    want = _linalg.spectral_norms(formed.at(j)[np.newaxis], minus_identity)
+                    assert got[s * n + j].tobytes() == want.tobytes(), (
+                        wp.encode(wp.labels[j]), minus_identity, got[s * n + j], want[0])
+
+    def test_scalar_freeprod_forms_no_word_block(self, monkeypatch):
+        formed, kron_fold = [], cfree._kron_fold
+        monkeypatch.setattr(cfree, "_kron_fold",
+                            lambda stacks: formed.append(len(stacks)) or kron_fold(stacks))
+        assert run_cli("freeprod", FIXTURES / "freeprod_zz.json").returncode == 0
+        assert formed == []  # the group-form fixture's letters are all 1x1
+        assert run_cli("freeprod", FIXTURES / "freeprod_matrix.json").returncode == 1
+        assert formed  # the counter sees the matrix fixture's shown words
+
+
 @st.composite
 def damped_factors(draw):
     """Damped factor sequences of Hermitian contractions (sides 1-3) with a

@@ -96,6 +96,11 @@ class TestWriterOracle:
                 compact(obj)
 
 
+# equal floats with different bits (the zeros, the NaNs) must keep their own texts
+_REPEATED = [0.0, -0.0, math.nan, math.copysign(math.nan, -1.0), math.inf, -math.inf, 0.1]
+_CONTEXTS = ['"', "\\", 'k=1 "a\\b"', "é", "☃ k=2", ""]
+
+
 def _tables():
     plain = hk.make_table([("a", 1), ("é\"", 2), ("b\\c", 1)])
     return [plain, hk.free_product_table(plain, hk.make_table([("x", 1), ("y", 3)]), 3)]
@@ -108,7 +113,10 @@ def reports_from_rows(draw):
     conditions = []
     for n in range(draw(st.integers(0, 3))):
         rows = draw(st.integers(0, 12))
-        values = st.lists(_FLOATS | _NON_FINITE, min_size=rows, max_size=rows)
+        repeats = draw(st.booleans())  # few distinct numbers and contexts, each seen often
+        numbers = st.sampled_from(_REPEATED) if repeats else _FLOATS | _NON_FINITE
+        values = st.lists(numbers, min_size=rows, max_size=rows)
+        contexts = st.sampled_from(_CONTEXTS) if repeats else _TEXT
         head = tuple(hk.Witness(*w) for w in draw(st.lists(st.tuples(
             _TEXT, _NUMBERS | _NON_FINITE, _NUMBERS | _NON_FINITE, _TEXT), max_size=2)))
         witnesses = reports.WitnessRows(
@@ -116,7 +124,7 @@ def reports_from_rows(draw):
             np.array(draw(st.lists(st.integers(0, len(table) - 1), min_size=rows,
                                    max_size=rows)), dtype=np.intp),
             np.array(draw(values)), np.array(draw(values)),
-            np.array(draw(st.lists(_TEXT, min_size=rows, max_size=rows)) + [""],
+            np.array(draw(st.lists(contexts, min_size=rows, max_size=rows)) + [""],
                      dtype=object)[:rows])
         conditions.append(hk.ConditionVerdict(f"c{n}", draw(st.booleans()), witnesses,
                                               draw(_TEXT)))
