@@ -10,6 +10,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))  # the hapkit beside this script, without PYTHONPATH
 
@@ -45,11 +47,10 @@ def main():
     # certify-hap FAIL: an undamped family (nontrivial norms 1) with the
     # damping bound enabled
     small = hk.make_table([("a", 2), ("b", 1)])
-    eps_fam = hk.counit_family(small)
+    counit = hk.MatrixFamily(small, {lab: np.eye(d) for lab, d in small}, normalized=True)
     sz.dump_json({
         "table": sz.table_to_obj(small),
-        "families": [{"blocks": sz.blocks_to_obj(small, eps_fam.blocks),
-                      "normalized": True}],
+        "families": [{"blocks": counit, "normalized": True}],
         "k_values": [1],
         "conv_tols": [0.0],
         "eps_decay": 0.5,
@@ -81,10 +82,10 @@ def main():
                 f2.decode("w"): [[0.7, 0.2 + 0.1j], [0.2 - 0.1j, -0.4]]}
     sz.dump_json({
         "factor1": {"table": sz.table_to_obj(f1),
-                    "families": [{"blocks": sz.blocks_to_obj(f1, letters1),
+                    "families": [{"blocks": hk.MatrixFamily(f1, letters1),
                                   "normalized": True}] * 2},
         "factor2": {"table": sz.table_to_obj(f2),
-                    "families": [{"blocks": sz.blocks_to_obj(f2, letters2),
+                    "families": [{"blocks": hk.MatrixFamily(f2, letters2),
                                   "normalized": True}] * 2},
         "k_values": [2, 6],
         "conv_tols": [2.0, 1.35],
@@ -96,9 +97,10 @@ def main():
     # generators for the semigroup / cocycle / buildgen commands
     sz.dump_json(sz.generator_to_obj(hk.length_functional(hk.GroupSpec((0,)), 4)),
                  HERE / "zdual_length_generator.json")
+    # the unit shift counit - haar: the identity at every nontrivial label
     mixed = hk.make_table([("a", 2), ("b", 3)])
-    sz.dump_json(sz.generator_to_obj(hk.unit_shift_functional(mixed)),
-                 HERE / "unit_shift_generator.json")
+    unit_shift = hk.GeneratingFunctional(mixed, {lab: np.eye(d) for lab, d in list(mixed)[1:]})
+    sz.dump_json(sz.generator_to_obj(unit_shift), HERE / "unit_shift_generator.json")
 
     # buildgen input: the default-schedule state sequence exp(-|m|/n), n <= 6
     t4 = hk.dual_irrep_table(hk.GroupSpec((0,)), 4)

@@ -17,16 +17,14 @@ from .irreps import (IrrepLabel, IrrepTable, Word, FreeProductTable, make_table,
                      free_product_table)
 from .classical import (GroupSpec, GroupElement, length, ball, dual_irrep_table,
                         schoenberg_check, length_gram, length_functional, parse_group)
-from .fourier import (MatrixFamily, convolve, counit_family, haar_family, block_norm,
-                      check_c0, check_hap_sequence, is_state_candidate,
-                      max_block_deviation, ExceptionalSet, StateCandidate)
+from .fourier import MatrixFamily, convolve, check_c0, check_hap_sequence, ExceptionalSet
 from .genfun import (GeneratingFunctional, check_symmetric, check_positive_blocks,
-                     check_proper, semigroup_at, build_from_states, unit_shift_functional,
-                     generator_from_semigroup, default_schedule, BuildReport)
+                     check_proper, semigroup_at, build_from_states, generator_from_semigroup,
+                     default_schedule, BuildReport)
 from .cocycle import (CocycleMatrices, factor_from_generator, gram_from_cocycle,
-                      check_proper_cocycle, check_bounded)
-from .cfree import (cfree_state, cfree_generator, check_diam3, damping_family,
-                    damp_sequence, freeprod_hap_pipeline)
+                      check_proper_cocycle)
+from .cfree import (cfree_state, cfree_generator, damping_family, damp_sequence,
+                    freeprod_hap_pipeline)
 from .reports import CertificationReport, ConditionVerdict, Witness
 
 __all__ = [
@@ -35,15 +33,13 @@ __all__ = [
     "free_product_table",
     "GroupSpec", "GroupElement", "length", "ball", "dual_irrep_table",
     "schoenberg_check", "length_gram", "length_functional", "parse_group",
-    "MatrixFamily", "convolve", "counit_family", "haar_family", "block_norm",
-    "check_c0", "check_hap_sequence", "is_state_candidate", "max_block_deviation",
-    "ExceptionalSet", "StateCandidate",
+    "MatrixFamily", "convolve", "check_c0", "check_hap_sequence", "ExceptionalSet",
     "GeneratingFunctional", "check_symmetric", "check_positive_blocks", "check_proper",
-    "semigroup_at", "build_from_states", "unit_shift_functional",
-    "generator_from_semigroup", "default_schedule", "BuildReport",
+    "semigroup_at", "build_from_states", "generator_from_semigroup", "default_schedule",
+    "BuildReport",
     "CocycleMatrices", "factor_from_generator", "gram_from_cocycle",
-    "check_proper_cocycle", "check_bounded",
-    "cfree_state", "cfree_generator", "check_diam3", "damping_family",
-    "damp_sequence", "freeprod_hap_pipeline",
+    "check_proper_cocycle",
+    "cfree_state", "cfree_generator", "damping_family", "damp_sequence",
+    "freeprod_hap_pipeline",
     "CertificationReport", "ConditionVerdict", "Witness",
 ]

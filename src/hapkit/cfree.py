@@ -21,10 +21,9 @@ import math
 import numpy as np
 
 from . import _linalg
-from .fourier import (DEFAULT_TOL, MatrixFamily, _by_side, _c0_condition, _constant_blocks,
+from .fourier import (DEFAULT_TOL, MatrixFamily, _by_side, _c0_condition,
                       _identity_condition, _norm_bound_condition, _require_c0_eps,
-                      _require_normalized, convolve, family_content_digest,
-                      max_block_deviation, stacked_blocks)
+                      _require_normalized, convolve, family_content_digest, stacked_blocks)
 from .genfun import GeneratingFunctional
 from .irreps import FreeProductTable
 from .reports import CertificationReport
@@ -137,22 +136,6 @@ def cfree_generator(L1: GeneratingFunctional, L2: GeneratingFunctional,
     return GeneratingFunctional(wp, stacked_blocks(wp, parts))
 
 
-def check_diam3(phi1: MatrixFamily, phi2: MatrixFamily,
-                omega1: MatrixFamily, omega2: MatrixFamily,
-                wp: FreeProductTable) -> tuple[bool, float]:
-    """Exactness of product-vs-convolution compatibility.
-
-    Verifies blockwise that convolving two conditionally free products
-    equals the conditionally free product of the factorwise convolutions.
-    The mixed-product identity (A x B)(C x D) = AC x BD makes this exact up
-    to rounding, so a residual beyond ~1e-12 signals an implementation bug.
-    """
-    lhs = convolve(cfree_state(phi1, phi2, wp), cfree_state(omega1, omega2, wp))
-    rhs = cfree_state(convolve(phi1, omega1), convolve(phi2, omega2), wp)
-    worst = max_block_deviation(lhs, rhs)
-    return worst <= 1e-12, worst
-
-
 def damping_family(table, k: int) -> MatrixFamily:
     """Family with blocks exp(-1/k) * I at nontrivial labels, [1] at the unit.
 
@@ -161,8 +144,11 @@ def damping_family(table, k: int) -> MatrixFamily:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return MatrixFamily(table, _constant_blocks(table, math.exp(-1.0 / k), 1.0),
-                        normalized=True)
+    c = math.exp(-1.0 / k)
+    parts = [(at, np.repeat(c * np.eye(d, dtype=np.complex128)[np.newaxis], len(at), axis=0))
+             for d, at in _by_side(table, np.arange(1, len(table))).items()]
+    unit = (np.zeros(1, dtype=np.intp), np.ones((1, 1, 1), dtype=np.complex128))
+    return MatrixFamily(table, stacked_blocks(table, [*parts, unit]), normalized=True)
 
 
 def damp_sequence(omegas, k_values) -> list[MatrixFamily]:

@@ -98,12 +98,20 @@ def _family_sequence(table, objs, where: str) -> list[MatrixFamily]:
     return out
 
 
+def _nontrivial(table, where: str):
+    """``table``, unless it holds the trivial label alone: a condition of its
+    report would then compare no row, and PASS on nothing."""
+    if len(table) < 2:
+        raise InputError(f"{where}: no nontrivial label, so nothing would be compared")
+    return table
+
+
 def _load_states(path: str):
     """Load a 'table' + 'families' input: (its knobs, digest, families)."""
     obj, digest = _load(path)
     if not isinstance(obj, dict) or "table" not in obj or "families" not in obj:
         raise InputError(f"{path}: expected an object with 'table' and 'families'")
-    table = serialize.table_from_obj(obj["table"], "table")
+    table = _nontrivial(serialize.table_from_obj(obj["table"], "table"), "table")
     return obj, digest, _family_sequence(table, obj["families"], "families")
 
 
@@ -147,7 +155,7 @@ def cmd_semigroup(args) -> int:
         raise InputError(f"--t: repeated value in {args.t!r}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    report, families = genfun.semigroup_report(L, ts, args.tol, digest)
+    report, families = genfun.semigroup_report(L, ts, digest)
     paths = [outdir / f"semigroup_t{t!r}.json" for t in ts]
     # every family is checked before the first write: all files or none
     for path, family in zip(paths, families):
@@ -191,7 +199,7 @@ def cmd_freeprod(args) -> int:
     damp = _knob("damp", bool, obj=obj, default=False)
     t1, seq1 = _factor_sequence(obj.get("factor1"), "factor1", k_values)
     t2, seq2 = _factor_sequence(obj.get("factor2"), "factor2", k_values)
-    wp = free_product_table(t1, t2, max_word_length)
+    wp = _nontrivial(free_product_table(t1, t2, max_word_length), "word table")
     if damp:
         seq1 = cfree.damp_sequence(seq1, k_values)
         seq2 = cfree.damp_sequence(seq2, k_values)
@@ -224,8 +232,7 @@ def cmd_cocycle(args) -> int:
 def cmd_buildgen(args) -> int:
     obj, digest, families = _load_states(args.input)
     report, L = genfun.buildgen_report(families, _knob("betas", obj=obj, many=True, default=None),
-                                       _knob("eps", obj=obj, many=True, default=None),
-                                       args.tol, digest)
+                                       _knob("eps", obj=obj, many=True, default=None), digest)
     out = Path(args.out) if args.out else Path(args.input).with_suffix(".generator.json")
     serialize.dump_json(serialize.generator_to_obj(L), out)
     return _emit(_wrote(report, [out]), args)
@@ -234,12 +241,13 @@ def cmd_buildgen(args) -> int:
 @functools.cache  # one argparse tree per process: building it costs more than parsing
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="numeric comparison tolerance (default 1e-9)")
     common.add_argument("--json", metavar="PATH", default=None,
                         help="also write the machine-readable report here")
     common.add_argument("--quiet", action="store_true",
                         help="suppress the text report on stdout")
+    compares = argparse.ArgumentParser(add_help=False, parents=[common])
+    compares.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                          help="numeric comparison tolerance (default 1e-9)")
 
     parser = argparse.ArgumentParser(
         prog="hapkit",
@@ -247,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hapkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("certify-hap", parents=[common],
+    p = sub.add_parser("certify-hap", parents=[compares],
                        help="check c0 decay and convergence to identity on a state sequence")
     p.add_argument("input", help="JSON file with 'table' and 'families'")
     p.add_argument("--eps-decay", type=float, default=None,
@@ -265,19 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory (default .)")
     p.set_defaults(func=cmd_semigroup)
 
-    p = sub.add_parser("freeprod", parents=[common],
+    p = sub.add_parser("freeprod", parents=[compares],
                        help="run the free-product certification pipeline")
     p.add_argument("config", help="pipeline configuration JSON file")
     p.set_defaults(func=cmd_freeprod)
 
-    p = sub.add_parser("schoenberg", parents=[common],
+    p = sub.add_parser("schoenberg", parents=[compares],
                        help="positive-definiteness of exp(-t*length) on a group ball")
     p.add_argument("--group", required=True, help='group spec, e.g. "F2", "Z3*Z4", "Z"')
     p.add_argument("--t", type=float, default=1.0, help="kernel decay rate (default 1)")
     p.add_argument("--radius", type=int, default=2, help="ball radius (default 2)")
     p.set_defaults(func=cmd_schoenberg)
 
-    p = sub.add_parser("cocycle", parents=[common],
+    p = sub.add_parser("cocycle", parents=[compares],
                        help="factor a cocycle out of a symmetric positive generator")
     p.add_argument("gen", help="generator JSON file")
     p.add_argument("--M", type=float, required=True, help="properness threshold")
@@ -297,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.tol = _knob("tol", cli=args.tol, nan_ok=True)
+        if "tol" in vars(args):  # semigroup and buildgen compare nothing against it
+            args.tol = _knob("tol", cli=args.tol, nan_ok=True)
         return args.func(args)
     except (OSError, ValueError, KeyError) as exc:
         # InputError, serialize.SchemaError and library argument errors alike

@@ -105,7 +105,3 @@ def _gram(stack: np.ndarray) -> np.ndarray:
     """(c^a)*(c^a) for every block of a stack."""
     return np.swapaxes(stack.conj(), -1, -2) @ stack
 
-
-def check_bounded(c: CocycleMatrices) -> float:
-    """Supremum of block norms over the truncation (0 for empty support, NaN if any is)."""
-    return float(np.max(c.norms, initial=0.0))

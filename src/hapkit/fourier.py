@@ -285,40 +285,6 @@ def convolve(F: MatrixFamily, G: MatrixFamily) -> MatrixFamily:
     return MatrixFamily(F.table, blocks, normalized=F.normalized and G.normalized)
 
 
-def _constant_blocks(table, c: float, unit: float | None = None) -> BlockMap:
-    """c * I at every nontrivial label, plus [unit] at the trivial one unless None."""
-    parts = [(at, np.repeat(c * np.eye(d, dtype=np.complex128)[np.newaxis], len(at), axis=0))
-             for d, at in _by_side(table, np.arange(1, len(table))).items()]
-    if unit is not None:
-        parts.append((np.zeros(1, dtype=np.intp), np.full((1, 1, 1), unit, dtype=np.complex128)))
-    return stacked_blocks(table, parts)
-
-
-def counit_family(table) -> MatrixFamily:
-    """Identity block at every label: the two-sided convolution identity."""
-    return MatrixFamily(table, _constant_blocks(table, 1.0, 1.0), normalized=True)
-
-
-def haar_family(table) -> MatrixFamily:
-    """[1] at the trivial label, zero elsewhere: absorbing for convolution."""
-    return MatrixFamily(table, _constant_blocks(table, 0.0, 1.0), normalized=True)
-
-
-def block_norm(F: MatrixFamily, label) -> float:
-    """Spectral norm of the block at ``label``."""
-    F[label]  # raises for a label without a block
-    return float(F.norms[F.labels.index(label)])
-
-
-def max_block_deviation(F: MatrixFamily, G: MatrixFamily) -> float:
-    """Largest spectral-norm difference over the common support."""
-    _require_same_table(F, G)
-    common = np.flatnonzero((F.rows >= 0) & (G.rows >= 0))
-    gaps = [_linalg.spectral_norms(F.blocks.gather(d, at) - G.blocks.gather(d, at))
-            for d, at in _by_side(F.table, common).items()]
-    return float(np.max(np.concatenate([np.empty(0), *gaps]), initial=0.0))
-
-
 @dataclass(frozen=True)
 class ExceptionalSet:
     """Outcome of a c0 scan (block norm <= eps) or a properness scan (smallest
@@ -372,34 +338,6 @@ def check_c0(F: MatrixFamily, eps: float) -> ExceptionalSet:
     inconclusive outside the support (``tail_clean`` is then False)."""
     _require_c0_eps(eps)
     return _exceptional_set(F, F.norms, F.norms <= eps, eps)
-
-
-@dataclass(frozen=True)
-class StateCandidate:
-    """Necessary state conditions only; full positivity is not decided."""
-
-    ok: bool
-    trivial_deviation: float
-    worst_norm: float
-    worst_label: str
-    detail: str = ("necessary conditions only: trivial block [1] and "
-                   "contractive blocks; positivity of the functional is not decided")
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_state_candidate(F: MatrixFamily) -> StateCandidate:
-    """True iff the trivial block is [1] and all norms are <= 1, within DEFAULT_TOL.
-
-    ``worst_label`` names the block of largest norm, or the first NaN one.
-    """
-    triv = F.blocks.at(0)
-    trivial_dev = math.inf if triv is None else abs(complex(triv[0, 0]) - 1.0)
-    worst_norm = float(np.max(F.norms, initial=0.0))
-    worst_label = F.table.encode(F.labels[np.argmax(F.norms)]) if worst_norm else ""
-    ok = trivial_dev <= DEFAULT_TOL and worst_norm <= 1.0 + DEFAULT_TOL
-    return StateCandidate(ok, trivial_dev, worst_norm, worst_label)
 
 
 def family_content_digest(families) -> str:

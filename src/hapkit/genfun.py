@@ -29,8 +29,8 @@ import numpy as np
 
 from . import _linalg
 from .fourier import (DEFAULT_TOL, BlockMap, ExceptionalSet, MatrixFamily, _by_side,
-                      _constant_blocks, _exceptional_set, _require_normalized,
-                      _require_same_table, _threshold_condition, stacked_blocks)
+                      _exceptional_set, _require_normalized, _require_same_table,
+                      _threshold_condition, stacked_blocks)
 from .reports import CertificationReport, ConditionVerdict, fmt, log_info
 
 
@@ -107,7 +107,7 @@ def semigroup_at(L: GeneratingFunctional, t: float) -> MatrixFamily:
     return MatrixFamily(L.table, stacked_blocks(L.table, L._parts(stacks)), normalized=True)
 
 
-def semigroup_report(L: GeneratingFunctional, ts, tol: float,
+def semigroup_report(L: GeneratingFunctional, ts,
                      input_digest: str) -> tuple[CertificationReport, list[MatrixFamily]]:
     """The ``semigroup`` report on ``L``, and its family at each time in ``ts``."""
     # an overflow leaves a non-finite block for the caller to find, so numpy need not warn
@@ -117,17 +117,12 @@ def semigroup_report(L: GeneratingFunctional, ts, tol: float,
         command="semigroup",
         input_digest=input_digest,
         truncation=f"{len(L.table)} labels",
-        tolerances=(("tol", tol),),
+        tolerances=(),
         conditions=(ConditionVerdict(
             name="evaluation", passed=True,
             summary=f"{len(families)} semigroup families written"),),
         notes=(f"t values: {', '.join(fmt(t) for t in ts)}",),
     ), families
-
-
-def unit_shift_functional(table) -> GeneratingFunctional:
-    """The functional counit - haar: identity at every nontrivial label."""
-    return GeneratingFunctional(table, _constant_blocks(table, 1.0))
 
 
 def default_schedule(n_terms: int) -> tuple[list[float], list[float]]:
@@ -216,7 +211,7 @@ def build_from_states(seq, betas=None, eps=None) -> tuple[GeneratingFunctional, 
     return GeneratingFunctional(table, blocks), report
 
 
-def buildgen_report(seq: list, betas, eps, tol: float,
+def buildgen_report(seq: list, betas, eps,
                     input_digest: str) -> tuple[CertificationReport, GeneratingFunctional]:
     """The ``buildgen`` report on :func:`build_from_states`, and the generator it built.
 
@@ -236,7 +231,7 @@ def buildgen_report(seq: list, betas, eps, tol: float,
         command="buildgen",
         input_digest=input_digest,
         truncation=f"{len(L.table)} labels",
-        tolerances=(("tol", tol),),
+        tolerances=(),
         conditions=(_threshold_condition(
             "epsilon-certificate", "every label eventually meets ||I - block_n|| <= eps_n",
             deviations, build.schedule[-1][1], L.table, at, (~common).astype(np.intp),

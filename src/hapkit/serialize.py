@@ -104,12 +104,6 @@ def table_from_obj(obj, where: str = "table"):
         raise SchemaError(f"{where}: {exc}") from None
 
 
-def blocks_to_obj(table, blocks) -> BlockMap:
-    """``blocks`` as a ``BlockMap`` over ``table``, which ``dump_json`` writes as
-    block key -> matrix; a block map over an equal table is adopted, not copied."""
-    return BlockMap(table, blocks)
-
-
 class ReadBlocks:
     """A 'blocks' object as ``load_json`` read it, with no table: its keys in file order,
     each one's side and stack row, one read-only stack per side, and their texts."""
@@ -217,7 +211,7 @@ def _matrix_fault(mat) -> str | None:
 def _map_to_obj(M, kind: str | None) -> dict:
     """Shared writer: table and blocks, plus the kind tag or the normalized flag."""
     tag = {"kind": kind} if kind is not None else {"normalized": M.normalized}
-    return {"table": table_to_obj(M.table), "blocks": blocks_to_obj(M.table, M), **tag}
+    return {"table": table_to_obj(M.table), "blocks": M, **tag}
 
 
 def _map_from_obj(obj, where: str, cls, kind: str | None):

@@ -48,6 +48,16 @@ def label_value(table: hk.IrrepTable, label: hk.IrrepLabel) -> int:
     return 0 if enc == "e" else int(enc.split("^")[1])
 
 
+def norm_at(F, label) -> float:
+    """The spectral norm of the block at ``label``, read off the cached norms."""
+    return float(F.norms[F.labels.index(label)])
+
+
+def sup_norm(B) -> float:
+    """The largest block norm of a block map, 0 without blocks, NaN if any is."""
+    return float(np.max(B.norms, initial=0.0))
+
+
 def zdual_family(table, fn, normalized=True) -> hk.MatrixFamily:
     """Scalar family on an integer-dual table: block [fn(n)] at label n."""
     blocks = {lab: [[complex(fn(label_value(table, lab)))]] for lab in table.labels}

@@ -190,6 +190,24 @@ def zdual_values(radius: int):
 
 
 
+def constant_family(table, c: float) -> hk.MatrixFamily:
+    """[1] at the trivial label and c * I at every other: the counit at c = 1, the
+    Haar state at c = 0."""
+    return hk.MatrixFamily(table, {lab: (c if j else 1.0) * np.eye(d)
+                                   for j, (lab, d) in enumerate(table)}, normalized=True)
+
+
+def unit_shift(table) -> hk.GeneratingFunctional:
+    """The generator counit - haar: the identity at every nontrivial label."""
+    return hk.GeneratingFunctional(table, {lab: np.eye(d) for lab, d in list(table)[1:]})
+
+
+def max_block_deviation(F, G) -> float:
+    """Largest ||F^a - G^a|| over the labels both carry, a block at a time; 0 if none."""
+    return float(np.max(block_norms([F[lab] - G[lab] for lab in F.labels if lab in G]),
+                        initial=0.0))
+
+
 def shift_unit(L: hk.GeneratingFunctional) -> hk.GeneratingFunctional:
     """L + (counit - haar): the identity added to every nontrivial block, label by label."""
     return hk.GeneratingFunctional(L.table, {lab: L[lab] + np.eye(len(L[lab]))

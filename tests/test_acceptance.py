@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import hapkit as hk
-from conftest import (FIXTURES, label_value, random_hermitian, random_psd,
+from conftest import (FIXTURES, label_value, norm_at, random_hermitian, random_psd,
                       run_cli_subprocess, zdual_family, zdual_table)
-from oracles import alternating_words, zdual_word_norm
+from oracles import alternating_words, constant_family, max_block_deviation, zdual_word_norm
 
 
 def report(criterion: str, passed: bool, detail: str) -> bool:
@@ -57,7 +57,7 @@ def test_criterion_2_semigroup_law():
         L = hk.GeneratingFunctional(table, blocks)
         at = {t: hk.semigroup_at(L, t) for t in (0.3, 0.7, 1.0, 2.0)}
         for s, t in ((0.3, 0.7), (1.0, 1.0)):
-            dev = hk.max_block_deviation(hk.convolve(at[s], at[t]), at[s + t])
+            dev = max_block_deviation(hk.convolve(at[s], at[t]), at[s + t])
             worst = max(worst, dev)
     ok = worst <= 1e-9
     assert report("2", ok, f"50 functionals, 20 labels, dims <= 5: worst deviation {worst:.3e} <= 1e-9")
@@ -131,7 +131,7 @@ def test_criterion_5_cfree_semigroup_compatibility():
         for t in (0.5, 1.0):
             lhs = hk.semigroup_at(G, t)
             rhs = hk.cfree_state(hk.semigroup_at(L1, t), hk.semigroup_at(L2, t), wp)
-            worst = max(worst, hk.max_block_deviation(lhs, rhs))
+            worst = max(worst, max_block_deviation(lhs, rhs))
     ok = worst <= 1e-9
     assert report("5", ok, f"exp(-t Kronecker sum) vs tensor of factor semigroups: "
                            f"worst deviation {worst:.3e} <= 1e-9")
@@ -154,10 +154,10 @@ def test_criterion_6_diam3_exactness():
 
     worst = 0.0
     for _ in range(10):
-        ok, res = hk.check_diam3(normalized(t1), normalized(t2),
-                                 normalized(t1), normalized(t2), wp)
-        assert ok
-        worst = max(worst, res)
+        phi1, phi2, omega1, omega2 = normalized(t1), normalized(t2), normalized(t1), normalized(t2)
+        lhs = hk.convolve(hk.cfree_state(phi1, phi2, wp), hk.cfree_state(omega1, omega2, wp))
+        rhs = hk.cfree_state(hk.convolve(phi1, omega1), hk.convolve(phi2, omega2), wp)
+        worst = max(worst, max_block_deviation(lhs, rhs))
     ok = worst <= 1e-12
     assert report("6", ok, f"mixed-product residual {worst:.3e} <= 1e-12 on words up to length 3")
 
@@ -187,7 +187,7 @@ def test_criterion_7a_word_norm_bound():
         for w in wp.labels:
             if w.is_trivial:
                 continue
-            nrm = hk.block_norm(mu, w)
+            nrm = norm_at(mu, w)
             oracle = zdual_word_norm([label_value(table, lab) for _, lab in w.letters], k)
             assert nrm == pytest.approx(oracle, rel=1e-12)
             worst_gap = max(worst_gap, nrm - math.exp(-len(w) / k))
@@ -283,8 +283,8 @@ def test_criterion_9_algebraic_identities():
         d = table.dim(lab)
         blocks[lab] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     F = hk.MatrixFamily(table, blocks, normalized=True)
-    eps_fam = hk.counit_family(table)
-    h = hk.haar_family(table)
+    eps_fam = constant_family(table, 1.0)
+    h = constant_family(table, 0.0)
 
     identity_ok = all(
         np.array_equal(hk.convolve(eps_fam, F).blocks[lab], F.blocks[lab])

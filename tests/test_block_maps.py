@@ -283,7 +283,7 @@ class TestVerdictsKeepTheScalarRules:
         _, eps = hk.default_schedule(n)
         with _small_stacks(), np.errstate(all="ignore"):
             report, _ = hk.genfun.buildgen_report(
-                [hk.MatrixFamily(table, b, normalized=True) for b in states], None, None, 1e-9,
+                [hk.MatrixFamily(table, b, normalized=True) for b in states], None, None,
                 "sha256:")
             _assert_rule(report.conditions[0], oracles.epsilon_rule(table, states, eps), table)
 

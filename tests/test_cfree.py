@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import hapkit as hk
 import oracles
-from conftest import (FIXTURES, label_value, load_perfbench, random_hermitian, run_cli,
-                      zdual_family, zdual_table)
+from conftest import (FIXTURES, label_value, load_perfbench, norm_at, random_hermitian,
+                      run_cli, zdual_family, zdual_table)
 from hapkit import serialize as sz
-from oracles import zdual_word_norm
+from oracles import constant_family, zdual_word_norm
 
 
 def scalar_table(ids):
@@ -58,15 +58,15 @@ class TestCfreeState:
     def test_counit_times_counit_is_counit(self):
         t1, t2 = mixed_table("a"), mixed_table("b")
         wp = hk.free_product_table(t1, t2, 3)
-        st = hk.cfree_state(hk.counit_family(t1), hk.counit_family(t2), wp)
-        eps = hk.counit_family(wp)
-        assert hk.max_block_deviation(st, eps) == 0.0
+        st = hk.cfree_state(constant_family(t1, 1.0), constant_family(t2, 1.0), wp)
+        eps = constant_family(wp, 1.0)
+        assert oracles.max_block_deviation(st, eps) == 0.0
 
     def test_haar_times_haar_is_haar(self):
         t1, t2 = mixed_table("a"), mixed_table("b")
         wp = hk.free_product_table(t1, t2, 3)
-        st = hk.cfree_state(hk.haar_family(t1), hk.haar_family(t2), wp)
-        h = hk.haar_family(wp)
+        st = hk.cfree_state(constant_family(t1, 0.0), constant_family(t2, 0.0), wp)
+        h = constant_family(wp, 0.0)
         for w in wp.labels:
             assert np.array_equal(st.blocks[w], h.blocks[w])
 
@@ -96,7 +96,7 @@ class TestCfreeState:
             expected = 1.0
             for fi, lab in w.letters:
                 expected *= np.linalg.norm(np.asarray(fams[fi].blocks[lab]), 2)
-            got = hk.block_norm(st, w)
+            got = norm_at(st, w)
             assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -140,7 +140,7 @@ class TestCfreeGenerator:
         for t in (0.5, 1.0):
             lhs = hk.semigroup_at(hk.cfree_generator(L1, L2, wp), t)
             rhs = hk.cfree_state(hk.semigroup_at(L1, t), hk.semigroup_at(L2, t), wp)
-            assert hk.max_block_deviation(lhs, rhs) <= 1e-9
+            assert oracles.max_block_deviation(lhs, rhs) <= 1e-9
 
     def test_properness_transfer_unit_shifted_letters(self, rng):
         # letters with blocks >= I give word blocks >= (word length) * I
@@ -162,20 +162,26 @@ class TestCfreeGenerator:
             assert np.linalg.eigvalsh(G.blocks[w])[0] >= len(w) - 1e-9
 
 
+def diam3_residual(phi1, phi2, omega1, omega2, wp) -> float:
+    """How far convolving two conditionally free products is from the product of
+    the factorwise convolutions; (A x B)(C x D) = AC x BD makes it exact up to rounding."""
+    lhs = hk.convolve(hk.cfree_state(phi1, phi2, wp), hk.cfree_state(omega1, omega2, wp))
+    rhs = hk.cfree_state(hk.convolve(phi1, omega1), hk.convolve(phi2, omega2), wp)
+    return oracles.max_block_deviation(lhs, rhs)
+
+
 class TestDiam3:
     def test_counits_exact(self):
         t1, t2 = mixed_table("a"), mixed_table("b")
         wp = hk.free_product_table(t1, t2, 2)
-        eps1, eps2 = hk.counit_family(t1), hk.counit_family(t2)
-        ok, res = hk.check_diam3(eps1, eps2, eps1, eps2, wp)
-        assert ok and res == 0.0
+        eps1, eps2 = constant_family(t1, 1.0), constant_family(t2, 1.0)
+        assert diam3_residual(eps1, eps2, eps1, eps2, wp) == 0.0
 
     def test_random_families(self, rng):
         t1, t2 = mixed_table("a"), mixed_table("b")
         wp = hk.free_product_table(t1, t2, 3)
-        ok, res = hk.check_diam3(random_normalized(rng, t1), random_normalized(rng, t2),
-                                 random_normalized(rng, t1), random_normalized(rng, t2), wp)
-        assert ok and res <= 1e-12
+        assert diam3_residual(random_normalized(rng, t1), random_normalized(rng, t2),
+                              random_normalized(rng, t1), random_normalized(rng, t2), wp) <= 1e-12
 
     def test_semigroup_families_combine(self, rng):
         t1, t2 = mixed_table("a"), mixed_table("b")
@@ -188,21 +194,21 @@ class TestDiam3:
         phi = hk.convolve(hk.cfree_state(hk.semigroup_at(L1, s), hk.semigroup_at(L2, s), wp),
                           hk.cfree_state(hk.semigroup_at(L1, t), hk.semigroup_at(L2, t), wp))
         target = hk.cfree_state(hk.semigroup_at(L1, s + t), hk.semigroup_at(L2, s + t), wp)
-        assert hk.max_block_deviation(phi, target) <= 1e-9
+        assert oracles.max_block_deviation(phi, target) <= 1e-9
 
 
 class TestDamping:
     def test_counit_damped(self):
         t = mixed_table("a")
-        out = hk.damp_sequence([hk.counit_family(t)], [1])
+        out = hk.damp_sequence([constant_family(t, 1.0)], [1])
         blk = out[0].blocks[t.decode("a2")]
         assert np.allclose(blk, math.exp(-1.0) * np.eye(2), atol=1e-15, rtol=0)
         assert blk[0, 0].real == pytest.approx(0.3678794412, abs=1e-10)
 
     def test_haar_unchanged(self):
         t = mixed_table("a")
-        out = hk.damp_sequence([hk.haar_family(t)], [3])
-        h = hk.haar_family(t)
+        out = hk.damp_sequence([constant_family(t, 0.0)], [3])
+        h = constant_family(t, 0.0)
         for lab in t.labels:
             assert np.array_equal(out[0].blocks[lab], h.blocks[lab])
 
@@ -214,10 +220,10 @@ class TestDamping:
         F = hk.MatrixFamily(t, blocks, normalized=True)
         out = hk.damp_sequence([F], [4])[0]
         bound = math.exp(-0.25)
-        assert hk.block_norm(out, t.decode("a1")) == pytest.approx(bound, abs=1e-12)
-        assert hk.block_norm(out, t.decode("a2")) == pytest.approx(bound / 2, abs=1e-12)
+        assert norm_at(out, t.decode("a1")) == pytest.approx(bound, abs=1e-12)
+        assert norm_at(out, t.decode("a2")) == pytest.approx(bound / 2, abs=1e-12)
         for lab in t.nontrivial_labels:
-            assert hk.block_norm(out, lab) <= bound + 1e-12
+            assert norm_at(out, lab) <= bound + 1e-12
 
     def test_overnormed_input_rejected(self):
         t = mixed_table("a")
@@ -250,7 +256,7 @@ class TestPipeline:
             st = hk.cfree_state(f1, f2, wp)
             for w in wp.labels:
                 letters = [label_value(table, lab) for _, lab in w.letters]
-                assert hk.block_norm(st, w) == pytest.approx(
+                assert norm_at(st, w) == pytest.approx(
                     zdual_word_norm(letters, k), rel=1e-12)
 
     def test_two_letter_word_exact_exponent(self):
@@ -258,16 +264,16 @@ class TestPipeline:
         k = 4
         t = scalar_table(["x"])
         wp = hk.free_product_table(t, t, 2)
-        damped = hk.damp_sequence([hk.counit_family(t)], [k])[0]
+        damped = hk.damp_sequence([constant_family(t, 1.0)], [k])[0]
         st = hk.cfree_state(damped, damped, wp)
         w = wp.decode("1:x|2:x")
-        assert hk.block_norm(st, w) == pytest.approx(math.exp(-2.0 / k), rel=1e-13)
+        assert norm_at(st, w) == pytest.approx(math.exp(-2.0 / k), rel=1e-13)
 
     def test_undamped_letter_fails_with_witness(self):
         ks = [2]
         t = scalar_table(["x"])
         wp = hk.free_product_table(t, t, 2)
-        undamped = hk.counit_family(t)  # nontrivial block norm 1
+        undamped = constant_family(t, 1.0)  # nontrivial block norm 1
         rep = hk.freeprod_hap_pipeline([undamped], [undamped], wp, eps_decay=0.9,
                                        conv_tols=[1.0], k_values=ks)
         cond = {c.name: c for c in rep.conditions}["word-norm-bound"]
@@ -288,7 +294,7 @@ class TestPipeline:
         # counit letters never decay: the c0 condition must fail
         t = scalar_table(["x"])
         wp = hk.free_product_table(t, t, 2)
-        eps = hk.counit_family(t)
+        eps = constant_family(t, 1.0)
         rep = hk.freeprod_hap_pipeline([eps], [eps], wp, eps_decay=0.5,
                                        conv_tols=[0.0], k_values=[1])
         by_name = {c.name: c for c in rep.conditions}
@@ -431,7 +437,7 @@ def _matrix_factor(rng, entries, n_stages):
         blocks = {t.trivial: [[1.0]]}
         for lab in t.nontrivial_labels:
             blocks[lab] = random_hermitian(rng, t.dim(lab), float(rng.uniform(0.3, 1.0)))
-        families.append({"blocks": sz.blocks_to_obj(t, hk.MatrixFamily(t, blocks).blocks)})
+        families.append({"blocks": hk.MatrixFamily(t, blocks)})
     return {"table": sz.table_to_obj(t), "families": families}
 
 

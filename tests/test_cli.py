@@ -79,18 +79,24 @@ class TestFailClosedOnNaN:
         assert obj["tolerances"]["tol"] == "nan"
 
     def test_nan_tol_compares_nothing_where_a_condition_has_no_rows(self, tmp_path):
-        # a table of the trivial word alone has no word of length >= 1, so no row
-        # meets the NaN and the bound holds vacuously
+        # a table of the trivial label alone leaves every condition without a row,
+        # so no NaN would be met and every condition would hold vacuously: an input
+        # error instead, for the word table of max_word_length 0 and for a states table
         config = {**json.loads((FIXTURES / "freeprod_zz.json").read_text()),
                   "max_word_length": 0}
         path = tmp_path / "zz0.json"
         path.write_text(json.dumps(config))
         res = run_cli("freeprod", path, "--tol", "nan")
-        assert res.returncode == 0
-        out = res.stdout.decode()
-        assert "tolerances: tol=nan, eps_decay=0.9\n" in out
-        assert "condition word-norm-bound: PASS [length-l word blocks damped below " \
-               "exp(-l/k) + tol]\ncondition identity-convergence: PASS" in out
+        assert (res.returncode, res.stdout) == (2, b"")
+        assert res.stderr == b"error: word table: no nontrivial label, " \
+                             b"so nothing would be compared\n"
+        states = tmp_path / "e.json"
+        states.write_text(json.dumps({
+            "table": {"entries": [{"id": "e", "dim": 1, "trivial": True}]},
+            "families": [{"blocks": {"e": [[[1.0, 0.0]]]}, "normalized": True}]}))
+        res = run_cli("certify-hap", states, "--k-values", "1", "--tol", "nan")
+        assert (res.returncode, res.stdout) == (2, b"")
+        assert res.stderr == b"error: table: no nontrivial label, so nothing would be compared\n"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_generator_fails_positivity(self, tmp_path):
@@ -278,8 +284,8 @@ class TestSemigroupCommand:
                       "--t", "0,1", "--out", tmp_path)
         assert res.returncode == 0
         fam0 = oracles.family_from_obj(sz.load_json(tmp_path / "semigroup_t0.0.json"))
-        eps = hk.counit_family(fam0.table)
-        assert hk.max_block_deviation(fam0, eps) == 0.0
+        eps = oracles.constant_family(fam0.table, 1.0)
+        assert oracles.max_block_deviation(fam0, eps) == 0.0
         fam1 = oracles.family_from_obj(sz.load_json(tmp_path / "semigroup_t1.0.json"))
         lab = fam1.table.decode("a")
         assert abs(fam1.blocks[lab][0, 0] - math.exp(-1.0)) < 1e-12
@@ -360,12 +366,11 @@ class TestBuildgenCommand:
 
     def test_counit_sequence_passes(self, tmp_path):
         t = hk.make_table([("a", 1)])
-        eps_fam = hk.counit_family(t)
         config = tmp_path / "in.json"
         sz.dump_json({
             "table": sz.table_to_obj(t),
-            "families": [{"blocks": sz.blocks_to_obj(t, eps_fam.blocks),
-                          "normalized": True} for _ in range(3)],
+            "families": [{"blocks": oracles.constant_family(t, 1.0), "normalized": True}
+                         for _ in range(3)],
         }, config)
         res = run_cli("buildgen", config, "--out", tmp_path / "gen.json")
         assert res.returncode == 0
@@ -405,13 +410,11 @@ class TestFreeprodCommand:
 
     def test_undamped_explicit_factors_fail(self, tmp_path):
         t = hk.make_table([("x", 1)])
-        eps_fam = hk.counit_family(t)
+        counit = oracles.constant_family(t, 1.0)
         config = tmp_path / "cfg.json"
         sz.dump_json({
-            "factor1": {"table": sz.table_to_obj(t),
-                        "families": [{"blocks": sz.blocks_to_obj(t, eps_fam.blocks)}]},
-            "factor2": {"table": sz.table_to_obj(t),
-                        "families": [{"blocks": sz.blocks_to_obj(t, eps_fam.blocks)}]},
+            "factor1": {"table": sz.table_to_obj(t), "families": [{"blocks": counit}]},
+            "factor2": {"table": sz.table_to_obj(t), "families": [{"blocks": counit}]},
             "k_values": [1],
             "max_word_length": 2,
             "eps_decay": 0.5,
@@ -427,16 +430,21 @@ class TestFreeprodCommand:
         res = run_cli("freeprod", config)
         assert res.returncode == 2
 
-    def test_word_length_zero_passes_trivially(self, tmp_path):
+    @pytest.mark.parametrize("radius, max_word_length", [(1, 0), (0, 3)])
+    def test_word_table_of_the_trivial_word_alone_is_an_input_error(
+            self, tmp_path, radius, max_word_length):
+        """No word of length >= 1, whether none is allowed or the factors have no
+        nontrivial label: every condition would PASS on nothing, so exit 2."""
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
-            "factor1": {"group": "Z", "radius": 1},
-            "factor2": {"group": "Z", "radius": 1},
-            "k_values": [1], "max_word_length": 0,
+            "factor1": {"group": "Z", "radius": radius},
+            "factor2": {"group": "Z", "radius": radius},
+            "k_values": [1], "max_word_length": max_word_length,
             "eps_decay": 0.5, "conv_tols": [0.5],
         }))
         res = run_cli("freeprod", config)
-        assert res.returncode == 0
+        assert (res.returncode, res.stdout) == (2, b"")
+        assert b"word table: no nontrivial label" in res.stderr
 
 
 class TestReportHygiene:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import hapkit as hk
-from conftest import random_hermitian, zdual_family, zdual_label, zdual_table
+from conftest import norm_at, zdual_family, zdual_label, zdual_table
+from oracles import constant_family, unit_shift
 
 
 def random_family(rng, table, normalized=False):
@@ -41,12 +42,12 @@ class TestConstruction:
             hk.MatrixFamily(table, {table.trivial: [[math.nan]]}, normalized=True)
 
     def test_subclass_reprs(self, table):
-        assert repr(hk.counit_family(table)) == "MatrixFamily(4/4 blocks, normalized)"
-        assert repr(hk.unit_shift_functional(table)) == "GeneratingFunctional(4/4 blocks)"
+        assert repr(constant_family(table, 1.0)) == "MatrixFamily(4/4 blocks, normalized)"
+        assert repr(unit_shift(table)) == "GeneratingFunctional(4/4 blocks)"
         assert repr(hk.CocycleMatrices(table, {})) == "CocycleMatrices(0/4 blocks)"
 
     def test_blocks_read_only(self, table):
-        F = hk.counit_family(table)
+        F = constant_family(table, 1.0)
         with pytest.raises((ValueError, TypeError)):
             F.blocks[table.trivial][0, 0] = 7.0
 
@@ -58,7 +59,7 @@ class TestConstruction:
 class TestConvolve:
     def test_counit_is_two_sided_identity(self, table, rng):
         F = random_family(rng, table)
-        eps = hk.counit_family(table)
+        eps = constant_family(table, 1.0)
         left = hk.convolve(eps, F)
         right = hk.convolve(F, eps)
         for lab in F.labels:
@@ -67,22 +68,22 @@ class TestConvolve:
 
     def test_haar_absorbs_normalized(self, table, rng):
         F = random_family(rng, table, normalized=True)
-        h = hk.haar_family(table)
+        h = constant_family(table, 0.0)
         for out in (hk.convolve(h, F), hk.convolve(F, h)):
             for lab in table.labels:
                 assert np.array_equal(out.blocks[lab], h.blocks[lab])
 
     def test_haar_idempotent(self, table):
-        h = hk.haar_family(table)
+        h = constant_family(table, 0.0)
         out = hk.convolve(h, h)
         for lab in table.labels:
             assert np.array_equal(out.blocks[lab], h.blocks[lab])
 
     def test_counit_blocks_are_identities(self, table):
-        eps = hk.counit_family(table)
+        eps = constant_family(table, 1.0)
         assert np.array_equal(eps.blocks[table.decode("b")], np.eye(3))
         tiny = hk.make_table([("1", 1)])
-        assert hk.counit_family(tiny).blocks[tiny.trivial][0, 0] == 1.0
+        assert constant_family(tiny, 1.0).blocks[tiny.trivial][0, 0] == 1.0
 
     def test_scalar_exponential_semigroup_value(self):
         # e^-s * e^-t = e^-(s+t); frozen value at s = t = 1
@@ -112,7 +113,7 @@ class TestConvolve:
     def test_table_mismatch_rejected(self, table):
         other = hk.make_table([("z", 2)])
         with pytest.raises(ValueError, match="different tables"):
-            hk.convolve(hk.counit_family(table), hk.counit_family(other))
+            hk.convolve(constant_family(table, 1.0), constant_family(other, 1.0))
 
     def test_associative(self, rng):
         table = hk.make_table([("a", 5), ("b", 4), ("c", 2)])
@@ -128,39 +129,39 @@ class TestConvolve:
             F, G = random_family(rng, table), random_family(rng, table)
             out = hk.convolve(F, G)
             for lab in table.labels:
-                prod = hk.block_norm(F, lab) * hk.block_norm(G, lab)
-                assert hk.block_norm(out, lab) <= prod * (1 + 1e-12)
+                prod = norm_at(F, lab) * norm_at(G, lab)
+                assert norm_at(out, lab) <= prod * (1 + 1e-12)
 
 
 class TestBlockNorm:
     def test_identity(self, table):
-        assert hk.block_norm(hk.counit_family(table), table.decode("b")) == 1.0
+        assert norm_at(constant_family(table, 1.0), table.decode("b")) == 1.0
 
     def test_diagonal(self, table):
         F = hk.MatrixFamily(table, {table.decode("a"): np.diag([0.5, 0.25])})
-        assert hk.block_norm(F, table.decode("a")) == pytest.approx(0.5, abs=1e-15)
+        assert norm_at(F, table.decode("a")) == pytest.approx(0.5, abs=1e-15)
 
     def test_nilpotent_jordan_block(self, table):
         # SVD oracle: singular values of [[0,1],[0,0]] are {1, 0}
         blk = np.array([[0, 1], [0, 0]], dtype=complex)
         assert sorted(np.linalg.svd(blk, compute_uv=False)) == [0.0, 1.0]
         F = hk.MatrixFamily(table, {table.decode("a"): blk})
-        assert hk.block_norm(F, table.decode("a")) == pytest.approx(1.0, abs=1e-15)
+        assert norm_at(F, table.decode("a")) == pytest.approx(1.0, abs=1e-15)
 
     def test_absent_label(self, table):
-        F = hk.haar_family(table)
-        with pytest.raises(KeyError):
-            hk.block_norm(F, hk.IrrepLabel("nope"))
+        F = constant_family(table, 0.0)
+        with pytest.raises(KeyError, match="nope"):
+            F[hk.IrrepLabel("nope")]
 
 
 class TestCheckC0:
     def test_haar(self, table):
-        res = hk.check_c0(hk.haar_family(table), 0.5)
+        res = hk.check_c0(constant_family(table, 0.0), 0.5)
         assert res.exceptional_labels == (table.trivial,)
         assert res.tail_clean
 
     def test_counit_all_exceptional(self, table):
-        res = hk.check_c0(hk.counit_family(table), 0.5)
+        res = hk.check_c0(constant_family(table, 1.0), 0.5)
         assert set(res.exceptional_labels) == set(table.labels)
         assert res.table_size - len(res.exceptional) - len(res.unspecified) == 0
 
@@ -180,36 +181,9 @@ class TestCheckC0:
         assert set(res.unspecified) == set(table.labels) - {table.trivial}
 
 
-class TestStateCandidate:
-    def test_counit(self, table):
-        assert hk.is_state_candidate(hk.counit_family(table)).ok
-
-    def test_ties_name_the_first_block_and_zero_names_none(self, table):
-        res = hk.is_state_candidate(hk.counit_family(table))
-        assert (res.worst_norm, res.worst_label) == (1.0, table.encode(table.labels[0]))
-        zero = hk.MatrixFamily(table, {lab: np.zeros((table.dim(lab),) * 2)
-                                       for lab in table.labels[1:]})
-        res = hk.is_state_candidate(zero)
-        assert (res.worst_norm, res.worst_label) == (0.0, "")
-
-    def test_overnormed_block(self, table):
-        F = hk.MatrixFamily(table, {table.trivial: [[1.0]],
-                                    table.decode("a"): 2.0 * np.eye(2)})
-        res = hk.is_state_candidate(F)
-        assert not res.ok and res.worst_norm == pytest.approx(2.0)
-
-    def test_semigroup_of_positive_generator(self, rng):
-        table = hk.make_table([("a", 3), ("b", 2)])
-        blocks = {lab: random_hermitian(rng, table.dim(lab), 4.0) for lab in table.nontrivial_labels}
-        blocks = {lab: b.conj().T @ b for lab, b in blocks.items()}  # PSD
-        L = hk.GeneratingFunctional(table, blocks)
-        res = hk.is_state_candidate(hk.semigroup_at(L, 0.7))
-        assert res.ok
-
-
 class TestHapSequence:
     def test_counit_repeated(self, table):
-        seq = [hk.counit_family(table)] * 3
+        seq = [constant_family(table, 1.0)] * 3
         rep = hk.check_hap_sequence(seq, eps_decay=0.5, conv_tols=[0.0, 0.0, 0.0])
         by_name = {c.name: c for c in rep.conditions}
         assert by_name["identity-convergence"].passed
@@ -245,7 +219,7 @@ class TestHapSequence:
         assert any(w.label == "a" for w in cond.witnesses)
 
     def test_increasing_conv_tols_fail(self, table):
-        seq = [hk.counit_family(table)] * 2
+        seq = [constant_family(table, 1.0)] * 2
         rep = hk.check_hap_sequence(seq, eps_decay=0.5, conv_tols=[0.0, 1.0])
         cond = {c.name: c for c in rep.conditions}["identity-convergence"]
         assert not cond.passed

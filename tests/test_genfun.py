@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import hapkit as hk
 import oracles
-from conftest import (label_value, random_hermitian, random_psd, random_psd_generator,
+from conftest import (label_value, norm_at, random_hermitian, random_psd, random_psd_generator,
                       random_table, zdual_family, zdual_label, zdual_table)
-from oracles import scalar_quotient_extrapolation
+from oracles import constant_family, scalar_quotient_extrapolation, unit_shift
 
 
 def zdual_length_gf(radius):
@@ -110,12 +110,12 @@ class TestSemigroup:
     def test_time_zero_is_counit(self):
         L = zdual_length_gf(3)
         fam = hk.semigroup_at(L, 0.0)
-        eps = hk.counit_family(L.table)
-        assert hk.max_block_deviation(fam, eps) == 0.0
+        eps = constant_family(L.table, 1.0)
+        assert oracles.max_block_deviation(fam, eps) == 0.0
 
     def test_unit_shift_scalar(self):
         t = hk.make_table([("a", 2), ("b", 3)])
-        fam = hk.semigroup_at(hk.unit_shift_functional(t), 1.0)
+        fam = hk.semigroup_at(unit_shift(t), 1.0)
         blk = fam.blocks[t.decode("a")]
         assert np.allclose(blk, math.exp(-1.0) * np.eye(2), atol=1e-15, rtol=0)
         assert blk[0, 0].real == pytest.approx(0.3678794412, abs=1e-10)
@@ -140,14 +140,14 @@ class TestSemigroup:
             for s, t in [(0.3, 0.7), (1.0, 1.0)]:
                 lhs = hk.convolve(hk.semigroup_at(L, s), hk.semigroup_at(L, t))
                 rhs = hk.semigroup_at(L, s + t)
-                assert hk.max_block_deviation(lhs, rhs) <= 1e-9
+                assert oracles.max_block_deviation(lhs, rhs) <= 1e-9
 
     def test_contractive_for_positive_generator(self, rng):
         table = random_table(rng, 6, 4)
         L = random_psd_generator(rng, table, 8.0)
         fam = hk.semigroup_at(L, 1.3)
         for lab in fam.labels:
-            assert hk.block_norm(fam, lab) <= 1.0 + 1e-12
+            assert norm_at(fam, lab) <= 1.0 + 1e-12
 
     def test_continuity_at_zero_bound(self, rng):
         table = random_table(rng, 5, 4)
@@ -167,7 +167,7 @@ class TestSemigroup:
         fam = hk.semigroup_at(L, s)
         for lab in fam.labels:
             if lab not in exceptional:
-                assert hk.block_norm(fam, lab) <= math.exp(-s * M) + 1e-12
+                assert norm_at(fam, lab) <= math.exp(-s * M) + 1e-12
 
     def test_non_hermitian_generator_uses_expm(self):
         t = hk.make_table([("a", 2)])
@@ -184,7 +184,7 @@ class TestShiftUnit:
         t = zdual_table(2)
         zero = hk.GeneratingFunctional(t, {lab: [[0.0]] for lab in t.nontrivial_labels})
         shifted = oracles.shift_unit(zero)
-        ref = hk.unit_shift_functional(t)
+        ref = unit_shift(t)
         for lab in t.nontrivial_labels:
             assert np.array_equal(shifted.blocks[lab], ref.blocks[lab])
 
@@ -207,7 +207,7 @@ class TestShiftUnit:
 class TestBuildFromStates:
     def test_counit_sequence_gives_zero(self):
         t = zdual_table(3)
-        seq = [hk.counit_family(t)] * 4
+        seq = [constant_family(t, 1.0)] * 4
         L, report = hk.build_from_states(seq)
         for lab in L.labels:
             assert np.array_equal(L.blocks[lab], np.zeros((1, 1)))
@@ -216,8 +216,8 @@ class TestBuildFromStates:
 
     def test_single_haar_term_gives_unit_shift(self):
         t = zdual_table(2)
-        L, _ = hk.build_from_states([hk.haar_family(t)], betas=[1.0], eps=[0.5])
-        ref = hk.unit_shift_functional(t)
+        L, _ = hk.build_from_states([constant_family(t, 0.0)], betas=[1.0], eps=[0.5])
+        ref = unit_shift(t)
         for lab in t.nontrivial_labels:
             assert np.array_equal(L.blocks[lab], ref.blocks[lab])
 
@@ -243,7 +243,7 @@ class TestBuildFromStates:
 
     def test_schedule_validation(self):
         t = zdual_table(1)
-        seq = [hk.counit_family(t)] * 2
+        seq = [constant_family(t, 1.0)] * 2
         with pytest.raises(ValueError, match="increasing"):
             hk.build_from_states(seq, betas=[2.0, 2.0], eps=[0.5, 0.25])
         with pytest.raises(ValueError, match="decreasing"):
@@ -330,7 +330,7 @@ class TestGeneratorRecovery:
 
     def test_counit_sampler_gives_zero(self):
         t = zdual_table(2)
-        est, errors = hk.generator_from_semigroup(lambda s: hk.counit_family(t), [1e-2, 5e-3])
+        est, errors = hk.generator_from_semigroup(lambda s: constant_family(t, 1.0), [1e-2, 5e-3])
         for lab in t.nontrivial_labels:
             assert np.array_equal(est.blocks[lab], np.zeros((1, 1)))
             assert errors[lab] == 0.0
@@ -348,4 +348,4 @@ class TestGeneratorRecovery:
     def test_needs_two_samples(self):
         t = zdual_table(1)
         with pytest.raises(ValueError):
-            hk.generator_from_semigroup(lambda s: hk.counit_family(t), [1e-3])
+            hk.generator_from_semigroup(lambda s: constant_family(t, 1.0), [1e-3])

@@ -27,9 +27,11 @@ CASES = {
     "certify_hap_pass": ["certify-hap", "fixtures/zdual_hap_pass.json"],
     "certify_hap_fail": ["certify-hap", "fixtures/undamped_fail.json"],
     "certify_hap_malformed": ["certify-hap", "fixtures/malformed.json"],
+    "certify_hap_trivial_only": ["certify-hap", "trivial_states.json"],
     "freeprod_zz": ["freeprod", "fixtures/freeprod_zz.json"],
     "freeprod_fail": ["freeprod", "freeprod_fail.json"],
     "freeprod_matrix": ["freeprod", "fixtures/freeprod_matrix.json"],
+    "freeprod_word_length_zero": ["freeprod", "freeprod_zz0.json"],
     "schoenberg_f2": ["schoenberg", "--group", "F2", "--radius", "3"],
     "schoenberg_z3z4": ["schoenberg", "--group", "Z3*Z4", "--radius", "4", "--t", "0.5"],
     "schoenberg_z2z3_r10": ["schoenberg", "--group", "Z2*Z3", "--radius", "10", "--t", "0.9"],
@@ -54,7 +56,8 @@ CASES = {
 # inputs the run directory starts with; they are not outputs of the run
 _INPUTS = {"fixtures", "freeprod_fail.json", "gen_nonsymmetric.json", "gen_negative.json",
            "gen_zero.json", "gen_overflow.json", "gen_boundary.json", "unit_shift.json",
-           "counit_states.json", "unspecified_states.json"}
+           "counit_states.json", "unspecified_states.json", "trivial_states.json",
+           "freeprod_zz0.json"}
 
 
 def _pairs(matrix) -> list:
@@ -69,6 +72,11 @@ def _write_inputs(workdir: Path) -> None:
     config = json.loads((FIXTURES / "freeprod_zz.json").read_text())
     config.update(conv_tols=[0.9, 0.5, 0.3, 0.25, 0.25], max_word_length=2)
     (workdir / "freeprod_fail.json").write_text(json.dumps(config, sort_keys=True, indent=2))
+    # the same fixture with words of length 0 only: the word table is the trivial word
+    # alone, so no condition would compare a row
+    config = json.loads((FIXTURES / "freeprod_zz.json").read_text())
+    config.update(max_word_length=0)
+    (workdir / "freeprod_zz0.json").write_text(json.dumps(config, sort_keys=True, indent=2))
     # a copy of the unit-shift generator, so that cocycle's default output
     # <gen>.cocycle.json lands in the run directory; then generators on its table
     # (labels a and b of sides 2 and 3): a block that is not Hermitian, a negative
@@ -96,6 +104,10 @@ def _write_inputs(workdir: Path) -> None:
               "families": [{"blocks": {**ones, "b": _pairs([[0]])}, "normalized": True},
                            {"blocks": ones, "normalized": True}]}
     (workdir / "unspecified_states.json").write_text(json.dumps(states, sort_keys=True, indent=2))
+    # a state on the table {e} alone: nothing nontrivial to compare
+    states = {"table": {"entries": [{"dim": 1, "id": "e", "trivial": True}]},
+              "families": [{"blocks": {"e": _pairs([[1]])}, "normalized": True}]}
+    (workdir / "trivial_states.json").write_text(json.dumps(states, sort_keys=True, indent=2))
     # a generator on {e, a, b} whose block a = [-0.75e-9] is within tol = 1e-9 of
     # positive, while a + a* = [-1.5e-9] is not: positive-blocks passes, and the
     # factor clamps a's root to [0]

@@ -5,7 +5,8 @@ Each ``demos/*.py`` must exit 0 and print its pinned stdout, and
 write files byte-identical to the committed ``fixtures/``, also without
 ``PYTHONPATH`` when ``src/`` sits beside its directory, as in a checkout.
 Every name in ``hapkit.__all__`` must exist, and every module-level function
-and class in ``src/hapkit`` must be used there, be public or be traced.
+and class in ``src/hapkit`` must be used there, be traced, or be public and
+used by a demo or ``fixtures/regenerate.py``.
 Every function the benchmark tracer patches must still exist under the name
 it looks up, and a traced run must leave every module as it found it.  The
 CLI builds no verdict and reads no private name of the library, the library
@@ -29,7 +30,7 @@ from conftest import FIXTURES, REPO_ROOT, load_perfbench, run_cli
 
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
 # sha256 of each demo's stdout, the same under 1 and 2 BLAS threads: the demos
-# are what runs convolve, block_norm, cfree_state and maps built from dicts
+# are what runs convolve, cfree_state and maps built from dicts
 DEMO_STDOUT = {
     "01_length_kernels_on_free_products.py":
         "46946bf23856f036c1bcc92182a6276a6ba33a1891d22b44f0a1523a4bac2a03",
@@ -103,16 +104,21 @@ def _names(node) -> Counter:
 
 def test_no_src_code_only_tests_use():
     """A module-level def or class of ``src/hapkit`` is referenced in ``src``
-    outside its own body, public (in ``hapkit.__all__``) or a benchmark target."""
+    outside its own body, or is a benchmark target, or is public (in
+    ``hapkit.__all__``) and referenced by a demo or ``fixtures/regenerate.py``:
+    no name is kept for the tests alone."""
     import hapkit
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((REPO_ROOT / "src" / "hapkit").glob("*.py"))}
     used = sum(map(_names, trees.values()), Counter())
+    scripts = sum((_names(ast.parse(path.read_text(encoding="utf-8")))
+                   for path in [*DEMOS, FIXTURES / "regenerate.py"]), Counter())
     traced = {target for span in load_perfbench("tracing").TRACED.values() for target in span}
     unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and used[node.name] <= _names(node)[node.name]
-              and node.name not in hapkit.__all__ and (module, node.name) not in traced]
+              and not (node.name in hapkit.__all__ and scripts[node.name])
+              and (module, node.name) not in traced]
     assert unused == []
 
 

@@ -84,7 +84,8 @@ class TestFamilyRoundtrip:
         t1 = hk.make_table([("a", 2)])
         t2 = hk.make_table([("X", 1)])
         wp = hk.free_product_table(t1, t2, 2)
-        state = hk.cfree_state(hk.counit_family(t1), hk.counit_family(t2), wp)
+        state = hk.cfree_state(oracles.constant_family(t1, 1.0),
+                               oracles.constant_family(t2, 1.0), wp)
         back = oracles.family_from_obj(through_file(sz.family_to_obj(state), tmp_path / "f.json"))
         for w in state.labels:
             assert np.array_equal(back.blocks[back.table.decode(w.encode())],
@@ -269,7 +270,7 @@ def _as_written(table, blocks, layout):
     if layout == "family":
         return sz.family_to_obj(hk.MatrixFamily(table, blocks))
     return {"table": sz.table_to_obj(table),
-            "families": [{"blocks": sz.blocks_to_obj(table, blocks), "normalized": False}]}
+            "families": [{"blocks": hk.MatrixFamily(table, blocks), "normalized": False}]}
 
 
 class TestWriterBytes:
@@ -458,14 +459,16 @@ def test_digests_fall_back_to_hashlib():
     path = FIXTURES / "zdual_hap_pass.json"
     code = ("import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
             "import hashlib\nimport hapkit as hk\nfrom hapkit import reports, serialize\n"
-            "family = hk.counit_family(hk.dual_irrep_table(hk.GroupSpec((0,)), 3))\n"
+            "t = hk.dual_irrep_table(hk.GroupSpec((0,)), 3)\n"
+            "family = hk.MatrixFamily(t, {lab: [[1.0]] for lab in t.labels})\n"
             "print(reports.sha256 is hashlib.sha256,"
             f" reports.content_digest(serialize.load_json({str(path)!r})),"
             " hk.fourier.family_content_digest([family]))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
                          cwd=REPO_ROOT)
     canonical = oracles.canonical_json(json.loads(path.read_text())).encode()
-    family = hk.counit_family(hk.dual_irrep_table(hk.GroupSpec((0,)), 3))
+    t = hk.dual_irrep_table(hk.GroupSpec((0,)), 3)
+    family = hk.MatrixFamily(t, {lab: [[1.0]] for lab in t.labels})
     assert res.stdout.decode().split() == [
         "True", "sha256:" + hashlib.sha256(canonical).hexdigest(),
         hk.fourier.family_content_digest([family])]

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import hapkit as hk
+import oracles
 from hapkit import cli, genfun
 from hapkit import serialize as sz
 from conftest import FIXTURES, REPO_ROOT, load_perfbench, run_cli
@@ -53,7 +54,7 @@ def test_counters_read_maps_built_from_stacks():
     t = hk.make_table([("a", 2), ("b", 1), ("c", 3)])
     read = sz.blocks_from_obj(t, {"b": [[[0.5, 0.0]]],
                                   "a": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "x")
-    family, counit = hk.MatrixFamily(t, read), hk.counit_family(t)
+    family, counit = hk.MatrixFamily(t, read), oracles.constant_family(t, 1.0)
     product = hk.convolve(family, counit)
     assert list(family.blocks.keys()) == [t.decode("a"), t.decode("b")]
     assert len(family.blocks) == 2 and len(product.blocks) == 2

@@ -191,7 +191,7 @@ class TestGroups:
         f1 = hk.MatrixFamily(t1, {t1.trivial: [[1.0]], t1.decode("a"): [[0.5]]},
                              normalized=True)
         with pytest.raises(KeyError, match="missing letter block: factor 1, label 'b'"):
-            cfree.cfree_state(f1, hk.counit_family(t2), wp)
+            cfree.cfree_state(f1, oracles.constant_family(t2, 1.0), wp)
 
     def test_missing_letter_block_in_factor_2(self):
         # factor 1 is complete, so the first missing label of factor 2 is named
@@ -199,8 +199,8 @@ class TestGroups:
         wp = hk.free_product_table(t1, t2, 3)
         f2 = hk.MatrixFamily(t2, {t2.trivial: [[1.0]], t2.decode("x"): [[0.5]]},
                              normalized=True)
-        for call in (lambda: cfree.cfree_state(hk.counit_family(t1), f2, wp),
-                     lambda: hk.freeprod_hap_pipeline([hk.counit_family(t1)], [f2], wp,
+        for call in (lambda: cfree.cfree_state(oracles.constant_family(t1, 1.0), f2, wp),
+                     lambda: hk.freeprod_hap_pipeline([oracles.constant_family(t1, 1.0)], [f2], wp,
                                                       0.5, [1.0], [1])):
             with pytest.raises(KeyError, match="missing letter block: factor 2, label 'y'"):
                 call()
