@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hapkit as hk
+import oracles
 from hapkit.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +47,14 @@ def zdual_label(table: hk.IrrepTable, n: int) -> hk.IrrepLabel:
 def label_value(table: hk.IrrepTable, label: hk.IrrepLabel) -> int:
     enc = table.encode(label)
     return 0 if enc == "e" else int(enc.split("^")[1])
+
+
+def diam3_residual(phi1, phi2, omega1, omega2, wp) -> float:
+    """How far convolving two conditionally free products is from the product of
+    the factorwise convolutions; (A x B)(C x D) = AC x BD makes it exact up to rounding."""
+    lhs = hk.convolve(hk.cfree_state(phi1, phi2, wp), hk.cfree_state(omega1, omega2, wp))
+    rhs = hk.cfree_state(hk.convolve(phi1, omega1), hk.convolve(phi2, omega2), wp)
+    return oracles.max_block_deviation(lhs, rhs)
 
 
 def norm_at(F, label) -> float:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import hapkit as hk
 import oracles
-from conftest import (FIXTURES, label_value, load_perfbench, norm_at, random_hermitian,
-                      run_cli, zdual_family, zdual_table)
+from conftest import (FIXTURES, diam3_residual, label_value, load_perfbench, norm_at,
+                      random_hermitian, run_cli, zdual_family, zdual_table)
 from hapkit import serialize as sz
 from oracles import constant_family, zdual_word_norm
 
@@ -160,14 +160,6 @@ class TestCfreeGenerator:
             if w.is_trivial:
                 continue
             assert np.linalg.eigvalsh(G.blocks[w])[0] >= len(w) - 1e-9
-
-
-def diam3_residual(phi1, phi2, omega1, omega2, wp) -> float:
-    """How far convolving two conditionally free products is from the product of
-    the factorwise convolutions; (A x B)(C x D) = AC x BD makes it exact up to rounding."""
-    lhs = hk.convolve(hk.cfree_state(phi1, phi2, wp), hk.cfree_state(omega1, omega2, wp))
-    rhs = hk.cfree_state(hk.convolve(phi1, omega1), hk.convolve(phi2, omega2), wp)
-    return oracles.max_block_deviation(lhs, rhs)
 
 
 class TestDiam3:
