@@ -179,18 +179,12 @@ def expm_neg(stacks, t: float, spectra) -> dict:
     return out
 
 
-def expm_spectra(stacks, residuals, norms) -> dict:
-    """What ``expm_neg`` needs of each side's stack, given the residuals
-    ||a - a*|| and norms ||a|| of its blocks."""
-    return {d: (residuals[d] <= 1e-12 * np.maximum(1.0, norms[d]), *hermitian_eigh(stack))
-            for d, stack in stacks.items()}
-
-
-def psd_sqrt(stacks) -> dict:
-    """Principal roots of the Hermitian parts of the blocks of each side's stack, by side.
+def psd_sqrt(spectra) -> dict:
+    """Principal roots V diag(sqrt(w)) V*, by side, of the Hermitian blocks whose
+    ``hermitian_eigh`` pairs (w, v) are ``spectra[d]``.
 
     Negative eigenvalues are clamped to 0: the caller has decided positivity
     beforehand, so the ones left are rounding.
     """
-    return {d: hermitian_calculus(*hermitian_eigh(s), lambda w: np.sqrt(np.clip(w, 0.0, None)))
-            for d, s in stacks.items()}
+    return {d: hermitian_calculus(w, v, lambda w: np.sqrt(np.clip(w, 0.0, None)))
+            for d, (w, v) in spectra.items()}

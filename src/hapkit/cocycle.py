@@ -8,9 +8,10 @@ unit).  Only the quadratic Gram identity is constrained at block level:
 
 so for a symmetric positive functional the canonical factorization takes
 c^a to be the principal PSD square root of 2 L^a, which is unique and makes
-the round trip with ``gram_from_cocycle`` exact.  Boundedness means a
-uniform bound on block norms; properness at level M means all but finitely
-many blocks satisfy (c^a)*(c^a) >= M*I.
+the round trip with ``gram_from_cocycle`` exact.  Properness at level M
+means all but finitely many blocks satisfy (c^a)*(c^a) >= M*I; the root and
+the ``cocycle`` report's properness are read off one spectrum, that of
+L^a + (L^a)*, so rounding in the root never decides a verdict.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def factor_from_generator(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> 
     if (lows < 0).any():
         log_info(__name__, "factor_from_generator: clamped %d blocks (worst magnitude %g)",
                  np.count_nonzero(lows < 0), -lows.min())
-    roots = _linalg.psd_sqrt({d: s + np.swapaxes(s.conj(), -1, -2) for d, s in L.stacks.items()})
+    # L + L* is twice the Hermitian part, so its spectrum is twice L's, exactly
+    roots = _linalg.psd_sqrt({d: (2 * w, v) for d, (w, v) in L._spectra.items()})
     return CocycleMatrices(L.table, stacked_blocks(L.table, [
         (where, roots[d][L.rows[where]]) for d, where in _by_side(L.table, at).items()]))
 
@@ -57,15 +59,16 @@ def factor_from_generator(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> 
 def gram_from_cocycle(c: CocycleMatrices) -> GeneratingFunctional:
     """Recover the symmetric functional with blocks (c^a)*(c^a) / 2."""
     return GeneratingFunctional(c.table, stacked_blocks(c.table, c._parts(
-        {d: _linalg.hermitize(_gram(s)) / 2.0 for d, s in c.stacks.items()})))
+        {d: _linalg.hermitize(np.swapaxes(s.conj(), -1, -2) @ s) / 2.0
+         for d, s in c.stacks.items()})))
 
 
 def check_proper_cocycle(c: CocycleMatrices, M: float) -> ExceptionalSet:
     """(label, smallest eigenvalue of (c^a)*(c^a)) of the blocks below M, over
-    the nontrivial labels."""
+    the nontrivial labels: twice the smallest eigenvalues of ``gram_from_cocycle(c)``."""
     if M <= 0:
         raise ValueError("threshold M must be positive")
-    lows = c.blocks.scan(lambda s: _linalg.min_eigenvalues(_gram(s)))
+    lows = 2 * gram_from_cocycle(c).lows[1:]  # its trivial block comes first
     return _exceptional_set(c, lows, lows >= M, M, nontrivial=True)
 
 
@@ -73,6 +76,8 @@ def cocycle_report(L: GeneratingFunctional, M: float, tol: float, input_digest: 
                    ) -> tuple[CertificationReport, CocycleMatrices | None]:
     """The ``cocycle`` report on ``L`` at level M, and the cocycle factored out of
     ``L``, or None when ``L`` is not symmetric with positive blocks."""
+    if M <= 0:
+        raise ValueError("threshold M must be positive")
     truncation = f"{len(L.table)} labels"
     conditions = [check_symmetric(L, tol)]
     if conditions[0].passed:
@@ -80,7 +85,9 @@ def cocycle_report(L: GeneratingFunctional, M: float, tol: float, input_digest: 
     c, notes = None, ()
     if all(v.passed for v in conditions):
         c = factor_from_generator(L, tol=tol)
-        proper = check_proper_cocycle(c, M)
+        # the eigenvalues of (c*)c = L + L*, clamped as the root is; + 0.0 turns -0 into 0
+        lows = np.maximum(2 * L.lows[1:], 0.0) + 0.0
+        proper = _exceptional_set(c, lows, lows >= M, M, nontrivial=True)
         exceptional = ", ".join(L.table.encode(lab) for lab, _ in proper.exceptional)
         conditions.append(ConditionVerdict(
             name="proper-at-level", passed=proper.proper_at_level,
@@ -99,9 +106,3 @@ def cocycle_report(L: GeneratingFunctional, M: float, tol: float, input_digest: 
         conditions=tuple(conditions),
         notes=notes,
     ), c
-
-
-def _gram(stack: np.ndarray) -> np.ndarray:
-    """(c^a)*(c^a) for every block of a stack."""
-    return np.swapaxes(stack.conj(), -1, -2) @ stack
-

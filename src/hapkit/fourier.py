@@ -363,8 +363,8 @@ def _c0_condition(exceptional, nontrivial, unspecified, table, eps_decay, contex
 
     Decay is only demandable at nontrivial labels (the trivial block of a
     state is always 1, it just sits inside the finite exceptional set), so a
-    family passes when it has a block at every label and either the table has
-    no nontrivial labels at all or at least one of them decayed below eps.
+    family passes when it has a block at every label and at least one
+    nontrivial label decayed below eps; a table without one fails.
     Fails with every failing family's witness; otherwise reports the first
     family with the most exceptional labels.
     """
@@ -373,7 +373,7 @@ def _c0_condition(exceptional, nontrivial, unspecified, table, eps_decay, contex
         if missing:
             failed.append(Witness(label=table.encode(missing[0]), achieved=float(len(missing)),
                                   threshold=0.0, context=f"{ctx}: labels without blocks"))
-        elif total > 0 and nontrivial_exc >= total:
+        elif nontrivial_exc >= total:
             failed.append(Witness(label="*", achieved=float(exc), threshold=float(total),
                                   context=f"{ctx}: no nontrivial label decayed below eps"))
         elif worst is None or exc > worst.achieved:
@@ -397,14 +397,17 @@ def _threshold_condition(name: str, summary: str, estimate, threshold, table, at
     a at an ascending index array; it is asked only for the rows whose
     bracket does not clear the threshold and for those that may be the worst
     row.  Every failing row is a witness, after the ``failed`` witnesses
-    found up front; when nothing fails, the first row of largest
-    a - threshold[r] is reported instead, or of largest a, which is exact, when
-    ``threshold`` is one value for all rows.  A reported row r names the label
-    at table position ``at[r]`` in the context ``contexts[context[r]]``; the
-    rows are kept as ``WitnessRows``, so labels are encoded only when shown.
+    found up front and a ``'*'`` one if there are no rows; when nothing
+    fails, the first row of largest a - threshold[r] is reported instead, or
+    of largest a, which is exact, when ``threshold`` is one value for all
+    rows.  A reported row r names the label at table position ``at[r]`` in
+    the context ``contexts[context[r]]``; the rows are kept as
+    ``WitnessRows``, so labels are encoded only when shown.
     ``threshold``, ``margin`` and ``context`` may each be one value for all rows.
     """
     achieved = np.array(estimate, dtype=float)
+    if not achieved.size:  # a condition that compared nothing certifies nothing
+        failed = (*failed, Witness("*", 0.0, 1.0, "no rows compared"))
     one = np.ndim(threshold) == 0
     threshold = np.broadcast_to(np.asarray(threshold, dtype=float), achieved.shape)
     offset = 0.0 if one else threshold  # what ranks the rows is a - offset

@@ -52,17 +52,17 @@ class GeneratingFunctional(BlockMap):
         return blocks
 
     @functools.cached_property
+    def _spectra(self) -> dict:
+        """Side -> ``_linalg.hermitian_eigh`` (w, v) of its stack: the one
+        eigendecomposition of the Hermitian parts that every spectral reading
+        of L takes, whatever t or M."""
+        return {d: _linalg.hermitian_eigh(stack) for d, stack in self.stacks.items()}
+
+    @functools.cached_property
     def lows(self) -> np.ndarray:
         """Read-only smallest eigenvalue of the Hermitian part of every block, aligned
         with ``labels``; NaN if non-finite.  Every positivity decision on L reads these."""
-        return self.scan(_linalg.min_eigenvalues)
-
-    @functools.cached_property
-    def _expm_spectra(self) -> dict:
-        """What ``_linalg.expm_neg`` needs of the stacks whatever t: the Hermitian
-        test, from the cached residuals and norms, and ``eigh``."""
-        by_side = self.by_side
-        return _linalg.expm_spectra(self.stacks, by_side(self.residuals), by_side(self.norms))
+        return self.in_order({d: w[:, 0] for d, (w, _) in self._spectra.items()})
 
 
 def check_symmetric(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> ConditionVerdict:
@@ -97,12 +97,14 @@ def semigroup_at(L: GeneratingFunctional, t: float) -> MatrixFamily:
     """Family of the convolution semigroup at time t: blocks exp(-t * L^a).
 
     The result is a normalized family supported where L is; see
-    ``_linalg.expm_neg`` for how the blocks are exponentiated.  The Hermitian
-    test and the eigendecomposition of L are made once, for every t.
+    ``_linalg.expm_neg`` for how the blocks are exponentiated.  The residuals,
+    norms and eigendecomposition of L are made once, for every t.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    stacks = _linalg.expm_neg(L.stacks, t, L._expm_spectra)
+    hermitian = L.by_side(L.residuals <= 1e-12 * np.maximum(1.0, L.norms))
+    stacks = _linalg.expm_neg(L.stacks, t, {d: (hermitian[d], w, v)
+                                            for d, (w, v) in L._spectra.items()})
     stacks[1][L.rows[0]] = 1.0  # the trivial block
     return MatrixFamily(L.table, stacked_blocks(L.table, L._parts(stacks)), normalized=True)
 

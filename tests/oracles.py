@@ -296,8 +296,8 @@ def c0_rule(keys, norms, eps, contexts):
     context) tuple per witness).  ``keys`` are the table's label keys, the
     trivial one first; ``norms[i][j]`` is family i's block norm at label j,
     None where it has no block.  A family fails at its first label without a
-    block (achieved: how many it lacks), or when it has nontrivial labels and
-    none has norm <= eps (achieved: its labels not <= eps).  The witnesses are
+    block (achieved: how many it lacks), or when none of its nontrivial
+    labels, if it has any, has norm <= eps (achieved: its labels not <= eps).  The witnesses are
     the failing families', or else the first family with the most labels not
     <= eps."""
     failing, worst = [], None
@@ -306,7 +306,7 @@ def c0_rule(keys, norms, eps, contexts):
         over = [j for j, norm in enumerate(row) if norm is not None and not norm <= eps]
         if missing:
             failing.append((missing[0], float(len(missing)), 0.0, f"{ctx}: labels without blocks"))
-        elif len(keys) > 1 and sum(1 for j in over if j) >= len(keys) - 1:
+        elif sum(1 for j in over if j) >= len(keys) - 1:
             failing.append(("*", float(len(over)), float(len(keys) - 1),
                             f"{ctx}: no nontrivial label decayed below eps"))
         elif worst is None or len(over) > worst[1]:
@@ -407,6 +407,14 @@ def group_word_values(seq1, seq2, wp):
 def block_min_eigenvalues(blocks):
     """One numpy eigvalsh call per block on (B + B*)/2; NaN for a non-finite block."""
     return [float(np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0])
+            if np.isfinite(blk).all() else math.nan for blk in blocks]
+
+
+def block_eigh_lows(blocks):
+    """The smallest eigenvalue of one numpy eigh call per block on (B + B*)/2,
+    whose eigenvectors a generator's root and semigroup share; NaN for a
+    non-finite block."""
+    return [float(np.linalg.eigh((blk + blk.conj().T) / 2)[0][0])
             if np.isfinite(blk).all() else math.nan for blk in blocks]
 
 
@@ -569,9 +577,9 @@ def label_semigroup(L: LabelBlockMap, t):
 def label_factor(L: LabelBlockMap, tol):
     """label -> principal root of L^a + (L^a)* by ``block_psd_sqrt``, or the
     ValueError text for the first label whose Hermitian part L^a has its
-    smallest eigenvalue (``block_min_eigenvalues``) below -tol."""
+    smallest eigenvalue (``block_eigh_lows``) below -tol."""
     nontrivial = [lab for lab in L.labels if lab != L.table.trivial]
-    lows = block_min_eigenvalues([L.blocks[lab] for lab in nontrivial])
+    lows = block_eigh_lows([L.blocks[lab] for lab in nontrivial])
     for lab, low in zip(nontrivial, lows):
         if not low >= -tol:
             return (f"block {L.table.encode(lab)!r}: matrix is not positive semidefinite: "
@@ -592,7 +600,7 @@ def label_c0(table, blocks, eps):
 def label_proper(table, blocks, M):
     """(exceptional (label, low) pairs, unspecified labels, labels scanned) of
     the generator blocks at level M, with [0] at a missing trivial label, one
-    ``eigvalsh`` per label; or the ValueError text when a Hermitian residual
+    ``eigh`` per label; or the ValueError text when a Hermitian residual
     is over 1e-9 or NaN."""
     blocks = {table.trivial: np.zeros((1, 1), dtype=np.complex128), **blocks}
     residuals = block_norms([blk - blk.conj().T for blk in blocks.values()])
@@ -600,17 +608,19 @@ def label_proper(table, blocks, M):
     if not worst <= 1e-9:
         return f"properness is defined for symmetric functionals (Hermitian residual {worst:g})"
     labels = [lab for lab in table.labels if lab in blocks]
-    lows = block_min_eigenvalues([blocks[lab] for lab in labels])
+    lows = block_eigh_lows([blocks[lab] for lab in labels])
     return (tuple((lab, low) for lab, low in zip(labels, lows) if not low >= M),
             tuple(lab for lab in table.labels if lab not in blocks), len(table.labels))
 
 
 def label_proper_cocycle(table, blocks, M):
     """(exceptional (label, low) pairs, unspecified labels, labels scanned) of
-    the cocycle blocks at level M, one ``eigvalsh`` of (c*)c per label in
-    table order; the trivial label is not scanned."""
+    the cocycle blocks at level M, twice the smallest eigenvalue of one
+    ``eigh`` of the Gram block ((c*)c + ((c*)c)*)/2 / 2 per label in table
+    order; the trivial label is not scanned."""
     labels = [lab for lab in table.labels if lab in blocks]
-    lows = block_min_eigenvalues([blocks[lab].conj().T @ blocks[lab] for lab in labels])
+    grams = [blocks[lab].conj().T @ blocks[lab] for lab in labels]
+    lows = [2 * low for low in block_eigh_lows([(g + g.conj().T) / 2 / 2 for g in grams])]
     return (tuple((lab, low) for lab, low in zip(labels, lows) if not low >= M),
             tuple(lab for lab in table.labels[1:] if lab not in blocks), len(table.labels) - 1)
 
@@ -656,7 +666,7 @@ def positive_rule(L: LabelBlockMap, tol):
     """The scalar positive-blocks rule: the smallest eigenvalue over every block,
     the trivial [0] included, NaN if any is, is at least ``-tol``; with the rows
     behind it, the extreme being the first smallest eigenvalue."""
-    lows = block_min_eigenvalues(list(L.blocks.values()))
+    lows = block_eigh_lows(list(L.blocks.values()))
     worst = math.nan if any(map(math.isnan, lows)) else min(lows)
     return _rule(L.labels, lows, [x >= -tol for x in lows], worst >= -tol,
                  _first_extreme(lows, min))
@@ -667,7 +677,8 @@ def epsilon_rule(table, seq, eps):
     of the common support is flagged by ``first_certified``, and no
     nontrivial label lies outside it.  Rows: each nontrivial label with the
     last state's ||I - block||, or inf outside the common support; the
-    extreme is the first largest."""
+    extreme is the first largest.  With no nontrivial label there is no row,
+    and the rule fails on one ``'*'`` row of value 0."""
     labels = table.labels[1:]
     common = [lab for lab in labels if all(lab in F for F in seq)]
     deviations = {lab: block_norms([F[lab] for F in seq], minus_identity=True)
@@ -676,6 +687,8 @@ def epsilon_rule(table, seq, eps):
                if n is None]
     values = [deviations[lab][-1] if lab in deviations else math.inf for lab in labels]
     holds = [lab in deviations and lab not in flagged for lab in labels]
+    if not labels:
+        return False, [("*", 0.0)], None
     return _rule(labels, values, holds, not flagged and len(common) == len(labels),
                  _first_extreme(values, max))
 

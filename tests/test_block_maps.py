@@ -228,7 +228,8 @@ def _assert_rule(verdict, rule, table, value=lambda v: v):
     passed, failing, extreme = rule
     assert verdict.passed == passed
     rows = failing if not passed else [extreme] if extreme else []
-    assert [w.label for w in verdict.witnesses] == [table.encode(lab) for lab, _ in rows]
+    assert [w.label for w in verdict.witnesses] == [lab if lab == "*" else table.encode(lab)
+                                                    for lab, _ in rows]
     assert _bits([w.achieved for w in verdict.witnesses]) == _bits(
         [value(v) for _, v in rows])
 

@@ -273,14 +273,21 @@ class TestPipeline:
         assert cond.witnesses and all(w.achieved > w.threshold for w in cond.witnesses)
 
     def test_word_length_zero_config(self):
-        # only the trivial word exists: every condition holds vacuously
+        # only the trivial word exists: the norm bound compares no word and no
+        # nontrivial word can decay, so both fail; the trivial word is the identity
         ks = [1, 2]
         table = zdual_table(2)
         wp = hk.free_product_table(table, table, 0)
         seq = [zdual_family(table, lambda n, k=k: math.exp(-abs(n) / k)) for k in ks]
         rep = hk.freeprod_hap_pipeline(seq, seq, wp, eps_decay=0.5,
                                        conv_tols=[0.5, 0.5], k_values=ks)
-        assert rep.overall
+        assert not rep.overall
+        assert [c.passed for c in rep.conditions] == [False, True, False]
+        norm, _, c0 = rep.conditions
+        assert [(w.label, w.achieved, w.threshold, w.context) for w in norm.witnesses] == [
+            ("*", 0.0, 1.0, "no rows compared")]
+        assert [w.context for w in c0.witnesses] == [
+            f"k={k}: no nontrivial label decayed below eps" for k in ks]
 
     def test_nothing_decays_fails_c0(self):
         # counit letters never decay: the c0 condition must fail

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hapkit as hk
-from conftest import label_value, random_psd_generator, random_table, sup_norm, zdual_table
+from conftest import (FIXTURES, label_value, random_psd_generator, random_table, run_cli,
+                      sup_norm, zdual_table)
+from hapkit import _linalg
+from hapkit.cocycle import cocycle_report
+from hapkit.fourier import DEFAULT_TOL
 
 
 def zdual_length_gf(radius):
@@ -187,6 +191,57 @@ class TestProperAndBounded:
         radius = 7
         c = hk.factor_from_generator(zdual_length_gf(radius))
         assert sup_norm(c) == pytest.approx(math.sqrt(2 * radius), rel=1e-12)
+
+
+@st.composite
+def integer_spectrum_generators(draw):
+    """(table, blocks, lows): blocks P diag(w) P^T of sides 1-4, with P a
+    permutation and w small nonnegative integers, so every eigenvalue is
+    exact; ``lows`` maps each label to min(w)."""
+    sides = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    table = hk.make_table([(f"b{i}", d) for i, d in enumerate(sides)])
+    blocks, lows = {}, {}
+    for lab in table.nontrivial_labels:
+        d = table.dim(lab)
+        w = draw(st.lists(st.integers(0, 12), min_size=d, max_size=d))
+        p = np.eye(d)[draw(st.permutations(range(d)))]
+        blocks[lab], lows[lab] = p @ np.diag(np.array(w, dtype=float)) @ p.T, min(w)
+    return table, blocks, lows
+
+
+# L = [3]: (c*)c = 2L = 6 exactly, though sqrt(6)**2 rounds to 5.999999999999999
+_SIX = hk.make_table([("a", 1)])
+_SIX_DRAWN = (_SIX, {_SIX.labels[1]: np.array([[3.0]])}, {_SIX.labels[1]: 3})
+
+
+class TestProperAtLevelReadsOneSpectrum:
+    """``cocycle``'s properness is read off the spectrum of L + L*, the one
+    eigendecomposition of the generator, and never off its rounded root."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(drawn=integer_spectrum_generators(), M=st.integers(1, 64).map(lambda n: n / 4))
+    @example(drawn=_SIX_DRAWN, M=6.0)
+    def test_exceptional_labels_are_those_with_twice_the_low_below_M(self, drawn, M):
+        table, blocks, lows = drawn
+        report, _ = cocycle_report(hk.GeneratingFunctional(table, blocks), M, DEFAULT_TOL,
+                                   "sha256:")
+        proper = report.conditions[-1]
+        want = {table.encode(lab): 2.0 * low for lab, low in lows.items() if 2 * low < M}
+        assert proper.name == "proper-at-level"
+        assert {w.label: w.achieved for w in proper.witnesses} == want
+        assert proper.passed == (len(want) < len(lows))
+
+    def test_a_cocycle_run_decomposes_each_block_side_once(self, monkeypatch, tmp_path):
+        sides, eigvalsh_calls = [], []
+        eigh, eigvalsh = _linalg.hermitian_eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(_linalg, "hermitian_eigh",
+                            lambda stack: sides.append(stack.shape[-1]) or eigh(stack))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *a, **k: eigvalsh_calls.append(1) or eigvalsh(*a, **k))
+        assert run_cli("cocycle", FIXTURES / "unit_shift_generator.json", "--M", "1",
+                       "--out", tmp_path / "c.json").returncode == 0
+        assert sorted(sides) == [1, 2, 3]  # the fixture's blocks have sides 1, 2 and 3
+        assert eigvalsh_calls == []
 
 
 class TestConstruction:

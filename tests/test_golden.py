@@ -39,6 +39,9 @@ CASES = {
                   "--out", "sg"],
     "cocycle_length": ["cocycle", "fixtures/zdual_length_generator.json", "--M", "8",
                        "--out", "cocycle.json"],
+    # c*c = 2|n| at a^n: a^3 is certified at exactly M = 6, whatever the root's rounding
+    "cocycle_length_m6": ["cocycle", "fixtures/zdual_length_generator.json", "--M", "6",
+                          "--out", "cocycle.json"],
     "cocycle_unit_shift": ["cocycle", "fixtures/unit_shift_generator.json", "--M", "1",
                            "--out", "cocycle.json"],
     "cocycle_nonsymmetric": ["cocycle", "gen_nonsymmetric.json", "--M", "1",

@@ -88,16 +88,18 @@ class TestHermitianCalculus:
     @given(poisoned_blocks(), poisoned_blocks(general=True), st.floats(0.0, 3.0))
     def test_equal_to_the_per_block_oracle(self, hermitian, general, t):
         """Hermitian and general blocks share stacks split at 128 bytes; every
-        exponential and root is the per-block one, bitwise, and the root of the
-        non-finite block is NaN."""
+        exponential and root, read off one ``hermitian_eigh`` per stack, is the
+        per-block one, bitwise, and the root of the non-finite block is NaN."""
         _, poisoned, bad = hermitian
         blocks = poisoned + general[0]
         stacks, where = _by_side(blocks)
         with mock.patch.object(_linalg, "STACK_BYTES", 128), np.errstate(all="ignore"):
-            spectra = _linalg.expm_spectra(
-                stacks, {d: _linalg.adjoint_residuals(s) for d, s in stacks.items()},
-                {d: _linalg.spectral_norms(s) for d, s in stacks.items()})
-            got = [_linalg.expm_neg(stacks, t, spectra), _linalg.psd_sqrt(stacks)]
+            spectra = {d: _linalg.hermitian_eigh(s) for d, s in stacks.items()}
+            hermitian = {d: _linalg.adjoint_residuals(s)
+                         <= 1e-12 * np.maximum(1.0, _linalg.spectral_norms(s))
+                         for d, s in stacks.items()}
+            got = [_linalg.expm_neg(stacks, t, {d: (hermitian[d], *spectra[d]) for d in stacks}),
+                   _linalg.psd_sqrt(spectra)]
             got = [[values[d][r] for d, r in where] for values in got]
             expected = oracles.block_expm_neg(blocks, t), oracles.block_psd_sqrt(blocks)
         for name, values, oracle in zip(["expm_neg", "roots"], got, expected):

@@ -203,12 +203,14 @@ _VERDICT_BUILDERS = {
     ("genfun", "semigroup_report"),
 }
 
-# the functions of ``src/hapkit`` that read ``_linalg.min_eigenvalues``: one per
-# kind of matrix whose positivity is decided (a generator's blocks, a Gram, the
-# (c*)c of a cocycle's blocks), and the single-matrix form the benchmark traces
-_MIN_EIGENVALUE_READERS = {
-    ("genfun", "GeneratingFunctional.lows"), ("classical", "schoenberg_check"),
-    ("cocycle", "check_proper_cocycle"), ("_linalg", "min_eigenvalue"),
+# the functions of ``src/hapkit`` that read each spectral scan of ``_linalg``:
+# ``hermitian_eigh`` only the one eigendecomposition of a generator, which its
+# positivity, semigroup, cocycle root and properness all read (a cocycle's
+# (c*)c through its Gram generator); ``min_eigenvalues`` only the Schoenberg
+# Gram and the single-matrix form the benchmark traces
+_SPECTRUM_READERS = {
+    "hermitian_eigh": {("genfun", "GeneratingFunctional._spectra")},
+    "min_eigenvalues": {("classical", "schoenberg_check"), ("_linalg", "min_eigenvalue")},
 }
 
 
@@ -250,12 +252,13 @@ def _readers(tree, name: str) -> set:
 
 def test_smallest_eigenvalues_have_one_source():
     """Every positivity decision reads its smallest eigenvalues from one scan:
-    in ``src/hapkit`` only ``_MIN_EIGENVALUE_READERS`` read
-    ``_linalg.min_eigenvalues``, and every entry does, so no stale entry stays."""
-    found = {(path.stem, scope) for path in sorted((REPO_ROOT / "src" / "hapkit").glob("*.py"))
-             for scope in _readers(ast.parse(path.read_text(encoding="utf-8")),
-                                   "min_eigenvalues")}
-    assert found == _MIN_EIGENVALUE_READERS
+    in ``src/hapkit`` only the ``_SPECTRUM_READERS`` of a scan read it, and
+    every entry does, so no stale entry stays."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((REPO_ROOT / "src" / "hapkit").glob("*.py"))}
+    for name, readers in _SPECTRUM_READERS.items():
+        found = {(stem, scope) for stem, tree in trees.items() for scope in _readers(tree, name)}
+        assert found == readers, name
 
 
 def test_traced_runs_record_spans_and_restore(tmp_path):
