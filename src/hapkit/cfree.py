@@ -22,8 +22,8 @@ import numpy as np
 
 from . import _linalg
 from .fourier import (DEFAULT_TOL, MatrixFamily, _by_side, _c0_condition,
-                      _identity_condition, _norm_bound_condition, _require_c0_eps,
-                      _require_normalized, convolve, family_content_digest, stacked_blocks)
+                      _identity_condition, _norm_bound_condition, _require_normalized,
+                      convolve, family_content_digest, stacked_blocks)
 from .genfun import GeneratingFunctional
 from .irreps import FreeProductTable
 from .reports import CertificationReport
@@ -273,15 +273,6 @@ class _WordValues:
             known[todo[at]] = True
         return values[rows]
 
-    def c0_scans(self, eps: float) -> np.ndarray:
-        """The (stages, words) grid of "norm not <= eps", from the estimate where
-        the margin allows."""
-        _require_c0_eps(eps)
-        over = self.norms - self.margins > eps
-        unsure = np.flatnonzero(~(over | (self.norms + self.margins <= eps)))
-        over[unsure] = ~(self.exact(unsure, False) <= eps)
-        return over.reshape(-1, self._n)
-
 
 def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
                           conv_tols, k_values, tol: float = DEFAULT_TOL,
@@ -314,19 +305,19 @@ def freeprod_hap_pipeline(seq1, seq2, wp: FreeProductTable, eps_decay: float,
         raise ValueError("empty family sequence")
     values, grid = _WordValues(seq1, seq2, wp), (len(k_values), len(wp))
     contexts = [f"k={k}" for k in k_values]
-    over = values.c0_scans(eps_decay)
+    norms, exact_norms = values.norms.reshape(grid), lambda rows: values.exact(rows, False)
+    c0 = _c0_condition(norms, wp, eps_decay, contexts, "word", margin=values.margins,
+                       exact=exact_norms)  # first: a bad eps_decay raises before any block forms
     conditions = (
         _norm_bound_condition(
             "word-norm-bound", "length-l word blocks damped below exp(-l/k) + tol",
-            values.norms.reshape(grid), wp.lengths, wp, k_values, tol,
-            lambda i, l: f"{contexts[i]}, length {l}", margin=values.margins,
-            exact=lambda rows: values.exact(rows, False)),
+            norms, wp.lengths, wp, k_values, tol,
+            lambda i, l: f"{contexts[i]}, length {l}", margin=values.margins, exact=exact_norms),
         _identity_condition(values.deviations.reshape(grid), wp, conv_tols, contexts,
                             "per-word ||block - I|| within the stage tolerance schedule",
                             margin=values.margins,
                             exact=lambda rows: values.exact(rows, True)),
-        _c0_condition(over.sum(axis=1).tolist(), over[:, 1:].sum(axis=1).tolist(),
-                      [()] * len(over), wp, eps_decay, contexts, "word"),
+        c0,
     )
 
     return CertificationReport(

@@ -355,11 +355,15 @@ def family_content_digest(families) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _c0_condition(exceptional, nontrivial, unspecified, table, eps_decay, contexts,
-                  noun: str) -> ConditionVerdict:
-    """c0-decay over one scan per family: ``exceptional[i]`` labels of family i
-    have norm not <= eps_decay, ``nontrivial[i]`` of them nontrivial, and
-    ``unspecified[i]`` are its labels without a block.
+def _c0_condition(norms, table, eps_decay: float, contexts, noun: str, present=True,
+                  margin=0.0, exact=None) -> ConditionVerdict:
+    """c0-decay: each family's block norms are <= eps_decay outside a finite set.
+
+    ``norms[i, j]`` is family i's block norm at table position j, within
+    ``margin`` (0: exact) of the value ``exact`` gives, and ``present[i, j]``
+    says it has a block; all three read the grid flat, stage-major.  A label
+    is exceptional unless its norm is verified <= eps_decay, so NaN is;
+    ``exact`` is asked only for the rows whose bracket straddles eps_decay.
 
     Decay is only demandable at nontrivial labels (the trivial block of a
     state is always 1, it just sits inside the finite exceptional set), so a
@@ -368,12 +372,22 @@ def _c0_condition(exceptional, nontrivial, unspecified, table, eps_decay, contex
     Fails with every failing family's witness; otherwise reports the first
     family with the most exceptional labels.
     """
+    _require_c0_eps(eps_decay)
+    norms = np.asarray(norms, dtype=float)
+    margin = np.broadcast_to(margin, norms.size).reshape(norms.shape)
+    rows = np.flatnonzero((margin != 0) & ~(norms - margin > eps_decay)
+                          & ~(norms + margin <= eps_decay))
+    over, missing = ~(norms <= eps_decay), np.broadcast_to(~np.asarray(present), norms.shape)
+    if rows.size:
+        over.flat[rows] = ~(exact(rows) <= eps_decay)
     total, failed, worst = len(table) - 1, [], None
-    for exc, nontrivial_exc, missing, ctx in zip(exceptional, nontrivial, unspecified, contexts):
-        if missing:
-            failed.append(Witness(label=table.encode(missing[0]), achieved=float(len(missing)),
-                                  threshold=0.0, context=f"{ctx}: labels without blocks"))
-        elif nontrivial_exc >= total:
+    for i, ctx in enumerate(contexts):
+        exc = int(np.count_nonzero(over[i]))
+        if (gaps := np.flatnonzero(missing[i])).size:
+            failed.append(Witness(label=table.encode(table.labels[gaps[0]]),
+                                  achieved=float(gaps.size), threshold=0.0,
+                                  context=f"{ctx}: labels without blocks"))
+        elif np.count_nonzero(over[i, 1:]) >= total:
             failed.append(Witness(label="*", achieved=float(exc), threshold=float(total),
                                   context=f"{ctx}: no nontrivial label decayed below eps"))
         elif worst is None or exc > worst.achieved:
@@ -436,11 +450,11 @@ def _threshold_condition(name: str, summary: str, estimate, threshold, table, at
 
 
 def _identity_condition(deviations, table, conv_tols, contexts, summary: str,
-                        unspecified=None, margin=0.0, exact=None) -> ConditionVerdict:
+                        present=True, margin=0.0, exact=None) -> ConditionVerdict:
     """identity-convergence: ||block_k - I|| <= conv_tols[k] at every table label.
 
     ``deviations[k, j]`` holds family k's value at table position j, inf where
-    ``unspecified[k, j]`` marks a label without a block, which fails; so does a
+    ``present[k, j]`` is False, a label without a block, which fails; so does a
     tolerance schedule that increases.  The grid is read flat, stage-major,
     and so are ``margin`` and the rows ``exact`` is asked for.
     """
@@ -450,8 +464,7 @@ def _identity_condition(deviations, table, conv_tols, contexts, summary: str,
                           context="conv_tols schedule is not nonincreasing"),)
     n, stages = len(table), len(conv_tols)
     context = np.repeat(np.arange(stages), n)
-    if unspecified is not None:
-        context[np.ravel(unspecified)] += stages
+    context[~np.broadcast_to(present, np.shape(deviations)).reshape(-1)] += stages
     return _threshold_condition(
         "identity-convergence", summary, np.ravel(deviations), np.repeat(conv_tols, n), table,
         np.tile(np.arange(n), stages), context,
@@ -515,16 +528,11 @@ def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,
     norms, deviations = np.full((2, *present.shape), math.inf)
     for i, F in enumerate(seq):
         norms[i, present[i]], deviations[i, present[i]] = F.norms, F.deviations
-    scans = [check_c0(F, eps_decay) for F in seq]
-    exceptional = [len(res.exceptional) for res in scans]
     conditions = [
-        # a scan's exceptional labels are in table order, so only the first can be trivial
-        _c0_condition(exceptional, [e - (res.exceptional_labels[:1] == (table.trivial,))
-                                    for e, res in zip(exceptional, scans)],
-                      [res.unspecified for res in scans], table, eps_decay, contexts, "block"),
+        _c0_condition(norms, table, eps_decay, contexts, "block", present=present),
         _identity_condition(deviations, table, conv_tols, contexts,
                             "||block - I|| within the per-family tolerance schedule",
-                            unspecified=~present),
+                            present=present),
     ]
     if k_values is not None:
         # the trivial label, first in table order, is the one label of length 0

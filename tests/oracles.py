@@ -730,7 +730,7 @@ def closure_threshold_condition(name, summary, estimate, threshold, witness,
 
 
 def closure_identity_condition(deviations, table, conv_tols, contexts, summary,
-                               unspecified=None, margin=0.0, exact=None):
+                               present=True, margin=0.0, exact=None):
     """identity-convergence through ``closure_threshold_condition``."""
     from hapkit.reports import Witness
     failed = ()
@@ -741,7 +741,7 @@ def closure_identity_condition(deviations, table, conv_tols, contexts, summary,
 
     def witness(r, achieved):
         k, j = divmod(r, n)
-        gap = unspecified is not None and unspecified[k][j]
+        gap = not np.broadcast_to(present, np.shape(deviations))[k][j]
         return Witness(label_key(table, j), achieved, conv_tols[k],
                        f"{contexts[k]}: block unspecified" if gap else contexts[k])
     return closure_threshold_condition(

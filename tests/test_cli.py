@@ -1,12 +1,14 @@
+import ast
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hapkit as hk
@@ -779,3 +781,56 @@ class TestTightening:
         for (code, loose), (tight_code, strict) in zip(runs, runs[1:]):
             assert code <= tight_code
             assert [c for c, passed in strict.items() if passed and not loose.get(c, False)] == []
+
+
+_HAP_PASS = json.loads((FIXTURES / "zdual_hap_pass.json").read_text())
+_HAP_IDS = [e["id"] for e in _HAP_PASS["table"]["entries"] if not e["trivial"]]
+
+
+def _missing_blocks(obj):
+    """``obj`` with family 1 lacking its trivial block and a nontrivial one."""
+    family = obj["families"][1]
+    family["normalized"] = False
+    del family["blocks"]["e"], family["blocks"]["a^3"]
+    return obj
+
+
+class TestRelabelling:
+    """Renaming the nontrivial label ids of a ``certify-hap`` input in a way that
+    keeps their sort order changes only the ``input:`` digest and the witness
+    labels (ROADMAP item 9).  The new ids are drawn, sorted, and matched to the
+    old ones in order; prefixing every id with ``q`` is one such renaming, and
+    it moves every nontrivial id past the trivial one, ``e``."""
+
+    @staticmethod
+    def _run(workdir: Path, obj, name: str) -> tuple:
+        source, report = workdir / f"{name}.json", workdir / f"{name}.report.json"
+        source.write_text(json.dumps(obj))
+        res = run_cli("certify-hap", source, "--json", report)
+        return res.returncode, res.stdout.decode(), json.loads(report.read_text())
+
+    @pytest.mark.parametrize("case", [lambda obj: obj, _missing_blocks], ids=["pass", "missing"])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(ids=st.lists(st.text(alphabet="afqz^-1", min_size=1, max_size=4)
+                        .filter(lambda s: s != "e"), min_size=len(_HAP_IDS),
+                        max_size=len(_HAP_IDS), unique=True).map(sorted))
+    @example(ids=["q" + i for i in _HAP_IDS])
+    def test_only_the_digest_and_the_witness_labels_change(self, case, ids):
+        rename = dict(zip(_HAP_IDS, ids))
+        old = case(json.loads(json.dumps(_HAP_PASS)))
+        new = {**old, "table": {"entries": [{**e, "id": rename.get(e["id"], e["id"])}
+                                            for e in old["table"]["entries"]]},
+               "families": [{**f, "blocks": {rename.get(k, k): v for k, v in f["blocks"].items()}}
+                            for f in old["families"]]}
+        with tempfile.TemporaryDirectory() as d:
+            code, text, report = self._run(Path(d), old, "old")
+            new_code, new_text, new_report = self._run(Path(d), new, "new")
+        assert new_code == code
+        for w in (w for condition in report["conditions"] for w in condition["witnesses"]):
+            w["label"] = rename.get(w["label"], w["label"])
+        assert new_report == {**report, "input_digest": new_report["input_digest"]}
+        label = ast.literal_eval
+        text = re.sub(r"label=('[^']*')",
+                      lambda m: f"label={rename.get(label(m[1]), label(m[1]))!r}", text)
+        digest = re.compile(r"^input: .*$", re.M)
+        assert digest.sub("", new_text) == digest.sub("", text)

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 import hapkit as hk
-from conftest import norm_at, zdual_family, zdual_label, zdual_table
+from conftest import FIXTURES, norm_at, run_cli, zdual_family, zdual_label, zdual_table
+from hapkit import cfree, fourier
 from oracles import constant_family, unit_shift
 
 
@@ -179,6 +181,35 @@ class TestCheckC0:
         res = hk.check_c0(F, 0.5)
         assert not res.tail_clean
         assert set(res.unspecified) == set(table.labels) - {table.trivial}
+
+
+class TestOneC0Decision:
+    """``certify-hap`` and ``freeprod`` decide c0-decay on their stage x position
+    grid, in ``_c0_condition``: neither builds an ``ExceptionalSet``, and an
+    ``eps_decay`` outside (0, 1) is refused before any word block is formed."""
+
+    def test_runs_make_no_exceptional_set(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run made an ExceptionalSet")
+        monkeypatch.setattr(fourier, "_exceptional_set", refuse)
+        assert run_cli("certify-hap", FIXTURES / "zdual_hap_pass.json").returncode == 0
+        assert run_cli("certify-hap", FIXTURES / "undamped_fail.json").returncode == 1
+        assert run_cli("freeprod", FIXTURES / "freeprod_zz.json").returncode == 0
+        assert run_cli("freeprod", FIXTURES / "freeprod_matrix.json").returncode == 1
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.5])
+    def test_bad_eps_decay_forms_no_word_block(self, eps, tmp_path, monkeypatch):
+        formed, kron_fold = [], cfree._kron_fold
+        monkeypatch.setattr(cfree, "_kron_fold",
+                            lambda stacks: formed.append(len(stacks)) or kron_fold(stacks))
+        config = json.loads((FIXTURES / "freeprod_matrix.json").read_text())
+        (tmp_path / "cfg.json").write_text(json.dumps({**config, "eps_decay": eps}))
+        res = run_cli("freeprod", tmp_path / "cfg.json")
+        assert (res.returncode, res.stdout) == (2, b"")
+        assert b"eps_decay" in res.stderr
+        assert formed == []
+        assert run_cli("freeprod", FIXTURES / "freeprod_matrix.json").returncode == 1
+        assert formed  # the counter sees the words a valid run forms
 
 
 class TestHapSequence:

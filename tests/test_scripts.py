@@ -279,5 +279,5 @@ def test_traced_runs_record_spans_and_restore(tmp_path):
     assert [dict(vars(m)) for m in modules] == before
     names = {span[0] for span in tracer.spans}
     assert {"cfree.freeprod_hap_pipeline", "cfree.damp_sequence", "serialize.read",
-            "fourier.check_hap_sequence", "fourier.check_c0", "reports.render"} <= names
+            "fourier.check_hap_sequence", "fourier.convolve", "reports.render"} <= names
     assert tracer.counters["reports.witnesses"] > 0
