@@ -26,9 +26,9 @@ for check in (hk.check_symmetric, hk.check_positive_blocks):
 
 print("\nproperness within the truncation:")
 for M in (2.0, 5.0):
-    res = hk.check_proper(L, M)
-    labels = ", ".join(table.encode(lab) for lab, _ in res.exceptional)
-    print(f"  M={M}: {len(res.exceptional)} exceptional labels {{{labels}}}")
+    # L.lows: the smallest eigenvalue of each block, aligned with L.labels
+    exceptional = [table.encode(lab) for lab, low in zip(L.labels, L.lows) if not low >= M]
+    print(f"  M={M}: {len(exceptional)} exceptional labels {{{', '.join(exceptional)}}}")
 
 print("\nsemigroup blocks exp(-t*|n|) at the label a^2:")
 lab = table.decode("a^2")
@@ -37,9 +37,10 @@ for t in (0.0, 0.25, 1.0, 4.0):
     print(f"  t={t:<5} block {fam.blocks[lab][0, 0].real:.6f}")
 
 print("\nc0 scan of the t=1 family at eps=0.1:")
-res = hk.check_c0(hk.semigroup_at(L, 1.0), 0.1)
-print("  exceptional:", [table.encode(lab) for lab in res.exceptional_labels])
-print("  tail clean:", res.tail_clean)
+F = hk.semigroup_at(L, 1.0)
+print("  exceptional:", [table.encode(lab) for lab, norm in zip(F.labels, F.norms)
+                         if not norm <= 0.1])
+print("  tail clean:", len(F) == len(F.table))  # a block at every label
 
 # the full blockwise criterion on the family sequence exp(-|n|/k)
 ks = [1, 2, 4, 8]

@@ -28,11 +28,11 @@ residual = max(float(np.linalg.norm(back.blocks[lab] - L.blocks[lab], 2))
 print("round-trip residual:", residual)
 
 M = 6.0
-exc_L = hk.check_proper(L, M).exceptional_labels
-exc_c = hk.check_proper_cocycle(c, 2 * M).exceptional_labels
+exc_L = [lab for lab, low in zip(L.labels, L.lows) if not low >= M]
+exc_c = [w.label for w in hk.check_proper_cocycle(c, 2 * M).witnesses]
 print(f"\nexceptional sets transfer at a factor 2 (M={M} vs {2 * M}):")
 print("  from L:", [table.encode(lab) for lab in exc_L if not lab.is_trivial])
-print("  from c:", [table.encode(lab) for lab in exc_c])
+print("  from c:", exc_c)
 
 print("\nblock-norm supremum grows with the truncation radius:")
 for radius in (2, 4, 8):

@@ -17,9 +17,9 @@ from .irreps import (IrrepLabel, IrrepTable, Word, FreeProductTable, make_table,
                      free_product_table)
 from .classical import (GroupSpec, GroupElement, length, ball, dual_irrep_table,
                         schoenberg_check, length_gram, length_functional, parse_group)
-from .fourier import MatrixFamily, convolve, check_c0, check_hap_sequence, ExceptionalSet
+from .fourier import MatrixFamily, convolve, check_c0, check_hap_sequence
 from .genfun import (GeneratingFunctional, check_symmetric, check_positive_blocks,
-                     check_proper, semigroup_at, build_from_states, generator_from_semigroup,
+                     semigroup_at, build_from_states, generator_from_semigroup,
                      default_schedule, BuildReport)
 from .cocycle import (CocycleMatrices, factor_from_generator, gram_from_cocycle,
                       check_proper_cocycle)
@@ -33,8 +33,8 @@ __all__ = [
     "free_product_table",
     "GroupSpec", "GroupElement", "length", "ball", "dual_irrep_table",
     "schoenberg_check", "length_gram", "length_functional", "parse_group",
-    "MatrixFamily", "convolve", "check_c0", "check_hap_sequence", "ExceptionalSet",
-    "GeneratingFunctional", "check_symmetric", "check_positive_blocks", "check_proper",
+    "MatrixFamily", "convolve", "check_c0", "check_hap_sequence",
+    "GeneratingFunctional", "check_symmetric", "check_positive_blocks",
     "semigroup_at", "build_from_states", "generator_from_semigroup", "default_schedule",
     "BuildReport",
     "CocycleMatrices", "factor_from_generator", "gram_from_cocycle",

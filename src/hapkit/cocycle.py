@@ -19,10 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import _linalg
-from .fourier import (DEFAULT_TOL, BlockMap, ExceptionalSet, _by_side, _exceptional_set,
-                      stacked_blocks)
+from .fourier import DEFAULT_TOL, BlockMap, _by_side, _proper_condition, stacked_blocks
 from .genfun import GeneratingFunctional, check_positive_blocks, check_symmetric
-from .reports import CertificationReport, ConditionVerdict, Witness, fmt, log_info
+from .reports import CertificationReport, ConditionVerdict, fmt, log_info
 
 
 class CocycleMatrices(BlockMap):
@@ -63,13 +62,14 @@ def gram_from_cocycle(c: CocycleMatrices) -> GeneratingFunctional:
          for d, s in c.stacks.items()})))
 
 
-def check_proper_cocycle(c: CocycleMatrices, M: float) -> ExceptionalSet:
-    """(label, smallest eigenvalue of (c^a)*(c^a)) of the blocks below M, over
-    the nontrivial labels: twice the smallest eigenvalues of ``gram_from_cocycle(c)``."""
+# Kept only because the benchmark tracer wraps it by name; it goes with the tracer's span.
+def check_proper_cocycle(c: CocycleMatrices, M: float) -> ConditionVerdict:
+    """proper-at-level of ``c`` at M, on twice the smallest eigenvalues of
+    ``gram_from_cocycle(c)``: those of (c^a)*(c^a)."""
     if M <= 0:
         raise ValueError("threshold M must be positive")
-    lows = 2 * gram_from_cocycle(c).lows[1:]  # its trivial block comes first
-    return _exceptional_set(c, lows, lows >= M, M, nontrivial=True)
+    return _proper_condition(2 * gram_from_cocycle(c).lows[1:], M, c.table, c.positions,
+                             f"{len(c.table)} labels")
 
 
 def cocycle_report(L: GeneratingFunctional, M: float, tol: float, input_digest: str
@@ -87,17 +87,10 @@ def cocycle_report(L: GeneratingFunctional, M: float, tol: float, input_digest: 
         c = factor_from_generator(L, tol=tol)
         # the eigenvalues of (c*)c = L + L*, clamped as the root is; + 0.0 turns -0 into 0
         lows = np.maximum(2 * L.lows[1:], 0.0) + 0.0
-        proper = _exceptional_set(c, lows, lows >= M, M, nontrivial=True)
-        exceptional = ", ".join(L.table.encode(lab) for lab, _ in proper.exceptional)
-        conditions.append(ConditionVerdict(
-            name="proper-at-level", passed=proper.proper_at_level,
-            witnesses=tuple(Witness(label=L.table.encode(lab), achieved=low,
-                                    threshold=M, context="min eigenvalue of (c*)c")
-                            for lab, low in proper.exceptional),
-            summary=(f"proper at level M={fmt(M)} (up to a truncation of {truncation}): "
-                     f"{proper.certified_count} blocks certified >= M")))
+        proper = _proper_condition(lows, M, L.table, L.positions[1:], truncation)
+        conditions.append(proper)
         notes = (f"exceptional set at M={fmt(M)}: "
-                 + (f"{{{exceptional}}}" if exceptional else "{}"),)
+                 f"{{{', '.join(w.label for w in proper.witnesses)}}}",)
     return CertificationReport(
         command="cocycle",
         input_digest=input_digest,

@@ -18,18 +18,21 @@ zero: operations restrict to support intersections, so no decay is ever
 fabricated for labels nobody supplied.
 
 ``BlockMap`` is the label -> block map behind families, generating
-functionals and cocycles, one stack per block side; ``_threshold_condition``
-is the one verdict kernel behind every per-label threshold check, here, in
-``cfree`` and in ``genfun``.  The ``certify-hap`` and ``freeprod`` conditions
-(``_c0_condition``, ``_identity_condition``, ``_norm_bound_condition``) read
-their values off one stage-major (stage, table position) grid.
+functionals and cocycles, one stack per block side.  ``_threshold_condition``
+is the one verdict kernel behind every per-label threshold check: here, in
+``classical``, in ``genfun`` and, through ``genfun``'s checks, in ``cocycle``.
+The "good side of a threshold outside a finite set" conditions have one
+builder each: ``_c0_condition`` for c0-decay and ``_proper_condition`` for the
+``cocycle`` report's proper-at-level.  The ``certify-hap`` and ``freeprod``
+conditions (``_c0_condition``, ``_identity_condition``,
+``_norm_bound_condition``, called here and in ``cfree``) read their values off
+one stage-major (stage, table position) grid.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -37,7 +40,7 @@ import numpy as np
 
 from . import _linalg
 from .reports import (CertificationReport, ConditionVerdict, Witness, WitnessRows,
-                      _matrix_template, log_info, sha256)
+                      _matrix_template, fmt, log_info, sha256)
 
 NORMALIZED_ATOL = 1e-9
 DEFAULT_TOL = 1e-9
@@ -285,59 +288,10 @@ def convolve(F: MatrixFamily, G: MatrixFamily) -> MatrixFamily:
     return MatrixFamily(F.table, blocks, normalized=F.normalized and G.normalized)
 
 
-@dataclass(frozen=True)
-class ExceptionalSet:
-    """Outcome of a c0 scan (block norm <= eps) or a properness scan (smallest
-    eigenvalue of L^a or (c^a)*(c^a) >= M).  ``proper_at_level`` holds relative
-    to the truncation only: at least one block was certified there."""
-
-    threshold: float
-    exceptional: tuple  # (label, value) pairs in table order; NaN for a non-finite block
-    unspecified: tuple  # scanned labels without a block
-    table_size: int  # labels the scan covers
-
-    @property
-    def exceptional_labels(self) -> tuple:
-        return tuple(lab for lab, _ in self.exceptional)
-
-    @property
-    def tail_clean(self) -> bool:
-        return not self.unspecified
-
-    @property
-    def certified_count(self) -> int:
-        return self.table_size - len(self.exceptional) - len(self.unspecified)
-
-    @property
-    def proper_at_level(self) -> bool:
-        return self.certified_count > 0
-
-
-def _exceptional_set(B: BlockMap, values, ok, threshold: float,
-                     nontrivial: bool = False) -> ExceptionalSet:
-    """The scan of ``B`` whose ``values``, aligned with ``B.labels``, are on the
-    good side where ``ok`` holds, so a NaN fails closed; ``nontrivial`` leaves
-    the trivial label out of the scan."""
-    bad, first = np.flatnonzero(~ok), int(nontrivial)
-    labels, missing = B.labels, np.flatnonzero(B.rows[first:] < 0) + first
-    return ExceptionalSet(threshold, tuple(zip([labels[i] for i in bad.tolist()],
-                                               values[bad].tolist())),
-                          tuple(B.table.labels[j] for j in missing.tolist()),
-                          len(B.table) - first)
-
-
 def _require_c0_eps(eps: float) -> None:
     """A state's blocks have norm at most 1, so only an ``eps`` in (0, 1) certifies decay."""
     if not 0 < eps < 1:
         raise ValueError(f"eps_decay (the c0 threshold) must lie in (0, 1), got {eps:g}")
-
-
-def check_c0(F: MatrixFamily, eps: float) -> ExceptionalSet:
-    """(label, norm) of the blocks whose norm is not verified <= ``eps`` (NaN
-    counts as above), and the labels without a block, which make the scan
-    inconclusive outside the support (``tail_clean`` is then False)."""
-    _require_c0_eps(eps)
-    return _exceptional_set(F, F.norms, F.norms <= eps, eps)
 
 
 def family_content_digest(families) -> str:
@@ -398,6 +352,20 @@ def _c0_condition(norms, table, eps_decay: float, contexts, noun: str, present=T
         witnesses=tuple(failed) or ((worst,) if worst else ()),
         summary=f"{noun} norms above eps_decay form a finite set, "
                 f"tail verified <= {eps_decay:g}")
+
+
+def _proper_condition(lows, M: float, table, at, truncation: str) -> ConditionVerdict:
+    """proper-at-level: ``lows[r]``, the smallest eigenvalue of (c*)c at table
+    position ``at[r]``, is >= M outside a finite set.  Within the truncation
+    that means at least one row is certified >= M (NaN fails closed); every
+    other row is a witness."""
+    bad = np.flatnonzero(~(lows >= M))
+    return ConditionVerdict(
+        name="proper-at-level", passed=bad.size < len(lows),
+        witnesses=WitnessRows((), table, at[bad], lows[bad], np.full(bad.size, float(M)),
+                              np.full(bad.size, "min eigenvalue of (c*)c", dtype=object)),
+        summary=(f"proper at level M={fmt(M)} (up to a truncation of {truncation}): "
+                 f"{len(lows) - bad.size} blocks certified >= M"))
 
 
 def _threshold_condition(name: str, summary: str, estimate, threshold, table, at, context,
@@ -550,3 +518,9 @@ def check_hap_sequence(seq, eps_decay: float, conv_tols, k_values=None,
         notes=(f"conv_tols: {', '.join(f'{x:g}' for x in conv_tols)}",)
         + ((f"k_values: {', '.join(str(k) for k in k_values)}",) if k_values else ()),
     )
+
+
+# Kept only because the benchmark tracer wraps it by name; it goes with the tracer's span.
+def check_c0(F: MatrixFamily, eps: float) -> ConditionVerdict:
+    """The c0-decay verdict that ``check_hap_sequence`` gives for the sequence ``[F]``."""
+    return check_hap_sequence([F], eps, [1.0]).conditions[0]

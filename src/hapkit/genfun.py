@@ -28,9 +28,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import _linalg
-from .fourier import (DEFAULT_TOL, BlockMap, ExceptionalSet, MatrixFamily, _by_side,
-                      _exceptional_set, _require_normalized, _require_same_table,
-                      _threshold_condition, stacked_blocks)
+from .fourier import (DEFAULT_TOL, BlockMap, MatrixFamily, _by_side, _require_normalized,
+                      _require_same_table, _threshold_condition, stacked_blocks)
 from .reports import CertificationReport, ConditionVerdict, fmt, log_info
 
 
@@ -81,16 +80,6 @@ def check_positive_blocks(L: GeneratingFunctional, tol: float = DEFAULT_TOL) -> 
     return _threshold_condition("positive-blocks", "all blocks positive semidefinite",
                                 0.0 - L.lows, tol, L.table, L.positions, 0,
                                 ("minus the smallest block eigenvalue",))
-
-
-def check_proper(L: GeneratingFunctional, M: float) -> ExceptionalSet:
-    """(label, smallest eigenvalue) of the blocks of a symmetric functional below M."""
-    if M <= 0:
-        raise ValueError("threshold M must be positive")
-    if not check_symmetric(L).passed:
-        raise ValueError(f"properness is defined for symmetric functionals "
-                         f"(Hermitian residual {np.max(L.residuals):g})")
-    return _exceptional_set(L, L.lows, L.lows >= M, M)
 
 
 def semigroup_at(L: GeneratingFunctional, t: float) -> MatrixFamily:

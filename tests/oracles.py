@@ -589,40 +589,48 @@ def label_factor(L: LabelBlockMap, tol):
 
 
 def label_c0(table, blocks, eps):
-    """(exceptional (label, norm) pairs, unspecified labels, labels scanned) of
-    the family blocks at threshold eps, one operator norm per label."""
-    labels = [lab for lab in table.labels if lab in blocks]
-    norms = block_norms([blocks[lab] for lab in labels])
-    return (tuple((lab, norm) for lab, norm in zip(labels, norms) if not norm <= eps),
-            tuple(lab for lab in table.labels if lab not in blocks), len(table.labels))
+    """The ``c0_rule`` verdict of the one family ``blocks`` at threshold eps, as
+    "family #0", one operator norm per label."""
+    norms = [block_norms([blocks[lab]])[0] if lab in blocks else None for lab in table.labels]
+    return c0_rule([table.encode(lab) for lab in table.labels], [norms], eps, ["family #0"])
+
+
+def exceptional(B, values, holds) -> tuple:
+    """(label, value) of each block of the map ``B`` where ``holds`` is False, in
+    table order.  ``values`` and ``holds`` are aligned with ``B.labels``, as
+    ``F.norms`` and ``L.lows`` are: ``F.norms <= eps`` for c0 decay,
+    ``L.lows >= M`` for properness, either False at NaN."""
+    return tuple((lab, value) for lab, value, ok in zip(B.labels, values.tolist(),
+                                                        holds.tolist()) if not ok)
 
 
 def label_proper(table, blocks, M):
-    """(exceptional (label, low) pairs, unspecified labels, labels scanned) of
-    the generator blocks at level M, with [0] at a missing trivial label, one
-    ``eigh`` per label; or the ValueError text when a Hermitian residual
-    is over 1e-9 or NaN."""
+    """(exceptional (label, low) pairs, unspecified labels) of the generator
+    blocks at level M, with [0] at a missing trivial label, one ``eigh`` per
+    label; or None, properness being undefined, when a Hermitian residual is
+    over 1e-9 or NaN."""
     blocks = {table.trivial: np.zeros((1, 1), dtype=np.complex128), **blocks}
     residuals = block_norms([blk - blk.conj().T for blk in blocks.values()])
-    worst = math.nan if any(map(math.isnan, residuals)) else max(residuals)
-    if not worst <= 1e-9:
-        return f"properness is defined for symmetric functionals (Hermitian residual {worst:g})"
+    if not all(r <= 1e-9 for r in residuals):
+        return None
     labels = [lab for lab in table.labels if lab in blocks]
     lows = block_eigh_lows([blocks[lab] for lab in labels])
     return (tuple((lab, low) for lab, low in zip(labels, lows) if not low >= M),
-            tuple(lab for lab in table.labels if lab not in blocks), len(table.labels))
+            tuple(lab for lab in table.labels if lab not in blocks))
 
 
 def label_proper_cocycle(table, blocks, M):
-    """(exceptional (label, low) pairs, unspecified labels, labels scanned) of
-    the cocycle blocks at level M, twice the smallest eigenvalue of one
-    ``eigh`` of the Gram block ((c*)c + ((c*)c)*)/2 / 2 per label in table
-    order; the trivial label is not scanned."""
+    """The proper-at-level rule on the cocycle blocks at level M: (passed, one
+    (label, achieved, threshold, context) tuple per label whose value is not
+    >= M), the value being twice the smallest eigenvalue of one ``eigh`` of the
+    Gram block ((c*)c + ((c*)c)*)/2 / 2 per label in table order.  It passes
+    when some label's value is >= M."""
     labels = [lab for lab in table.labels if lab in blocks]
     grams = [blocks[lab].conj().T @ blocks[lab] for lab in labels]
     lows = [2 * low for low in block_eigh_lows([(g + g.conj().T) / 2 / 2 for g in grams])]
-    return (tuple((lab, low) for lab, low in zip(labels, lows) if not low >= M),
-            tuple(lab for lab in table.labels[1:] if lab not in blocks), len(table.labels) - 1)
+    failing = tuple((table.encode(lab), low, M, "min eigenvalue of (c*)c")
+                    for lab, low in zip(labels, lows) if not low >= M)
+    return len(failing) < len(labels), failing
 
 
 def label_build_from_states(table, seq, betas, eps):

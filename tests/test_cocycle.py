@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hapkit as hk
+import oracles
 from conftest import (FIXTURES, label_value, random_psd_generator, random_table, run_cli,
                       sup_norm, zdual_table)
 from hapkit import _linalg
@@ -143,21 +144,22 @@ class TestProperAndBounded:
         # c^n = sqrt(2|n|): (c*)c = 2|n| < 8 iff |n| <= 3
         c = hk.factor_from_generator(zdual_length_gf(6))
         res = hk.check_proper_cocycle(c, 8.0)
-        values = sorted(label_value(c.table, lab) for lab in res.exceptional_labels)
+        values = sorted(label_value(c.table, c.table.decode(w.label)) for w in res.witnesses)
         assert values == [-3, -2, -1, 1, 2, 3]
+        assert res.passed
 
     def test_zero_cocycle_all_exceptional(self):
         t = zdual_table(2)
         c = hk.CocycleMatrices(t, {lab: [[0.0]] for lab in t.nontrivial_labels})
         res = hk.check_proper_cocycle(c, 1.0)
-        assert set(res.exceptional_labels) == set(t.nontrivial_labels)
-        assert not res.proper_at_level
+        assert {t.decode(w.label) for w in res.witnesses} == set(t.nontrivial_labels)
+        assert not res.passed
 
     def test_nan_level_certifies_nothing(self):
         c = hk.factor_from_generator(zdual_length_gf(3))
         res = hk.check_proper_cocycle(c, math.nan)
-        assert set(res.exceptional_labels) == set(c.labels)
-        assert not res.proper_at_level
+        assert {c.table.decode(w.label) for w in res.witnesses} == set(c.labels)
+        assert not res.passed
 
     def test_boundary_unitary_scaling(self):
         # all blocks sqrt(M) * unitary: (c*)c = M*I exactly, empty exceptional set
@@ -166,8 +168,8 @@ class TestProperAndBounded:
         u = np.array([[0, 1], [1, 0]], dtype=complex)
         c = hk.CocycleMatrices(t, {t.decode("a"): math.sqrt(M) * u})
         res = hk.check_proper_cocycle(c, M)
-        assert res.exceptional == ()
-        assert res.proper_at_level
+        assert res.witnesses == ()
+        assert res.passed
 
     def test_properness_transfer_factor_two(self, rng):
         table = random_table(rng, 10, 4)
@@ -176,8 +178,9 @@ class TestProperAndBounded:
             c = hk.factor_from_generator(L)
             # choose M away from all eigenvalues so rounding cannot flip a set
             M = 1.234567
-            exc_l = set(hk.check_proper(L, M).exceptional_labels) - {table.trivial}
-            exc_c = set(hk.check_proper_cocycle(c, 2 * M).exceptional_labels)
+            exc_l = {table.encode(lab) for lab, _ in oracles.exceptional(L, L.lows, L.lows >= M)
+                     if lab != table.trivial}
+            exc_c = {w.label for w in hk.check_proper_cocycle(c, 2 * M).witnesses}
             assert exc_l == exc_c
 
     def test_check_bounded(self):

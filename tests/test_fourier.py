@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import hapkit as hk
+import oracles
 from conftest import FIXTURES, norm_at, run_cli, zdual_family, zdual_label, zdual_table
-from hapkit import cfree, fourier
+from hapkit import cfree, cli, cocycle, fourier
+from hapkit import serialize as sz
 from oracles import constant_family, unit_shift
 
 
@@ -156,46 +158,65 @@ class TestBlockNorm:
             F[hk.IrrepLabel("nope")]
 
 
+def _c0_row(verdict) -> tuple:
+    """(passed, (label, achieved, threshold, context) of its one witness)."""
+    (w,) = verdict.witnesses
+    return verdict.passed, (w.label, w.achieved, w.threshold, w.context)
+
+
 class TestCheckC0:
     def test_haar(self, table):
-        res = hk.check_c0(constant_family(table, 0.0), 0.5)
-        assert res.exceptional_labels == (table.trivial,)
-        assert res.tail_clean
+        F = constant_family(table, 0.0)
+        assert [lab for lab, _ in oracles.exceptional(F, F.norms, F.norms <= 0.5)] == [
+            table.trivial]
+        assert len(F) == len(F.table)  # tail clean: a block at every label
+        assert _c0_row(hk.check_c0(F, 0.5)) == (
+            True, ("*", 1.0, 4.0, "family #0: exceptional labels within truncation"))
 
     def test_counit_all_exceptional(self, table):
-        res = hk.check_c0(constant_family(table, 1.0), 0.5)
-        assert set(res.exceptional_labels) == set(table.labels)
-        assert res.table_size - len(res.exceptional) - len(res.unspecified) == 0
+        F = constant_family(table, 1.0)
+        assert {lab for lab, _ in oracles.exceptional(F, F.norms, F.norms <= 0.5)} == set(
+            table.labels)
+        assert _c0_row(hk.check_c0(F, 0.5)) == (
+            False, ("*", 4.0, 3.0, "family #0: no nontrivial label decayed below eps"))
 
     def test_zdual_exponential_decay(self):
         t = zdual_table(5)
         F = zdual_family(t, lambda n: math.exp(-abs(n)))
-        res = hk.check_c0(F, math.exp(-3) + 1e-12)
-        got = sorted(t.encode(lab) for lab in res.exceptional_labels)
+        eps = math.exp(-3) + 1e-12
+        got = sorted(t.encode(lab) for lab, _ in oracles.exceptional(F, F.norms, F.norms <= eps))
         assert got == sorted(["e", "a^1", "a^-1", "a^2", "a^-2"])
-        assert res.tail_clean
-        assert res.table_size - len(res.exceptional) - len(res.unspecified) == 6
+        assert len(F) == len(F.table)
+        # 11 labels, 5 exceptional: 6 certified
+        assert _c0_row(hk.check_c0(F, eps)) == (
+            True, ("*", 5.0, 11.0, "family #0: exceptional labels within truncation"))
 
     def test_unspecified_labels_spoil_tail(self, table):
         F = hk.MatrixFamily(table, {table.trivial: [[1.0]]})
-        res = hk.check_c0(F, 0.5)
-        assert not res.tail_clean
-        assert set(res.unspecified) == set(table.labels) - {table.trivial}
+        assert len(F) < len(F.table)
+        assert _c0_row(hk.check_c0(F, 0.5)) == (
+            False, (table.encode(table.labels[1]), 3.0, 0.0,
+                    "family #0: labels without blocks"))
 
 
 class TestOneC0Decision:
     """``certify-hap`` and ``freeprod`` decide c0-decay on their stage x position
-    grid, in ``_c0_condition``: neither builds an ``ExceptionalSet``, and an
-    ``eps_decay`` outside (0, 1) is refused before any word block is formed."""
+    grid, in ``_c0_condition``, and ``cocycle`` decides proper-at-level in
+    ``_proper_condition``: no command goes through ``check_c0`` or
+    ``check_proper_cocycle``, which are kept only for the benchmark tracer, and
+    an ``eps_decay`` outside (0, 1) is refused before any word block is formed."""
 
-    def test_runs_make_no_exceptional_set(self, monkeypatch):
+    def test_runs_make_no_exceptional_set(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
-            raise AssertionError("a run made an ExceptionalSet")
-        monkeypatch.setattr(fourier, "_exceptional_set", refuse)
+            raise AssertionError("a run went through a scan kept only for the tracer")
+        monkeypatch.setattr(fourier, "check_c0", refuse)
+        monkeypatch.setattr(cocycle, "check_proper_cocycle", refuse)
         assert run_cli("certify-hap", FIXTURES / "zdual_hap_pass.json").returncode == 0
         assert run_cli("certify-hap", FIXTURES / "undamped_fail.json").returncode == 1
         assert run_cli("freeprod", FIXTURES / "freeprod_zz.json").returncode == 0
         assert run_cli("freeprod", FIXTURES / "freeprod_matrix.json").returncode == 1
+        assert run_cli("cocycle", FIXTURES / "zdual_length_generator.json", "--M", "1",
+                       "--out", tmp_path / "c.json").returncode == 0
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.5])
     def test_bad_eps_decay_forms_no_word_block(self, eps, tmp_path, monkeypatch):
@@ -210,6 +231,31 @@ class TestOneC0Decision:
         assert formed == []
         assert run_cli("freeprod", FIXTURES / "freeprod_matrix.json").returncode == 1
         assert formed  # the counter sees the words a valid run forms
+
+
+class TestKeptScansDecideAsTheCommands:
+    """``check_c0`` and ``check_proper_cocycle``, kept for the benchmark tracer,
+    return the verdicts the commands build, from the same builders."""
+
+    @pytest.mark.parametrize("eps, passed", [(0.5, True), (1e-3, False)])
+    def test_check_c0_is_certify_hap_on_one_family(self, eps, passed):
+        F = cli._load_states(str(FIXTURES / "zdual_hap_pass.json"))[2][0]
+        got = hk.check_c0(F, eps)
+        assert got.passed is passed
+        assert got.to_obj() == hk.check_hap_sequence([F], eps, [1.0]).conditions[0].to_obj()
+
+    # (c*)c = 2|n| on this generator: every M lies away from every eigenvalue
+    @pytest.mark.parametrize("M", [1.0, 5.5, 100.0])
+    def test_check_proper_cocycle_is_the_cocycle_report(self, M, tmp_path):
+        gen = FIXTURES / "zdual_length_generator.json"
+        L = sz.generator_from_obj(sz.load_json(gen))
+        got = hk.check_proper_cocycle(hk.factor_from_generator(L), M)
+        run_cli("cocycle", gen, "--M", M, "--out", tmp_path / "c.json",
+                "--json", tmp_path / "r.json")
+        (want,) = [cond for cond in json.loads((tmp_path / "r.json").read_text())["conditions"]
+                   if cond["name"] == "proper-at-level"]
+        assert got.passed == want["passed"]
+        assert [w.label for w in got.witnesses] == [w["label"] for w in want["witnesses"]]
 
 
 class TestHapSequence:

@@ -85,25 +85,25 @@ class TestSymmetryAndPositivity:
 class TestProper:
     def test_zdual_length_at_5(self):
         L = zdual_length_gf(10)
-        res = hk.check_proper(L, 5.0)
-        values = sorted(label_value(L.table, lab) for lab in res.exceptional_labels)
+        exceptional = oracles.exceptional(L, L.lows, L.lows >= 5.0)
+        values = sorted(label_value(L.table, lab) for lab, _ in exceptional)
         assert values == list(range(-4, 5))
-        assert len(res.exceptional) == 9
-        assert res.proper_at_level
+        assert len(exceptional) == 9
+        assert (L.lows >= 5.0).any()  # proper at level 5 within the truncation
 
     def test_dominating_blocks_empty_set(self):
         t = hk.make_table([("a", 2)])
         L = hk.GeneratingFunctional(t, {t.decode("a"): 7.0 * np.eye(2)})
-        res = hk.check_proper(L, 5.0)
-        assert res.exceptional_labels == (t.trivial,)  # trivial block is 0
-        assert res.proper_at_level
+        exceptional = oracles.exceptional(L, L.lows, L.lows >= 5.0)
+        assert [lab for lab, _ in exceptional] == [t.trivial]  # trivial block is 0
+        assert (L.lows >= 5.0).any()
 
     def test_zero_functional_all_exceptional(self):
         t = zdual_table(2)
         zero = hk.GeneratingFunctional(t, {lab: [[0.0]] for lab in t.nontrivial_labels})
-        res = hk.check_proper(zero, 0.5)
-        assert set(res.exceptional_labels) == set(t.labels)
-        assert not res.proper_at_level
+        exceptional = oracles.exceptional(zero, zero.lows, zero.lows >= 0.5)
+        assert {lab for lab, _ in exceptional} == set(t.labels)
+        assert not (zero.lows >= 0.5).any()
 
 
 class TestSemigroup:
@@ -163,7 +163,7 @@ class TestSemigroup:
         # outside the exceptional set at level M, semigroup norms are <= exp(-s*M)
         L = zdual_length_gf(8)
         M, s = 3.0, 0.7
-        exceptional = set(hk.check_proper(L, M).exceptional_labels)
+        exceptional = {lab for lab, _ in oracles.exceptional(L, L.lows, L.lows >= M)}
         fam = hk.semigroup_at(L, s)
         for lab in fam.labels:
             if lab not in exceptional:

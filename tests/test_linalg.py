@@ -201,17 +201,18 @@ class TestNonFiniteEntryNeverPasses:
     @given(drawn=poisoned_blocks())
     def test_properness_scans_fail_closed(self, drawn):
         """The cocycle scan lists the block as exceptional at NaN; the
-        generator scans refuse it, since its Hermitian residual is NaN."""
+        generator's positivity check refuses it, since its Hermitian residual
+        is NaN, and so does its ``symmetric`` check, which properness needs."""
         _, poisoned, bad = drawn
         t, blocks = _scan_inputs(poisoned)
         label = t.labels[bad + 1]
         with np.errstate(all="ignore"):
             res = hk.check_proper_cocycle(hk.CocycleMatrices(t, blocks), 1e-3)
-            assert math.isnan(dict(res.exceptional)[label])
+            assert math.isnan({w.label: w.achieved for w in res.witnesses}[t.encode(label)])
             L = hk.GeneratingFunctional(t, blocks)
-            for scan in (lambda: hk.check_positive_blocks(L), lambda: hk.check_proper(L, 1.0)):
-                with pytest.raises(ValueError, match="residual nan"):
-                    scan()
+            with pytest.raises(ValueError, match="residual nan"):
+                hk.check_positive_blocks(L)
+            assert not hk.check_symmetric(L).passed
 
 
 
@@ -252,9 +253,14 @@ class TestNonFiniteFailsClosed:
         assert math.isnan(value) and not ok
 
     def test_c0_counts_a_nan_block_as_exceptional(self):
+        F = _inf_family()
         with np.errstate(all="ignore"):
-            res = hk.check_c0(_inf_family(), 0.5)
-        assert [_table().encode(lab) for lab in res.exceptional_labels] == ["1", "y"]
+            exceptional = oracles.exceptional(F, F.norms, F.norms <= 0.5)
+            res = hk.check_c0(F, 0.5)
+        assert [_table().encode(lab) for lab, _ in exceptional] == ["1", "y"]
+        assert math.isnan(exceptional[1][1])
+        # x and z decayed, so the NaN block only joins the finite exceptional set
+        assert res.passed and res.witnesses[0].achieved == 2.0
 
     @pytest.mark.parametrize("call, match", [
         (lambda: hk.damp_sequence([_inf_family()], [1]), "norm"),

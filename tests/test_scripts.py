@@ -195,11 +195,12 @@ def test_json_text_is_made_in_reports_only():
 
 
 # the module-level functions of ``src/hapkit`` that may call ``ConditionVerdict``
-# or ``Witness``: the verdict kernels, and the conditions that are no
-# per-label threshold (an exceptional set, an evaluation)
+# or ``Witness``: the verdict kernels, and the builders of the conditions that
+# are no per-label threshold (c0-decay and proper-at-level, each good outside a
+# finite set, and an evaluation)
 _VERDICT_BUILDERS = {
     ("fourier", "_threshold_condition"), ("fourier", "_identity_condition"),
-    ("fourier", "_c0_condition"), ("cocycle", "cocycle_report"),
+    ("fourier", "_c0_condition"), ("fourier", "_proper_condition"),
     ("genfun", "semigroup_report"),
 }
 
